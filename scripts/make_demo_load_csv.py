@@ -2,14 +2,13 @@
 """Write a synthetic hourly load/temperature CSV in the format the `load`
 subcommand ingests, for trying the pipeline without a real dataset.  The
 temperature-load relation shifts with season and hour of day, so the
-calendar-specialized experts have something to specialize on."""
+calendar-specialized experts have something to specialize on.  Needs
+`crpsmix` importable (installed, or PYTHONPATH=src)."""
 
 import argparse
-import csv
-import math
-from datetime import datetime, timedelta
+from datetime import datetime
 
-import numpy as np
+from crpsmix.data import write_demo_load_csv
 
 
 def main():
@@ -21,22 +20,7 @@ def main():
     ap.add_argument("--out", default="demo_load.csv")
     args = ap.parse_args()
 
-    rng = np.random.default_rng(args.seed)
-    ts = datetime.fromisoformat(args.start)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "load", "temperature"])
-        for _ in range(args.hours):
-            doy = ts.timetuple().tm_yday
-            season_phase = math.cos(2 * math.pi * (doy - 15) / 365.0)
-            diurnal = math.sin(2 * math.pi * (ts.hour - 6) / 24.0)
-            temp = 45.0 - 22.0 * season_phase + 8.0 * diurnal + rng.normal(0, 3.5)
-            comfort = abs(temp - 62.0)
-            occupancy = 1.0 + 0.45 * math.sin(2 * math.pi * (ts.hour - 9) / 24.0)
-            load = 95.0 + 2.1 * comfort * occupancy + 14.0 * occupancy
-            load += rng.normal(0, 6.0)
-            writer.writerow([ts.isoformat(), round(load, 3), round(temp, 2)])
-            ts += timedelta(hours=1)
+    write_demo_load_csv(args.out, args.hours, datetime.fromisoformat(args.start), args.seed)
     print(f"wrote {args.hours} hourly rows to {args.out}")
 
 

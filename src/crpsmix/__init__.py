@@ -16,7 +16,6 @@ from .aggregation import (
     substitute_square_aa,
     substitute_vector_aa,
     superprediction,
-    update_weights,
     update_weights_confidence,
     wa_learning_rate,
 )

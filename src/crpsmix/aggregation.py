@@ -15,18 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .grids import REPAIR_TOL, GridCDF
+from .grids import REPAIR_TOL
 
 #: The unit square loss (f - w)^2 on [0, 1] x {0, 1} admits aggregation at
 #: learning rates up to 2; the pointwise CRPS rule always runs at this cap.
 SQUARE_LOSS_ETA = 2.0
-
-MODES = ("aa", "wa")
 
 
 class AllExpertsAsleep(ValueError):
@@ -48,19 +44,29 @@ def wa_learning_rate(width: float) -> float:
     return 1.0 / (2.0 * width)
 
 
+def logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
+    """log sum_i e^{a_i}, max-shifted; weighted sums pass a_i + ln q_i.
+
+    Safe for entries that are -inf or very negative (zero or denormal
+    weights, which arise after long runs); at least one entry along each
+    reduced axis must be finite.
+    """
+    m = np.max(a, axis=axis, keepdims=axis is not None)
+    out = np.log(np.sum(np.exp(a - m), axis=axis))
+    return out + (m.squeeze(axis) if axis is not None else m)
+
+
 @dataclass(frozen=True, eq=False)
 class ExpertPool:
     """Unnormalized expert weights (kept as logs) plus the game parameters.
 
     alpha is the share mixed back toward the uniform start vector after
-    each weight update; mode selects the aggregation rule the pool is
-    meant for ("aa" substitution or "wa" averaging).
+    each weight update.
     """
 
     log_weights: np.ndarray
     eta: float
     alpha: float = 0.0
-    mode: str = "aa"
 
     def __post_init__(self):
         lw = np.array(self.log_weights, dtype=float)
@@ -72,8 +78,6 @@ class ExpertPool:
             raise ValueError(f"learning rate must be positive, got {self.eta}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"mixing share must lie in [0, 1], got {self.alpha}")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         lw.flags.writeable = False
         object.__setattr__(self, "log_weights", lw)
 
@@ -86,21 +90,9 @@ class ExpertPool:
         return np.exp(self.log_weights)
 
     @classmethod
-    def uniform(cls, n, *, width=None, eta=None, alpha=0.0, mode="aa"):
-        """Pool of n equal weights 1/n; eta defaults from mode and the
-        outcome interval width."""
-        if eta is None:
-            if width is None:
-                raise ValueError("need either eta or the interval width")
-            eta = aa_learning_rate(width) if mode == "aa" else wa_learning_rate(width)
-        return cls(np.full(n, -math.log(n)), eta, alpha, mode)
-
-    @classmethod
-    def from_weights(cls, weights, eta, alpha=0.0, mode="aa"):
-        w = np.asarray(weights, dtype=float)
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
-        return cls(np.log(w), eta, alpha, mode)
+    def uniform(cls, n, *, eta, alpha=0.0):
+        """Pool of n equal weights 1/n."""
+        return cls(np.full(n, -math.log(n)), eta, alpha)
 
 
 def _as_confidence(p, n: int) -> np.ndarray:
@@ -162,18 +154,6 @@ def _log_q(q: np.ndarray) -> np.ndarray:
         return np.log(q)
 
 
-def _wlogsumexp(exponents: np.ndarray, log_q: np.ndarray, axis=None) -> np.ndarray:
-    """log sum_i q_i e^{a_i} with the weights given as logs, max-shifted.
-
-    Safe for weights that are zero or denormal (log_q of -inf or ~ -745),
-    which arise after long runs; at least one weight must be positive.
-    """
-    z = exponents + log_q
-    m = np.max(z, axis=axis, keepdims=axis is not None)
-    out = np.log(np.sum(np.exp(z - m), axis=axis))
-    return out + (m.squeeze(axis) if axis is not None else m)
-
-
 def substitute_square_aa(forecasts, q, eta: float) -> float:
     """Aggregated forecast in [0, 1] for the square loss against a binary
     outcome:
@@ -188,8 +168,8 @@ def substitute_square_aa(forecasts, q, eta: float) -> float:
     f = np.asarray(forecasts, dtype=float)
     q = _check_probability(q, f.size)
     lq = _log_q(q)
-    num = _wlogsumexp(-eta * f**2, lq)
-    den = _wlogsumexp(-eta * (1.0 - f) ** 2, lq)
+    num = logsumexp(-eta * f**2 + lq)
+    den = logsumexp(-eta * (1.0 - f) ** 2 + lq)
     out = 0.5 - (num - den) / (2.0 * eta)
     return float(min(max(out, 0.0), 1.0))
 
@@ -198,8 +178,8 @@ def _substitute_columns(matrix: np.ndarray, q: np.ndarray, eta: float) -> np.nda
     """Column-by-column substitution over an (n_experts, d) matrix,
     without clipping."""
     lq = _log_q(q)[:, None]
-    num = _wlogsumexp(-eta * matrix**2, lq, axis=0)
-    den = _wlogsumexp(-eta * (1.0 - matrix) ** 2, lq, axis=0)
+    num = logsumexp(-eta * matrix**2 + lq, axis=0)
+    den = logsumexp(-eta * (1.0 - matrix) ** 2 + lq, axis=0)
     return 0.5 - (num - den) / (2.0 * eta)
 
 
@@ -216,16 +196,6 @@ def substitute_vector_aa(forecast_matrix, q, eta: float) -> np.ndarray:
     return np.clip(_substitute_columns(m, q, eta), 0.0, 1.0)
 
 
-def _shared_domain(forecasts: Sequence[GridCDF]):
-    if len(forecasts) == 0:
-        raise ValueError("need at least one forecast")
-    domain = forecasts[0].domain
-    for f in forecasts[1:]:
-        if f.domain != domain:
-            raise ValueError("forecasts must share one grid domain")
-    return domain
-
-
 def _worst_cdf_violation(vals: np.ndarray) -> float:
     worst = max(float(vals.max() - 1.0), float(-vals.min()), abs(float(vals[-1]) - 1.0))
     if vals.size > 1:
@@ -233,9 +203,17 @@ def _worst_cdf_violation(vals: np.ndarray) -> float:
     return worst
 
 
-def substitute_crps_aa(forecasts: Sequence[GridCDF], q) -> GridCDF:
-    """Aggregated CDF applying the square-loss substitution at every grid
-    cell with the capped rate:
+def _forecast_matrix(values, q):
+    m = np.asarray(values, dtype=float)
+    if m.ndim != 2:
+        raise ValueError(f"expected an (n_experts, d) matrix, got shape {m.shape}")
+    return m, _check_probability(q, m.shape[0])
+
+
+def substitute_crps_aa(values, q) -> np.ndarray:
+    """Aggregated CDF values from the (n_experts, d) matrix of expert CDF
+    values, applying the square-loss substitution at every grid cell with
+    the capped rate:
 
         F(u) = 1/2 - (1/4) ln( sum_i q_i e^{-2 F_i(u)^2}
                               / sum_i q_i e^{-2 (1-F_i(u))^2} ).
@@ -243,24 +221,21 @@ def substitute_crps_aa(forecasts: Sequence[GridCDF], q) -> GridCDF:
     The output is a valid CDF up to float noise; larger violations raise
     SubstitutionError because they indicate a broken rule, not bad data.
     """
-    domain = _shared_domain(forecasts)
-    q = _check_probability(q, len(forecasts))
-    matrix = np.stack([f.values for f in forecasts])
+    matrix, q = _forecast_matrix(values, q)
     vals = _substitute_columns(matrix, q, SQUARE_LOSS_ETA)
     worst = _worst_cdf_violation(vals)
     if worst > REPAIR_TOL:
         raise SubstitutionError(
             f"aggregated CDF violates invariants by {worst:.3e} (> {REPAIR_TOL})"
         )
-    return GridCDF(domain, vals)
+    return vals
 
 
-def combine_wa(forecasts: Sequence[GridCDF], q) -> GridCDF:
-    """Pointwise convex combination of the forecast CDFs."""
-    domain = _shared_domain(forecasts)
-    q = _check_probability(q, len(forecasts))
-    matrix = np.stack([f.values for f in forecasts])
-    return GridCDF(domain, q @ matrix)
+def combine_wa(values, q) -> np.ndarray:
+    """Pointwise convex combination of the rows of the (n_experts, d)
+    matrix of expert CDF values."""
+    matrix, q = _forecast_matrix(values, q)
+    return q @ matrix
 
 
 def superprediction(losses, q, eta: float) -> float:
@@ -270,14 +245,7 @@ def superprediction(losses, q, eta: float) -> float:
         raise ValueError(f"learning rate must be positive, got {eta}")
     l = np.asarray(losses, dtype=float)
     q = _check_probability(q, l.size)
-    return float(-_wlogsumexp(-eta * l, _log_q(q)) / eta)
-
-
-def update_weights(pool: ExpertPool, losses) -> ExpertPool:
-    """w_i <- w_i e^{-eta l_i}, then rescaled so the largest weight is 1."""
-    l = _as_losses(losses, pool.n)
-    lw = pool.log_weights - pool.eta * l
-    return replace(pool, log_weights=lw - lw.max())
+    return float(-logsumexp(-eta * l + _log_q(q)) / eta)
 
 
 def update_weights_confidence(

@@ -285,11 +285,7 @@ def cmd_load(args) -> int:
         with open(os.path.join(expert_dir, f"{e.name}.txt"), "w", encoding="utf-8") as fh:
             fh.write(e.model.to_text())
 
-    game = OnlineGame(
-        GameConfig(domain, mode=args.mode, alpha=args.alpha,
-                   confidence_enabled=args.confidence != "off"),
-        len(experts),
-    )
+    game = OnlineGame(GameConfig(domain, mode=args.mode, alpha=args.alpha), len(experts))
     clipped = 0
     band_rows = []
     record_rows = []

@@ -5,8 +5,9 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 
@@ -214,7 +215,10 @@ def load_csv(path, schema: CsvSchema = CsvSchema()):
                 continue
             if records:
                 prev = records[-1].timestamp
-                delta_h = (ts - prev).total_seconds() / 3600.0
+                try:
+                    delta_h = (ts - prev).total_seconds() / 3600.0
+                except TypeError as exc:  # timezone-aware mixed with naive
+                    raise ValueError(f"{path}:{line}: {exc}") from exc
                 if delta_h <= 0:
                     raise ValueError(
                         f"{path}:{line}: timestamp {ts.isoformat()} does not "
@@ -251,9 +255,35 @@ def load_csv(path, schema: CsvSchema = CsvSchema()):
     return records, report
 
 
+def write_demo_load_csv(path, hours, start=datetime(2006, 1, 1), seed=11):
+    """Write a synthetic hourly (timestamp, load, temperature) CSV whose
+    temperature-load relation shifts with season and hour of day, so the
+    calendar-specialized experts have something to specialize on."""
+    rng = np.random.default_rng(seed)
+    ts = start
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "load", "temperature"])
+        for _ in range(hours):
+            doy = ts.timetuple().tm_yday
+            season_phase = math.cos(2 * math.pi * (doy - 15) / 365.0)
+            diurnal = math.sin(2 * math.pi * (ts.hour - 6) / 24.0)
+            temp = 45.0 - 22.0 * season_phase + 8.0 * diurnal + rng.normal(0, 3.5)
+            comfort = abs(temp - 62.0)
+            occupancy = 1.0 + 0.45 * math.sin(2 * math.pi * (ts.hour - 9) / 24.0)
+            load = 95.0 + 2.1 * comfort * occupancy + 14.0 * occupancy
+            load += rng.normal(0, 6.0)
+            writer.writerow([ts.isoformat(), round(load, 3), round(temp, 2)])
+            ts += timedelta(hours=1)
+    return path
+
+
 def split_train_test(records, boundary: datetime):
     """Partition records: timestamps before `boundary` train, the rest test."""
-    train = [r for r in records if r.timestamp < boundary]
+    try:
+        train = [r for r in records if r.timestamp < boundary]
+    except TypeError as exc:  # timezone-aware compared with naive
+        raise ValueError(f"boundary {boundary.isoformat()}: {exc}") from exc
     test = [r for r in records if r.timestamp >= boundary]
     if not train or not test:
         raise ValueError(

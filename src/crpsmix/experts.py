@@ -6,9 +6,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-from scipy.special import logsumexp, ndtr
+from scipy.special import ndtr
 
-from .grids import GridCDF, GridDomain
+from .aggregation import logsumexp
+from .grids import GridCDF, GridDomain, cdf_values
 from .rng import rng_from_seed
 
 EM_TOL = 1e-8
@@ -229,30 +230,48 @@ def fit_gmm_em(points, k: int, seed: int, *, return_history: bool = False):
     return model
 
 
-def conditional_load_mixture(g: Gmm2D, temp: float):
+def _condition_on_temperature(models, temp: float):
     """Posterior component weights and per-component (mean, variance) of
-    load given the temperature, by exact bivariate-normal conditioning."""
-    mu_t, mu_l = g.means[:, 0], g.means[:, 1]
-    s_tt, s_tl, s_ll = g.covs[:, 0, 0], g.covs[:, 0, 1], g.covs[:, 1, 1]
+    load given the temperature, by exact bivariate-normal conditioning;
+    each an (N, k) array over N models with k components each."""
+    means = np.stack([g.means for g in models])
+    covs = np.stack([g.covs for g in models])
+    mu_t, mu_l = means[..., 0], means[..., 1]
+    s_tt, s_tl, s_ll = covs[..., 0, 0], covs[..., 0, 1], covs[..., 1, 1]
     log_dens = -0.5 * np.log(2.0 * np.pi * s_tt) - 0.5 * (temp - mu_t) ** 2 / s_tt
-    log_post = np.log(g.weights) + log_dens
-    post = np.exp(log_post - logsumexp(log_post))
+    log_post = np.log(np.stack([g.weights for g in models])) + log_dens
+    post = np.exp(log_post - logsumexp(log_post, axis=1)[:, None])
     cond_mean = mu_l + s_tl / s_tt * (temp - mu_t)
     cond_var = s_ll - s_tl**2 / s_tt
     return post, cond_mean, cond_var
 
 
-def conditional_load_cdf(g: Gmm2D, temp: float, domain: GridDomain) -> GridCDF:
-    """Load CDF given the temperature, evaluated on the grid.  Mixture mass
-    outside [a, b] is assigned to the endpoints."""
+def conditional_load_mixture(g: Gmm2D, temp: float):
+    """Posterior component weights and per-component (mean, variance) of
+    load given the temperature, for one model."""
+    post, mean, var = _condition_on_temperature([g], temp)
+    return post[0], mean[0], var[0]
+
+
+def conditional_load_cdfs(models, temp: float, domain: GridDomain) -> np.ndarray:
+    """(N, d) matrix of load CDFs given the temperature, one row per model
+    (all with the same component count), evaluated on the grid with one
+    vectorised normal-CDF call.  Mixture mass outside [a, b] is assigned
+    to the endpoints."""
     temp = float(temp)
     if not np.isfinite(temp):
         raise ValueError(f"temperature must be finite, got {temp}")
-    post, mean, var = conditional_load_mixture(g, temp)
+    post, mean, var = _condition_on_temperature(models, temp)
     sd = np.sqrt(np.maximum(var, 1e-300))
-    vals = post @ ndtr((domain.grid[None, :] - mean[:, None]) / sd[:, None])
-    vals[-1] = 1.0
-    return GridCDF(domain, vals)
+    comp = ndtr((domain.grid - mean[..., None]) / sd[..., None])
+    vals = np.matmul(post[:, None, :], comp)[:, 0, :]
+    vals[:, -1] = 1.0
+    return cdf_values(vals, domain)
+
+
+def conditional_load_cdf(g: Gmm2D, temp: float, domain: GridDomain) -> GridCDF:
+    """Load CDF given the temperature, evaluated on the grid, for one model."""
+    return GridCDF(domain, conditional_load_cdfs([g], temp, domain)[0])
 
 
 # ---------------------------------------------------------------------------

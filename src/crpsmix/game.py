@@ -8,21 +8,22 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .aggregation import (
     AllExpertsAsleep,
     ExpertPool,
+    aa_learning_rate,
     combine_wa,
     confidence_reweight,
+    logsumexp,
     mix_past_posteriors,
     normalized_weights,
     substitute_crps_aa,
     substitute_square_aa,
-    update_weights,
     update_weights_confidence,
+    wa_learning_rate,
 )
-from .grids import GridCDF, GridDomain, crps, crps_rows
+from .grids import GridCDF, GridDomain, cdf_values, crps, crps_rows
 
 
 @dataclass(frozen=True)
@@ -34,7 +35,6 @@ class GameConfig:
     mode: str = "aa"
     eta: float | None = None
     alpha: float = 0.0
-    confidence_enabled: bool = True
 
     def __post_init__(self):
         if self.mode not in ("aa", "wa"):
@@ -42,10 +42,8 @@ class GameConfig:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.eta is None:
-            w = self.domain.width
-            object.__setattr__(
-                self, "eta", 2.0 / w if self.mode == "aa" else 1.0 / (2.0 * w)
-            )
+            rate = aa_learning_rate if self.mode == "aa" else wa_learning_rate
+            object.__setattr__(self, "eta", rate(self.domain.width))
         elif not self.eta > 0:
             raise ValueError(f"eta must be positive, got {self.eta}")
 
@@ -131,26 +129,19 @@ class OnlineGame:
 
     def __init__(self, config: GameConfig, n_experts: int):
         self.config = config
-        self.pool = ExpertPool.uniform(
-            n_experts,
-            eta=config.eta,
-            alpha=config.alpha,
-            mode=config.mode,
-        )
+        self.pool = ExpertPool.uniform(n_experts, eta=config.eta, alpha=config.alpha)
         self.log = GameLog(n_experts, config.eta)
 
     def step(self, forecasts, outcome, confidences=None) -> GridCDF:
+        """Play one round.  `forecasts` is the (N, d) matrix of expert CDF
+        values on the game's grid, or a list of N GridCDFs on that domain;
+        returns the aggregated forecast."""
         cfg = self.config
         n = self.pool.n
         if len(forecasts) != n:
             raise ValueError(f"expected {n} forecasts, got {len(forecasts)}")
-        for f in forecasts:
-            if f.domain != cfg.domain:
-                raise ValueError("forecast domain does not match the game domain")
-        if confidences is None or not cfg.confidence_enabled:
-            p = np.ones(n)
-        else:
-            p = np.asarray(confidences, dtype=float)
+        values = cdf_values(forecasts, cfg.domain)
+        p = np.ones(n) if confidences is None else np.asarray(confidences, dtype=float)
 
         asleep = False
         try:
@@ -159,10 +150,8 @@ class OnlineGame:
             q = np.full(n, 1.0 / n)
             asleep = True
 
-        if cfg.mode == "aa":
-            forecast = substitute_crps_aa(forecasts, q)
-        else:
-            forecast = combine_wa(forecasts, q)
+        rule = substitute_crps_aa if cfg.mode == "aa" else combine_wa
+        forecast = GridCDF(cfg.domain, rule(values, q))
 
         y = float(outcome)
         if not cfg.domain.contains(y):
@@ -171,7 +160,7 @@ class OnlineGame:
                 "clip at ingestion"
             )
         h = crps(forecast, y)
-        losses = crps_rows(np.stack([f.values for f in forecasts]), cfg.domain, y)
+        losses = crps_rows(values, cfg.domain, y)
         if not np.isfinite(h) or not np.all(np.isfinite(losses)):
             raise RuntimeError(
                 f"non-finite loss at step {self.log.steps + 1}: h={h}, l={losses}"
@@ -233,7 +222,8 @@ def telescoping_gap(log: GameLog) -> np.ndarray:
 def run_square_loss_game(expert_forecasts, outcomes, eta: float) -> GameLog:
     """Reference game for the scalar square loss on binary outcomes: the
     learner aggregates by substitution and updates weights by the plain
-    exponential rule.  Regret stays below ln(n)/eta."""
+    exponential rule (the confidence update at full confidence).  Regret
+    stays below ln(n)/eta."""
     f = np.asarray(expert_forecasts, dtype=float)
     if f.ndim != 2:
         raise ValueError("expert forecasts must be a (steps, n) matrix")
@@ -248,7 +238,7 @@ def run_square_loss_game(expert_forecasts, outcomes, eta: float) -> GameLog:
         raise ValueError(f"square loss admits 0 < eta <= 2, got {eta}")
 
     steps, n = f.shape
-    pool = ExpertPool.uniform(n, eta=eta, mode="aa")
+    pool = ExpertPool.uniform(n, eta=eta)
     log = GameLog(n, eta)
     ones = np.ones(n)
     for t in range(steps):
@@ -256,6 +246,6 @@ def run_square_loss_game(expert_forecasts, outcomes, eta: float) -> GameLog:
         pred = substitute_square_aa(f[t], q, eta)
         h = (pred - y[t]) ** 2
         losses = (f[t] - y[t]) ** 2
-        pool = update_weights(pool, losses)
+        pool = update_weights_confidence(pool, ones, losses, 0.0)
         log.append(y[t], h, losses, ones, q)
     return log

@@ -75,41 +75,62 @@ class GridCDF:
     """Piecewise-constant CDF: values f_1..f_d at the grid of `domain`,
     monotone non-decreasing with f_d = 1.
 
-    Construction repairs violations within REPAIR_TOL by clamping and
-    rejects anything larger.
+    Construction checks and repairs the values with `cdf_values`.
     """
 
     domain: GridDomain
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != (self.domain.d,):
+        if np.ndim(self.values) != 1:
             raise ValueError(
-                f"expected {self.domain.d} CDF values, got shape {vals.shape}"
+                f"expected {self.domain.d} CDF values, got shape {np.shape(self.values)}"
             )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("CDF values must be finite")
-        if vals.min() < -REPAIR_TOL or vals.max() > 1.0 + REPAIR_TOL:
-            raise ValueError(
-                f"CDF values outside [0, 1] by more than {REPAIR_TOL}"
-            )
-        if vals.size > 1:
-            worst_drop = float(np.diff(vals).min())
-            if worst_drop < -REPAIR_TOL:
-                raise ValueError(
-                    f"CDF not monotone: decrease of {-worst_drop:.3e} between cells"
-                )
-        if abs(vals[-1] - 1.0) > REPAIR_TOL:
-            raise ValueError(f"CDF must end at 1, got {vals[-1]!r}")
-        vals = np.maximum.accumulate(np.clip(vals, 0.0, 1.0))
-        vals[-1] = 1.0
+        vals = cdf_values(self.values, self.domain)
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     @property
     def d(self) -> int:
         return self.domain.d
+
+
+def cdf_values(forecasts, domain: GridDomain) -> np.ndarray:
+    """Checked and repaired CDF values on `domain`: a (d,) vector from one
+    row of values, or an (N, d) matrix from N rows or from N GridCDFs on
+    `domain`.
+
+    Every row must be monotone non-decreasing in [0, 1] with f_d = 1.
+    Violations up to REPAIR_TOL are float noise, repaired by clamping;
+    anything larger is rejected.
+    """
+    if isinstance(forecasts, (list, tuple)) and forecasts and isinstance(forecasts[0], GridCDF):
+        if any(f.domain != domain for f in forecasts):
+            raise ValueError("forecast domain does not match the grid domain")
+        forecasts = [f.values for f in forecasts]
+    vals = np.array(forecasts, dtype=float)
+    if vals.ndim not in (1, 2) or vals.shape[-1] != domain.d:
+        raise ValueError(
+            f"expected rows of {domain.d} CDF values, got shape {vals.shape}"
+        )
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("CDF values must be finite")
+    if vals.min() < -REPAIR_TOL or vals.max() > 1.0 + REPAIR_TOL:
+        raise ValueError(
+            f"CDF values outside [0, 1] by more than {REPAIR_TOL}"
+        )
+    if domain.d > 1:
+        worst_drop = float(np.diff(vals).min())
+        if worst_drop < -REPAIR_TOL:
+            raise ValueError(
+                f"CDF not monotone: decrease of {-worst_drop:.3e} between cells"
+            )
+    last = vals[..., -1]
+    if np.any(np.abs(last - 1.0) > REPAIR_TOL):
+        raise ValueError(f"CDF must end at 1, got {last.min()!r}")
+    vals = np.maximum.accumulate(np.clip(vals, 0.0, 1.0), axis=-1)
+    vals[..., -1] = 1.0
+    return vals
 
 
 def heaviside_cdf(domain: GridDomain, y: float) -> GridCDF:

@@ -6,7 +6,7 @@ schedule."""
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 
 import numpy as np
@@ -24,15 +24,14 @@ from .experts import (
     ConfidenceSchedule,
     DegenerateFit,
     Gmm2D,
-    conditional_load_cdf,
+    conditional_load_cdfs,
     fit_gmm_em,
 )
-from .grids import GridCDF, GridDomain
+from .grids import GridDomain
 
 logger = logging.getLogger(__name__)
 
 DAY_RAMP_HOURS = 2.0  # confidence decrease of a daily expert
-_FORECAST_CACHE_MAX = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +42,6 @@ class LoadExpert:
     model: Gmm2D
     season_schedule: ConfidenceSchedule | None = None  # over hour-of-year
     day_schedule: ConfidenceSchedule | None = None  # over hour-of-day
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def confidence(self, ts: datetime) -> float:
         c = 1.0
@@ -52,16 +50,6 @@ class LoadExpert:
         if self.day_schedule is not None:
             c *= self.day_schedule.at(ts.hour)
         return c
-
-    def forecast(self, temp: float, domain: GridDomain) -> GridCDF:
-        key = (float(temp), domain.a, domain.b, domain.d)
-        hit = self._cache.get(key)
-        if hit is None:
-            if len(self._cache) >= _FORECAST_CACHE_MAX:
-                self._cache.clear()
-            hit = conditional_load_cdf(self.model, temp, domain)
-            self._cache[key] = hit
-        return hit
 
 
 def season_schedule(season: int, ramp_scale: float = 0.5, season_mapping=None) -> ConfidenceSchedule:
@@ -143,5 +131,6 @@ def roster_confidences(experts, ts: datetime) -> np.ndarray:
     return np.array([e.confidence(ts) for e in experts])
 
 
-def roster_forecasts(experts, temp: float, domain: GridDomain) -> list[GridCDF]:
-    return [e.forecast(temp, domain) for e in experts]
+def roster_forecasts(experts, temp: float, domain: GridDomain) -> np.ndarray:
+    """(N, d) matrix of the experts' load CDFs given the temperature."""
+    return conditional_load_cdfs([e.model for e in experts], temp, domain)

@@ -18,7 +18,7 @@ from .aggregation import (
 from .data import default_generators, rotating_leader_schedule, synth_stream
 from .experts import triangular_cdf
 from .game import GameConfig, OnlineGame, run_square_loss_game, telescoping_gap
-from .grids import GridCDF, GridDomain, crps_grid_profile
+from .grids import GridCDF, GridDomain, cdf_values, crps_grid_profile
 from .rng import spawn_rngs
 
 MIX_TOL = 1e-9
@@ -77,7 +77,7 @@ def _mixability_case(rng, aggregate, eta_for):
     forecasts = [random_grid_cdf(rng, domain) for _ in range(n)]
     q = random_weights(rng, n)
     eta = eta_for(domain.width)
-    combined = aggregate(forecasts, q)
+    combined = GridCDF(domain, aggregate(cdf_values(forecasts, domain), q))
     lhs = np.exp(-eta * crps_grid_profile(combined))
     rhs = np.exp(-eta * np.stack([crps_grid_profile(f) for f in forecasts]))
     slack = (q @ rhs) - lhs

@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import csv
-import math
 import os
-from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from crpsmix.data import write_demo_load_csv
 from crpsmix.grids import GridCDF, GridDomain
 
 
@@ -63,30 +61,6 @@ def probability_vectors(draw, min_n=1, max_n=6):
     )
     q = np.asarray(raw)
     return q / q.sum()
-
-
-def write_demo_load_csv(path, hours, start=datetime(2006, 1, 1), seed=11):
-    """Synthetic hourly (timestamp, load, temperature) series whose
-    temperature-load relation shifts with season and hour of day."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    ts = start
-    for i in range(hours):
-        doy = ts.timetuple().tm_yday
-        season_phase = math.cos(2 * math.pi * (doy - 15) / 365.0)
-        diurnal = math.sin(2 * math.pi * (ts.hour - 6) / 24.0)
-        temp = 45.0 - 22.0 * season_phase + 8.0 * diurnal + rng.normal(0, 3.5)
-        comfort = abs(temp - 62.0)
-        occupancy = 1.0 + 0.45 * math.sin(2 * math.pi * (ts.hour - 9) / 24.0)
-        load = 95.0 + 2.1 * comfort * occupancy + 14.0 * occupancy
-        load += rng.normal(0, 6.0)
-        rows.append((ts.isoformat(), round(load, 3), round(temp, 2)))
-        ts += timedelta(hours=1)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "load", "temperature"])
-        writer.writerows(rows)
-    return path
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ from crpsmix.cli import main, read_manifest
 from crpsmix.data import default_generators, rotating_leader_schedule, synth_stream
 from crpsmix.experts import fit_gmm_em, triangular_cdf
 from crpsmix.game import GameConfig, OnlineGame, telescoping_gap
-from crpsmix.grids import GridCDF, GridDomain, crps, crps_grid_profile
+from crpsmix.grids import GridCDF, GridDomain, cdf_values, crps, crps_grid_profile
 from crpsmix.rng import rng_from_seed, spawn_rngs
 from crpsmix.verify import random_grid_cdf, random_weights
 
@@ -40,7 +40,7 @@ def mixability_suite(aggregate, eta_for, seed, cases=500):
         forecasts = [random_grid_cdf(rng, domain) for _ in range(n)]
         q = random_weights(rng, n)
         eta = eta_for(domain.width)
-        combined = aggregate(forecasts, q)
+        combined = GridCDF(domain, aggregate(cdf_values(forecasts, domain), q))
         lhs = np.exp(-eta * crps_grid_profile(combined))
         rhs = q @ np.exp(-eta * np.stack([crps_grid_profile(f) for f in forecasts]))
         worst = max(worst, float((rhs - lhs).max()))

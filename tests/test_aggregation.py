@@ -20,23 +20,29 @@ from crpsmix.aggregation import (
     substitute_square_aa,
     substitute_vector_aa,
     superprediction,
-    update_weights,
     update_weights_confidence,
     wa_learning_rate,
 )
-from crpsmix.grids import GridCDF, GridDomain, crps_grid_profile
+from crpsmix.grids import GridCDF, GridDomain, cdf_values, crps_grid_profile
 
 from conftest import probability_vectors, random_cdf_values
 
 
-def make_pool(weights, eta=1.0, alpha=0.0, mode="aa"):
-    return ExpertPool.from_weights(weights, eta, alpha, mode)
+def make_pool(weights, eta=1.0, alpha=0.0):
+    return ExpertPool(np.log(weights), eta, alpha)
+
+
+def plain_update(pool, losses):
+    """The plain exponential update: the confidence update at full
+    confidence, where the learner's loss drops out."""
+    return update_weights_confidence(pool, np.ones(pool.n), losses, 0.0)
 
 
 class TestExpertPool:
     def test_uniform_defaults_by_mode(self):
-        assert ExpertPool.uniform(3, width=2.0, mode="aa").eta == 1.0
-        assert ExpertPool.uniform(3, width=2.0, mode="wa").eta == 0.25
+        pool = ExpertPool.uniform(3, eta=aa_learning_rate(2.0))
+        assert pool.eta == 1.0
+        np.testing.assert_allclose(normalized_weights(pool), np.ones(3) / 3)
         assert aa_learning_rate(2.0) == 1.0
         assert wa_learning_rate(2.0) == 0.25
 
@@ -46,11 +52,7 @@ class TestExpertPool:
         with pytest.raises(ValueError):
             ExpertPool.uniform(3, eta=1.0, alpha=1.5)
         with pytest.raises(ValueError):
-            ExpertPool.uniform(3, eta=1.0, mode="mean")
-        with pytest.raises(ValueError):
-            ExpertPool.from_weights([1.0, 0.0], eta=1.0)
-        with pytest.raises(ValueError):
-            ExpertPool.uniform(3)  # neither eta nor width
+            ExpertPool(np.array([0.0, -np.inf]), eta=1.0)  # a zero weight
 
 
 class TestNormalizedWeights:
@@ -160,25 +162,22 @@ class TestVectorSubstitution:
 class TestCrpsSubstitution:
     def test_single_expert_identity(self):
         rng = np.random.default_rng(1)
-        dom = GridDomain(0.0, 1.0, 20)
-        f = GridCDF(dom, random_cdf_values(rng, 20))
-        out = substitute_crps_aa([f], np.array([1.0]))
-        np.testing.assert_allclose(out.values, f.values, atol=1e-12)
+        f = random_cdf_values(rng, 20)
+        out = substitute_crps_aa(f[None, :], np.array([1.0]))
+        np.testing.assert_allclose(out, f, atol=1e-12)
 
     def test_identical_experts_identity(self):
         rng = np.random.default_rng(2)
-        dom = GridDomain(0.0, 1.0, 20)
-        f = GridCDF(dom, random_cdf_values(rng, 20))
-        out = substitute_crps_aa([f, f, f], np.ones(3) / 3)
-        np.testing.assert_allclose(out.values, f.values, atol=1e-12)
+        f = random_cdf_values(rng, 20)
+        out = substitute_crps_aa(np.stack([f, f, f]), np.ones(3) / 3)
+        np.testing.assert_allclose(out, f, atol=1e-12)
 
     def test_opposite_point_masses_cross_at_half(self):
-        dom = GridDomain(0.0, 1.0, 8)
-        lo = GridCDF(dom, np.ones(8))  # mass at a
-        hi = GridCDF(dom, np.eye(8)[-1])  # mass at b
-        out = substitute_crps_aa([lo, hi], [0.5, 0.5])
-        np.testing.assert_allclose(out.values[:-1], 0.5, atol=1e-12)
-        assert out.values[-1] == 1.0
+        lo = np.ones(8)  # mass at a
+        hi = np.eye(8)[-1]  # mass at b
+        out = substitute_crps_aa(np.stack([lo, hi]), [0.5, 0.5])
+        np.testing.assert_allclose(out[:-1], 0.5, atol=1e-12)
+        assert out[-1] == 1.0
 
     def test_mixability_at_every_grid_outcome(self):
         rng = np.random.default_rng(3)
@@ -192,7 +191,7 @@ class TestCrpsSubstitution:
             q = rng.random(n)
             q /= q.sum()
             eta = 2.0 / dom.width
-            out = substitute_crps_aa(fs, q)
+            out = GridCDF(dom, substitute_crps_aa(cdf_values(fs, dom), q))
             lhs = np.exp(-eta * crps_grid_profile(out))
             rhs = q @ np.exp(-eta * np.stack([crps_grid_profile(f) for f in fs]))
             assert np.all(lhs >= rhs - 1e-9)
@@ -211,8 +210,7 @@ class TestCrpsSubstitution:
 
     def test_large_violation_raises_substitution_error(self):
         assert _worst_cdf_violation(np.array([0.2, 0.1, 1.0])) > 1e-12
-        dom = GridDomain(0.0, 1.0, 3)
-        f = GridCDF(dom, [0.1, 0.5, 1.0])
+        f = np.array([[0.1, 0.5, 1.0]])
         broken = lambda m, q, eta: np.array([0.2, 0.1, 1.0])  # noqa: E731
         import crpsmix.aggregation as agg
 
@@ -220,41 +218,36 @@ class TestCrpsSubstitution:
         agg._substitute_columns = broken
         try:
             with pytest.raises(SubstitutionError):
-                substitute_crps_aa([f], np.array([1.0]))
+                substitute_crps_aa(f, np.array([1.0]))
         finally:
             agg._substitute_columns = orig
 
     def test_domain_mismatch_rejected(self):
-        f1 = GridCDF(GridDomain(0.0, 1.0, 4), [0.1, 0.2, 0.5, 1.0])
+        # the rules see bare values; stacking GridCDFs at the edge checks
+        # that they share one domain
+        dom = GridDomain(0.0, 1.0, 4)
+        f1 = GridCDF(dom, [0.1, 0.2, 0.5, 1.0])
         f2 = GridCDF(GridDomain(0.0, 2.0, 4), [0.1, 0.2, 0.5, 1.0])
         with pytest.raises(ValueError, match="domain"):
-            substitute_crps_aa([f1, f2], [0.5, 0.5])
+            cdf_values([f1, f2], dom)
 
 
 class TestCombineWa:
     def test_single_expert_identity(self):
-        dom = GridDomain(0.0, 1.0, 6)
-        f = GridCDF(dom, [0.0, 0.1, 0.4, 0.4, 0.9, 1.0])
-        np.testing.assert_array_equal(
-            combine_wa([f], np.array([1.0])).values, f.values
-        )
+        f = np.array([0.0, 0.1, 0.4, 0.4, 0.9, 1.0])
+        np.testing.assert_array_equal(combine_wa(f[None, :], np.array([1.0])), f)
 
     def test_point_mass_average(self):
-        dom = GridDomain(0.0, 1.0, 8)
-        lo = GridCDF(dom, np.ones(8))
-        hi = GridCDF(dom, np.eye(8)[-1])
-        out = combine_wa([lo, hi], [0.5, 0.5])
-        np.testing.assert_allclose(out.values[:-1], 0.5)
-        assert out.values[-1] == 1.0
+        out = combine_wa(np.stack([np.ones(8), np.eye(8)[-1]]), [0.5, 0.5])
+        np.testing.assert_allclose(out[:-1], 0.5)
+        assert out[-1] == 1.0
 
     def test_output_within_pointwise_envelope(self):
         rng = np.random.default_rng(5)
-        dom = GridDomain(0.0, 1.0, 40)
-        fs = [GridCDF(dom, random_cdf_values(rng, 40)) for _ in range(5)]
+        stack = np.stack([random_cdf_values(rng, 40) for _ in range(5)])
         q = rng.random(5)
         q /= q.sum()
-        out = combine_wa(fs, q).values
-        stack = np.stack([f.values for f in fs])
+        out = combine_wa(stack, q)
         assert np.all(out >= stack.min(axis=0) - 1e-12)
         assert np.all(out <= stack.max(axis=0) + 1e-12)
         assert np.all(np.diff(out) >= -1e-15)
@@ -291,29 +284,29 @@ class TestWeightUpdates:
     def test_zero_losses_leave_weights(self):
         pool = make_pool([0.2, 1.0, 0.5])
         before = normalized_weights(pool)
-        after = normalized_weights(update_weights(pool, np.zeros(3)))
+        after = normalized_weights(plain_update(pool, np.zeros(3)))
         np.testing.assert_allclose(after, before, atol=1e-15)
 
     def test_huge_loss_drives_weight_to_zero(self):
         pool = make_pool([1.0, 1.0])
-        out = update_weights(pool, [0.0, 5000.0])
+        out = plain_update(pool, [0.0, 5000.0])
         np.testing.assert_allclose(normalized_weights(out), [1.0, 0.0], atol=1e-300)
 
     def test_hand_computed_example(self):
         pool = make_pool([1.0, 1.0], eta=1.0)
-        out = update_weights(pool, [math.log(2.0), 0.0])
+        out = plain_update(pool, [math.log(2.0), 0.0])
         np.testing.assert_allclose(normalized_weights(out), [1 / 3, 2 / 3])
 
     def test_max_weight_is_one_after_update(self):
         pool = make_pool([0.3, 0.8], eta=2.0)
-        out = update_weights(pool, [0.1, 0.7])
+        out = plain_update(pool, [0.1, 0.7])
         assert out.log_weights.max() == 0.0
 
     def test_rejects_bad_losses(self):
         pool = make_pool([1.0, 1.0])
         for bad in ([np.nan, 0.0], [-0.1, 0.0], [np.inf, 0.0]):
             with pytest.raises(ValueError):
-                update_weights(pool, bad)
+                plain_update(pool, bad)
 
 
 class TestConfidenceUpdate:
@@ -321,8 +314,8 @@ class TestConfidenceUpdate:
         pool = make_pool([0.4, 1.0, 0.7], eta=1.3)
         losses = np.array([0.2, 0.9, 0.05])
         a = update_weights_confidence(pool, np.ones(3), losses, 0.4)
-        b = update_weights(pool, losses)
-        np.testing.assert_allclose(a.log_weights, b.log_weights, atol=1e-12)
+        lw = pool.log_weights - pool.eta * losses  # w_i <- w_i e^{-eta l_i}
+        np.testing.assert_allclose(a.log_weights, lw - lw.max(), atol=1e-12)
 
     def test_zero_confidence_follows_learner(self):
         # with p = 0 everywhere, every weight moves by the same factor

@@ -1,10 +1,13 @@
 import csv
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import crpsmix
 from crpsmix.cli import main, read_manifest
 from crpsmix.grids import cdf_from_row
 from crpsmix import verify as verify_mod
@@ -168,6 +171,30 @@ class TestLoad:
         code = main(["load", "--data", str(bad), "--out", str(tmp_path / "o")])
         assert code == 3
 
+    @pytest.mark.parametrize("rows, split", [
+        # aware and naive rows in one file
+        (["2010-01-01T00:00:00+00:00,1,1", "2010-01-01T01:00:00,2,2"], None),
+        # aware rows, naive boundary
+        (["2010-01-01T00:00:00+00:00,1,1", "2010-01-01T01:00:00+00:00,2,2"],
+         "2010-01-01T01:00:00"),
+    ], ids=["mixed_rows", "naive_split"])
+    def test_mixed_timezones_are_data_errors(self, tmp_path, rows, split):
+        data = tmp_path / "tz.csv"
+        data.write_text("timestamp,load,temperature\n" + "\n".join(rows) + "\n",
+                        encoding="utf-8")
+        argv = ["load", "--data", str(data), "--out", str(tmp_path / "o")]
+        if split:
+            argv += ["--split", split]
+        src = os.path.dirname(os.path.dirname(crpsmix.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "crpsmix.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 3
+        assert "cannot ingest data" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_bad_split_is_usage_error(self, demo_load_csv, tmp_path):
         usage_error("load", "--data", demo_load_csv, "--split", "yesterday",
                     "--out", str(tmp_path))
@@ -197,12 +224,10 @@ class TestVerify:
         # substitution constant doubled: the mixability suite must fail and
         # produce a concrete witness
         from crpsmix.aggregation import _substitute_columns
-        from crpsmix.grids import GridCDF
 
-        def broken(forecasts, q):
-            m = np.stack([f.values for f in forecasts])
-            vals = _substitute_columns(m, np.asarray(q, float), 4.0)
-            return GridCDF(forecasts[0].domain, np.clip(vals, 0.0, 1.0))
+        def broken(values, q):
+            vals = _substitute_columns(values, np.asarray(q, float), 4.0)
+            return np.clip(vals, 0.0, 1.0)
 
         res = verify_mod.check_crps_mixability(seed=0, cases=10, aggregate=broken)
         assert not res.passed

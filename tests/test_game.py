@@ -78,18 +78,20 @@ class TestStepBasics:
             np.asarray(a.log.weights), np.asarray(b.log.weights)
         )
 
-    def test_confidence_disabled_ignores_p(self):
-        dom, cdfs, y = synth_setup(T=40)
-        rng = np.random.default_rng(0)
-        ps = [rng.random(3) for _ in range(40)]
-        cfg = GameConfig(dom, mode="aa", confidence_enabled=False)
-        game = OnlineGame(cfg, 3)
-        for t in range(40):
-            game.step(cdfs, y[t], ps[t])
-        plain = play(dom, cdfs, y)
-        np.testing.assert_array_equal(
-            game.log.learner_losses, plain.log.learner_losses
-        )
+    def test_matrix_and_gridcdf_list_agree(self):
+        dom, cdfs, y = synth_setup(T=60)
+        matrix = np.stack([f.values for f in cdfs])
+        for mode in ("aa", "wa"):
+            by_list = OnlineGame(GameConfig(dom, mode=mode, alpha=0.01), 3)
+            by_matrix = OnlineGame(GameConfig(dom, mode=mode, alpha=0.01), 3)
+            for t in range(60):
+                p = np.array([1.0, 0.5, 0.0]) if t % 2 else None
+                f1 = by_list.step(cdfs, y[t], p)
+                f2 = by_matrix.step(matrix, y[t], p)
+                np.testing.assert_array_equal(f1.values, f2.values)
+            np.testing.assert_array_equal(
+                by_list.log.learner_losses, by_matrix.log.learner_losses
+            )
 
     def test_domain_mismatch_rejected(self):
         dom, cdfs, y = synth_setup(T=5)

@@ -2,15 +2,32 @@ from datetime import datetime
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp, ndtr
 
 from crpsmix.data import HOURS_PER_YEAR, load_csv, split_train_test
-from crpsmix.grids import GridDomain
+from crpsmix.grids import GridCDF, GridDomain
 from crpsmix.roster import (
     build_load_roster,
     day_schedule,
     roster_confidences,
+    roster_forecasts,
     season_schedule,
 )
+
+
+def reference_load_cdf(g, temp, domain):
+    """Load CDF given the temperature for one model, evaluated
+    component by component: posterior weights times normal CDFs."""
+    mu_t, mu_l = g.means[:, 0], g.means[:, 1]
+    s_tt, s_tl, s_ll = g.covs[:, 0, 0], g.covs[:, 0, 1], g.covs[:, 1, 1]
+    log_dens = -0.5 * np.log(2.0 * np.pi * s_tt) - 0.5 * (temp - mu_t) ** 2 / s_tt
+    log_post = np.log(g.weights) + log_dens
+    post = np.exp(log_post - logsumexp(log_post))
+    mean = mu_l + s_tl / s_tt * (temp - mu_t)
+    sd = np.sqrt(np.maximum(s_ll - s_tl**2 / s_tt, 1e-300))
+    vals = post @ ndtr((domain.grid[None, :] - mean[:, None]) / sd[:, None])
+    vals[-1] = 1.0
+    return GridCDF(domain, vals).values
 
 
 @pytest.fixture(scope="module")
@@ -105,14 +122,25 @@ class TestRoster:
         p = roster_confidences(experts, datetime(2010, 2, 10, 7))
         np.testing.assert_array_equal(p, np.ones(len(experts)))
 
-    def test_forecasts_are_valid_and_cached(self, fitted):
+    def test_forecast_rows_are_valid_cdfs(self, fitted):
         train, _, experts, _ = fitted
         dom = GridDomain(0.0, 1.05 * max(r.load for r in train), 64)
-        f1 = experts[0].forecast(55.0, dom)
-        f2 = experts[0].forecast(55.0, dom)
-        assert f1 is f2  # cache hit
-        assert np.all(np.diff(f1.values) >= 0)
-        assert f1.values[-1] == 1.0
+        for temp in (-10.0, 55.0, 101.5):
+            m = roster_forecasts(experts, temp, dom)
+            assert m.shape == (len(experts), dom.d)
+            assert np.all((m >= 0.0) & (m <= 1.0))
+            assert np.all(np.diff(m, axis=1) >= 0)
+            assert np.all(m[:, -1] == 1.0)
+
+    def test_matrix_matches_per_expert_reference(self, fitted):
+        # the per-expert loop the vectorised roster replaced; the tolerance
+        # allows reordered float sums only
+        train, test, experts, _ = fitted
+        dom = GridDomain(0.0, 1.05 * max(r.load for r in train), 128)
+        for temp in [r.temperature for r in test[:48]] + [-40.0, 130.0]:
+            got = roster_forecasts(experts, temp, dom)
+            want = np.stack([reference_load_cdf(e.model, temp, dom) for e in experts])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_insufficient_segment_reports_failure(self, fitted):
         train, _, _, _ = fitted
