@@ -37,7 +37,7 @@ from .data import (
     split_train_test,
     synth_stream,
 )
-from .experts import triangular_cdf
+from .experts import em_hit_max_iter, triangular_cdf
 from .game import GameConfig, GameLog, OnlineGame, regret_report
 from .grids import GridDomain, cdf_to_row, quantile
 from .roster import build_load_roster, roster_confidences, roster_forecasts
@@ -285,17 +285,27 @@ def cmd_load(args) -> int:
         with open(os.path.join(expert_dir, f"{e.name}.txt"), "w", encoding="utf-8") as fh:
             fh.write(e.model.to_text())
 
+    em_rows = [
+        [e.name, e.fit_points, len(e.fit_history), float(e.fit_history[-1]),
+         em_hit_max_iter(e.fit_history)]
+        for e in experts
+    ]
+    _write_csv(
+        os.path.join(args.out, "em_fits.csv"),
+        ["expert", "points", "iterations", "final_log_likelihood", "at_max_iter"],
+        em_rows,
+    )
+
     game = OnlineGame(GameConfig(domain, mode=args.mode, alpha=args.alpha), len(experts))
     clipped = 0
     band_rows = []
     record_rows = []
-    conf_rows = []
+    confidences = roster_confidences(experts, [rec.timestamp for rec in test])
     prev_temp = train[-1].temperature
-    for t, rec in enumerate(test, start=1):
+    for t, (rec, p) in enumerate(zip(test, confidences), start=1):
         y = min(max(rec.load, domain.a), domain.b)
         if y != rec.load:
             clipped += 1
-        p = roster_confidences(experts, rec.timestamp)
         forecasts = roster_forecasts(experts, prev_temp, domain)
         forecast = game.step(forecasts, y, p)
         if rec.timestamp.hour == args.band_hour:
@@ -305,7 +315,6 @@ def cmd_load(args) -> int:
                 + [y]
             )
         record_rows.append([rec.timestamp.isoformat(), y, rec.temperature])
-        conf_rows.append([t, rec.timestamp.isoformat()] + list(p))
         prev_temp = rec.temperature
     if clipped:
         logger.warning("%d test outcomes clipped into [%g, %g]",
@@ -323,7 +332,8 @@ def cmd_load(args) -> int:
     _write_csv(
         os.path.join(args.out, "conf_blocks.csv"),
         ["t", "timestamp"] + names,
-        conf_rows,
+        ([t, rec.timestamp.isoformat()] + list(p)
+         for t, (rec, p) in enumerate(zip(test, confidences), start=1)),
     )
     _write_csv(
         os.path.join(args.out, "records.csv"),
@@ -344,6 +354,7 @@ def cmd_load(args) -> int:
     metrics = _regret_metrics(game.log, args.alpha)
     metrics["n_experts"] = len(experts)
     metrics["n_fit_failures"] = len(failures)
+    metrics["em_fits_at_max_iter"] = sum(row[-1] for row in em_rows)
     metrics["domain_b"] = domain.b
     metrics["final_average_loss"] = float(
         game.log.learner_cumulative()[-1] / game.log.steps

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-from scipy.special import ndtr
 
 from .aggregation import logsumexp
 from .grids import GridCDF, GridDomain, cdf_values
@@ -131,21 +130,6 @@ class Gmm2D:
         return cls(np.array(w), np.array(m), np.array(c))
 
 
-def _log_gauss2(points: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Log density of a bivariate normal at each row of `points`."""
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-    if det <= 0:
-        raise DegenerateFit("covariance lost positive definiteness")
-    d = points - mean
-    # explicit 2x2 inverse
-    quad = (
-        cov[1, 1] * d[:, 0] ** 2
-        - 2.0 * cov[0, 1] * d[:, 0] * d[:, 1]
-        + cov[0, 0] * d[:, 1] ** 2
-    ) / det
-    return -np.log(2.0 * np.pi) - 0.5 * np.log(det) - 0.5 * quad
-
-
 def _kmeanspp_centers(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     centers = [pts[rng.integers(len(pts))]]
     for _ in range(k - 1):
@@ -160,19 +144,53 @@ def _kmeanspp_centers(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 
 
 def _m_step(pts, resp, ridge):
-    nk = resp.sum(axis=0)
+    """Weights, means and covariances from (k, n) responsibilities, plus the
+    (k, n, 2) deviations of the points from the new means, which the next
+    E-step reuses.
+
+    Bit for bit the per-component M-step it replaced: the masses are
+    sequential sums, and the BLAS products see the layouts they saw there,
+    (n, k) C-order responsibilities and (n, 2) C-order blocks, since gemm
+    results depend on layout.  Rows are taken as complex numbers
+    (temperature + i load), so that subtracting a mean and scaling by a
+    responsibility are contiguous passes of the same float operations.
+    """
+    nk = np.cumsum(resp, axis=1)[:, -1]
     if np.any(nk < 1e-10):
         raise DegenerateFit("a mixture component collapsed to zero mass")
     weights = nk / len(pts)
-    means = (resp.T @ pts) / nk[:, None]
-    covs = np.empty((resp.shape[1], 2, 2))
-    for j in range(resp.shape[1]):
-        d = pts - means[j]
-        cov = (resp[:, j, None] * d).T @ d / nk[j]
-        cov[0, 0] += ridge[0]
-        cov[1, 1] += ridge[1]
-        covs[j] = 0.5 * (cov + cov.T)
-    return weights, means, covs
+    means = (resp.T.copy().T @ pts) / nk[:, None]  # resp.T.copy(): (n, k) C order
+    k, n = resp.shape
+    dev_c = _as_complex(pts) - _as_complex(means)[:, None]
+    dev = dev_c.view(float).reshape(k, n, 2)
+    weighted = (dev_c * resp).view(float).reshape(k, n, 2)
+    covs = np.matmul(weighted.transpose(0, 2, 1), dev) / nk[:, None, None]
+    covs[:, 0, 0] += ridge[0]
+    covs[:, 1, 1] += ridge[1]
+    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
+    return weights, means, covs, dev
+
+
+def _as_complex(pairs: np.ndarray) -> np.ndarray:
+    """(m, 2) float rows as m complex numbers, without copying when C-order."""
+    return np.ascontiguousarray(pairs).view(complex)[:, 0]
+
+
+def _e_step(weights, covs, dev):
+    """(k, n) log joint densities log w_j + log N(x_i; mu_j, S_j)."""
+    s_tt, s_tl, s_lt, s_ll = covs[:, 0, 0], covs[:, 0, 1], covs[:, 1, 0], covs[:, 1, 1]
+    det = s_tt * s_ll - s_tl * s_lt
+    if np.any(det <= 0):
+        raise DegenerateFit("covariance lost positive definiteness")
+    d_t, d_l = dev[..., 0], dev[..., 1]
+    # explicit 2x2 inverse
+    quad = (
+        s_ll[:, None] * d_t**2
+        - 2.0 * s_tl[:, None] * d_t * d_l
+        + s_tt[:, None] * d_l**2
+    ) / det[:, None]
+    log_norm = -np.log(2.0 * np.pi) - 0.5 * np.log(det)
+    return np.log(weights)[:, None] + (log_norm[:, None] - 0.5 * quad)
 
 
 def fit_gmm_em(points, k: int, seed: int, *, return_history: bool = False):
@@ -183,7 +201,8 @@ def fit_gmm_em(points, k: int, seed: int, *, return_history: bool = False):
     than EM_TOL or EM_MAX_ITER rounds; the log-likelihood must not
     decrease between rounds (a decrease beyond float noise raises
     DegenerateFit).  Covariances carry a ridge of COV_RIDGE times the
-    per-dimension data variance.
+    per-dimension data variance.  Each round is one pass over (k, n)
+    arrays.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -199,19 +218,15 @@ def fit_gmm_em(points, k: int, seed: int, *, return_history: bool = False):
 
     rng = rng_from_seed(seed)
     centers = _kmeanspp_centers(pts, k, rng)
-    d2 = np.stack([np.sum((pts - c) ** 2, axis=1) for c in centers], axis=1)
-    resp = np.zeros((len(pts), k))
-    resp[np.arange(len(pts)), d2.argmin(axis=1)] = 1.0
-    weights, means, covs = _m_step(pts, resp, ridge)
+    d2 = np.sum((pts - centers[:, None, :]) ** 2, axis=2)
+    resp = (d2.argmin(axis=0) == np.arange(k)[:, None]).astype(float)
+    weights, means, covs, dev = _m_step(pts, resp, ridge)
 
     history = []
     prev_ll = -np.inf
     for _ in range(EM_MAX_ITER):
-        log_joint = np.stack(
-            [np.log(weights[j]) + _log_gauss2(pts, means[j], covs[j]) for j in range(k)],
-            axis=1,
-        )
-        row_ll = logsumexp(log_joint, axis=1)
+        log_joint = _e_step(weights, covs, dev)
+        row_ll = logsumexp(log_joint, axis=0)
         ll = float(row_ll.sum())
         if ll < prev_ll - 1e-9 * max(1.0, abs(prev_ll)):
             raise DegenerateFit(
@@ -221,13 +236,19 @@ def fit_gmm_em(points, k: int, seed: int, *, return_history: bool = False):
         if ll - prev_ll < EM_TOL:
             break
         prev_ll = ll
-        resp = np.exp(log_joint - row_ll[:, None])
-        weights, means, covs = _m_step(pts, resp, ridge)
+        resp = np.exp(log_joint - row_ll)
+        weights, means, covs, dev = _m_step(pts, resp, ridge)
 
     model = Gmm2D(weights, means, covs)
     if return_history:
         return model, np.array(history)
     return model
+
+
+def em_hit_max_iter(history) -> bool:
+    """Whether a fit_gmm_em history ran EM_MAX_ITER rounds without meeting
+    the EM_TOL stopping test."""
+    return len(history) == EM_MAX_ITER and not history[-1] - history[-2] < EM_TOL
 
 
 def _condition_on_temperature(models, temp: float):
@@ -261,6 +282,8 @@ def conditional_load_cdfs(models, temp: float, domain: GridDomain) -> np.ndarray
     temp = float(temp)
     if not np.isfinite(temp):
         raise ValueError(f"temperature must be finite, got {temp}")
+    from scipy.special import ndtr  # the only scipy use; `import crpsmix` skips scipy
+
     post, mean, var = _condition_on_temperature(models, temp)
     sd = np.sqrt(np.maximum(var, 1e-300))
     comp = ndtr((domain.grid - mean[..., None]) / sd[..., None])
@@ -303,29 +326,30 @@ class ConfidenceSchedule:
             raise ValueError("period must be positive")
         object.__setattr__(self, "blocks", blocks)
 
-    def at(self, t: float) -> float:
-        if t < 0:
-            raise ValueError(f"time step must be non-negative, got {t}")
+    def at(self, t):
+        """Confidence at time step t, elementwise when t is an array."""
+        x = np.asarray(t, dtype=float)
+        if np.any(x < 0):
+            raise ValueError(f"time step must be non-negative, got {x.min()}")
         if self.period is not None:
-            t = t % self.period
-            candidates = (t - self.period, t, t + self.period)
+            x = x % self.period
+            candidates = (x - self.period, x, x + self.period)
         else:
-            candidates = (t,)
-        best = 0.0
+            candidates = (x,)
+        best = np.zeros_like(x)
         for ps, pe, ru, rd in self.blocks:
-            for x in candidates:
-                best = max(best, _block_value(x, ps, pe, ru, rd))
-        return best
+            for c in candidates:
+                best = np.maximum(best, _block_value(c, ps, pe, ru, rd))
+        return best if best.ndim else float(best)
 
 
-def _block_value(x, ps, pe, ru, rd) -> float:
-    if ps <= x <= pe:
-        return 1.0
-    if ru > 0 and ps - ru <= x < ps:
-        return (x - (ps - ru)) / ru
-    if rd > 0 and pe < x <= pe + rd:
-        return 1.0 - (x - pe) / rd
-    return 0.0
+def _block_value(x, ps, pe, ru, rd):
+    out = np.where((ps <= x) & (x <= pe), 1.0, 0.0)
+    if ru > 0:
+        out = np.where((ps - ru <= x) & (x < ps), (x - (ps - ru)) / ru, out)
+    if rd > 0:
+        out = np.where((pe < x) & (x <= pe + rd), 1.0 - (x - pe) / rd, out)
+    return out
 
 
 def combined_confidence(

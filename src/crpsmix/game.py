@@ -50,8 +50,9 @@ class GameConfig:
 
 @dataclass
 class GameLog:
-    """Per-step record of one run: outcomes, losses, confidences, and the
-    normalized weight snapshot used for each forecast."""
+    """Per-step record of one run: outcomes, losses, confidences, the
+    weights that formed each forecast (after confidence reweighting), and
+    the normalized pool weights before it."""
 
     n: int
     eta: float
@@ -60,13 +61,15 @@ class GameLog:
     expert_losses: list[np.ndarray] = field(default_factory=list)
     confidences: list[np.ndarray] = field(default_factory=list)
     weights: list[np.ndarray] = field(default_factory=list)
+    pool_weights: list[np.ndarray] = field(default_factory=list)
 
-    def append(self, y, h, losses, p, q):
+    def append(self, y, h, losses, p, q, w):
         self.outcomes.append(float(y))
         self.learner_losses.append(float(h))
         self.expert_losses.append(np.asarray(losses, dtype=float))
         self.confidences.append(np.asarray(p, dtype=float))
         self.weights.append(np.asarray(q, dtype=float))
+        self.pool_weights.append(np.asarray(w, dtype=float))
 
     @property
     def steps(self) -> int:
@@ -95,13 +98,16 @@ class GameLog:
         return np.cumsum(p * (h - l), axis=0)
 
     def to_csv(self, path) -> None:
-        """One row per step: t, y, h, l_1..l_n, p_1..p_n, q_1..q_n, D_1..D_n."""
+        """One row per step: t, y, h, l_1..l_n, p_1..p_n, q_1..q_n (the
+        weights that formed the forecast), w_1..w_n (the pool weights before
+        confidence reweighting), D_1..D_n."""
         n = self.n
         header = (
             ["t", "y", "h"]
             + [f"l_{i + 1}" for i in range(n)]
             + [f"p_{i + 1}" for i in range(n)]
             + [f"q_{i + 1}" for i in range(n)]
+            + [f"w_{i + 1}" for i in range(n)]
             + [f"D_{i + 1}" for i in range(n)]
         )
         disc = self.discounted_regret()
@@ -113,6 +119,7 @@ class GameLog:
                 row += [repr(float(x)) for x in self.expert_losses[t]]
                 row += [repr(float(x)) for x in self.confidences[t]]
                 row += [repr(float(x)) for x in self.weights[t]]
+                row += [repr(float(x)) for x in self.pool_weights[t]]
                 row += [repr(float(x)) for x in disc[t]]
                 writer.writerow(row)
 
@@ -166,11 +173,11 @@ class OnlineGame:
                 f"non-finite loss at step {self.log.steps + 1}: h={h}, l={losses}"
             )
 
-        snapshot = normalized_weights(self.pool)
+        w = normalized_weights(self.pool)
         if not asleep:
             self.pool = update_weights_confidence(self.pool, p, losses, h)
             self.pool = mix_past_posteriors(self.pool)
-        self.log.append(y, h, losses, p, snapshot)
+        self.log.append(y, h, losses, p, q, w)
         return forecast
 
 
@@ -247,5 +254,5 @@ def run_square_loss_game(expert_forecasts, outcomes, eta: float) -> GameLog:
         h = (pred - y[t]) ** 2
         losses = (f[t] - y[t]) ** 2
         pool = update_weights_confidence(pool, ones, losses, 0.0)
-        log.append(y[t], h, losses, ones, q)
+        log.append(y[t], h, losses, ones, q, q)
     return log

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from datetime import datetime
 
 import numpy as np
 
@@ -36,20 +35,15 @@ DAY_RAMP_HOURS = 2.0  # confidence decrease of a daily expert
 
 @dataclass(frozen=True, eq=False)
 class LoadExpert:
-    """A fitted temperature-to-load model plus its area of competence."""
+    """A fitted temperature-to-load model plus its area of competence, and
+    its training-segment size and EM log-likelihood history."""
 
     name: str
     model: Gmm2D
     season_schedule: ConfidenceSchedule | None = None  # over hour-of-year
     day_schedule: ConfidenceSchedule | None = None  # over hour-of-day
-
-    def confidence(self, ts: datetime) -> float:
-        c = 1.0
-        if self.season_schedule is not None:
-            c *= self.season_schedule.at(hour_of_year(ts))
-        if self.day_schedule is not None:
-            c *= self.day_schedule.at(ts.hour)
-        return c
+    fit_points: int = 0
+    fit_history: np.ndarray | None = None  # log-likelihood per EM round
 
 
 def season_schedule(season: int, ramp_scale: float = 0.5, season_mapping=None) -> ConfidenceSchedule:
@@ -110,7 +104,9 @@ def build_load_roster(
         if p is not None:
             mask &= labels[:, 1] == p
         try:
-            model = fit_gmm_em(points[mask], components, int(sub_seed))
+            model, history = fit_gmm_em(
+                points[mask], components, int(sub_seed), return_history=True
+            )
         except (ValueError, DegenerateFit) as exc:
             failures.append((name, str(exc)))
             logger.warning("skipping %s: %s", name, exc)
@@ -122,13 +118,25 @@ def build_load_roster(
             if p is not None:
                 sched_d = day_schedule(p, day_ramp)
         experts.append(
-            LoadExpert(name=name, model=model, season_schedule=sched_s, day_schedule=sched_d)
+            LoadExpert(name=name, model=model, season_schedule=sched_s, day_schedule=sched_d,
+                       fit_points=int(mask.sum()), fit_history=history)
         )
     return experts, failures
 
 
-def roster_confidences(experts, ts: datetime) -> np.ndarray:
-    return np.array([e.confidence(ts) for e in experts])
+def roster_confidences(experts, timestamps) -> np.ndarray:
+    """(T, N) confidences at the timestamps: each expert's season schedule
+    over the hour-of-year times its day schedule over the hour, 1 where it
+    has none."""
+    hours_of_year = np.array([hour_of_year(ts) for ts in timestamps], dtype=float)
+    hours = np.array([ts.hour for ts in timestamps], dtype=float)
+    out = np.ones((len(hours), len(experts)))
+    for i, e in enumerate(experts):
+        if e.season_schedule is not None:
+            out[:, i] *= e.season_schedule.at(hours_of_year)
+        if e.day_schedule is not None:
+            out[:, i] *= e.day_schedule.at(hours)
+    return out
 
 
 def roster_forecasts(experts, temp: float, domain: GridDomain) -> np.ndarray:

@@ -41,6 +41,29 @@ def random_cdf_values(rng: np.random.Generator, d: int) -> np.ndarray:
     return vals
 
 
+def reference_schedule_at(schedule, t: float) -> float:
+    """ConfidenceSchedule.at evaluated one scalar at a time in plain Python:
+    the wrap candidates, each block's plateau or ramp, combined by max."""
+    if schedule.period is not None:
+        t = t % schedule.period
+        candidates = (t - schedule.period, t, t + schedule.period)
+    else:
+        candidates = (t,)
+    best = 0.0
+    for ps, pe, ru, rd in schedule.blocks:
+        for x in candidates:
+            if ps <= x <= pe:
+                v = 1.0
+            elif ru > 0 and ps - ru <= x < ps:
+                v = (x - (ps - ru)) / ru
+            elif rd > 0 and pe < x <= pe + rd:
+                v = 1.0 - (x - pe) / rd
+            else:
+                v = 0.0
+            best = max(best, v)
+    return best
+
+
 @st.composite
 def grid_cdfs(draw, min_d=2, max_d=32):
     """Hypothesis strategy for valid grid CDFs on [0, 1]."""

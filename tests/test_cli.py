@@ -9,6 +9,7 @@ import pytest
 
 import crpsmix
 from crpsmix.cli import main, read_manifest
+from crpsmix.experts import EM_MAX_ITER
 from crpsmix.grids import cdf_from_row
 from crpsmix import verify as verify_mod
 
@@ -120,6 +121,23 @@ class TestLoad:
         text = (out / "experts" / files[0]).read_text()
         assert text.splitlines()[0] == "2"  # component count
 
+    def test_em_fits_report(self, load_run):
+        _, out = load_run
+        with open(out / "em_fits.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["expert"] + ".txt" for r in rows] == sorted(os.listdir(out / "experts"))
+        for r in rows:
+            assert int(r["points"]) >= 20
+            assert 1 <= int(r["iterations"]) <= EM_MAX_ITER
+            assert math.isfinite(float(r["final_log_likelihood"]))
+            assert r["at_max_iter"] in ("true", "false")
+            if r["at_max_iter"] == "true":
+                assert int(r["iterations"]) == EM_MAX_ITER
+        manifest = read_manifest(out / "manifest.txt")
+        assert int(manifest["metric_em_fits_at_max_iter"]) == sum(
+            r["at_max_iter"] == "true" for r in rows
+        )
+
     def test_quantile_bands_at_noon(self, load_run):
         _, out = load_run
         with open(out / "quantile_bands.csv") as fh:
@@ -208,6 +226,20 @@ class TestLoad:
                     "--out", str(tmp_path))
         usage_error("load", "--data", demo_load_csv, "--band-hour", "24",
                     "--out", str(tmp_path))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is imported where it is used, by the load experiment's expert
+    # evaluation, so synth and verify start without it
+    src = os.path.dirname(os.path.dirname(crpsmix.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, crpsmix, crpsmix.cli; print('scipy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestVerify:

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crpsmix.aggregation import logsumexp
+from crpsmix.data import calendar_segments, load_csv, write_demo_load_csv
 from crpsmix.experts import (
+    COV_RIDGE,
+    EM_MAX_ITER,
+    EM_TOL,
     ConfidenceSchedule,
     DegenerateFit,
     Gmm2D,
@@ -14,8 +19,11 @@ from crpsmix.experts import (
     fit_gmm_em,
     triangular_cdf,
 )
+from crpsmix.experts import _kmeanspp_centers
 from crpsmix.grids import GridDomain
 from crpsmix.rng import rng_from_seed
+
+from conftest import reference_schedule_at
 
 
 def tri_density(e: TriangularExpert, u):
@@ -130,6 +138,104 @@ class TestFitGmmEm:
         np.testing.assert_array_equal(back.weights, g.weights)
         np.testing.assert_array_equal(back.means, g.means)
         np.testing.assert_array_equal(back.covs, g.covs)
+
+
+# The per-component EM that the one-pass fit replaced, kept as the reference:
+# every history entry, weight, mean and covariance must match it bit for bit,
+# since a last-bit change can move the EM_TOL stopping test by a round.
+
+
+def _reference_log_gauss2(points, mean, cov):
+    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
+    if det <= 0:
+        raise DegenerateFit("covariance lost positive definiteness")
+    d = points - mean
+    quad = (
+        cov[1, 1] * d[:, 0] ** 2
+        - 2.0 * cov[0, 1] * d[:, 0] * d[:, 1]
+        + cov[0, 0] * d[:, 1] ** 2
+    ) / det
+    return -np.log(2.0 * np.pi) - 0.5 * np.log(det) - 0.5 * quad
+
+
+def _reference_m_step(pts, resp, ridge):
+    nk = resp.sum(axis=0)
+    if np.any(nk < 1e-10):
+        raise DegenerateFit("a mixture component collapsed to zero mass")
+    weights = nk / len(pts)
+    means = (resp.T @ pts) / nk[:, None]
+    covs = np.empty((resp.shape[1], 2, 2))
+    for j in range(resp.shape[1]):
+        d = pts - means[j]
+        cov = (resp[:, j, None] * d).T @ d / nk[j]
+        cov[0, 0] += ridge[0]
+        cov[1, 1] += ridge[1]
+        covs[j] = 0.5 * (cov + cov.T)
+    return weights, means, covs
+
+
+def reference_fit_gmm_em(pts, k, seed):
+    pts = np.asarray(pts, dtype=float)
+    ridge = COV_RIDGE * np.maximum(pts.var(axis=0), 1e-12)
+    centers = _kmeanspp_centers(pts, k, rng_from_seed(seed))
+    d2 = np.stack([np.sum((pts - c) ** 2, axis=1) for c in centers], axis=1)
+    resp = np.zeros((len(pts), k))
+    resp[np.arange(len(pts)), d2.argmin(axis=1)] = 1.0
+    weights, means, covs = _reference_m_step(pts, resp, ridge)
+    history = []
+    prev_ll = -np.inf
+    for _ in range(EM_MAX_ITER):
+        log_joint = np.stack(
+            [np.log(weights[j]) + _reference_log_gauss2(pts, means[j], covs[j])
+             for j in range(k)],
+            axis=1,
+        )
+        row_ll = logsumexp(log_joint, axis=1)
+        ll = float(row_ll.sum())
+        history.append(ll)
+        if ll - prev_ll < EM_TOL:
+            break
+        prev_ll = ll
+        resp = np.exp(log_joint - row_ll[:, None])
+        weights, means, covs = _reference_m_step(pts, resp, ridge)
+    return weights, means, covs, np.array(history)
+
+
+@pytest.fixture(scope="module")
+def demo_year_segment(tmp_path_factory):
+    """The summer-day segment of one demo year: its k=2 fit from seed 7
+    runs to EM_MAX_ITER."""
+    path = write_demo_load_csv(tmp_path_factory.mktemp("em") / "year.csv", hours=8760)
+    records, _ = load_csv(path)
+    labels = calendar_segments(records)
+    pts = np.array([(r.temperature, r.load) for r in records])
+    return pts[(labels[:, 0] == 2) & (labels[:, 1] == 2)]
+
+
+def _em_sets(demo_year_segment):
+    rng = np.random.default_rng(3)
+    correlated = rng.normal(0.0, 1.0, size=(200, 2))
+    correlated[:, 1] = 0.6 * correlated[:, 0] + 0.8 * correlated[:, 1]
+    return {
+        "two_clusters": (two_cluster_data(), 1),
+        "two_clusters_9": (two_cluster_data(seed=9), 7),
+        "moments": (np.random.default_rng(2).normal([1.0, -3.0], [2.0, 0.5], size=(300, 2)), 0),
+        "correlated": (correlated, 2),
+        "demo_summer_day": (demo_year_segment, 7),
+    }
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_one_pass_em_matches_per_component_reference(k, demo_year_segment):
+    for name, (pts, seed) in _em_sets(demo_year_segment).items():
+        g, history = fit_gmm_em(pts, k, seed, return_history=True)
+        w, m, c, h = reference_fit_gmm_em(pts, k, seed)
+        assert np.array_equal(history, h), (name, k)
+        assert np.array_equal(g.weights, w), (name, k)
+        assert np.array_equal(g.means, m), (name, k)
+        assert np.array_equal(g.covs, c), (name, k)
+        if (name, k) == ("demo_summer_day", 2):  # a fit that runs to the cap
+            assert len(history) == EM_MAX_ITER and history[-1] - history[-2] >= EM_TOL
 
 
 def make_gmm(weights, means, covs):
@@ -283,6 +389,17 @@ class TestConfidenceSchedule:
             vals = np.array([s.at(t) for t in ts])
             diffs = np.diff(vals)
             np.testing.assert_allclose(diffs, diffs[0], atol=1e-12)
+
+    def test_array_matches_scalar_reference(self):
+        for s in (
+            ConfidenceSchedule(blocks=((20.0, 26.0, 2.5, 3.0), (2.0, 4.0, 0.0, 1.0)), period=24.0),
+            ConfidenceSchedule(blocks=((100.0, 200.0, 30.0, 50.0),)),
+        ):
+            ts = np.concatenate([np.linspace(0.0, 260.0, 5201), [23.0, 48.0, 4380.5]])
+            got = s.at(ts)
+            assert got.shape == ts.shape
+            assert all(got[i] == reference_schedule_at(s, float(t)) for i, t in enumerate(ts))
+            assert isinstance(s.at(3.0), float)
 
     def test_negative_time_rejected(self):
         s = ConfidenceSchedule(blocks=((0.0, 1.0, 0.0, 0.0),))

@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from crpsmix.aggregation import superprediction
+from crpsmix.aggregation import (
+    confidence_reweight,
+    normalized_weights,
+    substitute_crps_aa,
+    superprediction,
+)
 from crpsmix.data import default_generators, rotating_leader_schedule, synth_stream
 from crpsmix.experts import triangular_cdf
 from crpsmix.game import (
@@ -117,6 +122,31 @@ class TestStepBasics:
         # the asleep step contributes nothing to discounted regret
         disc = game.log.discounted_regret()
         np.testing.assert_array_equal(disc[1], disc[0])
+
+    def test_logged_weights_formed_the_forecast(self):
+        # q is the confidence-reweighted vector the rule aggregated with
+        # (uniform when all sleep); w is the pool's normalized weights
+        dom, cdfs, y = synth_setup(T=40)
+        matrix = np.stack([f.values for f in cdfs])
+        game = OnlineGame(GameConfig(dom, alpha=0.01), 3)
+        rng = np.random.default_rng(4)
+        for t in range(40):
+            p = np.zeros(3) if t % 7 == 3 else rng.integers(0, 3, 3) / 2.0
+            pool = game.pool
+            f = game.step(matrix, y[t], p)
+            q, w = game.log.weights[-1], game.log.pool_weights[-1]
+            np.testing.assert_array_equal(w, normalized_weights(pool))
+            if p.any():
+                np.testing.assert_array_equal(q, confidence_reweight(pool, p))
+                assert np.all(q[p == 0] == 0.0)
+            else:
+                np.testing.assert_array_equal(q, np.full(3, 1 / 3))
+            np.testing.assert_array_equal(f.values, GridCDF(dom, substitute_crps_aa(matrix, q)).values)
+
+    def test_full_confidence_weights_equal_pool_weights(self):
+        dom, cdfs, y = synth_setup(T=50)
+        game = play(dom, cdfs, y, alpha=0.01)
+        np.testing.assert_array_equal(game.log.weights, game.log.pool_weights)
 
 
 class TestBounds:
@@ -258,6 +288,7 @@ class TestGameLogCsv:
             + [f"l_{i}" for i in (1, 2, 3)]
             + [f"p_{i}" for i in (1, 2, 3)]
             + [f"q_{i}" for i in (1, 2, 3)]
+            + [f"w_{i}" for i in (1, 2, 3)]
             + [f"D_{i}" for i in (1, 2, 3)]
         )
         assert len(body) == 20

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp, ndtr
 
-from crpsmix.data import HOURS_PER_YEAR, load_csv, split_train_test
+from crpsmix.data import HOURS_PER_YEAR, hour_of_year, load_csv, split_train_test
+from crpsmix.experts import EM_MAX_ITER
 from crpsmix.grids import GridCDF, GridDomain
 from crpsmix.roster import (
     build_load_roster,
@@ -13,6 +14,8 @@ from crpsmix.roster import (
     roster_forecasts,
     season_schedule,
 )
+
+from conftest import reference_schedule_at
 
 
 def reference_load_cdf(g, temp, domain):
@@ -83,13 +86,13 @@ class TestRoster:
 
     def test_anytime_expert_always_confident(self, fitted):
         _, _, experts, _ = fitted
-        for ts in (datetime(2010, 1, 1, 3), datetime(2010, 7, 15, 14)):
-            assert experts[0].confidence(ts) == 1.0
+        p = roster_confidences(experts, [datetime(2010, 1, 1, 3), datetime(2010, 7, 15, 14)])
+        np.testing.assert_array_equal(p[:, 0], [1.0, 1.0])
 
     def test_seasonal_confidences_at_midsummer_noon(self, fitted):
         _, _, experts, _ = fitted
         ts = datetime(2010, 7, 15, 13)
-        p = roster_confidences(experts, ts)
+        p = roster_confidences(experts, [ts])[0]
         by_name = dict(zip([e.name for e in experts], p))
         assert by_name["expert04_summer"] == 1.0
         assert by_name["expert02_winter"] == 0.0
@@ -99,7 +102,7 @@ class TestRoster:
     def test_ramp_overlap_after_season_end(self, fitted):
         _, _, experts, _ = fitted
         ts = datetime(2010, 9, 20, 13)  # 20 days into autumn
-        p = roster_confidences(experts, ts)
+        p = roster_confidences(experts, [ts])[0]
         by_name = dict(zip([e.name for e in experts], p))
         assert by_name["expert05_autumn"] == 1.0
         assert 0.0 < by_name["expert04_summer"] < 1.0  # still fading out
@@ -110,17 +113,39 @@ class TestRoster:
             train[: 380 * 24], components=1, seed=2, confidence="binary"
         )
         assert not failures
-        for ts in (datetime(2010, 2, 10, 7), datetime(2010, 8, 3, 22)):
-            p = roster_confidences(experts, ts)
-            assert set(np.unique(p)) <= {0.0, 1.0}
+        p = roster_confidences(experts, [datetime(2010, 2, 10, 7), datetime(2010, 8, 3, 22)])
+        assert set(np.unique(p)) <= {0.0, 1.0}
 
     def test_off_mode_attaches_no_schedules(self, fitted):
         train, _, _, _ = fitted
         experts, _ = build_load_roster(
             train[: 380 * 24], components=1, seed=2, confidence="off"
         )
-        p = roster_confidences(experts, datetime(2010, 2, 10, 7))
-        np.testing.assert_array_equal(p, np.ones(len(experts)))
+        p = roster_confidences(experts, [datetime(2010, 2, 10, 7)])
+        np.testing.assert_array_equal(p, np.ones((1, len(experts))))
+
+    def test_span_confidences_match_per_step_products(self, fitted):
+        # the per-step scalar path the whole-span array replaced: season
+        # confidence at the hour of year times day confidence at the hour
+        _, test, experts, _ = fitted
+        stamps = [r.timestamp for r in test] + [datetime(2012, 2, 29, 23)]
+        got = roster_confidences(experts, stamps)
+        assert got.shape == (len(stamps), len(experts))
+        for t, ts in enumerate(stamps):
+            for i, e in enumerate(experts):
+                c = 1.0
+                if e.season_schedule is not None:
+                    c *= reference_schedule_at(e.season_schedule, hour_of_year(ts))
+                if e.day_schedule is not None:
+                    c *= reference_schedule_at(e.day_schedule, ts.hour)
+                assert got[t, i] == c
+
+    def test_em_fit_records(self, fitted):
+        train, _, experts, _ = fitted
+        assert experts[0].fit_points == len(train)
+        for e in experts:
+            assert 1 <= len(e.fit_history) <= EM_MAX_ITER
+            assert np.all(np.isfinite(e.fit_history))
 
     def test_forecast_rows_are_valid_cdfs(self, fitted):
         train, _, experts, _ = fitted
