@@ -8,15 +8,15 @@ import argparse
 from crpsmix.data import default_generators, rotating_leader_schedule, synth_stream
 from crpsmix.experts import triangular_cdf
 from crpsmix.game import GameConfig, OnlineGame
-from crpsmix.grids import GridDomain
+from crpsmix.grids import GridDomain, cdf_values
 
 ALPHAS = (0.0, 0.0001, 0.001, 0.005, 0.01, 0.05, 0.1, 0.2)
 
 
-def final_loss(domain, cdfs, outcomes, mode, alpha):
-    game = OnlineGame(GameConfig(domain, mode=mode, alpha=alpha), len(cdfs))
+def final_loss(domain, values, outcomes, mode, alpha):
+    game = OnlineGame(GameConfig(domain, mode=mode, alpha=alpha), len(values))
     for y in outcomes:
-        game.step(cdfs, y)
+        game.step(values, y)
     return float(game.log.learner_cumulative()[-1])
 
 
@@ -30,11 +30,11 @@ def main():
 
     domain = GridDomain(0.0, 1.0, args.grid)
     gens = default_generators()
-    cdfs = [triangular_cdf(g, domain) for g in gens]
+    values = cdf_values([triangular_cdf(g, domain) for g in gens], domain)
     schedule = rotating_leader_schedule(args.steps, len(gens), args.segments)
     outcomes = synth_stream(gens, schedule, args.steps, args.seed)
 
-    base = final_loss(domain, cdfs, outcomes, "wa", 0.0)
+    base = final_loss(domain, values, outcomes, "wa", 0.0)
     print(f"stream: T={args.steps}, segments={args.segments}, seed={args.seed}; "
           f"normalizer (wa, alpha=0): {base:.4f}")
     header = "alpha".ljust(8) + "".join(f"{a:>10g}" for a in ALPHAS)
@@ -42,7 +42,7 @@ def main():
     for mode in ("aa", "wa"):
         row = mode.ljust(8)
         for alpha in ALPHAS:
-            row += f"{final_loss(domain, cdfs, outcomes, mode, alpha) / base:>10.3f}"
+            row += f"{final_loss(domain, values, outcomes, mode, alpha) / base:>10.3f}"
         print(row)
 
 

@@ -5,7 +5,6 @@ time-independent bounds."""
 
 from .aggregation import (
     AllExpertsAsleep,
-    ExpertPool,
     SubstitutionError,
     aa_learning_rate,
     combine_wa,
@@ -36,7 +35,6 @@ from .experts import (
     DegenerateFit,
     Gmm2D,
     TriangularExpert,
-    combined_confidence,
     conditional_load_cdf,
     fit_gmm_em,
     triangular_cdf,
@@ -53,7 +51,6 @@ from .game import (
 from .grids import (
     GridCDF,
     GridDomain,
-    clip_to_domain,
     crps,
     crps_grid_profile,
     empirical_cdf,

@@ -6,15 +6,12 @@ mixture of losses, for the unit-interval square loss and for grid CDFs
 under CRPS, together with weighted-average aggregation, confidence
 reweighting of sleeping experts, and the fixed-share mixing update.
 
-All weight arithmetic is carried in log space; pools are rescaled after
-every update so the largest weight is 1, which leaves every normalized
-quantity unchanged.
+The weight state is one (N,) array of log weights, unnormalized: the
+update rescales it so the largest weight is 1, which leaves every
+normalized quantity unchanged.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,45 +53,6 @@ def logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
     return out + (m.squeeze(axis) if axis is not None else m)
 
 
-@dataclass(frozen=True, eq=False)
-class ExpertPool:
-    """Unnormalized expert weights (kept as logs) plus the game parameters.
-
-    alpha is the share mixed back toward the uniform start vector after
-    each weight update.
-    """
-
-    log_weights: np.ndarray
-    eta: float
-    alpha: float = 0.0
-
-    def __post_init__(self):
-        lw = np.array(self.log_weights, dtype=float)
-        if lw.ndim != 1 or lw.size < 1:
-            raise ValueError("need at least one expert weight")
-        if not np.all(np.isfinite(lw)):
-            raise ValueError("log-weights must be finite (weights positive)")
-        if not self.eta > 0:
-            raise ValueError(f"learning rate must be positive, got {self.eta}")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"mixing share must lie in [0, 1], got {self.alpha}")
-        lw.flags.writeable = False
-        object.__setattr__(self, "log_weights", lw)
-
-    @property
-    def n(self) -> int:
-        return self.log_weights.size
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.exp(self.log_weights)
-
-    @classmethod
-    def uniform(cls, n, *, eta, alpha=0.0):
-        """Pool of n equal weights 1/n."""
-        return cls(np.full(n, -math.log(n)), eta, alpha)
-
-
 def _as_confidence(p, n: int) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (n,):
@@ -113,20 +71,19 @@ def _as_losses(losses, n: int) -> np.ndarray:
     return l
 
 
-def normalized_weights(pool: ExpertPool) -> np.ndarray:
+def normalized_weights(log_weights: np.ndarray) -> np.ndarray:
     """Probability vector q_i = w_i / sum_j w_j."""
-    lw = pool.log_weights
-    return np.exp(lw - logsumexp(lw))
+    return np.exp(log_weights - logsumexp(log_weights))
 
 
-def confidence_reweight(pool: ExpertPool, p) -> np.ndarray:
+def confidence_reweight(log_weights: np.ndarray, p) -> np.ndarray:
     """Probability vector proportional to p_i * w_i; experts with zero
     confidence get exactly zero mass."""
-    p = _as_confidence(p, pool.n)
+    p = _as_confidence(p, log_weights.size)
     if not np.any(p > 0):
         raise AllExpertsAsleep("all confidences are zero at this step")
     with np.errstate(divide="ignore"):
-        lwp = pool.log_weights + np.log(p)
+        lwp = log_weights + np.log(p)
     q = np.exp(lwp - logsumexp(lwp))
     q[p == 0.0] = 0.0
     return q
@@ -249,26 +206,28 @@ def superprediction(losses, q, eta: float) -> float:
 
 
 def update_weights_confidence(
-    pool: ExpertPool, p, expert_losses, learner_loss: float
-) -> ExpertPool:
-    """Virtual-expert update: expert i is charged p_i l_i + (1-p_i) h,
-    its loss discounted toward the learner's by its confidence."""
-    p = _as_confidence(p, pool.n)
-    l = _as_losses(expert_losses, pool.n)
+    log_weights: np.ndarray, eta: float, p, expert_losses, learner_loss: float
+) -> np.ndarray:
+    """Virtual-expert update at learning rate eta: expert i is charged
+    p_i l_i + (1-p_i) h, its loss discounted toward the learner's by its
+    confidence.  Returns the new log weights, rescaled so the largest is 0."""
+    n = log_weights.size
+    p = _as_confidence(p, n)
+    l = _as_losses(expert_losses, n)
     h = float(learner_loss)
     if not np.isfinite(h) or h < 0:
         raise ValueError(f"learner loss must be finite and non-negative, got {h}")
-    lw = pool.log_weights - pool.eta * (p * l + (1.0 - p) * h)
-    return replace(pool, log_weights=lw - lw.max())
+    lw = log_weights - eta * (p * l + (1.0 - p) * h)
+    return lw - lw.max()
 
 
-def mix_past_posteriors(pool: ExpertPool) -> ExpertPool:
+def mix_past_posteriors(log_weights: np.ndarray, alpha: float) -> np.ndarray:
     """Fixed-share mix toward the uniform start vector:
-    w_i <- alpha/n + (1-alpha) w_i / sum_j w_j.  Output sums to 1 with
-    floor alpha/n; alpha = 0 is plain normalization."""
-    lw = pool.log_weights
-    if pool.alpha == 0.0:
-        return replace(pool, log_weights=lw - logsumexp(lw))
+    w_i <- alpha/n + (1-alpha) w_i / sum_j w_j.  Returns log weights that
+    sum to 1 with floor alpha/n; alpha = 0 is plain normalization."""
+    lw = log_weights
+    if alpha == 0.0:
+        return lw - logsumexp(lw)
     q = np.exp(lw - logsumexp(lw))
-    mixed = pool.alpha / pool.n + (1.0 - pool.alpha) * q
-    return replace(pool, log_weights=np.log(mixed))
+    mixed = alpha / lw.size + (1.0 - alpha) * q
+    return np.log(mixed)

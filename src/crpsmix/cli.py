@@ -38,8 +38,8 @@ from .data import (
     synth_stream,
 )
 from .experts import em_hit_max_iter, triangular_cdf
-from .game import GameConfig, GameLog, OnlineGame, regret_report
-from .grids import GridDomain, cdf_to_row, quantile
+from .game import GameConfig, GameLog, OnlineGame, RegretReport, regret_report
+from .grids import GridDomain, cdf_to_row, cdf_values, quantile
 from .roster import build_load_roster, roster_confidences, roster_forecasts
 
 logger = logging.getLogger(__name__)
@@ -50,8 +50,8 @@ QUANTILE_LEVELS = (0.05, 0.25, 0.75, 0.95)
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, float):
-        return repr(x)
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))
     return str(x)
 
 
@@ -107,8 +107,7 @@ def read_manifest(path) -> dict:
     return out
 
 
-def _regret_metrics(log: GameLog, alpha: float) -> dict:
-    report = regret_report(log)
+def _regret_metrics(report: RegretReport, alpha: float) -> dict:
     metrics = {
         "steps": report.steps,
         "final_learner_loss": report.learner_loss,
@@ -142,14 +141,13 @@ def _write_weight_trajectories(path, log: GameLog) -> None:
     _write_csv(path, header, rows)
 
 
-def _write_regret_report(path, log: GameLog, names=None) -> None:
-    report = regret_report(log)
+def _write_regret_report(path, report: RegretReport, names=None) -> None:
     header = [
         "expert", "final_loss", "final_regret", "final_discounted_regret",
         "max_discounted_regret", "bound", "bound_satisfied",
     ]
     rows = []
-    for i in range(log.n):
+    for i in range(report.expert_losses.size):
         name = names[i] if names else f"expert_{i + 1}"
         rows.append([
             name,
@@ -168,12 +166,12 @@ def _write_regret_report(path, log: GameLog, names=None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_synth_game(mode, alpha, domain, cdfs, outcomes, snapshot_steps=()):
-    game = OnlineGame(GameConfig(domain, mode=mode, alpha=alpha), len(cdfs))
+def _run_synth_game(mode, alpha, domain, values, outcomes, snapshot_steps=()):
+    game = OnlineGame(GameConfig(domain, mode=mode, alpha=alpha), len(values))
     snapshots = []
     wanted = set(snapshot_steps)
     for t, y in enumerate(outcomes, start=1):
-        forecast = game.step(cdfs, y)
+        forecast = game.step(values, y)
         if t in wanted:
             snapshots.append((t, forecast))
     return game, snapshots
@@ -187,19 +185,20 @@ def cmd_synth(args) -> int:
     else:
         schedule = smooth_crossfade_schedule(args.steps, len(gens), args.segments)
     outcomes = synth_stream(gens, schedule, args.steps, args.seed)
-    cdfs = [triangular_cdf(g, domain) for g in gens]
+    values = cdf_values([triangular_cdf(g, domain) for g in gens], domain)
 
     snap_steps = sorted({int(t) for t in np.linspace(1, args.steps, num=min(8, args.steps))})
     game, snapshots = _run_synth_game(
-        args.mode, args.alpha, domain, cdfs, outcomes, snap_steps
+        args.mode, args.alpha, domain, values, outcomes, snap_steps
     )
-    baseline, _ = _run_synth_game("wa", 0.0, domain, cdfs, outcomes)
+    baseline, _ = _run_synth_game("wa", 0.0, domain, values, outcomes)
 
     os.makedirs(args.out, exist_ok=True)
     game.log.to_csv(os.path.join(args.out, "game_log.csv"))
     _write_loss_curves(os.path.join(args.out, "loss_curves.csv"), game.log)
     _write_weight_trajectories(os.path.join(args.out, "weights.csv"), game.log)
-    _write_regret_report(os.path.join(args.out, "regret_report.csv"), game.log)
+    report = regret_report(game.log)
+    _write_regret_report(os.path.join(args.out, "regret_report.csv"), report)
     _write_csv(
         os.path.join(args.out, "cdf_snapshots.csv"),
         ["t", "a", "b", "d"] + [f"f_{s + 1}" for s in range(domain.d)],
@@ -212,14 +211,14 @@ def cmd_synth(args) -> int:
         "method": args.method, "mode": args.mode, "alpha": args.alpha,
         "steps": args.steps, "grid": args.grid, "segments": args.segments,
     }
-    metrics = _regret_metrics(game.log, args.alpha)
+    metrics = _regret_metrics(report, args.alpha)
     metrics["wa_alpha0_baseline_loss"] = base
     metrics["loss_normalized_vs_wa_alpha0"] = final / base
     if args.mode == "aa":
         metrics["bound_expression"] = "(b-a)/2*ln(N)"
     else:
         metrics["bound_expression"] = "2*(b-a)*ln(N)"
-        metrics["bound_wa_form"] = 2.0 * domain.width * np.log(len(cdfs))
+        metrics["bound_wa_form"] = 2.0 * domain.width * np.log(len(values))
     manifest = RunManifest("synth", config, args.seed, [], args.out, metrics)
     manifest.write(os.path.join(args.out, "manifest.txt"))
 
@@ -323,7 +322,8 @@ def cmd_load(args) -> int:
     names = [e.name for e in experts]
     game.log.to_csv(os.path.join(args.out, "game_log.csv"))
     _write_loss_curves(os.path.join(args.out, "loss_curves.csv"), game.log)
-    _write_regret_report(os.path.join(args.out, "regret_report.csv"), game.log, names)
+    report = regret_report(game.log)
+    _write_regret_report(os.path.join(args.out, "regret_report.csv"), report, names)
     _write_csv(
         os.path.join(args.out, "quantile_bands.csv"),
         ["t", "timestamp"] + [f"q{int(100 * tau):02d}" for tau in QUANTILE_LEVELS] + ["actual"],
@@ -341,8 +341,8 @@ def cmd_load(args) -> int:
         record_rows,
     )
     with open(os.path.join(args.out, "data_quality.txt"), "w", encoding="utf-8") as fh:
-        for label, report in reports:
-            for k, v in report.as_dict().items():
+        for label, quality in reports:
+            for k, v in quality.as_dict().items():
                 fh.write(f"{label}_{k}={v}\n")
         fh.write(f"test_outcomes_clipped={clipped}\n")
 
@@ -351,7 +351,7 @@ def cmd_load(args) -> int:
         "grid": args.grid, "components": args.components,
         "band_hour": args.band_hour,
     }
-    metrics = _regret_metrics(game.log, args.alpha)
+    metrics = _regret_metrics(report, args.alpha)
     metrics["n_experts"] = len(experts)
     metrics["n_fit_failures"] = len(failures)
     metrics["em_fits_at_max_iter"] = sum(row[-1] for row in em_rows)

@@ -156,8 +156,6 @@ class CsvSchema:
     load_col: str = "load"
     temperature_col: str = "temperature"
     delimiter: str = ","
-    timestamp_format: str | None = None  # None: ISO 8601
-    clip: tuple[float, float] | None = None  # clip loads into [lo, hi]
 
 
 @dataclass
@@ -165,22 +163,14 @@ class DataQualityReport:
     rows_parsed: int = 0
     row_errors: list[tuple[int, str]] = field(default_factory=list)
     gaps: list[tuple[datetime, int]] = field(default_factory=list)  # (last ts before gap, missing rows)
-    clipped: int = 0
 
     def as_dict(self) -> dict:
         return {
             "rows_parsed": self.rows_parsed,
             "rows_failed": len(self.row_errors),
-            "rows_clipped": self.clipped,
             "gaps": len(self.gaps),
             "hours_missing": sum(n for _, n in self.gaps),
         }
-
-
-def _parse_timestamp(raw: str, fmt: str | None) -> datetime:
-    if fmt is not None:
-        return datetime.strptime(raw, fmt)
-    return datetime.fromisoformat(raw.strip())
 
 
 def load_csv(path, schema: CsvSchema = CsvSchema()):
@@ -194,7 +184,8 @@ def load_csv(path, schema: CsvSchema = CsvSchema()):
     records: list[LoadRecord] = []
     report = DataQualityReport()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, delimiter=schema.delimiter)
+        # a short row reads "" in its missing columns: a row error, not a crash
+        reader = csv.DictReader(fh, delimiter=schema.delimiter, restval="")
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file")
         for col in (schema.timestamp_col, schema.load_col, schema.temperature_col):
@@ -205,7 +196,7 @@ def load_csv(path, schema: CsvSchema = CsvSchema()):
             n_rows += 1
             line = reader.line_num
             try:
-                ts = _parse_timestamp(row[schema.timestamp_col], schema.timestamp_format)
+                ts = datetime.fromisoformat(row[schema.timestamp_col].strip())
                 load = float(row[schema.load_col])
                 temp = float(row[schema.temperature_col])
                 if not (np.isfinite(load) and np.isfinite(temp)):
@@ -230,11 +221,6 @@ def load_csv(path, schema: CsvSchema = CsvSchema()):
                     )
                 if delta_h > 1:
                     report.gaps.append((prev, int(delta_h) - 1))
-            if schema.clip is not None:
-                lo, hi = schema.clip
-                if load < lo or load > hi:
-                    report.clipped += 1
-                    load = min(max(load, lo), hi)
             records.append(LoadRecord(ts, load, temp))
         report.rows_parsed = len(records)
         if n_rows == 0:
@@ -250,8 +236,6 @@ def load_csv(path, schema: CsvSchema = CsvSchema()):
             "%s: %d rows skipped (first at line %d)",
             path, len(report.row_errors), report.row_errors[0][0],
         )
-    if report.clipped:
-        logger.warning("%s: %d load values clipped into %s", path, report.clipped, schema.clip)
     return records, report
 
 
@@ -302,19 +286,19 @@ def default_test_boundary(records, test_hours: int = HOURS_PER_YEAR) -> datetime
     return records[-test_hours].timestamp
 
 
-def season_of_month(month: int, mapping=None) -> int:
-    return (mapping or DEFAULT_SEASON_OF_MONTH)[month]
+def season_of_month(month: int) -> int:
+    return DEFAULT_SEASON_OF_MONTH[month]
 
 
 def day_period_of_hour(hour: int) -> int:
     return hour // DAY_PERIOD_HOURS
 
 
-def calendar_segments(records, season_mapping=None) -> np.ndarray:
+def calendar_segments(records) -> np.ndarray:
     """(n, 2) integer labels: season index and day-period index per record."""
     out = np.empty((len(records), 2), dtype=int)
     for i, r in enumerate(records):
-        out[i, 0] = season_of_month(r.timestamp.month, season_mapping)
+        out[i, 0] = season_of_month(r.timestamp.month)
         out[i, 1] = day_period_of_hour(r.timestamp.hour)
     return out
 
@@ -325,12 +309,11 @@ def hour_of_year(ts: datetime) -> int:
     return _CUM_MONTH_HOURS[ts.month - 1] + (day - 1) * 24 + ts.hour
 
 
-def season_hour_interval(season: int, season_mapping=None):
+def season_hour_interval(season: int):
     """(start_hour, end_hour_inclusive, duration) of a season within the
     fixed year; the interval may extend past HOURS_PER_YEAR when the
     season wraps December into the new year."""
-    mapping = season_mapping or DEFAULT_SEASON_OF_MONTH
-    months = [m for m in range(1, 13) if mapping[m] == season]
+    months = [m for m in range(1, 13) if DEFAULT_SEASON_OF_MONTH[m] == season]
     if not months:
         raise ValueError(f"no months mapped to season {season}")
     member = set(months)

@@ -351,10 +351,3 @@ def _block_value(x, ps, pe, ru, rd):
         out = np.where((pe < x) & (x <= pe + rd), 1.0 - (x - pe) / rd, out)
     return out
 
-
-def combined_confidence(
-    season: ConfidenceSchedule, day: ConfidenceSchedule, t: float
-) -> float:
-    """Seasonal and daily confidences are simply multiplied."""
-    return season.at(t) * day.at(t)
-

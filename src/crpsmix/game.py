@@ -11,7 +11,6 @@ import numpy as np
 
 from .aggregation import (
     AllExpertsAsleep,
-    ExpertPool,
     aa_learning_rate,
     combine_wa,
     confidence_reweight,
@@ -131,12 +130,13 @@ class OnlineGame:
     "aa", averaging for "wa"), score everyone against the outcome, charge
     the virtual-expert update, then mix toward the uniform start vector.
     When every expert sleeps the learner forecasts from uniform weights
-    and skips that step's weight update.
+    and skips that step's weight update.  The state is `log_weights`, the
+    (N,) unnormalized log weights; eta and alpha are read from `config`.
     """
 
     def __init__(self, config: GameConfig, n_experts: int):
         self.config = config
-        self.pool = ExpertPool.uniform(n_experts, eta=config.eta, alpha=config.alpha)
+        self.log_weights = np.full(n_experts, -math.log(n_experts))
         self.log = GameLog(n_experts, config.eta)
 
     def step(self, forecasts, outcome, confidences=None) -> GridCDF:
@@ -144,7 +144,7 @@ class OnlineGame:
         values on the game's grid, or a list of N GridCDFs on that domain;
         returns the aggregated forecast."""
         cfg = self.config
-        n = self.pool.n
+        n = self.log_weights.size
         if len(forecasts) != n:
             raise ValueError(f"expected {n} forecasts, got {len(forecasts)}")
         values = cdf_values(forecasts, cfg.domain)
@@ -152,7 +152,7 @@ class OnlineGame:
 
         asleep = False
         try:
-            q = confidence_reweight(self.pool, p)
+            q = confidence_reweight(self.log_weights, p)
         except AllExpertsAsleep:
             q = np.full(n, 1.0 / n)
             asleep = True
@@ -173,10 +173,10 @@ class OnlineGame:
                 f"non-finite loss at step {self.log.steps + 1}: h={h}, l={losses}"
             )
 
-        w = normalized_weights(self.pool)
+        w = normalized_weights(self.log_weights)
         if not asleep:
-            self.pool = update_weights_confidence(self.pool, p, losses, h)
-            self.pool = mix_past_posteriors(self.pool)
+            lw = update_weights_confidence(self.log_weights, cfg.eta, p, losses, h)
+            self.log_weights = mix_past_posteriors(lw, cfg.alpha)
         self.log.append(y, h, losses, p, q, w)
         return forecast
 
@@ -245,14 +245,14 @@ def run_square_loss_game(expert_forecasts, outcomes, eta: float) -> GameLog:
         raise ValueError(f"square loss admits 0 < eta <= 2, got {eta}")
 
     steps, n = f.shape
-    pool = ExpertPool.uniform(n, eta=eta)
+    log_weights = np.full(n, -math.log(n))
     log = GameLog(n, eta)
     ones = np.ones(n)
     for t in range(steps):
-        q = normalized_weights(pool)
+        q = normalized_weights(log_weights)
         pred = substitute_square_aa(f[t], q, eta)
         h = (pred - y[t]) ** 2
         losses = (f[t] - y[t]) ** 2
-        pool = update_weights_confidence(pool, ones, losses, 0.0)
+        log_weights = update_weights_confidence(log_weights, eta, ones, losses, 0.0)
         log.append(y[t], h, losses, ones, q, q)
     return log

@@ -12,13 +12,10 @@ which is the step-function CRPS of the discretized game.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 #: CDF invariant violations up to this size are treated as float noise and
 #: repaired by clamping; anything larger is rejected.
@@ -190,17 +187,6 @@ def empirical_cdf(samples, domain: GridDomain) -> GridCDF:
     vals = counts / s.size
     vals[-1] = 1.0
     return GridCDF(domain, vals)
-
-
-def clip_to_domain(domain: GridDomain, y: float) -> float:
-    """Clip an ingested outcome into [a, b]; strays are logged, not fatal."""
-    y = float(y)
-    if y < domain.a or y > domain.b:
-        logger.warning(
-            "outcome %.6g outside [%g, %g]; clipped", y, domain.a, domain.b
-        )
-        return float(min(max(y, domain.a), domain.b))
-    return y
 
 
 def cdf_to_row(forecast: GridCDF) -> list:

@@ -46,10 +46,10 @@ class LoadExpert:
     fit_history: np.ndarray | None = None  # log-likelihood per EM round
 
 
-def season_schedule(season: int, ramp_scale: float = 0.5, season_mapping=None) -> ConfidenceSchedule:
+def season_schedule(season: int, ramp_scale: float = 0.5) -> ConfidenceSchedule:
     """Confidence over the hour-of-year: 1 inside the season, decreasing
     linearly over ramps of `ramp_scale` times the season duration."""
-    start, end, duration = season_hour_interval(season, season_mapping)
+    start, end, duration = season_hour_interval(season)
     ramp = ramp_scale * duration
     return ConfidenceSchedule(
         blocks=((start, end, ramp, ramp),), period=float(HOURS_PER_YEAR)
@@ -69,7 +69,6 @@ def build_load_roster(
     components: int = 2,
     seed: int = 0,
     confidence: str = "smooth",
-    season_mapping=None,
 ):
     """Fit the full roster on labeled training records.
 
@@ -81,7 +80,7 @@ def build_load_roster(
     """
     if confidence not in ("smooth", "binary", "off"):
         raise ValueError(f"confidence must be smooth, binary or off, got {confidence!r}")
-    labels = calendar_segments(train_records, season_mapping)
+    labels = calendar_segments(train_records)
     points = np.array([(r.temperature, r.load) for r in train_records])
 
     season_ramp = {"smooth": 0.5, "binary": 0.0}.get(confidence)
@@ -114,7 +113,7 @@ def build_load_roster(
         sched_s = sched_d = None
         if confidence != "off":
             if s is not None:
-                sched_s = season_schedule(s, season_ramp, season_mapping)
+                sched_s = season_schedule(s, season_ramp)
             if p is not None:
                 sched_d = day_schedule(p, day_ramp)
         experts.append(

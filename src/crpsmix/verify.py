@@ -183,13 +183,13 @@ def check_crps_game_bounds(seed=0, steps=1500, d=256) -> CheckResult:
     gens = default_generators()
     schedule = rotating_leader_schedule(steps, 3, 6)
     outcomes = synth_stream(gens, schedule, steps, seed)
-    cdfs = [triangular_cdf(g, domain) for g in gens]
+    values = cdf_values([triangular_cdf(g, domain) for g in gens], domain)
 
     problems = []
     for mode in ("aa", "wa"):
         game = OnlineGame(GameConfig(domain, mode=mode, alpha=0.0), 3)
         for y in outcomes:
-            game.step(cdfs, y)
+            game.step(values, y)
         log = game.log
         regret = log.regret().min(axis=1)  # vs the best expert, per prefix
         if float((regret - log.bound).max()) > MIX_TOL:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from crpsmix.aggregation import (
     AllExpertsAsleep,
-    ExpertPool,
     SubstitutionError,
     _substitute_columns,
     _worst_cdf_violation,
@@ -28,72 +27,61 @@ from crpsmix.grids import GridCDF, GridDomain, cdf_values, crps_grid_profile
 from conftest import probability_vectors, random_cdf_values
 
 
-def make_pool(weights, eta=1.0, alpha=0.0):
-    return ExpertPool(np.log(weights), eta, alpha)
+def log_w(weights):
+    return np.log(np.asarray(weights, dtype=float))
 
 
-def plain_update(pool, losses):
+def plain_update(lw, losses, eta=1.0):
     """The plain exponential update: the confidence update at full
     confidence, where the learner's loss drops out."""
-    return update_weights_confidence(pool, np.ones(pool.n), losses, 0.0)
+    return update_weights_confidence(lw, eta, np.ones(lw.size), losses, 0.0)
 
 
-class TestExpertPool:
-    def test_uniform_defaults_by_mode(self):
-        pool = ExpertPool.uniform(3, eta=aa_learning_rate(2.0))
-        assert pool.eta == 1.0
-        np.testing.assert_allclose(normalized_weights(pool), np.ones(3) / 3)
+class TestLearningRates:
+    def test_rates_by_mode(self):
         assert aa_learning_rate(2.0) == 1.0
         assert wa_learning_rate(2.0) == 0.25
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExpertPool.uniform(3, eta=-1.0)
-        with pytest.raises(ValueError):
-            ExpertPool.uniform(3, eta=1.0, alpha=1.5)
-        with pytest.raises(ValueError):
-            ExpertPool(np.array([0.0, -np.inf]), eta=1.0)  # a zero weight
+        np.testing.assert_allclose(normalized_weights(np.zeros(3)), np.ones(3) / 3)
 
 
 class TestNormalizedWeights:
     def test_examples(self):
         np.testing.assert_allclose(
-            normalized_weights(make_pool([1, 1, 1])), np.ones(3) / 3
+            normalized_weights(log_w([1, 1, 1])), np.ones(3) / 3
         )
         np.testing.assert_allclose(
-            normalized_weights(make_pool([2, 6])), [0.25, 0.75]
+            normalized_weights(log_w([2, 6])), [0.25, 0.75]
         )
 
     @given(st.lists(st.floats(-30, 30), min_size=1, max_size=8))
-    def test_sums_to_one(self, log_w):
-        pool = ExpertPool(np.array(log_w), eta=1.0)
-        assert abs(normalized_weights(pool).sum() - 1.0) < 1e-12
+    def test_sums_to_one(self, lw):
+        assert abs(normalized_weights(np.array(lw)).sum() - 1.0) < 1e-12
 
 
 class TestConfidenceReweight:
     def test_full_confidence_is_plain_normalization(self):
-        pool = make_pool([3.0, 1.0, 2.0])
+        lw = log_w([3.0, 1.0, 2.0])
         np.testing.assert_allclose(
-            confidence_reweight(pool, np.ones(3)), normalized_weights(pool)
+            confidence_reweight(lw, np.ones(3)), normalized_weights(lw)
         )
 
     def test_sleeping_expert_gets_zero_mass(self):
         np.testing.assert_allclose(
-            confidence_reweight(make_pool([1.0, 1.0]), [1.0, 0.0]), [1.0, 0.0]
+            confidence_reweight(log_w([1.0, 1.0]), [1.0, 0.0]), [1.0, 0.0]
         )
 
     def test_partial_confidence(self):
         np.testing.assert_allclose(
-            confidence_reweight(make_pool([2.0, 1.0]), [0.5, 1.0]), [0.5, 0.5]
+            confidence_reweight(log_w([2.0, 1.0]), [0.5, 1.0]), [0.5, 0.5]
         )
 
     def test_all_asleep_raises(self):
         with pytest.raises(AllExpertsAsleep):
-            confidence_reweight(make_pool([1.0, 1.0]), [0.0, 0.0])
+            confidence_reweight(log_w([1.0, 1.0]), [0.0, 0.0])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            confidence_reweight(make_pool([1.0, 1.0]), [0.5, 1.2])
+            confidence_reweight(log_w([1.0, 1.0]), [0.5, 1.2])
 
 
 class TestSquareSubstitution:
@@ -282,78 +270,73 @@ class TestSuperprediction:
 
 class TestWeightUpdates:
     def test_zero_losses_leave_weights(self):
-        pool = make_pool([0.2, 1.0, 0.5])
-        before = normalized_weights(pool)
-        after = normalized_weights(plain_update(pool, np.zeros(3)))
+        lw = log_w([0.2, 1.0, 0.5])
+        before = normalized_weights(lw)
+        after = normalized_weights(plain_update(lw, np.zeros(3)))
         np.testing.assert_allclose(after, before, atol=1e-15)
 
     def test_huge_loss_drives_weight_to_zero(self):
-        pool = make_pool([1.0, 1.0])
-        out = plain_update(pool, [0.0, 5000.0])
+        out = plain_update(log_w([1.0, 1.0]), [0.0, 5000.0])
         np.testing.assert_allclose(normalized_weights(out), [1.0, 0.0], atol=1e-300)
 
     def test_hand_computed_example(self):
-        pool = make_pool([1.0, 1.0], eta=1.0)
-        out = plain_update(pool, [math.log(2.0), 0.0])
+        out = plain_update(log_w([1.0, 1.0]), [math.log(2.0), 0.0], eta=1.0)
         np.testing.assert_allclose(normalized_weights(out), [1 / 3, 2 / 3])
 
     def test_max_weight_is_one_after_update(self):
-        pool = make_pool([0.3, 0.8], eta=2.0)
-        out = plain_update(pool, [0.1, 0.7])
-        assert out.log_weights.max() == 0.0
+        out = plain_update(log_w([0.3, 0.8]), [0.1, 0.7], eta=2.0)
+        assert out.max() == 0.0
 
     def test_rejects_bad_losses(self):
-        pool = make_pool([1.0, 1.0])
+        lw = log_w([1.0, 1.0])
         for bad in ([np.nan, 0.0], [-0.1, 0.0], [np.inf, 0.0]):
             with pytest.raises(ValueError):
-                plain_update(pool, bad)
+                plain_update(lw, bad)
 
 
 class TestConfidenceUpdate:
     def test_full_confidence_matches_plain_update(self):
-        pool = make_pool([0.4, 1.0, 0.7], eta=1.3)
+        lw, eta = log_w([0.4, 1.0, 0.7]), 1.3
         losses = np.array([0.2, 0.9, 0.05])
-        a = update_weights_confidence(pool, np.ones(3), losses, 0.4)
-        lw = pool.log_weights - pool.eta * losses  # w_i <- w_i e^{-eta l_i}
-        np.testing.assert_allclose(a.log_weights, lw - lw.max(), atol=1e-12)
+        a = update_weights_confidence(lw, eta, np.ones(3), losses, 0.4)
+        raw = lw - eta * losses  # w_i <- w_i e^{-eta l_i}
+        np.testing.assert_allclose(a, raw - raw.max(), atol=1e-12)
 
     def test_zero_confidence_follows_learner(self):
         # with p = 0 everywhere, every weight moves by the same factor
-        pool = make_pool([2.0, 1.0], eta=1.0)
-        out = update_weights_confidence(pool, np.zeros(2), [9.0, 0.1], 0.7)
+        lw = log_w([2.0, 1.0])
+        out = update_weights_confidence(lw, 1.0, np.zeros(2), [9.0, 0.1], 0.7)
         np.testing.assert_allclose(
-            normalized_weights(out), normalized_weights(pool), atol=1e-15
+            normalized_weights(out), normalized_weights(lw), atol=1e-15
         )
 
     def test_half_confidence_example(self):
-        pool = ExpertPool(np.array([0.0]), eta=1.0)
-        out = update_weights_confidence(pool, [0.5], [2.0], 4.0)
+        lw = np.array([0.0])
+        out = update_weights_confidence(lw, 1.0, [0.5], [2.0], 4.0)
         # exponent -(0.5*2 + 0.5*4) = -3, then rescaled so max is 1
-        assert out.log_weights[0] == 0.0
-        raw = pool.log_weights[0] - 1.0 * (0.5 * 2.0 + 0.5 * 4.0)
+        assert out[0] == 0.0
+        raw = lw[0] - 1.0 * (0.5 * 2.0 + 0.5 * 4.0)
         assert raw == -3.0
 
 
 class TestMixPastPosteriors:
     def test_alpha_zero_is_normalization(self):
-        pool = make_pool([4.0, 1.0], alpha=0.0)
-        out = mix_past_posteriors(pool)
-        np.testing.assert_allclose(out.weights, [0.8, 0.2])
+        out = mix_past_posteriors(log_w([4.0, 1.0]), 0.0)
+        np.testing.assert_allclose(np.exp(out), [0.8, 0.2])
 
     def test_alpha_one_is_uniform(self):
-        pool = make_pool([9.0, 1.0, 2.0], alpha=1.0)
-        np.testing.assert_allclose(mix_past_posteriors(pool).weights, np.ones(3) / 3)
+        out = mix_past_posteriors(log_w([9.0, 1.0, 2.0]), 1.0)
+        np.testing.assert_allclose(np.exp(out), np.ones(3) / 3)
 
     def test_hand_computed_example(self):
-        pool = make_pool([0.9, 0.05, 0.05], alpha=0.001)
-        out = mix_past_posteriors(pool)
+        w = np.exp(mix_past_posteriors(log_w([0.9, 0.05, 0.05]), 0.001))
         np.testing.assert_allclose(
-            out.weights,
+            w,
             [0.001 / 3 + 0.999 * 0.9, 0.001 / 3 + 0.999 * 0.05, 0.001 / 3 + 0.999 * 0.05],
             rtol=1e-12,
         )
         np.testing.assert_allclose(
-            out.weights, [0.8994333333333333, 0.05028333333333333, 0.05028333333333333]
+            w, [0.8994333333333333, 0.05028333333333333, 0.05028333333333333]
         )
 
     @given(
@@ -361,9 +344,8 @@ class TestMixPastPosteriors:
         st.floats(0.0, 1.0),
     )
     @settings(max_examples=80)
-    def test_floor_and_normalization(self, log_w, alpha):
-        pool = ExpertPool(np.array(log_w), eta=1.0, alpha=alpha)
-        w = mix_past_posteriors(pool).weights
+    def test_floor_and_normalization(self, lw, alpha):
+        w = np.exp(mix_past_posteriors(np.array(lw), alpha))
         assert abs(w.sum() - 1.0) < 1e-9
         assert np.all(w >= alpha / w.size - 1e-15)
 
@@ -373,17 +355,16 @@ class TestScaleInvariance:
     @settings(max_examples=60)
     def test_rescaled_weights_change_nothing(self, q0, shift):
         n = q0.size
-        log_w = np.log(q0)
-        pool = ExpertPool(log_w, eta=2.0)
-        shifted = ExpertPool(log_w + shift, eta=2.0)
+        lw = np.log(q0)
+        shifted = lw + shift
         np.testing.assert_allclose(
-            normalized_weights(pool), normalized_weights(shifted), atol=1e-12
+            normalized_weights(lw), normalized_weights(shifted), atol=1e-12
         )
         p = np.linspace(0.1, 1.0, n)
         np.testing.assert_allclose(
-            confidence_reweight(pool, p), confidence_reweight(shifted, p), atol=1e-12
+            confidence_reweight(lw, p), confidence_reweight(shifted, p), atol=1e-12
         )
         f = np.linspace(0.05, 0.95, n)
-        a = substitute_square_aa(f, normalized_weights(pool), 2.0)
+        a = substitute_square_aa(f, normalized_weights(lw), 2.0)
         b = substitute_square_aa(f, normalized_weights(shifted), 2.0)
         assert abs(a - b) < 1e-12

@@ -65,6 +65,20 @@ class TestSynth:
             assert np.all(np.diff(f.values) >= 0)
             assert f.values[-1] == 1.0
 
+    def test_numeric_cells_parse_as_floats(self, tmp_path):
+        out = tmp_path / "wa"
+        assert run_cli(*SYNTH_FLAGS, "--mode", "wa", "--out", str(out)) == 0
+        for name in ("weights.csv", "loss_curves.csv"):
+            with open(out / name) as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert rows
+            for row in rows:
+                [float(x) for x in row]
+        manifest = read_manifest(out / "manifest.txt")
+        assert float(manifest["metric_bound_wa_form"]) == pytest.approx(
+            2.0 * math.log(3)
+        )
+
     def test_method_two_runs(self, tmp_path):
         out = tmp_path / "m2"
         assert run_cli("synth", "--method", "2", "--steps", "300", "--grid", "64",
@@ -155,6 +169,15 @@ class TestLoad:
             header = next(csv.reader(fh))
         assert header[:2] == ["t", "timestamp"]
         assert len(header) == 2 + 21
+
+    def test_numeric_cells_parse_as_floats(self, load_run):
+        _, out = load_run
+        for name in ("conf_blocks.csv", "loss_curves.csv"):
+            with open(out / name) as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 8760
+            for row in rows:
+                [float(v) for k, v in row.items() if k != "timestamp"]
 
     def test_discounted_regret_within_bound(self, load_run):
         _, out = load_run

@@ -114,18 +114,6 @@ class TestLoadCsv:
         assert report.rows_parsed == 3
         assert not report.row_errors and not report.gaps
 
-    def test_clipping_counted(self, tmp_path):
-        rows = [
-            "2010-01-01T00:00:00,100,50",
-            "2010-01-01T01:00:00,500,50",
-            "2010-01-01T02:00:00,-10,50",
-        ]
-        p = write_csv(tmp_path / "clip.csv", rows)
-        records, report = load_csv(p, CsvSchema(clip=(0.0, 200.0)))
-        assert report.clipped == 2
-        assert records[1].load == 200.0
-        assert records[2].load == 0.0
-
     def test_duplicate_timestamp_is_fatal_with_line(self, tmp_path):
         rows = [
             "2010-01-01T00:00:00,100,50",
@@ -154,6 +142,18 @@ class TestLoadCsv:
         assert len(records) == 199
         assert len(report.row_errors) == 1
         assert report.row_errors[0][0] == 52  # header + 1-based line
+
+    def test_short_row_is_a_row_error(self, tmp_path):
+        # the timestamp column comes last, so the short row lacks it
+        ts = [datetime(2010, 1, 1) + timedelta(hours=h) for h in range(200)]
+        rows = [f"100,50,{t.isoformat()}" for t in ts]
+        rows[50] = "101,51"
+        p = tmp_path / "short.csv"
+        p.write_text("load,temperature,timestamp\n" + "\n".join(rows) + "\n",
+                     encoding="utf-8")
+        records, report = load_csv(p)
+        assert len(records) == 199
+        assert [line for line, _ in report.row_errors] == [52]
 
     def test_too_many_bad_rows_fatal(self, tmp_path):
         rows = hourly_rows(datetime(2010, 1, 1), 50)

@@ -13,7 +13,6 @@ from crpsmix.experts import (
     DegenerateFit,
     Gmm2D,
     TriangularExpert,
-    combined_confidence,
     conditional_load_cdf,
     conditional_load_mixture,
     fit_gmm_em,
@@ -413,16 +412,3 @@ class TestConfidenceSchedule:
         for t in (t1, t2):
             assert 0.0 <= s.at(t) <= 1.0
 
-
-class TestCombinedConfidence:
-    def test_products(self):
-        season = ConfidenceSchedule(blocks=((0.0, 100.0, 50.0, 50.0),))
-        day = ConfidenceSchedule(blocks=((6.0, 11.0, 2.0, 2.0),), period=24.0)
-        assert combined_confidence(season, day, 8.0) == 1.0
-        assert combined_confidence(season, day, 3.0) == 0.0  # day asleep
-        # season ramp x day ramp
-        s = ConfidenceSchedule(blocks=((10.0, 20.0, 4.0, 4.0),))
-        d = ConfidenceSchedule(blocks=((0.0, 6.0, 4.0, 4.0),))
-        assert s.at(8.0) == pytest.approx(0.5)
-        assert d.at(8.0) == pytest.approx(0.5)
-        assert combined_confidence(s, d, 8.0) == pytest.approx(0.25)

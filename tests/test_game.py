@@ -116,28 +116,28 @@ class TestStepBasics:
         dom, cdfs, y = synth_setup(T=3)
         game = OnlineGame(GameConfig(dom), 3)
         game.step(cdfs, y[0], np.array([1.0, 0.2, 0.0]))
-        before = game.pool.log_weights.copy()
+        before = game.log_weights.copy()
         game.step(cdfs, y[1], np.zeros(3))
-        np.testing.assert_array_equal(game.pool.log_weights, before)
+        np.testing.assert_array_equal(game.log_weights, before)
         # the asleep step contributes nothing to discounted regret
         disc = game.log.discounted_regret()
         np.testing.assert_array_equal(disc[1], disc[0])
 
     def test_logged_weights_formed_the_forecast(self):
         # q is the confidence-reweighted vector the rule aggregated with
-        # (uniform when all sleep); w is the pool's normalized weights
+        # (uniform when all sleep); w is the normalized weights before it
         dom, cdfs, y = synth_setup(T=40)
         matrix = np.stack([f.values for f in cdfs])
         game = OnlineGame(GameConfig(dom, alpha=0.01), 3)
         rng = np.random.default_rng(4)
         for t in range(40):
             p = np.zeros(3) if t % 7 == 3 else rng.integers(0, 3, 3) / 2.0
-            pool = game.pool
+            lw = game.log_weights.copy()
             f = game.step(matrix, y[t], p)
             q, w = game.log.weights[-1], game.log.pool_weights[-1]
-            np.testing.assert_array_equal(w, normalized_weights(pool))
+            np.testing.assert_array_equal(w, normalized_weights(lw))
             if p.any():
-                np.testing.assert_array_equal(q, confidence_reweight(pool, p))
+                np.testing.assert_array_equal(q, confidence_reweight(lw, p))
                 assert np.all(q[p == 0] == 0.0)
             else:
                 np.testing.assert_array_equal(q, np.full(3, 1 / 3))
@@ -171,10 +171,7 @@ class TestBounds:
         dom, cdfs, y = synth_setup(T=200)
         game = OnlineGame(GameConfig(dom, mode="aa"), 3)
         for t in range(200):
-            q = np.exp(
-                game.pool.log_weights
-                - np.logaddexp.reduce(game.pool.log_weights)
-            )
+            q = np.exp(game.log_weights - np.logaddexp.reduce(game.log_weights))
             game.step(cdfs, y[t])
             h = game.log.learner_losses[-1]
             g = superprediction(game.log.expert_losses[-1], q, game.config.eta)

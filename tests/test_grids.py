@@ -8,7 +8,6 @@ from crpsmix.grids import (
     GridDomain,
     cdf_from_row,
     cdf_to_row,
-    clip_to_domain,
     crps,
     crps_grid_profile,
     crps_rows,
@@ -234,14 +233,6 @@ class TestEmpiricalCdf:
 
 
 class TestClipAndRows:
-    def test_clip_logs_and_clips(self, caplog):
-        dom = GridDomain(0.0, 1.0, 4)
-        with caplog.at_level("WARNING"):
-            assert clip_to_domain(dom, 1.5) == 1.0
-            assert clip_to_domain(dom, -0.5) == 0.0
-        assert len(caplog.records) == 2
-        assert clip_to_domain(dom, 0.5) == 0.5
-
     def test_row_round_trip(self):
         rng = np.random.default_rng(9)
         dom = GridDomain(-1.0, 4.0, 12)
