@@ -45,6 +45,7 @@ from .game import (
     OnlineGame,
     RegretReport,
     regret_report,
+    replay,
     run_square_loss_game,
     telescoping_gap,
 )

@@ -48,15 +48,15 @@ def logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
     weights, which arise after long runs); at least one entry along each
     reduced axis must be finite.
     """
-    m = np.max(a, axis=axis, keepdims=axis is not None)
-    out = np.log(np.sum(np.exp(a - m), axis=axis))
+    m = a.max(axis=axis, keepdims=axis is not None)
+    out = np.log(np.exp(a - m).sum(axis=axis))
     return out + (m.squeeze(axis) if axis is not None else m)
 
 
-def _as_confidence(p, n: int) -> np.ndarray:
+def _as_confidence(p, shape: tuple) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    if p.shape != (n,):
-        raise ValueError(f"expected {n} confidence values, got shape {p.shape}")
+    if p.shape != shape:
+        raise ValueError(f"expected confidences of shape {shape}, got {p.shape}")
     if not np.all(np.isfinite(p)) or p.min() < 0.0 or p.max() > 1.0:
         raise ValueError("confidences must lie in [0, 1]")
     return p
@@ -72,21 +72,25 @@ def _as_losses(losses, n: int) -> np.ndarray:
 
 
 def normalized_weights(log_weights: np.ndarray) -> np.ndarray:
-    """Probability vector q_i = w_i / sum_j w_j."""
-    return np.exp(log_weights - logsumexp(log_weights))
+    """Probability vector q_i = w_i / sum_j w_j (per row of a (C, N)
+    array of log weights)."""
+    return np.exp(log_weights - logsumexp(log_weights, axis=-1)[..., None])
+
+
+def _reweight(log_weights: np.ndarray, p: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        q = normalized_weights(log_weights + np.log(p))
+    q[..., p == 0.0] = 0.0
+    return q
 
 
 def confidence_reweight(log_weights: np.ndarray, p) -> np.ndarray:
     """Probability vector proportional to p_i * w_i; experts with zero
     confidence get exactly zero mass."""
-    p = _as_confidence(p, log_weights.size)
+    p = _as_confidence(p, log_weights.shape[-1:])
     if not np.any(p > 0):
         raise AllExpertsAsleep("all confidences are zero at this step")
-    with np.errstate(divide="ignore"):
-        lwp = log_weights + np.log(p)
-    q = np.exp(lwp - logsumexp(lwp))
-    q[p == 0.0] = 0.0
-    return q
+    return _reweight(log_weights, p)
 
 
 def _check_probability(q, n: int) -> np.ndarray:
@@ -131,13 +135,25 @@ def substitute_square_aa(forecasts, q, eta: float) -> float:
     return float(min(max(out, 0.0), 1.0))
 
 
+def _square_exponents(matrix: np.ndarray, eta: float) -> tuple:
+    """The exponents -eta f^2 and -eta (1-f)^2 of the substitution rule."""
+    return -eta * matrix**2, -eta * (1.0 - matrix) ** 2
+
+
+def _substitute_exponents(exponents: tuple, q: np.ndarray, eta: float) -> np.ndarray:
+    """Column-by-column substitution over an (n_experts, d) matrix given by
+    its `_square_exponents`, without clipping; a (C, n_experts) q gives C
+    rows of output."""
+    lq = _log_q(q)[..., None]
+    num = logsumexp(exponents[0] + lq, axis=-2)
+    den = logsumexp(exponents[1] + lq, axis=-2)
+    return 0.5 - (num - den) / (2.0 * eta)
+
+
 def _substitute_columns(matrix: np.ndarray, q: np.ndarray, eta: float) -> np.ndarray:
     """Column-by-column substitution over an (n_experts, d) matrix,
     without clipping."""
-    lq = _log_q(q)[:, None]
-    num = logsumexp(-eta * matrix**2 + lq, axis=0)
-    den = logsumexp(-eta * (1.0 - matrix) ** 2 + lq, axis=0)
-    return 0.5 - (num - den) / (2.0 * eta)
+    return _substitute_exponents(_square_exponents(matrix, eta), q, eta)
 
 
 def substitute_vector_aa(forecast_matrix, q, eta: float) -> np.ndarray:
@@ -160,6 +176,16 @@ def _worst_cdf_violation(vals: np.ndarray) -> float:
     return worst
 
 
+def _check_substitution(vals: np.ndarray) -> None:
+    """Raise SubstitutionError when the (d,) output of the rule violates the
+    CDF invariants by more than float noise."""
+    worst = _worst_cdf_violation(vals)
+    if worst > REPAIR_TOL:
+        raise SubstitutionError(
+            f"aggregated CDF violates invariants by {worst:.3e} (> {REPAIR_TOL})"
+        )
+
+
 def _forecast_matrix(values, q):
     m = np.asarray(values, dtype=float)
     if m.ndim != 2:
@@ -180,11 +206,7 @@ def substitute_crps_aa(values, q) -> np.ndarray:
     """
     matrix, q = _forecast_matrix(values, q)
     vals = _substitute_columns(matrix, q, SQUARE_LOSS_ETA)
-    worst = _worst_cdf_violation(vals)
-    if worst > REPAIR_TOL:
-        raise SubstitutionError(
-            f"aggregated CDF violates invariants by {worst:.3e} (> {REPAIR_TOL})"
-        )
+    _check_substitution(vals)
     return vals
 
 
@@ -212,22 +234,29 @@ def update_weights_confidence(
     p_i l_i + (1-p_i) h, its loss discounted toward the learner's by its
     confidence.  Returns the new log weights, rescaled so the largest is 0."""
     n = log_weights.size
-    p = _as_confidence(p, n)
+    p = _as_confidence(p, (n,))
     l = _as_losses(expert_losses, n)
     h = float(learner_loss)
     if not np.isfinite(h) or h < 0:
         raise ValueError(f"learner loss must be finite and non-negative, got {h}")
-    lw = log_weights - eta * (p * l + (1.0 - p) * h)
-    return lw - lw.max()
+    return _update(log_weights, eta, p, l, h)
 
 
-def mix_past_posteriors(log_weights: np.ndarray, alpha: float) -> np.ndarray:
+def _update(log_weights, eta, p, losses, h) -> np.ndarray:
+    # (C, N) log weights take a (C, 1) eta and h
+    lw = log_weights - eta * (p * losses + (1.0 - p) * h)
+    return lw - lw.max(axis=-1, keepdims=True)
+
+
+def mix_past_posteriors(log_weights: np.ndarray, alpha) -> np.ndarray:
     """Fixed-share mix toward the uniform start vector:
     w_i <- alpha/n + (1-alpha) w_i / sum_j w_j.  Returns log weights that
-    sum to 1 with floor alpha/n; alpha = 0 is plain normalization."""
+    sum to 1 with floor alpha/n; alpha = 0 is plain normalization.  (C, N)
+    log weights take a (C, 1) alpha, one per row."""
     lw = log_weights
-    if alpha == 0.0:
-        return lw - logsumexp(lw)
-    q = np.exp(lw - logsumexp(lw))
-    mixed = alpha / lw.size + (1.0 - alpha) * q
-    return np.log(mixed)
+    norm = lw - logsumexp(lw, axis=-1)[..., None]
+    if not np.any(alpha):
+        return norm
+    with np.errstate(divide="ignore"):  # log(0) only in rows where alpha = 0
+        mixed = np.log(alpha / lw.shape[-1] + (1.0 - alpha) * np.exp(norm))
+    return np.where(alpha == 0.0, norm, mixed)

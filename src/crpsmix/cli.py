@@ -38,7 +38,7 @@ from .data import (
     synth_stream,
 )
 from .experts import em_hit_max_iter, triangular_cdf
-from .game import GameConfig, GameLog, OnlineGame, RegretReport, regret_report
+from .game import GameConfig, GameLog, RegretReport, regret_report, replay
 from .grids import GridDomain, cdf_to_row, cdf_values, quantile
 from .roster import build_load_roster, roster_confidences, roster_forecasts
 
@@ -166,17 +166,6 @@ def _write_regret_report(path, report: RegretReport, names=None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _run_synth_game(mode, alpha, domain, values, outcomes, snapshot_steps=()):
-    game = OnlineGame(GameConfig(domain, mode=mode, alpha=alpha), len(values))
-    snapshots = []
-    wanted = set(snapshot_steps)
-    for t, y in enumerate(outcomes, start=1):
-        forecast = game.step(values, y)
-        if t in wanted:
-            snapshots.append((t, forecast))
-    return game, snapshots
-
-
 def cmd_synth(args) -> int:
     domain = GridDomain(0.0, 1.0, args.grid)
     gens = default_generators()
@@ -188,25 +177,26 @@ def cmd_synth(args) -> int:
     values = cdf_values([triangular_cdf(g, domain) for g in gens], domain)
 
     snap_steps = sorted({int(t) for t in np.linspace(1, args.steps, num=min(8, args.steps))})
-    game, snapshots = _run_synth_game(
-        args.mode, args.alpha, domain, values, outcomes, snap_steps
-    )
-    baseline, _ = _run_synth_game("wa", 0.0, domain, values, outcomes)
+    configs = [
+        GameConfig(domain, mode=args.mode, alpha=args.alpha),
+        GameConfig(domain, mode="wa", alpha=0.0),  # the baseline
+    ]
+    (log, baseline), kept = replay(configs, values, outcomes, keep=snap_steps)
 
     os.makedirs(args.out, exist_ok=True)
-    game.log.to_csv(os.path.join(args.out, "game_log.csv"))
-    _write_loss_curves(os.path.join(args.out, "loss_curves.csv"), game.log)
-    _write_weight_trajectories(os.path.join(args.out, "weights.csv"), game.log)
-    report = regret_report(game.log)
+    log.to_csv(os.path.join(args.out, "game_log.csv"))
+    _write_loss_curves(os.path.join(args.out, "loss_curves.csv"), log)
+    _write_weight_trajectories(os.path.join(args.out, "weights.csv"), log)
+    report = regret_report(log)
     _write_regret_report(os.path.join(args.out, "regret_report.csv"), report)
     _write_csv(
         os.path.join(args.out, "cdf_snapshots.csv"),
         ["t", "a", "b", "d"] + [f"f_{s + 1}" for s in range(domain.d)],
-        [[t] + cdf_to_row(f) for t, f in snapshots],
+        [[t] + cdf_to_row(kept[t][0]) for t in snap_steps],
     )
 
-    final = float(game.log.learner_cumulative()[-1])
-    base = float(baseline.log.learner_cumulative()[-1])
+    final = float(log.learner_cumulative()[-1])
+    base = float(baseline.learner_cumulative()[-1])
     config = {
         "method": args.method, "mode": args.mode, "alpha": args.alpha,
         "steps": args.steps, "grid": args.grid, "segments": args.segments,
@@ -219,11 +209,12 @@ def cmd_synth(args) -> int:
     else:
         metrics["bound_expression"] = "2*(b-a)*ln(N)"
         metrics["bound_wa_form"] = 2.0 * domain.width * np.log(len(values))
+    metrics["asleep_steps"] = log.asleep_steps
     manifest = RunManifest("synth", config, args.seed, [], args.out, metrics)
     manifest.write(os.path.join(args.out, "manifest.txt"))
 
     print(f"synth: T={args.steps} mode={args.mode} alpha={args.alpha} "
-          f"loss={final:.6g} bound={game.log.bound:.6g}")
+          f"loss={final:.6g} bound={log.bound:.6g}")
     if args.alpha == 0.0 and metrics["bound_satisfied"] is not True:
         print("regret bound violated", file=sys.stderr)
         return 1
@@ -250,6 +241,8 @@ def _load_records(args, schema):
         test, rep_test = load_csv(args.test, schema)
         inputs = [args.train, args.test]
         reports = [("train", rep_train), ("test", rep_test)]
+    if not max(r.load for r in train) > 0:  # the outcome domain is [0, 1.05 max]
+        raise ValueError("no positive load in the training span")
     return train, test, inputs, reports
 
 
@@ -295,34 +288,32 @@ def cmd_load(args) -> int:
         em_rows,
     )
 
-    game = OnlineGame(GameConfig(domain, mode=args.mode, alpha=args.alpha), len(experts))
-    clipped = 0
-    band_rows = []
-    record_rows = []
-    confidences = roster_confidences(experts, [rec.timestamp for rec in test])
-    prev_temp = train[-1].temperature
-    for t, (rec, p) in enumerate(zip(test, confidences), start=1):
-        y = min(max(rec.load, domain.a), domain.b)
-        if y != rec.load:
-            clipped += 1
-        forecasts = roster_forecasts(experts, prev_temp, domain)
-        forecast = game.step(forecasts, y, p)
-        if rec.timestamp.hour == args.band_hour:
-            band_rows.append(
-                [t, rec.timestamp.isoformat()]
-                + [quantile(forecast, tau) for tau in QUANTILE_LEVELS]
-                + [y]
-            )
-        record_rows.append([rec.timestamp.isoformat(), y, rec.temperature])
-        prev_temp = rec.temperature
+    outcomes = [min(max(rec.load, domain.a), domain.b) for rec in test]
+    clipped = sum(y != rec.load for y, rec in zip(outcomes, test))
     if clipped:
         logger.warning("%d test outcomes clipped into [%g, %g]",
                        clipped, domain.a, domain.b)
+    # each hour is forecast from the temperature of the hour before
+    temps = [train[-1].temperature] + [rec.temperature for rec in test[:-1]]
+    confidences = roster_confidences(experts, [rec.timestamp for rec in test])
+    band_steps = [t for t, rec in enumerate(test, start=1)
+                  if rec.timestamp.hour == args.band_hour]
+    (log,), kept = replay(
+        [GameConfig(domain, mode=args.mode, alpha=args.alpha)],
+        (roster_forecasts(experts, temp, domain)[None] for temp in temps),
+        outcomes, confidences, keep=band_steps,
+    )
+    band_rows = [
+        [t, test[t - 1].timestamp.isoformat()]
+        + [quantile(kept[t][0], tau) for tau in QUANTILE_LEVELS]
+        + [outcomes[t - 1]]
+        for t in band_steps
+    ]
 
     names = [e.name for e in experts]
-    game.log.to_csv(os.path.join(args.out, "game_log.csv"))
-    _write_loss_curves(os.path.join(args.out, "loss_curves.csv"), game.log)
-    report = regret_report(game.log)
+    log.to_csv(os.path.join(args.out, "game_log.csv"))
+    _write_loss_curves(os.path.join(args.out, "loss_curves.csv"), log)
+    report = regret_report(log)
     _write_regret_report(os.path.join(args.out, "regret_report.csv"), report, names)
     _write_csv(
         os.path.join(args.out, "quantile_bands.csv"),
@@ -338,7 +329,7 @@ def cmd_load(args) -> int:
     _write_csv(
         os.path.join(args.out, "records.csv"),
         ["timestamp", "load", "temperature"],
-        record_rows,
+        ([rec.timestamp.isoformat(), y, rec.temperature] for rec, y in zip(test, outcomes)),
     )
     with open(os.path.join(args.out, "data_quality.txt"), "w", encoding="utf-8") as fh:
         for label, quality in reports:
@@ -356,13 +347,13 @@ def cmd_load(args) -> int:
     metrics["n_fit_failures"] = len(failures)
     metrics["em_fits_at_max_iter"] = sum(row[-1] for row in em_rows)
     metrics["domain_b"] = domain.b
-    metrics["final_average_loss"] = float(
-        game.log.learner_cumulative()[-1] / game.log.steps
-    )
+    metrics["final_average_loss"] = float(log.learner_cumulative()[-1] / log.steps)
+    metrics["asleep_steps"] = log.asleep_steps
+    metrics["test_outcomes_clipped"] = clipped
     manifest = RunManifest("load", config, args.seed, inputs, args.out, metrics)
     manifest.write(os.path.join(args.out, "manifest.txt"))
 
-    print(f"load: T={game.log.steps} experts={len(experts)} mode={args.mode} "
+    print(f"load: T={log.steps} experts={len(experts)} mode={args.mode} "
           f"confidence={args.confidence} "
           f"avg_loss={metrics['final_average_loss']:.6g}")
     if args.alpha == 0.0 and metrics["bound_satisfied"] is not True:
@@ -454,6 +445,8 @@ def _validate(parser, args) -> None:
             parser.error("--steps must be positive (empty run)")
         if args.grid < 1:
             parser.error("--grid must be positive")
+        if args.segments < 1:
+            parser.error("--segments must be positive")
         if not 0.0 <= args.alpha <= 1.0:
             parser.error("--alpha must lie in [0, 1]")
         if args.out is None:

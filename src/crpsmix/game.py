@@ -3,26 +3,30 @@ losses and weights, and report regrets against their theoretical bounds."""
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
 from .aggregation import (
-    AllExpertsAsleep,
+    SQUARE_LOSS_ETA,
+    _as_confidence,
+    _check_substitution,
+    _reweight,
+    _square_exponents,
+    _substitute_exponents,
+    _update,
     aa_learning_rate,
-    combine_wa,
-    confidence_reweight,
     logsumexp,
     mix_past_posteriors,
     normalized_weights,
-    substitute_crps_aa,
     substitute_square_aa,
     update_weights_confidence,
     wa_learning_rate,
 )
-from .grids import GridCDF, GridDomain, cdf_values, crps, crps_rows
+from .grids import GridCDF, GridDomain, _check_outcome, cdf_values, crps_rows
 
 
 @dataclass(frozen=True)
@@ -47,32 +51,39 @@ class GameConfig:
             raise ValueError(f"eta must be positive, got {self.eta}")
 
 
-@dataclass
 class GameLog:
-    """Per-step record of one run: outcomes, losses, confidences, the
-    weights that formed each forecast (after confidence reweighting), and
-    the normalized pool weights before it."""
+    """Per-step record of one run, one array row per step: the outcome y,
+    the learner loss h, the expert losses l_1..l_n, the confidences
+    p_1..p_n, the weights q_1..q_n that formed the forecast (after
+    confidence reweighting), and the normalized pool weights w_1..w_n
+    before it.  The fields are views of the steps played so far."""
 
-    n: int
-    eta: float
-    outcomes: list[float] = field(default_factory=list)
-    learner_losses: list[float] = field(default_factory=list)
-    expert_losses: list[np.ndarray] = field(default_factory=list)
-    confidences: list[np.ndarray] = field(default_factory=list)
-    weights: list[np.ndarray] = field(default_factory=list)
-    pool_weights: list[np.ndarray] = field(default_factory=list)
+    def __init__(self, n: int, eta: float, rows: np.ndarray | None = None):
+        self.n = n
+        self.eta = eta
+        self._rows = np.empty((0, 2 + 4 * n)) if rows is None else rows
+        self.steps = len(self._rows)
 
-    def append(self, y, h, losses, p, q, w):
-        self.outcomes.append(float(y))
-        self.learner_losses.append(float(h))
-        self.expert_losses.append(np.asarray(losses, dtype=float))
-        self.confidences.append(np.asarray(p, dtype=float))
-        self.weights.append(np.asarray(q, dtype=float))
-        self.pool_weights.append(np.asarray(w, dtype=float))
+    def append(self, y, h, losses, p, q, w) -> None:
+        if self.steps == len(self._rows):
+            self._rows = np.resize(self._rows, (max(16, 2 * self.steps), self._rows.shape[1]))
+        self._rows[self.steps] = np.concatenate(([y, h], losses, p, q, w))
+        self.steps += 1
+
+    def _block(self, k: int) -> np.ndarray:
+        return self._rows[: self.steps, 2 + k * self.n : 2 + (k + 1) * self.n]
+
+    outcomes = property(lambda self: self._rows[: self.steps, 0])
+    learner_losses = property(lambda self: self._rows[: self.steps, 1])
+    expert_losses = property(lambda self: self._block(0))
+    confidences = property(lambda self: self._block(1))
+    weights = property(lambda self: self._block(2))
+    pool_weights = property(lambda self: self._block(3))
 
     @property
-    def steps(self) -> int:
-        return len(self.outcomes)
+    def asleep_steps(self) -> int:
+        """Steps on which every expert had zero confidence."""
+        return int(np.count_nonzero(~np.any(self.confidences > 0, axis=1)))
 
     @property
     def bound(self) -> float:
@@ -83,7 +94,7 @@ class GameLog:
         return np.cumsum(self.learner_losses)
 
     def expert_cumulative(self) -> np.ndarray:
-        return np.cumsum(np.asarray(self.expert_losses), axis=0)
+        return np.cumsum(self.expert_losses, axis=0)
 
     def regret(self) -> np.ndarray:
         """(steps, n) prefix regrets H_t - L^i_t."""
@@ -91,10 +102,8 @@ class GameLog:
 
     def discounted_regret(self) -> np.ndarray:
         """(steps, n) prefix sums of p_i (h - l_i)."""
-        h = np.asarray(self.learner_losses)[:, None]
-        l = np.asarray(self.expert_losses)
-        p = np.asarray(self.confidences)
-        return np.cumsum(p * (h - l), axis=0)
+        h = self.learner_losses[:, None]
+        return np.cumsum(self.confidences * (h - self.expert_losses), axis=0)
 
     def to_csv(self, path) -> None:
         """One row per step: t, y, h, l_1..l_n, p_1..p_n, q_1..q_n (the
@@ -110,17 +119,80 @@ class GameLog:
             + [f"D_{i + 1}" for i in range(n)]
         )
         disc = self.discounted_regret()
+        # the bytes of csv.writer's default dialect: no cell needs quoting
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for t in range(self.steps):
-                row = [t + 1, repr(self.outcomes[t]), repr(self.learner_losses[t])]
-                row += [repr(float(x)) for x in self.expert_losses[t]]
-                row += [repr(float(x)) for x in self.confidences[t]]
-                row += [repr(float(x)) for x in self.weights[t]]
-                row += [repr(float(x)) for x in self.pool_weights[t]]
-                row += [repr(float(x)) for x in disc[t]]
-                writer.writerow(row)
+            fh.write(",".join(header) + "\r\n")
+            for t, (row, d) in enumerate(zip(self._rows[: self.steps], disc), start=1):
+                fh.write(f"{t}," + ",".join(map(repr, row.tolist() + d.tolist())) + "\r\n")
+
+
+def _check_losses(h: np.ndarray, losses: np.ndarray, first_step: int) -> None:
+    """Learner losses (steps, C) and expert losses (steps, N) must be
+    finite; both are non-negative by construction."""
+    bad = ~(np.isfinite(h).all(axis=1) & np.isfinite(losses).all(axis=1))
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise RuntimeError(
+            f"non-finite loss at step {first_step + t + 1}: h={h[t]}, l={losses[t]}"
+        )
+
+
+class _Kernel:
+    """The round of C configurations that share one expert pool: their
+    (C, N) log weights and the step maths that `OnlineGame.step` and
+    `replay` both run.  Its inputs arrive checked; the forecasts of a round
+    are checked and repaired in one call, and the expert losses are
+    computed once for all C."""
+
+    def __init__(self, configs, n: int):
+        domain = configs[0].domain
+        if any(cfg.domain != domain for cfg in configs):
+            raise ValueError("configurations must share one domain")
+        self.domain = domain
+        self.aa = [c for c, cfg in enumerate(configs) if cfg.mode == "aa"]
+        self.wa = [c for c, cfg in enumerate(configs) if cfg.mode == "wa"]
+        self.eta = np.array([[cfg.eta] for cfg in configs])
+        self.alpha = np.array([[cfg.alpha] for cfg in configs])
+        self.log_weights = np.full((len(configs), n), -math.log(n))
+
+    def play(self, values, y: float, p=None, exponents=None):
+        """One round against outcome y, from the (N, d) expert matrix
+        `values` (with its `_square_exponents`, when already known) and the
+        confidences p (None: all 1).  Returns the (C, d) forecasts, the
+        (C,) learner losses, the (N,) expert losses, and the (C, N) weights
+        that formed the forecasts and pool weights before the confidence
+        reweighting.  When no expert is awake every forecast uses uniform
+        weights and no weight is updated."""
+        lw = self.log_weights
+        c, n = lw.shape
+        w = normalized_weights(lw)
+        awake = p is None or p.any()
+        if p is None:
+            q, p = w, np.ones(n)  # reweighting by ones leaves w's bits alone
+        elif awake:
+            q = _reweight(lw, p)
+        else:
+            q = np.full((c, n), 1.0 / n)
+        f = np.empty((c, self.domain.d))
+        if self.aa:
+            if exponents is None:
+                exponents = _square_exponents(values, SQUARE_LOSS_ETA)
+            f[self.aa] = _substitute_exponents(exponents, q[self.aa], SQUARE_LOSS_ETA)
+        for i in self.wa:
+            f[i] = q[i] @ values
+        try:
+            f = cdf_values(f, self.domain)
+        except ValueError:
+            for i in self.aa:
+                _check_substitution(f[i])
+            raise
+        losses = crps_rows(values, self.domain, y)
+        r = f - (self.domain.grid >= y)  # crps of each row, as dot products
+        h = self.domain.delta * np.array([row @ row for row in r])
+        if awake:
+            lw = _update(lw, self.eta, p, losses, h[:, None])
+            self.log_weights = mix_past_posteriors(lw, self.alpha)
+        return f, h, losses, q, w
 
 
 class OnlineGame:
@@ -132,53 +204,89 @@ class OnlineGame:
     When every expert sleeps the learner forecasts from uniform weights
     and skips that step's weight update.  The state is `log_weights`, the
     (N,) unnormalized log weights; eta and alpha are read from `config`.
+    A step is the one-configuration round of `replay`.
     """
 
     def __init__(self, config: GameConfig, n_experts: int):
         self.config = config
-        self.log_weights = np.full(n_experts, -math.log(n_experts))
+        self._kernel = _Kernel([config], n_experts)
         self.log = GameLog(n_experts, config.eta)
+
+    @property
+    def log_weights(self) -> np.ndarray:
+        return self._kernel.log_weights[0]
 
     def step(self, forecasts, outcome, confidences=None) -> GridCDF:
         """Play one round.  `forecasts` is the (N, d) matrix of expert CDF
         values on the game's grid, or a list of N GridCDFs on that domain;
         returns the aggregated forecast."""
-        cfg = self.config
-        n = self.log_weights.size
+        domain = self.config.domain
+        n = self.log.n
         if len(forecasts) != n:
             raise ValueError(f"expected {n} forecasts, got {len(forecasts)}")
-        values = cdf_values(forecasts, cfg.domain)
-        p = np.ones(n) if confidences is None else np.asarray(confidences, dtype=float)
+        values = cdf_values(forecasts, domain)
+        p = None if confidences is None else _as_confidence(confidences, (n,))
+        y = _check_outcome(domain, outcome)
+        f, h, losses, q, w = self._kernel.play(values, y, p)
+        _check_losses(h[None], losses[None], self.log.steps)
+        self.log.append(y, h[0], losses, np.ones(n) if p is None else p, q[0], w[0])
+        return GridCDF(domain, f[0])
 
-        asleep = False
-        try:
-            q = confidence_reweight(self.log_weights, p)
-        except AllExpertsAsleep:
-            q = np.full(n, 1.0 / n)
-            asleep = True
 
-        rule = substitute_crps_aa if cfg.mode == "aa" else combine_wa
-        forecast = GridCDF(cfg.domain, rule(values, q))
+def replay(configs, experts, outcomes, confidences=None, keep=()):
+    """Play C configurations over one stream in one pass.
 
-        y = float(outcome)
-        if not cfg.domain.contains(y):
-            raise ValueError(
-                f"outcome {y} outside [{cfg.domain.a}, {cfg.domain.b}]; "
-                "clip at ingestion"
-            )
-        h = crps(forecast, y)
-        losses = crps_rows(values, cfg.domain, y)
-        if not np.isfinite(h) or not np.all(np.isfinite(losses)):
-            raise RuntimeError(
-                f"non-finite loss at step {self.log.steps + 1}: h={h}, l={losses}"
-            )
+    `configs` are GameConfigs on one domain.  `experts` is either the fixed
+    (N, d) matrix of expert CDF values (anything `cdf_values` stacks),
+    checked once, or an iterator of (k, N, d) chunks of per-step matrices,
+    checked a chunk at a time.  `confidences` is the (T, N) array of the
+    run, all ones when omitted, checked once with the outcomes.  Each
+    step's expert losses are computed once and shared by every
+    configuration, whose numbers equal its own `OnlineGame` run.
 
-        w = normalized_weights(self.log_weights)
-        if not asleep:
-            lw = update_weights_confidence(self.log_weights, cfg.eta, p, losses, h)
-            self.log_weights = mix_past_posteriors(lw, cfg.alpha)
-        self.log.append(y, h, losses, p, q, w)
-        return forecast
+    Returns one GameLog per configuration, and {t: [the forecast of each
+    configuration as a GridCDF]} for the 1-based steps t in `keep`.
+    """
+    configs = list(configs)
+    domain = configs[0].domain
+    ys = [_check_outcome(domain, y) for y in outcomes]
+    if isinstance(experts, Iterator):
+        matrices = (m for chunk in experts for m in cdf_values(chunk, domain))
+        exponents = None
+    else:
+        fixed = cdf_values(experts, domain)
+        matrices = itertools.repeat(fixed, len(ys))
+        exponents = _square_exponents(fixed, SQUARE_LOSS_ETA)
+    first = next(matrices, None)
+    if first is None or first.ndim != 2:
+        raise ValueError("expert values must be (N, d) matrices, one per outcome")
+    matrices = itertools.chain([first], matrices)
+    steps, n = len(ys), len(first)
+    p = None if confidences is None else _as_confidence(confidences, (steps, n))
+    kernel = _Kernel(configs, n)
+    h = np.empty((steps, len(configs)))
+    losses = np.empty((steps, n))
+    q = np.empty((len(configs), steps, n))
+    w = np.empty_like(q)
+    keep = set(keep)
+    kept = {}
+    for t, (y, values) in enumerate(zip(ys, matrices, strict=True)):
+        if values.shape != first.shape:
+            raise ValueError(f"step {t + 1}: expert matrix of shape {values.shape}")
+        f, h[t], losses[t], q[:, t], w[:, t] = kernel.play(
+            values, y, None if p is None else p[t], exponents
+        )
+        if t + 1 in keep:
+            kept[t + 1] = [GridCDF(domain, v) for v in f]
+    _check_losses(h, losses, 0)
+    if p is None:
+        p = np.ones((steps, n))
+    y = np.array(ys)
+    logs = [
+        GameLog(n, cfg.eta, np.column_stack([y, h[:, c], losses, p, q[c], w[c]]))
+        for c, cfg in enumerate(configs)
+    ]
+    return logs, kept
 
 
 @dataclass(frozen=True)

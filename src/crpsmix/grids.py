@@ -94,8 +94,8 @@ class GridCDF:
 
 def cdf_values(forecasts, domain: GridDomain) -> np.ndarray:
     """Checked and repaired CDF values on `domain`: a (d,) vector from one
-    row of values, or an (N, d) matrix from N rows or from N GridCDFs on
-    `domain`.
+    row of values, an (N, d) matrix from N rows or from N GridCDFs on
+    `domain`, or any (..., d) stack of rows.
 
     Every row must be monotone non-decreasing in [0, 1] with f_d = 1.
     Violations up to REPAIR_TOL are float noise, repaired by clamping;
@@ -106,26 +106,27 @@ def cdf_values(forecasts, domain: GridDomain) -> np.ndarray:
             raise ValueError("forecast domain does not match the grid domain")
         forecasts = [f.values for f in forecasts]
     vals = np.array(forecasts, dtype=float)
-    if vals.ndim not in (1, 2) or vals.shape[-1] != domain.d:
+    if vals.ndim == 0 or vals.shape[-1] != domain.d:
         raise ValueError(
             f"expected rows of {domain.d} CDF values, got shape {vals.shape}"
         )
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise ValueError("CDF values must be finite")
     if vals.min() < -REPAIR_TOL or vals.max() > 1.0 + REPAIR_TOL:
         raise ValueError(
             f"CDF values outside [0, 1] by more than {REPAIR_TOL}"
         )
     if domain.d > 1:
-        worst_drop = float(np.diff(vals).min())
+        worst_drop = float((vals[..., 1:] - vals[..., :-1]).min())
         if worst_drop < -REPAIR_TOL:
             raise ValueError(
                 f"CDF not monotone: decrease of {-worst_drop:.3e} between cells"
             )
     last = vals[..., -1]
-    if np.any(np.abs(last - 1.0) > REPAIR_TOL):
+    if (np.abs(last - 1.0) > REPAIR_TOL).any():
         raise ValueError(f"CDF must end at 1, got {last.min()!r}")
-    vals = np.maximum.accumulate(np.clip(vals, 0.0, 1.0), axis=-1)
+    # clamp into [0, 1] (the finite-value form of np.clip), then to monotone
+    vals = np.maximum.accumulate(np.minimum(np.maximum(vals, 0.0), 1.0), axis=-1)
     vals[..., -1] = 1.0
     return vals
 

@@ -17,7 +17,7 @@ from .aggregation import (
 )
 from .data import default_generators, rotating_leader_schedule, synth_stream
 from .experts import triangular_cdf
-from .game import GameConfig, OnlineGame, run_square_loss_game, telescoping_gap
+from .game import GameConfig, OnlineGame, replay, run_square_loss_game, telescoping_gap
 from .grids import GridCDF, GridDomain, cdf_values, crps_grid_profile
 from .rng import spawn_rngs
 
@@ -185,12 +185,10 @@ def check_crps_game_bounds(seed=0, steps=1500, d=256) -> CheckResult:
     outcomes = synth_stream(gens, schedule, steps, seed)
     values = cdf_values([triangular_cdf(g, domain) for g in gens], domain)
 
+    modes = ("aa", "wa")
+    logs, _ = replay([GameConfig(domain, mode=m, alpha=0.0) for m in modes], values, outcomes)
     problems = []
-    for mode in ("aa", "wa"):
-        game = OnlineGame(GameConfig(domain, mode=mode, alpha=0.0), 3)
-        for y in outcomes:
-            game.step(values, y)
-        log = game.log
+    for mode, log in zip(modes, logs):
         regret = log.regret().min(axis=1)  # vs the best expert, per prefix
         if float((regret - log.bound).max()) > MIX_TOL:
             problems.append(f"{mode} regret exceeds ln(N)/eta")

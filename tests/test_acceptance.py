@@ -13,7 +13,7 @@ from crpsmix.aggregation import combine_wa, substitute_crps_aa, substitute_vecto
 from crpsmix.cli import main, read_manifest
 from crpsmix.data import default_generators, rotating_leader_schedule, synth_stream
 from crpsmix.experts import fit_gmm_em, triangular_cdf
-from crpsmix.game import GameConfig, OnlineGame, telescoping_gap
+from crpsmix.game import GameConfig, OnlineGame, replay, telescoping_gap
 from crpsmix.grids import GridCDF, GridDomain, cdf_values, crps, crps_grid_profile
 from crpsmix.rng import rng_from_seed, spawn_rngs
 from crpsmix.verify import random_grid_cdf, random_weights
@@ -175,16 +175,13 @@ def test_09_alpha_sweep_orderings():
     steps = 3000
     outcomes = synth_stream(gens, rotating_leader_schedule(steps, 3, 6), steps, 42)
 
-    def final_loss(mode, alpha):
-        game = OnlineGame(GameConfig(domain, mode=mode, alpha=alpha), 3)
-        for y in outcomes:
-            game.step(cdfs, y)
-        return float(game.log.learner_cumulative()[-1])
-
+    cells = [(mode, alpha) for mode in ("aa", "wa") for alpha in (0.0, 0.001, 0.01)]
+    logs, _ = replay(
+        [GameConfig(domain, mode=mode, alpha=alpha) for mode, alpha in cells],
+        cdfs, outcomes,
+    )
     losses = {
-        (mode, alpha): final_loss(mode, alpha)
-        for mode in ("aa", "wa")
-        for alpha in (0.0, 0.001, 0.01)
+        cell: float(log.learner_cumulative()[-1]) for cell, log in zip(cells, logs)
     }
     problems = []
     for alpha in (0.0, 0.001, 0.01):

@@ -9,6 +9,7 @@ import pytest
 
 import crpsmix
 from crpsmix.cli import main, read_manifest
+from crpsmix.data import write_demo_load_csv
 from crpsmix.experts import EM_MAX_ITER
 from crpsmix.grids import cdf_from_row
 from crpsmix import verify as verify_mod
@@ -22,6 +23,15 @@ def usage_error(*args):
     with pytest.raises(SystemExit) as exc:
         run_cli(*args)
     assert exc.value.code == 2
+
+
+def run_cli_process(*args):
+    src = os.path.dirname(os.path.dirname(crpsmix.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "crpsmix.cli", *args],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120,
+    )
 
 
 SYNTH_FLAGS = ["synth", "--method", "1", "--steps", "400", "--grid", "128",
@@ -86,6 +96,19 @@ class TestSynth:
 
     def test_zero_steps_is_usage_error(self, tmp_path):
         usage_error("synth", "--method", "1", "--steps", "0", "--out", str(tmp_path))
+
+    def test_nonpositive_segments_is_usage_error(self, tmp_path):
+        proc = run_cli_process("synth", "--method", "1", "--segments", "0",
+                               "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert "--segments" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        usage_error("synth", "--method", "2", "--segments", "-3", "--out", str(tmp_path))
+
+    def test_manifest_counts_asleep_steps(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli(*SYNTH_FLAGS, "--out", str(out)) == 0
+        assert read_manifest(out / "manifest.txt")["metric_asleep_steps"] == "0"
 
     def test_bad_flags_are_usage_errors(self, tmp_path):
         usage_error("synth", "--method", "3", "--out", str(tmp_path))
@@ -163,6 +186,17 @@ class TestLoad:
             q75, q95 = float(row["q75"]), float(row["q95"])
             assert q05 <= q25 <= q75 <= q95
 
+    def test_manifest_counters(self, load_run):
+        _, out = load_run
+        manifest = read_manifest(out / "manifest.txt")
+        with open(out / "game_log.csv") as fh:
+            rows = list(csv.reader(fh))
+        p_cols = [i for i, name in enumerate(rows[0]) if name.startswith("p_")]
+        asleep = sum(not any(float(row[i]) > 0 for i in p_cols) for row in rows[1:])
+        assert manifest["metric_asleep_steps"] == str(asleep)
+        quality = read_manifest(out / "data_quality.txt")
+        assert manifest["metric_test_outcomes_clipped"] == quality["test_outcomes_clipped"]
+
     def test_conf_blocks_shape(self, load_run):
         _, out = load_run
         with open(out / "conf_blocks.csv") as fh:
@@ -226,12 +260,22 @@ class TestLoad:
         argv = ["load", "--data", str(data), "--out", str(tmp_path / "o")]
         if split:
             argv += ["--split", split]
-        src = os.path.dirname(os.path.dirname(crpsmix.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-m", "crpsmix.cli", *argv],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-            timeout=120,
-        )
+        proc = run_cli_process(*argv)
+        assert proc.returncode == 3
+        assert "cannot ingest data" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_nonpositive_training_loads_are_data_errors(self, tmp_path):
+        demo = write_demo_load_csv(tmp_path / "demo.csv", hours=300)
+        with open(demo, encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        negated = tmp_path / "negated.csv"
+        with open(negated, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(rows[0])
+            writer.writerows([ts, repr(-float(load)), temp] for ts, load, temp in rows[1:])
+        proc = run_cli_process("load", "--data", str(negated), "--split",
+                               rows[250][0], "--out", str(tmp_path / "o"))
         assert proc.returncode == 3
         assert "cannot ingest data" in proc.stderr
         assert "Traceback" not in proc.stderr

@@ -11,15 +11,17 @@ from crpsmix.aggregation import (
 )
 from crpsmix.data import default_generators, rotating_leader_schedule, synth_stream
 from crpsmix.experts import triangular_cdf
+import crpsmix.game as game_mod
 from crpsmix.game import (
     GameConfig,
     GameLog,
     OnlineGame,
     regret_report,
+    replay,
     run_square_loss_game,
     telescoping_gap,
 )
-from crpsmix.grids import GridCDF, GridDomain
+from crpsmix.grids import GridCDF, GridDomain, cdf_values, crps
 
 from conftest import random_cdf_values
 
@@ -214,6 +216,99 @@ class TestBounds:
         assert np.all(snaps[1:] >= alpha / 3 - 1e-12)
 
 
+#: Batched reductions may reorder float sums, so a configuration replayed
+#: among others may differ from its own game in the last bits; allowed
+#: relative difference, fixed before the engine was written.
+REPLAY_RTOL = 1e-12
+
+LOG_FIELDS = (
+    "outcomes", "learner_losses", "expert_losses", "confidences", "weights",
+    "pool_weights",
+)
+
+
+def assert_logs_close(got, want, rtol):
+    assert (got.n, got.eta, got.steps) == (want.n, want.eta, want.steps)
+    for name in LOG_FIELDS:
+        np.testing.assert_allclose(
+            getattr(got, name), getattr(want, name), rtol=rtol, atol=0, err_msg=name
+        )
+
+
+class TestReplay:
+    def test_configurations_match_their_own_games(self):
+        dom, cdfs, y = synth_setup(T=400, d=64)
+        cells = [(m, a) for m in ("aa", "wa") for a in (0.0, 0.001, 0.01)]
+        configs = [GameConfig(dom, mode=m, alpha=a) for m, a in cells]
+        logs, kept = replay(configs, cdfs, y, keep=[1, 200, 400])
+        assert len(logs) == len(cells)
+        for i, (cfg, log) in enumerate(zip(configs, logs)):
+            game = OnlineGame(cfg, 3)
+            forecasts = {t: game.step(cdfs, yt) for t, yt in enumerate(y, start=1)}
+            assert_logs_close(log, game.log, REPLAY_RTOL)
+            for t in (1, 200, 400):
+                np.testing.assert_allclose(
+                    kept[t][i].values, forecasts[t].values, rtol=REPLAY_RTOL, atol=0
+                )
+        assert sorted(kept) == [1, 200, 400]
+
+    def test_chunked_matrices_with_asleep_steps_match_steps(self):
+        rng = np.random.default_rng(8)
+        dom = GridDomain(0.0, 2.0, 16)
+        T, n = 90, 4
+        matrices = np.stack([
+            np.stack([random_cdf_values(rng, 16) for _ in range(n)]) for _ in range(T)
+        ])
+        p = rng.random((T, n))
+        p[rng.random((T, n)) < 0.3] = 0.0
+        p[::9] = 0.0  # all asleep
+        y = 2.0 * rng.random(T)
+        for mode, alpha in (("aa", 0.0), ("wa", 0.01), ("aa", 0.01)):
+            cfg = GameConfig(dom, mode=mode, alpha=alpha)
+            chunks = iter([matrices[:1], matrices[1:40], matrices[40:]])
+            (log,), _ = replay([cfg], chunks, y, p)
+            game = OnlineGame(cfg, n)
+            for t in range(T):
+                game.step(matrices[t], y[t], p[t])
+            assert_logs_close(log, game.log, 0.0)
+            assert log.asleep_steps == game.log.asleep_steps == 10
+
+    def test_broken_fixed_matrix_raises_before_step_one(self, monkeypatch):
+        dom, cdfs, y = synth_setup(T=20)
+        broken = np.stack([f.values for f in cdfs])
+        k = int(np.argmax(broken[1] > 0.5))
+        broken[1, k] = broken[1, k - 1] - 1e-6  # a decrease: not a CDF
+        monkeypatch.setattr(
+            game_mod._Kernel, "play", lambda *a, **k: pytest.fail("a step ran")
+        )
+        with pytest.raises(ValueError, match="monotone"):
+            replay([GameConfig(dom)], broken, y)
+
+    def test_broken_chunk_raises(self):
+        dom, cdfs, y = synth_setup(T=6)
+        matrices = np.stack([np.stack([f.values for f in cdfs])] * 6)
+        matrices[4, 0] *= 0.5  # ends at 1/2
+        chunks = iter([matrices[:3], matrices[3:]])
+        with pytest.raises(ValueError, match="end at 1"):
+            replay([GameConfig(dom)], chunks, y)
+
+    def test_step_count_must_match_outcomes(self):
+        dom, cdfs, y = synth_setup(T=6)
+        m = cdf_values(cdfs, dom)
+        with pytest.raises(ValueError, match="shorter|longer"):
+            replay([GameConfig(dom)], iter([np.stack([m] * 5)]), y)
+        with pytest.raises(ValueError, match="shorter|longer"):
+            replay([GameConfig(dom)], iter([np.stack([m] * 7)]), y)
+        with pytest.raises(ValueError, match="outside"):
+            replay([GameConfig(dom)], m, [0.5, 1.5])
+
+    def test_configurations_share_one_domain(self):
+        dom, cdfs, y = synth_setup(T=6)
+        other = GridDomain(0.0, 2.0, dom.d)
+        with pytest.raises(ValueError, match="domain"):
+            replay([GameConfig(dom), GameConfig(other)], cdfs, y)
+
+
 class TestRegretReport:
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
@@ -267,6 +362,20 @@ class TestSquareLossGame:
             run_square_loss_game(np.array([[0.5, 1.2]]), np.array([1.0]), 2.0)
         with pytest.raises(ValueError):
             run_square_loss_game(np.array([[0.5, 0.5]]), np.array([1.0]), 3.0)
+
+
+class TestGameLog:
+    def test_fields_expose_the_steps_played(self):
+        dom, cdfs, y = synth_setup(T=40)
+        game = OnlineGame(GameConfig(dom, alpha=0.01), 3)
+        for t in range(40):
+            f = game.step(cdfs, y[t])
+            log = game.log
+            assert log.steps == t + 1
+            for name in LOG_FIELDS:
+                assert len(getattr(log, name)) == t + 1
+            assert log.outcomes[-1] == y[t]
+            assert log.learner_losses[-1] == crps(f, y[t])
 
 
 class TestGameLogCsv:
