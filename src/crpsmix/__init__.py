@@ -42,7 +42,6 @@ from .experts import (
 from .game import (
     GameConfig,
     GameLog,
-    OnlineGame,
     RegretReport,
     regret_report,
     replay,

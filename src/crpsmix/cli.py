@@ -210,6 +210,7 @@ def cmd_synth(args) -> int:
         metrics["bound_expression"] = "2*(b-a)*ln(N)"
         metrics["bound_wa_form"] = 2.0 * domain.width * np.log(len(values))
     metrics["asleep_steps"] = log.asleep_steps
+    metrics["min_regret_headroom"] = report.bound - float(report.max_discounted_regret.max())
     manifest = RunManifest("synth", config, args.seed, [], args.out, metrics)
     manifest.write(os.path.join(args.out, "manifest.txt"))
 
@@ -350,6 +351,7 @@ def cmd_load(args) -> int:
     metrics["final_average_loss"] = float(log.learner_cumulative()[-1] / log.steps)
     metrics["asleep_steps"] = log.asleep_steps
     metrics["test_outcomes_clipped"] = clipped
+    metrics["min_regret_headroom"] = report.bound - float(report.max_discounted_regret.max())
     manifest = RunManifest("load", config, args.seed, inputs, args.out, metrics)
     manifest.write(os.path.join(args.out, "manifest.txt"))
 
@@ -440,11 +442,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser, args) -> None:
+    if args.seed < 0:
+        parser.error("--seed must be non-negative")
     if args.command == "synth":
         if args.steps < 1:
             parser.error("--steps must be positive (empty run)")
-        if args.grid < 1:
-            parser.error("--grid must be positive")
+        if args.grid < 2:
+            parser.error("--grid must be at least 2")
         if args.segments < 1:
             parser.error("--segments must be positive")
         if not 0.0 <= args.alpha <= 1.0:
@@ -461,10 +465,12 @@ def _validate(parser, args) -> None:
                 datetime.fromisoformat(args.split)
             except ValueError:
                 parser.error(f"--split is not an ISO timestamp: {args.split!r}")
-        if args.grid < 1:
-            parser.error("--grid must be positive")
+        if args.grid < 2:
+            parser.error("--grid must be at least 2")
         if not 0.0 <= args.alpha <= 1.0:
             parser.error("--alpha must lie in [0, 1]")
+        if len(args.delimiter) != 1:
+            parser.error("--delimiter must be one character")
         if args.components not in (1, 2, 3):
             parser.error("--components must be 1, 2 or 3")
         if not 0 <= args.band_hour <= 23:

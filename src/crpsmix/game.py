@@ -52,11 +52,11 @@ class GameConfig:
 
 
 class GameLog:
-    """Per-step record of one run, one array row per step: the outcome y,
+    """Record of one finished run, one array row per step: the outcome y,
     the learner loss h, the expert losses l_1..l_n, the confidences
     p_1..p_n, the weights q_1..q_n that formed the forecast (after
     confidence reweighting), and the normalized pool weights w_1..w_n
-    before it.  The fields are views of the steps played so far."""
+    before it.  The fields are views of the `(steps, 2 + 4n)` rows."""
 
     def __init__(self, n: int, eta: float, rows: np.ndarray | None = None):
         self.n = n
@@ -64,17 +64,11 @@ class GameLog:
         self._rows = np.empty((0, 2 + 4 * n)) if rows is None else rows
         self.steps = len(self._rows)
 
-    def append(self, y, h, losses, p, q, w) -> None:
-        if self.steps == len(self._rows):
-            self._rows = np.resize(self._rows, (max(16, 2 * self.steps), self._rows.shape[1]))
-        self._rows[self.steps] = np.concatenate(([y, h], losses, p, q, w))
-        self.steps += 1
-
     def _block(self, k: int) -> np.ndarray:
-        return self._rows[: self.steps, 2 + k * self.n : 2 + (k + 1) * self.n]
+        return self._rows[:, 2 + k * self.n : 2 + (k + 1) * self.n]
 
-    outcomes = property(lambda self: self._rows[: self.steps, 0])
-    learner_losses = property(lambda self: self._rows[: self.steps, 1])
+    outcomes = property(lambda self: self._rows[:, 0])
+    learner_losses = property(lambda self: self._rows[:, 1])
     expert_losses = property(lambda self: self._block(0))
     confidences = property(lambda self: self._block(1))
     weights = property(lambda self: self._block(2))
@@ -122,115 +116,17 @@ class GameLog:
         # the bytes of csv.writer's default dialect: no cell needs quoting
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\r\n")
-            for t, (row, d) in enumerate(zip(self._rows[: self.steps], disc), start=1):
+            for t, (row, d) in enumerate(zip(self._rows, disc), start=1):
                 fh.write(f"{t}," + ",".join(map(repr, row.tolist() + d.tolist())) + "\r\n")
 
 
-def _check_losses(h: np.ndarray, losses: np.ndarray, first_step: int) -> None:
+def _check_losses(h: np.ndarray, losses: np.ndarray) -> None:
     """Learner losses (steps, C) and expert losses (steps, N) must be
     finite; both are non-negative by construction."""
     bad = ~(np.isfinite(h).all(axis=1) & np.isfinite(losses).all(axis=1))
     if bad.any():
         t = int(np.argmax(bad))
-        raise RuntimeError(
-            f"non-finite loss at step {first_step + t + 1}: h={h[t]}, l={losses[t]}"
-        )
-
-
-class _Kernel:
-    """The round of C configurations that share one expert pool: their
-    (C, N) log weights and the step maths that `OnlineGame.step` and
-    `replay` both run.  Its inputs arrive checked; the forecasts of a round
-    are checked and repaired in one call, and the expert losses are
-    computed once for all C."""
-
-    def __init__(self, configs, n: int):
-        domain = configs[0].domain
-        if any(cfg.domain != domain for cfg in configs):
-            raise ValueError("configurations must share one domain")
-        self.domain = domain
-        self.aa = [c for c, cfg in enumerate(configs) if cfg.mode == "aa"]
-        self.wa = [c for c, cfg in enumerate(configs) if cfg.mode == "wa"]
-        self.eta = np.array([[cfg.eta] for cfg in configs])
-        self.alpha = np.array([[cfg.alpha] for cfg in configs])
-        self.log_weights = np.full((len(configs), n), -math.log(n))
-
-    def play(self, values, y: float, p=None, exponents=None):
-        """One round against outcome y, from the (N, d) expert matrix
-        `values` (with its `_square_exponents`, when already known) and the
-        confidences p (None: all 1).  Returns the (C, d) forecasts, the
-        (C,) learner losses, the (N,) expert losses, and the (C, N) weights
-        that formed the forecasts and pool weights before the confidence
-        reweighting.  When no expert is awake every forecast uses uniform
-        weights and no weight is updated."""
-        lw = self.log_weights
-        c, n = lw.shape
-        w = normalized_weights(lw)
-        awake = p is None or p.any()
-        if p is None:
-            q, p = w, np.ones(n)  # reweighting by ones leaves w's bits alone
-        elif awake:
-            q = _reweight(lw, p)
-        else:
-            q = np.full((c, n), 1.0 / n)
-        f = np.empty((c, self.domain.d))
-        if self.aa:
-            if exponents is None:
-                exponents = _square_exponents(values, SQUARE_LOSS_ETA)
-            f[self.aa] = _substitute_exponents(exponents, q[self.aa], SQUARE_LOSS_ETA)
-        for i in self.wa:
-            f[i] = q[i] @ values
-        try:
-            f = cdf_values(f, self.domain)
-        except ValueError:
-            for i in self.aa:
-                _check_substitution(f[i])
-            raise
-        losses = crps_rows(values, self.domain, y)
-        r = f - (self.domain.grid >= y)  # crps of each row, as dot products
-        h = self.domain.delta * np.array([row @ row for row in r])
-        if awake:
-            lw = _update(lw, self.eta, p, losses, h[:, None])
-            self.log_weights = mix_past_posteriors(lw, self.alpha)
-        return f, h, losses, q, w
-
-
-class OnlineGame:
-    """Sequential aggregation of CDF forecasts under CRPS.
-
-    Each step: reweight experts by confidence, aggregate (substitution for
-    "aa", averaging for "wa"), score everyone against the outcome, charge
-    the virtual-expert update, then mix toward the uniform start vector.
-    When every expert sleeps the learner forecasts from uniform weights
-    and skips that step's weight update.  The state is `log_weights`, the
-    (N,) unnormalized log weights; eta and alpha are read from `config`.
-    A step is the one-configuration round of `replay`.
-    """
-
-    def __init__(self, config: GameConfig, n_experts: int):
-        self.config = config
-        self._kernel = _Kernel([config], n_experts)
-        self.log = GameLog(n_experts, config.eta)
-
-    @property
-    def log_weights(self) -> np.ndarray:
-        return self._kernel.log_weights[0]
-
-    def step(self, forecasts, outcome, confidences=None) -> GridCDF:
-        """Play one round.  `forecasts` is the (N, d) matrix of expert CDF
-        values on the game's grid, or a list of N GridCDFs on that domain;
-        returns the aggregated forecast."""
-        domain = self.config.domain
-        n = self.log.n
-        if len(forecasts) != n:
-            raise ValueError(f"expected {n} forecasts, got {len(forecasts)}")
-        values = cdf_values(forecasts, domain)
-        p = None if confidences is None else _as_confidence(confidences, (n,))
-        y = _check_outcome(domain, outcome)
-        f, h, losses, q, w = self._kernel.play(values, y, p)
-        _check_losses(h[None], losses[None], self.log.steps)
-        self.log.append(y, h[0], losses, np.ones(n) if p is None else p, q[0], w[0])
-        return GridCDF(domain, f[0])
+        raise RuntimeError(f"non-finite loss at step {t + 1}: h={h[t]}, l={losses[t]}")
 
 
 def replay(configs, experts, outcomes, confidences=None, keep=()):
@@ -240,15 +136,23 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
     (N, d) matrix of expert CDF values (anything `cdf_values` stacks),
     checked once, or an iterator of (k, N, d) chunks of per-step matrices,
     checked a chunk at a time.  `confidences` is the (T, N) array of the
-    run, all ones when omitted, checked once with the outcomes.  Each
-    step's expert losses are computed once and shared by every
-    configuration, whose numbers equal its own `OnlineGame` run.
+    run, all ones when omitted, checked once with the outcomes.
+
+    Each step, for every configuration at once: reweight the experts by
+    confidence, aggregate (substitution for "aa", averaging for "wa"),
+    score everyone against the outcome (the expert losses once for all C),
+    charge the virtual-expert update, then mix toward the uniform start
+    vector.  When every expert sleeps the learners forecast from uniform
+    weights and skip that step's weight update.  A configuration's numbers
+    do not depend on the others replayed with it.
 
     Returns one GameLog per configuration, and {t: [the forecast of each
     configuration as a GridCDF]} for the 1-based steps t in `keep`.
     """
     configs = list(configs)
     domain = configs[0].domain
+    if any(cfg.domain != domain for cfg in configs):
+        raise ValueError("configurations must share one domain")
     ys = [_check_outcome(domain, y) for y in outcomes]
     if isinstance(experts, Iterator):
         matrices = (m for chunk in experts for m in cdf_values(chunk, domain))
@@ -261,30 +165,59 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
     if first is None or first.ndim != 2:
         raise ValueError("expert values must be (N, d) matrices, one per outcome")
     matrices = itertools.chain([first], matrices)
-    steps, n = len(ys), len(first)
+    steps, n, c = len(ys), len(first), len(configs)
     p = None if confidences is None else _as_confidence(confidences, (steps, n))
-    kernel = _Kernel(configs, n)
-    h = np.empty((steps, len(configs)))
+    aa = [i for i, cfg in enumerate(configs) if cfg.mode == "aa"]
+    wa = [i for i, cfg in enumerate(configs) if cfg.mode == "wa"]
+    eta = np.array([[cfg.eta] for cfg in configs])
+    alpha = np.array([[cfg.alpha] for cfg in configs])
+    lw = np.full((c, n), -math.log(n))  # the (C, N) log weights
+    ones = np.ones(n)
+    h = np.empty((steps, c))
     losses = np.empty((steps, n))
-    q = np.empty((len(configs), steps, n))
+    q = np.empty((c, steps, n))
     w = np.empty_like(q)
     keep = set(keep)
     kept = {}
     for t, (y, values) in enumerate(zip(ys, matrices, strict=True)):
         if values.shape != first.shape:
             raise ValueError(f"step {t + 1}: expert matrix of shape {values.shape}")
-        f, h[t], losses[t], q[:, t], w[:, t] = kernel.play(
-            values, y, None if p is None else p[t], exponents
-        )
+        pt = ones if p is None else p[t]
+        awake = pt.any()
+        wt = normalized_weights(lw)
+        if p is None:
+            qt = wt  # reweighting by ones leaves w's bits alone
+        elif awake:
+            qt = _reweight(lw, pt)
+        else:
+            qt = np.full((c, n), 1.0 / n)
+        f = np.empty((c, domain.d))
+        if aa:
+            ex = exponents or _square_exponents(values, SQUARE_LOSS_ETA)
+            f[aa] = _substitute_exponents(ex, qt[aa], SQUARE_LOSS_ETA)
+        for i in wa:
+            f[i] = qt[i] @ values
+        try:
+            f = cdf_values(f, domain)
+        except ValueError:
+            for i in aa:
+                _check_substitution(f[i])
+            raise
+        lt = crps_rows(values, domain, y)
+        r = f - (domain.grid >= y)  # crps of each row, as dot products
+        ht = domain.delta * np.array([row @ row for row in r])
+        if awake:
+            lw = mix_past_posteriors(_update(lw, eta, pt, lt, ht[:, None]), alpha)
+        h[t], losses[t], q[:, t], w[:, t] = ht, lt, qt, wt
         if t + 1 in keep:
             kept[t + 1] = [GridCDF(domain, v) for v in f]
-    _check_losses(h, losses, 0)
+    _check_losses(h, losses)
     if p is None:
         p = np.ones((steps, n))
     y = np.array(ys)
     logs = [
-        GameLog(n, cfg.eta, np.column_stack([y, h[:, c], losses, p, q[c], w[c]]))
-        for c, cfg in enumerate(configs)
+        GameLog(n, cfg.eta, np.column_stack([y, h[:, i], losses, p, q[i], w[i]]))
+        for i, cfg in enumerate(configs)
     ]
     return logs, kept
 
@@ -354,13 +287,12 @@ def run_square_loss_game(expert_forecasts, outcomes, eta: float) -> GameLog:
 
     steps, n = f.shape
     log_weights = np.full(n, -math.log(n))
-    log = GameLog(n, eta)
     ones = np.ones(n)
+    rows = np.empty((steps, 2 + 4 * n))
     for t in range(steps):
         q = normalized_weights(log_weights)
         pred = substitute_square_aa(f[t], q, eta)
-        h = (pred - y[t]) ** 2
         losses = (f[t] - y[t]) ** 2
         log_weights = update_weights_confidence(log_weights, eta, ones, losses, 0.0)
-        log.append(y[t], h, losses, ones, q, q)
-    return log
+        rows[t] = np.concatenate(([y[t], (pred - y[t]) ** 2], losses, ones, q, q))
+    return GameLog(n, eta, rows)

@@ -17,7 +17,7 @@ from .aggregation import (
 )
 from .data import default_generators, rotating_leader_schedule, synth_stream
 from .experts import triangular_cdf
-from .game import GameConfig, OnlineGame, replay, run_square_loss_game, telescoping_gap
+from .game import GameConfig, replay, run_square_loss_game, telescoping_gap
 from .grids import GridCDF, GridDomain, cdf_values, crps_grid_profile
 from .rng import spawn_rngs
 
@@ -216,21 +216,23 @@ def check_discounted_regret(seed=0, cases=40) -> CheckResult:
     for rng in spawn_rngs(seed, cases):
         n = int(rng.integers(2, 6))
         steps = int(rng.integers(20, 60))
-        d = 16
-        domain = GridDomain(0.0, 1.0, d)
+        domain = GridDomain(0.0, 1.0, 16)
         mode = "aa" if rng.random() < 0.5 else "wa"
-        game = OnlineGame(GameConfig(domain, mode=mode, alpha=0.0), n)
-        for _ in range(steps):
-            forecasts = [random_grid_cdf(rng, domain) for _ in range(n)]
+        matrices = np.empty((steps, n, domain.d))
+        p = np.empty((steps, n))
+        y = np.empty(steps)
+        for t in range(steps):
+            matrices[t] = [random_grid_cdf(rng, domain).values for _ in range(n)]
             style = rng.random()
             if style < 0.1:
-                p = np.zeros(n)  # all asleep: learner falls back to uniform
+                p[t] = 0.0  # all asleep: learner falls back to uniform
             elif style < 0.5:
-                p = rng.integers(0, 2, size=n).astype(float)
+                p[t] = rng.integers(0, 2, size=n)
             else:
-                p = rng.random(n)
-            game.step(forecasts, float(rng.random()), p)
-        log = game.log
+                p[t] = rng.random(n)
+            y[t] = rng.random()
+        config = GameConfig(domain, mode=mode, alpha=0.0)
+        (log,), _ = replay([config], iter([matrices]), y, p)
         excess = float((log.discounted_regret().max(axis=0) - log.bound).max())
         if excess > worst:
             worst = excess

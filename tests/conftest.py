@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from crpsmix.aggregation import (
+    combine_wa,
+    confidence_reweight,
+    mix_past_posteriors,
+    normalized_weights,
+    substitute_crps_aa,
+    update_weights_confidence,
+)
 from crpsmix.data import write_demo_load_csv
-from crpsmix.grids import GridCDF, GridDomain
+from crpsmix.game import GameLog
+from crpsmix.grids import GridCDF, GridDomain, cdf_values, crps, crps_rows
 
 
 def numeric_crps(cdf_fn, y, a, b, n=20001):
@@ -62,6 +72,39 @@ def reference_schedule_at(schedule, t: float) -> float:
                 v = 0.0
             best = max(best, v)
     return best
+
+
+def reference_game(config, experts, outcomes, confidences=None):
+    """One configuration played a step at a time from the public checked
+    functions, as a reference for `game.replay`.  `experts` is the fixed
+    (N, d) matrix (or N GridCDFs) or the (T, N, d) stack of per-step
+    matrices; `confidences` is (T, N), all ones when omitted.
+
+    Returns the GameLog, the forecast of every step as a GridCDF, and the
+    (T, N) log weights held before each step."""
+    domain = config.domain
+    matrices = cdf_values(experts, domain)
+    if matrices.ndim == 2:
+        matrices = np.broadcast_to(matrices, (len(outcomes),) + matrices.shape)
+    n = matrices.shape[1]
+    if confidences is None:
+        confidences = np.ones((len(outcomes), n))
+    rule = substitute_crps_aa if config.mode == "aa" else combine_wa
+    lw = np.full(n, -math.log(n))
+    rows, forecasts, states = [], [], []
+    for y, values, p in zip(outcomes, matrices, np.asarray(confidences), strict=True):
+        states.append(lw)
+        w = normalized_weights(lw)
+        q = confidence_reweight(lw, p) if p.any() else np.full(n, 1.0 / n)
+        f = GridCDF(domain, rule(values, q))
+        h = crps(f, y)
+        losses = crps_rows(values, domain, y)
+        if p.any():
+            lw = update_weights_confidence(lw, config.eta, p, losses, h)
+            lw = mix_past_posteriors(lw, config.alpha)
+        rows.append(np.concatenate(([y, h], losses, p, q, w)))
+        forecasts.append(f)
+    return GameLog(n, config.eta, np.array(rows)), forecasts, np.array(states)
 
 
 @st.composite

@@ -13,7 +13,7 @@ from crpsmix.aggregation import combine_wa, substitute_crps_aa, substitute_vecto
 from crpsmix.cli import main, read_manifest
 from crpsmix.data import default_generators, rotating_leader_schedule, synth_stream
 from crpsmix.experts import fit_gmm_em, triangular_cdf
-from crpsmix.game import GameConfig, OnlineGame, replay, telescoping_gap
+from crpsmix.game import GameConfig, replay, telescoping_gap
 from crpsmix.grids import GridCDF, GridDomain, cdf_values, crps, crps_grid_profile
 from crpsmix.rng import rng_from_seed, spawn_rngs
 from crpsmix.verify import random_grid_cdf, random_weights
@@ -69,14 +69,11 @@ def method1_race():
     steps = 3000
     outcomes = synth_stream(gens, rotating_leader_schedule(steps, 3, 6), steps, 7)
 
-    runs = {}
-    for mode in ("aa", "wa"):
-        start = time.perf_counter()
-        game = OnlineGame(GameConfig(domain, mode=mode, alpha=0.0), 3)
-        for y in outcomes:
-            game.step(cdfs, y)
-        runs[mode] = (game.log, time.perf_counter() - start)
-    return domain, runs
+    modes = ("aa", "wa")
+    start = time.perf_counter()
+    logs, _ = replay([GameConfig(domain, mode=m, alpha=0.0) for m in modes], cdfs, outcomes)
+    elapsed = time.perf_counter() - start  # both games, one pass
+    return domain, {mode: (log, elapsed) for mode, log in zip(modes, logs)}
 
 
 def test_03_substitution_regret_bound(method1_race):
@@ -103,18 +100,22 @@ def test_05_discounted_regret_bound():
         steps = int(rng.integers(25, 60))
         domain = GridDomain(0.0, 1.0, 16)
         mode = "aa" if rng.random() < 0.5 else "wa"
-        game = OnlineGame(GameConfig(domain, mode=mode, alpha=0.0), n)
-        for _ in range(steps):
-            forecasts = [random_grid_cdf(rng, domain) for _ in range(n)]
+        matrices = np.empty((steps, n, domain.d))
+        p = np.empty((steps, n))
+        y = np.empty(steps)
+        for t in range(steps):
+            matrices[t] = [random_grid_cdf(rng, domain).values for _ in range(n)]
             style = rng.random()
             if style < 0.1:
-                p = np.zeros(n)  # all asleep, learner falls back to uniform
+                p[t] = 0.0  # all asleep, learner falls back to uniform
             elif style < 0.5:
-                p = rng.integers(0, 2, n).astype(float)  # binary sleeping
+                p[t] = rng.integers(0, 2, n)  # binary sleeping
             else:
-                p = rng.random(n)
-            game.step(forecasts, float(rng.random()), p)
-        excess = game.log.discounted_regret().max(axis=0) - game.log.bound
+                p[t] = rng.random(n)
+            y[t] = rng.random()
+        config = GameConfig(domain, mode=mode, alpha=0.0)
+        (log,), _ = replay([config], iter([matrices]), y, p)
+        excess = log.discounted_regret().max(axis=0) - log.bound
         worst = max(worst, float(excess.max()))
     report(5, worst <= 1e-9, f"100 adversarial runs: worst excess {worst:.3e}")
 

@@ -34,6 +34,16 @@ def run_cli_process(*args):
     )
 
 
+def assert_regret_headroom(manifest, out):
+    """The last manifest key is the bound minus the largest discounted
+    regret in regret_report.csv."""
+    with open(out / "regret_report.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    peak = max(float(row["max_discounted_regret"]) for row in rows)
+    assert list(manifest)[-1] == "metric_min_regret_headroom"
+    assert float(manifest["metric_min_regret_headroom"]) == float(rows[0]["bound"]) - peak
+
+
 SYNTH_FLAGS = ["synth", "--method", "1", "--steps", "400", "--grid", "128",
                "--seed", "3"]
 
@@ -108,7 +118,16 @@ class TestSynth:
     def test_manifest_counts_asleep_steps(self, tmp_path):
         out = tmp_path / "run"
         assert run_cli(*SYNTH_FLAGS, "--out", str(out)) == 0
-        assert read_manifest(out / "manifest.txt")["metric_asleep_steps"] == "0"
+        manifest = read_manifest(out / "manifest.txt")
+        assert manifest["metric_asleep_steps"] == "0"
+        assert_regret_headroom(manifest, out)
+
+    def test_one_cell_grid_is_usage_error(self, tmp_path):
+        proc = run_cli_process("synth", "--method", "1", "--steps", "20", "--grid", "1",
+                               "--out", str(tmp_path))
+        assert proc.returncode == 2
+        assert "--grid" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_bad_flags_are_usage_errors(self, tmp_path):
         usage_error("synth", "--method", "3", "--out", str(tmp_path))
@@ -196,6 +215,8 @@ class TestLoad:
         assert manifest["metric_asleep_steps"] == str(asleep)
         quality = read_manifest(out / "data_quality.txt")
         assert manifest["metric_test_outcomes_clipped"] == quality["test_outcomes_clipped"]
+        assert_regret_headroom(manifest, out)
+        assert float(manifest["metric_min_regret_headroom"]) > 0.0
 
     def test_conf_blocks_shape(self, load_run):
         _, out = load_run
@@ -280,6 +301,15 @@ class TestLoad:
         assert "cannot ingest data" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_multicharacter_delimiter_is_usage_error(self, demo_load_csv, tmp_path):
+        proc = run_cli_process("load", "--data", demo_load_csv, "--delimiter", ";;",
+                               "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert "--delimiter" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        usage_error("load", "--data", demo_load_csv, "--delimiter", "",
+                    "--out", str(tmp_path / "o"))
+
     def test_bad_split_is_usage_error(self, demo_load_csv, tmp_path):
         usage_error("load", "--data", demo_load_csv, "--split", "yesterday",
                     "--out", str(tmp_path))
@@ -293,6 +323,23 @@ class TestLoad:
                     "--out", str(tmp_path))
         usage_error("load", "--data", demo_load_csv, "--band-hour", "24",
                     "--out", str(tmp_path))
+        usage_error("load", "--data", demo_load_csv, "--grid", "1",
+                    "--out", str(tmp_path))
+
+
+@pytest.mark.parametrize("command", ["synth", "load", "verify"])
+def test_negative_seed_is_usage_error(command, demo_load_csv, tmp_path):
+    args = {
+        "synth": ["synth", "--method", "1", "--steps", "20", "--grid", "16"],
+        "load": ["load", "--data", demo_load_csv, "--grid", "16"],
+        "verify": ["verify", "--cases", "1"],
+    }[command]
+    if command != "verify":
+        args += ["--out", str(tmp_path / "o")]
+    proc = run_cli_process(*args, "--seed", "-1")
+    assert proc.returncode == 2
+    assert "--seed" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -15,7 +15,6 @@ import crpsmix.game as game_mod
 from crpsmix.game import (
     GameConfig,
     GameLog,
-    OnlineGame,
     regret_report,
     replay,
     run_square_loss_game,
@@ -23,7 +22,7 @@ from crpsmix.game import (
 )
 from crpsmix.grids import GridCDF, GridDomain, cdf_values, crps
 
-from conftest import random_cdf_values
+from conftest import random_cdf_values, reference_game
 
 
 def synth_setup(T=600, d=128, seed=0, n_segments=6):
@@ -36,11 +35,9 @@ def synth_setup(T=600, d=128, seed=0, n_segments=6):
 
 
 def play(dom, cdfs, outcomes, mode="aa", alpha=0.0, confidences=None):
-    game = OnlineGame(GameConfig(dom, mode=mode, alpha=alpha), len(cdfs))
-    for t, y in enumerate(outcomes):
-        p = None if confidences is None else confidences[t]
-        game.step(cdfs, y, p)
-    return game
+    config = GameConfig(dom, mode=mode, alpha=alpha)
+    (log,), _ = replay([config], cdfs, outcomes, confidences)
+    return log
 
 
 class TestGameConfig:
@@ -64,65 +61,61 @@ class TestStepBasics:
     def test_single_expert_zero_regret(self):
         dom, cdfs, y = synth_setup(T=50)
         for mode in ("aa", "wa"):
-            game = play(dom, cdfs[:1], y, mode=mode)
-            np.testing.assert_allclose(game.log.regret()[:, 0], 0.0, atol=1e-12)
-            report = regret_report(game.log)
+            log = play(dom, cdfs[:1], y, mode=mode)
+            np.testing.assert_allclose(log.regret()[:, 0], 0.0, atol=1e-12)
+            report = regret_report(log)
             assert report.all_bounds_satisfied
 
     def test_forecast_equals_single_expert(self):
         dom, cdfs, y = synth_setup(T=5)
-        game = OnlineGame(GameConfig(dom, mode="aa"), 1)
-        f = game.step(cdfs[:1], y[0])
-        np.testing.assert_allclose(f.values, cdfs[0].values, atol=1e-12)
+        _, kept = replay([GameConfig(dom, mode="aa")], cdfs[:1], y, keep=[1, 5])
+        for t in (1, 5):
+            np.testing.assert_allclose(kept[t][0].values, cdfs[0].values, atol=1e-12)
 
     def test_full_confidence_matches_no_confidence_path(self):
         dom, cdfs, y = synth_setup(T=80)
         ones = [np.ones(3)] * 80
         a = play(dom, cdfs, y, confidences=ones)
         b = play(dom, cdfs, y)
-        np.testing.assert_array_equal(a.log.learner_losses, b.log.learner_losses)
-        np.testing.assert_array_equal(
-            np.asarray(a.log.weights), np.asarray(b.log.weights)
-        )
+        np.testing.assert_array_equal(a.learner_losses, b.learner_losses)
+        np.testing.assert_array_equal(a.weights, b.weights)
 
     def test_matrix_and_gridcdf_list_agree(self):
         dom, cdfs, y = synth_setup(T=60)
         matrix = np.stack([f.values for f in cdfs])
-        for mode in ("aa", "wa"):
-            by_list = OnlineGame(GameConfig(dom, mode=mode, alpha=0.01), 3)
-            by_matrix = OnlineGame(GameConfig(dom, mode=mode, alpha=0.01), 3)
-            for t in range(60):
-                p = np.array([1.0, 0.5, 0.0]) if t % 2 else None
-                f1 = by_list.step(cdfs, y[t], p)
-                f2 = by_matrix.step(matrix, y[t], p)
+        p = np.ones((60, 3))
+        p[1::2] = [1.0, 0.5, 0.0]
+        configs = [GameConfig(dom, mode=mode, alpha=0.01) for mode in ("aa", "wa")]
+        steps = range(1, 61)
+        by_list, list_kept = replay(configs, cdfs, y, p, keep=steps)
+        by_matrix, matrix_kept = replay(configs, matrix, y, p, keep=steps)
+        for t in steps:
+            for f1, f2 in zip(list_kept[t], matrix_kept[t]):
                 np.testing.assert_array_equal(f1.values, f2.values)
-            np.testing.assert_array_equal(
-                by_list.log.learner_losses, by_matrix.log.learner_losses
-            )
+        for a, b in zip(by_list, by_matrix):
+            np.testing.assert_array_equal(a.learner_losses, b.learner_losses)
 
     def test_domain_mismatch_rejected(self):
         dom, cdfs, y = synth_setup(T=5)
         other = GridDomain(0.0, 2.0, dom.d)
         bad = GridCDF(other, cdfs[0].values.copy())
-        game = OnlineGame(GameConfig(dom), 3)
         with pytest.raises(ValueError, match="domain"):
-            game.step([bad, bad, bad], y[0])
+            replay([GameConfig(dom)], [bad, bad, bad], y)
 
     def test_outcome_outside_domain_rejected(self):
         dom, cdfs, y = synth_setup(T=5)
-        game = OnlineGame(GameConfig(dom), 3)
         with pytest.raises(ValueError, match="outside"):
-            game.step(cdfs, 1.5)
+            replay([GameConfig(dom)], cdfs, [y[0], 1.5])
 
     def test_all_asleep_falls_back_and_skips_update(self):
         dom, cdfs, y = synth_setup(T=3)
-        game = OnlineGame(GameConfig(dom), 3)
-        game.step(cdfs, y[0], np.array([1.0, 0.2, 0.0]))
-        before = game.log_weights.copy()
-        game.step(cdfs, y[1], np.zeros(3))
-        np.testing.assert_array_equal(game.log_weights, before)
+        p = np.array([[1.0, 0.2, 0.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        log = play(dom, cdfs, y, alpha=0.01, confidences=p)
+        np.testing.assert_array_equal(log.weights[1], np.full(3, 1 / 3))
+        # the weights after the asleep step are the weights before it
+        np.testing.assert_array_equal(log.pool_weights[2], log.pool_weights[1])
         # the asleep step contributes nothing to discounted regret
-        disc = game.log.discounted_regret()
+        disc = log.discounted_regret()
         np.testing.assert_array_equal(disc[1], disc[0])
 
     def test_logged_weights_formed_the_forecast(self):
@@ -130,32 +123,34 @@ class TestStepBasics:
         # (uniform when all sleep); w is the normalized weights before it
         dom, cdfs, y = synth_setup(T=40)
         matrix = np.stack([f.values for f in cdfs])
-        game = OnlineGame(GameConfig(dom, alpha=0.01), 3)
+        config = GameConfig(dom, alpha=0.01)
         rng = np.random.default_rng(4)
+        p = rng.integers(0, 3, (40, 3)) / 2.0
+        p[3::7] = 0.0
+        (log,), kept = replay([config], matrix, y, p, keep=range(1, 41))
+        _, _, states = reference_game(config, matrix, y, p)
         for t in range(40):
-            p = np.zeros(3) if t % 7 == 3 else rng.integers(0, 3, 3) / 2.0
-            lw = game.log_weights.copy()
-            f = game.step(matrix, y[t], p)
-            q, w = game.log.weights[-1], game.log.pool_weights[-1]
+            lw, q, w = states[t], log.weights[t], log.pool_weights[t]
             np.testing.assert_array_equal(w, normalized_weights(lw))
-            if p.any():
-                np.testing.assert_array_equal(q, confidence_reweight(lw, p))
-                assert np.all(q[p == 0] == 0.0)
+            if p[t].any():
+                np.testing.assert_array_equal(q, confidence_reweight(lw, p[t]))
+                assert np.all(q[p[t] == 0] == 0.0)
             else:
                 np.testing.assert_array_equal(q, np.full(3, 1 / 3))
-            np.testing.assert_array_equal(f.values, GridCDF(dom, substitute_crps_aa(matrix, q)).values)
+            np.testing.assert_array_equal(
+                kept[t + 1][0].values, GridCDF(dom, substitute_crps_aa(matrix, q)).values
+            )
 
     def test_full_confidence_weights_equal_pool_weights(self):
         dom, cdfs, y = synth_setup(T=50)
-        game = play(dom, cdfs, y, alpha=0.01)
-        np.testing.assert_array_equal(game.log.weights, game.log.pool_weights)
+        log = play(dom, cdfs, y, alpha=0.01)
+        np.testing.assert_array_equal(log.weights, log.pool_weights)
 
 
 class TestBounds:
     def test_substitution_regret_bound_every_prefix(self):
         dom, cdfs, y = synth_setup(T=1000)
-        game = play(dom, cdfs, y, mode="aa", alpha=0.0)
-        log = game.log
+        log = play(dom, cdfs, y, mode="aa", alpha=0.0)
         bound = (dom.width / 2.0) * math.log(3)
         assert log.bound == pytest.approx(bound)
         regret_vs_best = log.regret().min(axis=1)
@@ -163,26 +158,23 @@ class TestBounds:
 
     def test_averaging_regret_bound_every_prefix(self):
         dom, cdfs, y = synth_setup(T=1000)
-        game = play(dom, cdfs, y, mode="wa", alpha=0.0)
-        log = game.log
+        log = play(dom, cdfs, y, mode="wa", alpha=0.0)
         bound = 2.0 * dom.width * math.log(3)
         assert log.bound == pytest.approx(bound)
         assert np.all(log.regret().min(axis=1) <= bound + 1e-9)
 
     def test_per_step_mixability_vs_superprediction(self):
         dom, cdfs, y = synth_setup(T=200)
-        game = OnlineGame(GameConfig(dom, mode="aa"), 3)
+        config = GameConfig(dom, mode="aa")
+        (log,), _ = replay([config], cdfs, y)
         for t in range(200):
-            q = np.exp(game.log_weights - np.logaddexp.reduce(game.log_weights))
-            game.step(cdfs, y[t])
-            h = game.log.learner_losses[-1]
-            g = superprediction(game.log.expert_losses[-1], q, game.config.eta)
-            assert h <= g + 1e-9
+            # q: the normalized weights that formed step t's forecast
+            g = superprediction(log.expert_losses[t], log.weights[t], config.eta)
+            assert log.learner_losses[t] <= g + 1e-9
 
     def test_telescoping_gap_nonpositive(self):
         dom, cdfs, y = synth_setup(T=400)
-        game = play(dom, cdfs, y, mode="aa", alpha=0.0)
-        gap = telescoping_gap(game.log)
+        gap = telescoping_gap(play(dom, cdfs, y, mode="aa", alpha=0.0))
         budget = 1e-8 * np.arange(1, 401)
         assert np.all(gap <= budget)
 
@@ -192,33 +184,35 @@ class TestBounds:
         for mode in ("aa", "wa"):
             for trial in range(10):
                 n = int(rng.integers(2, 5))
-                game = OnlineGame(GameConfig(dom, mode=mode, alpha=0.0), n)
-                for _ in range(50):
-                    fs = [
-                        GridCDF(dom, random_cdf_values(rng, 16)) for _ in range(n)
-                    ]
+                matrices = np.empty((50, n, 16))
+                p = np.empty((50, n))
+                y = np.empty(50)
+                for t in range(50):
+                    matrices[t] = [random_cdf_values(rng, 16) for _ in range(n)]
                     style = rng.random()
                     if style < 0.15:
-                        p = np.zeros(n)
+                        p[t] = 0.0
                     elif style < 0.5:
-                        p = rng.integers(0, 2, n).astype(float)
+                        p[t] = rng.integers(0, 2, n)
                     else:
-                        p = rng.random(n)
-                    game.step(fs, float(rng.random()), p)
-                disc = game.log.discounted_regret()
-                assert np.all(disc.max(axis=0) <= game.log.bound + 1e-9)
+                        p[t] = rng.random(n)
+                    y[t] = rng.random()
+                config = GameConfig(dom, mode=mode, alpha=0.0)
+                (log,), _ = replay([config], iter([matrices]), y, p)
+                disc = log.discounted_regret()
+                assert np.all(disc.max(axis=0) <= log.bound + 1e-9)
 
     def test_mpp_keeps_weight_floor(self):
         dom, cdfs, y = synth_setup(T=100)
         alpha = 0.01
-        game = play(dom, cdfs, y, mode="aa", alpha=alpha)
-        snaps = np.asarray(game.log.weights)
+        snaps = play(dom, cdfs, y, mode="aa", alpha=alpha).weights
         assert np.all(snaps[1:] >= alpha / 3 - 1e-12)
 
 
 #: Batched reductions may reorder float sums, so a configuration replayed
-#: among others may differ from its own game in the last bits; allowed
-#: relative difference, fixed before the engine was written.
+#: among others may differ from its step-at-a-time reference game in the
+#: last bits; allowed relative difference, fixed before the engine was
+#: written.
 REPLAY_RTOL = 1e-12
 
 LOG_FIELDS = (
@@ -235,22 +229,54 @@ def assert_logs_close(got, want, rtol):
         )
 
 
+def assert_replay_matches_reference(configs, experts, y, p=None, *, rtol=0.0, chunks=None):
+    """Replay `configs` (over `chunks` when given, else `experts`) and compare
+    every configuration with its own reference game, kept forecasts of every
+    step included."""
+    steps = range(1, len(y) + 1)
+    logs, kept = replay(configs, experts if chunks is None else chunks, y, p, keep=steps)
+    assert len(logs) == len(configs) and sorted(kept) == list(steps)
+    for i, (cfg, log) in enumerate(zip(configs, logs)):
+        want, forecasts, _ = reference_game(cfg, experts, y, p)
+        assert_logs_close(log, want, rtol)
+        for t in steps:
+            np.testing.assert_allclose(
+                kept[t][i].values, forecasts[t - 1].values, rtol=rtol, atol=0
+            )
+    return logs
+
+
 class TestReplay:
     def test_configurations_match_their_own_games(self):
         dom, cdfs, y = synth_setup(T=400, d=64)
         cells = [(m, a) for m in ("aa", "wa") for a in (0.0, 0.001, 0.01)]
         configs = [GameConfig(dom, mode=m, alpha=a) for m, a in cells]
-        logs, kept = replay(configs, cdfs, y, keep=[1, 200, 400])
-        assert len(logs) == len(cells)
-        for i, (cfg, log) in enumerate(zip(configs, logs)):
-            game = OnlineGame(cfg, 3)
-            forecasts = {t: game.step(cdfs, yt) for t, yt in enumerate(y, start=1)}
-            assert_logs_close(log, game.log, REPLAY_RTOL)
-            for t in (1, 200, 400):
-                np.testing.assert_allclose(
-                    kept[t][i].values, forecasts[t].values, rtol=REPLAY_RTOL, atol=0
-                )
-        assert sorted(kept) == [1, 200, 400]
+        assert_replay_matches_reference(configs, cdfs, y, rtol=REPLAY_RTOL)
+
+    def test_eight_configurations_with_confidences_are_exact(self):
+        rng = np.random.default_rng(12)
+        dom = GridDomain(0.0, 1.0, 16)
+        T, n = 300, 5
+        matrices = np.stack([
+            np.stack([random_cdf_values(rng, 16) for _ in range(n)]) for _ in range(T)
+        ])
+        p = rng.random((T, n))
+        p[rng.random((T, n)) < 0.3] = 0.0
+        p[5::11] = 0.0  # all asleep
+        y = rng.random(T)
+        configs = [
+            GameConfig(dom, mode=m, alpha=a)
+            for m in ("aa", "wa") for a in (0.0, 0.001, 0.01, 0.2)
+        ]
+        chunks = iter([matrices[:7], matrices[7:]])
+        logs = assert_replay_matches_reference(configs, matrices, y, p, chunks=chunks)
+        assert all(log.asleep_steps == 27 for log in logs)
+
+    def test_synth_matrix_at_full_grid_is_exact(self):
+        dom, cdfs, y = synth_setup(T=300, d=1024)
+        cells = [(m, a) for m in ("aa", "wa") for a in (0.0, 0.01)]
+        configs = [GameConfig(dom, mode=m, alpha=a) for m, a in cells]
+        assert_replay_matches_reference(configs, cdfs, y)
 
     def test_chunked_matrices_with_asleep_steps_match_steps(self):
         rng = np.random.default_rng(8)
@@ -266,12 +292,8 @@ class TestReplay:
         for mode, alpha in (("aa", 0.0), ("wa", 0.01), ("aa", 0.01)):
             cfg = GameConfig(dom, mode=mode, alpha=alpha)
             chunks = iter([matrices[:1], matrices[1:40], matrices[40:]])
-            (log,), _ = replay([cfg], chunks, y, p)
-            game = OnlineGame(cfg, n)
-            for t in range(T):
-                game.step(matrices[t], y[t], p[t])
-            assert_logs_close(log, game.log, 0.0)
-            assert log.asleep_steps == game.log.asleep_steps == 10
+            (log,) = assert_replay_matches_reference([cfg], matrices, y, p, chunks=chunks)
+            assert log.asleep_steps == 10
 
     def test_broken_fixed_matrix_raises_before_step_one(self, monkeypatch):
         dom, cdfs, y = synth_setup(T=20)
@@ -279,7 +301,7 @@ class TestReplay:
         k = int(np.argmax(broken[1] > 0.5))
         broken[1, k] = broken[1, k - 1] - 1e-6  # a decrease: not a CDF
         monkeypatch.setattr(
-            game_mod._Kernel, "play", lambda *a, **k: pytest.fail("a step ran")
+            game_mod, "crps_rows", lambda *a, **k: pytest.fail("a step ran")
         )
         with pytest.raises(ValueError, match="monotone"):
             replay([GameConfig(dom)], broken, y)
@@ -316,14 +338,14 @@ class TestRegretReport:
 
     def test_report_fields(self):
         dom, cdfs, y = synth_setup(T=300)
-        game = play(dom, cdfs, y)
-        report = regret_report(game.log)
+        log = play(dom, cdfs, y)
+        report = regret_report(log)
         assert report.steps == 300
         assert report.expert_losses.shape == (3,)
         np.testing.assert_allclose(
             report.final_regret, report.learner_loss - report.expert_losses
         )
-        assert report.bound == game.log.bound
+        assert report.bound == log.bound
         assert report.all_bounds_satisfied  # alpha = 0 substitution run
 
 
@@ -367,23 +389,21 @@ class TestSquareLossGame:
 class TestGameLog:
     def test_fields_expose_the_steps_played(self):
         dom, cdfs, y = synth_setup(T=40)
-        game = OnlineGame(GameConfig(dom, alpha=0.01), 3)
+        (log,), kept = replay([GameConfig(dom, alpha=0.01)], cdfs, y, keep=range(1, 41))
+        assert log.steps == 40
+        for name in LOG_FIELDS:
+            assert len(getattr(log, name)) == 40
         for t in range(40):
-            f = game.step(cdfs, y[t])
-            log = game.log
-            assert log.steps == t + 1
-            for name in LOG_FIELDS:
-                assert len(getattr(log, name)) == t + 1
-            assert log.outcomes[-1] == y[t]
-            assert log.learner_losses[-1] == crps(f, y[t])
+            assert log.outcomes[t] == y[t]
+            assert log.learner_losses[t] == crps(kept[t + 1][0], y[t])
 
 
 class TestGameLogCsv:
     def test_round_trip_columns(self, tmp_path):
         dom, cdfs, y = synth_setup(T=20)
-        game = play(dom, cdfs, y)
+        log = play(dom, cdfs, y)
         path = tmp_path / "log.csv"
-        game.log.to_csv(path)
+        log.to_csv(path)
         import csv
 
         with open(path) as fh:
@@ -398,6 +418,6 @@ class TestGameLogCsv:
             + [f"D_{i}" for i in (1, 2, 3)]
         )
         assert len(body) == 20
-        assert float(body[4][2]) == game.log.learner_losses[4]
-        disc = game.log.discounted_regret()
+        assert float(body[4][2]) == log.learner_losses[4]
+        disc = log.discounted_regret()
         assert float(body[-1][-1]) == disc[-1, -1]
