@@ -35,7 +35,7 @@ from .experts import (
     DegenerateFit,
     Gmm2D,
     TriangularExpert,
-    conditional_load_cdf,
+    conditional_load_cdfs,
     fit_gmm_em,
     triangular_cdf,
 )

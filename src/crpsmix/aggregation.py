@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import REPAIR_TOL
+from .grids import check_cdf
 
 #: The unit square loss (f - w)^2 on [0, 1] x {0, 1} admits aggregation at
 #: learning rates up to 2; the pointwise CRPS rule always runs at this cap.
@@ -102,14 +102,6 @@ def _check_probability(q, n: int) -> np.ndarray:
     return q
 
 
-def _check_source_eta(eta: float) -> float:
-    if not 0.0 < eta <= SQUARE_LOSS_ETA:
-        raise ValueError(
-            f"square-loss aggregation needs 0 < eta <= {SQUARE_LOSS_ETA}, got {eta}"
-        )
-    return float(eta)
-
-
 def _log_q(q: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.log(q)
@@ -123,16 +115,9 @@ def substitute_square_aa(forecasts, q, eta: float) -> float:
                                    / sum_i q_i e^{-eta (1-f_i)^2} ).
 
     The result satisfies (f - w)^2 <= -(1/eta) ln sum_i q_i e^{-eta (f_i - w)^2}
-    for both outcomes w.
+    for both outcomes w: the d = 1 case of `substitute_vector_aa`.
     """
-    eta = _check_source_eta(eta)
-    f = np.asarray(forecasts, dtype=float)
-    q = _check_probability(q, f.size)
-    lq = _log_q(q)
-    num = logsumexp(-eta * f**2 + lq)
-    den = logsumexp(-eta * (1.0 - f) ** 2 + lq)
-    out = 0.5 - (num - den) / (2.0 * eta)
-    return float(min(max(out, 0.0), 1.0))
+    return float(substitute_vector_aa(np.reshape(forecasts, (-1, 1)), q, eta)[0])
 
 
 def _square_exponents(matrix: np.ndarray, eta: float) -> tuple:
@@ -163,27 +148,22 @@ def substitute_vector_aa(forecast_matrix, q, eta: float) -> np.ndarray:
     e^{-(eta/d) L(f, y)} >= sum_i q_i e^{-(eta/d) L(c_i, y)} for every
     binary outcome vector y, where L(f, y) = sum_s (f^s - y^s)^2.
     """
-    eta = _check_source_eta(eta)
+    if not 0.0 < eta <= SQUARE_LOSS_ETA:
+        raise ValueError(
+            f"square-loss aggregation needs 0 < eta <= {SQUARE_LOSS_ETA}, got {eta}"
+        )
     m = np.atleast_2d(np.asarray(forecast_matrix, dtype=float))
     q = _check_probability(q, m.shape[0])
     return np.clip(_substitute_columns(m, q, eta), 0.0, 1.0)
 
 
-def _worst_cdf_violation(vals: np.ndarray) -> float:
-    worst = max(float(vals.max() - 1.0), float(-vals.min()), abs(float(vals[-1]) - 1.0))
-    if vals.size > 1:
-        worst = max(worst, float(-np.diff(vals).min()))
-    return worst
-
-
 def _check_substitution(vals: np.ndarray) -> None:
-    """Raise SubstitutionError when the (d,) output of the rule violates the
-    CDF invariants by more than float noise."""
-    worst = _worst_cdf_violation(vals)
-    if worst > REPAIR_TOL:
-        raise SubstitutionError(
-            f"aggregated CDF violates invariants by {worst:.3e} (> {REPAIR_TOL})"
-        )
+    """Raise SubstitutionError when the output of the rule is not a CDF up
+    to float noise."""
+    try:
+        check_cdf(vals)
+    except ValueError as exc:
+        raise SubstitutionError(f"aggregated CDF is invalid: {exc}") from exc
 
 
 def _forecast_matrix(values, q):

@@ -9,7 +9,8 @@ Subcommands:
 
 All outputs are CSV plus a flat key=value manifest; plotting is left to
 downstream tools.  Exit codes: 0 success, 1 property/bound failure,
-2 usage, 3 I/O.
+2 usage, 3 I/O or data (unreadable input, or a training span too short
+to fit the roster).
 """
 
 from __future__ import annotations
@@ -269,7 +270,7 @@ def cmd_load(args) -> int:
         print(f"roster fit failed for {name}: {reason}", file=sys.stderr)
     if len(experts) < 2 or (failures and failures[0][0] == "expert01_anytime"):
         print("roster too small to aggregate", file=sys.stderr)
-        return 1
+        return 3
 
     os.makedirs(args.out, exist_ok=True)
     expert_dir = os.path.join(args.out, "experts")

@@ -45,7 +45,6 @@ class MixtureSchedule:
     are probability vectors."""
 
     weights: np.ndarray  # (steps, n_generators)
-    segment_length: int
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
@@ -80,7 +79,7 @@ def rotating_leader_schedule(
     w = np.zeros((steps, n_generators))
     leaders = (np.arange(steps) // seg) % n_generators
     w[np.arange(steps), leaders] = 1.0
-    return MixtureSchedule(w, seg)
+    return MixtureSchedule(w)
 
 
 def smooth_crossfade_schedule(
@@ -104,17 +103,16 @@ def smooth_crossfade_schedule(
         axis=1,
     )
     w /= w.sum(axis=1, keepdims=True)
-    return MixtureSchedule(w, seg)
+    return MixtureSchedule(w)
 
 
-def default_generators(a: float = 0.0, b: float = 1.0) -> tuple[TriangularExpert, ...]:
+def default_generators() -> tuple[TriangularExpert, ...]:
     """Three triangular generators with distinct peaks and overlapping
-    supports inside [a, b]."""
-    w = b - a
+    supports inside [0, 1]."""
     return (
-        TriangularExpert(peak=a + 0.20 * w, left=a, right=a + 0.45 * w),
-        TriangularExpert(peak=a + 0.50 * w, left=a + 0.25 * w, right=a + 0.75 * w),
-        TriangularExpert(peak=a + 0.80 * w, left=a + 0.55 * w, right=b),
+        TriangularExpert(peak=0.20, left=0.0, right=0.45),
+        TriangularExpert(peak=0.50, left=0.25, right=0.75),
+        TriangularExpert(peak=0.80, left=0.55, right=1.0),
     )
 
 
@@ -277,13 +275,13 @@ def split_train_test(records, boundary: datetime):
     return train, test
 
 
-def default_test_boundary(records, test_hours: int = HOURS_PER_YEAR) -> datetime:
-    """Boundary putting the last `test_hours` records into the test side."""
-    if len(records) <= test_hours:
+def default_test_boundary(records) -> datetime:
+    """Boundary putting the last HOURS_PER_YEAR records into the test side."""
+    if len(records) <= HOURS_PER_YEAR:
         raise ValueError(
-            f"need more than {test_hours} records to reserve them for testing"
+            f"need more than {HOURS_PER_YEAR} records to reserve them for testing"
         )
-    return records[-test_hours].timestamp
+    return records[-HOURS_PER_YEAR].timestamp
 
 
 def season_of_month(month: int) -> int:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import logsumexp
-from .grids import GridCDF, GridDomain, cdf_values
+from .grids import GridDomain, cdf_values
 from .rng import rng_from_seed
 
 EM_TOL = 1e-8
@@ -52,8 +52,8 @@ class TriangularExpert:
         return out
 
 
-def triangular_cdf(expert: TriangularExpert, domain: GridDomain) -> GridCDF:
-    """Exact triangular CDF sampled at the grid points."""
+def triangular_cdf(expert: TriangularExpert, domain: GridDomain) -> np.ndarray:
+    """Checked (d,) values of the exact triangular CDF at the grid points."""
     if expert.left < domain.a or expert.right > domain.b:
         raise ValueError(
             f"support [{expert.left}, {expert.right}] outside "
@@ -61,7 +61,7 @@ def triangular_cdf(expert: TriangularExpert, domain: GridDomain) -> GridCDF:
         )
     vals = expert.cdf_at(domain.grid)
     vals[-1] = 1.0
-    return GridCDF(domain, vals)
+    return cdf_values(vals, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +267,6 @@ def _condition_on_temperature(models, temp: float):
     return post, cond_mean, cond_var
 
 
-def conditional_load_mixture(g: Gmm2D, temp: float):
-    """Posterior component weights and per-component (mean, variance) of
-    load given the temperature, for one model."""
-    post, mean, var = _condition_on_temperature([g], temp)
-    return post[0], mean[0], var[0]
-
-
 def conditional_load_cdfs(models, temp: float, domain: GridDomain) -> np.ndarray:
     """(N, d) matrix of load CDFs given the temperature, one row per model
     (all with the same component count), evaluated on the grid with one
@@ -290,11 +283,6 @@ def conditional_load_cdfs(models, temp: float, domain: GridDomain) -> np.ndarray
     vals = np.matmul(post[:, None, :], comp)[:, 0, :]
     vals[:, -1] = 1.0
     return cdf_values(vals, domain)
-
-
-def conditional_load_cdf(g: Gmm2D, temp: float, domain: GridDomain) -> GridCDF:
-    """Load CDF given the temperature, evaluated on the grid, for one model."""
-    return GridCDF(domain, conditional_load_cdfs([g], temp, domain)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,9 @@ from .aggregation import (
 )
 from .grids import GridCDF, GridDomain, _check_outcome, cdf_values, crps_rows
 
+#: Float slack allowed on the regret bound of a RegretReport.
+BOUND_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class GameConfig:
@@ -240,7 +243,9 @@ class RegretReport:
         return bool(np.all(self.bound_satisfied))
 
 
-def regret_report(log: GameLog, tol: float = 1e-9) -> RegretReport:
+def regret_report(log: GameLog) -> RegretReport:
+    """Final losses and regrets; an expert's bound holds when its largest
+    discounted regret is within BOUND_TOL of ln(n)/eta."""
     if log.steps == 0:
         raise ValueError("empty game log")
     disc = log.discounted_regret()
@@ -253,7 +258,7 @@ def regret_report(log: GameLog, tol: float = 1e-9) -> RegretReport:
         final_discounted_regret=disc[-1],
         max_discounted_regret=peak,
         bound=log.bound,
-        bound_satisfied=peak <= log.bound + tol,
+        bound_satisfied=peak <= log.bound + BOUND_TOL,
     )
 
 

@@ -87,9 +87,24 @@ class GridCDF:
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
-    @property
-    def d(self) -> int:
-        return self.domain.d
+
+def check_cdf(vals: np.ndarray) -> None:
+    """Raise ValueError unless every row of the (..., d) float array is,
+    up to REPAIR_TOL, a CDF: finite, monotone non-decreasing in [0, 1]
+    and ending at 1."""
+    if not np.isfinite(vals).all():
+        raise ValueError("CDF values must be finite")
+    if vals.min() < -REPAIR_TOL or vals.max() > 1.0 + REPAIR_TOL:
+        raise ValueError(f"CDF values outside [0, 1] by more than {REPAIR_TOL}")
+    if vals.shape[-1] > 1:
+        worst_drop = float((vals[..., 1:] - vals[..., :-1]).min())
+        if worst_drop < -REPAIR_TOL:
+            raise ValueError(
+                f"CDF not monotone: decrease of {-worst_drop:.3e} between cells"
+            )
+    last = vals[..., -1]
+    if (np.abs(last - 1.0) > REPAIR_TOL).any():
+        raise ValueError(f"CDF must end at 1, got {last.min()!r}")
 
 
 def cdf_values(forecasts, domain: GridDomain) -> np.ndarray:
@@ -97,9 +112,8 @@ def cdf_values(forecasts, domain: GridDomain) -> np.ndarray:
     row of values, an (N, d) matrix from N rows or from N GridCDFs on
     `domain`, or any (..., d) stack of rows.
 
-    Every row must be monotone non-decreasing in [0, 1] with f_d = 1.
-    Violations up to REPAIR_TOL are float noise, repaired by clamping;
-    anything larger is rejected.
+    Every row must pass `check_cdf`; violations up to REPAIR_TOL are
+    float noise, repaired by clamping.
     """
     if isinstance(forecasts, (list, tuple)) and forecasts and isinstance(forecasts[0], GridCDF):
         if any(f.domain != domain for f in forecasts):
@@ -110,21 +124,7 @@ def cdf_values(forecasts, domain: GridDomain) -> np.ndarray:
         raise ValueError(
             f"expected rows of {domain.d} CDF values, got shape {vals.shape}"
         )
-    if not np.isfinite(vals).all():
-        raise ValueError("CDF values must be finite")
-    if vals.min() < -REPAIR_TOL or vals.max() > 1.0 + REPAIR_TOL:
-        raise ValueError(
-            f"CDF values outside [0, 1] by more than {REPAIR_TOL}"
-        )
-    if domain.d > 1:
-        worst_drop = float((vals[..., 1:] - vals[..., :-1]).min())
-        if worst_drop < -REPAIR_TOL:
-            raise ValueError(
-                f"CDF not monotone: decrease of {-worst_drop:.3e} between cells"
-            )
-    last = vals[..., -1]
-    if (np.abs(last - 1.0) > REPAIR_TOL).any():
-        raise ValueError(f"CDF must end at 1, got {last.min()!r}")
+    check_cdf(vals)
     # clamp into [0, 1] (the finite-value form of np.clip), then to monotone
     vals = np.maximum.accumulate(np.minimum(np.maximum(vals, 0.0), 1.0), axis=-1)
     vals[..., -1] = 1.0
@@ -151,19 +151,24 @@ def crps_rows(values: np.ndarray, domain: GridDomain, y: float) -> np.ndarray:
     return domain.delta * np.einsum("ij,ij->i", r, r)
 
 
-def crps_grid_profile(forecast: GridCDF) -> np.ndarray:
-    """CRPS of the forecast against every grid outcome z_1..z_d.
+def crps_grid_profile(values: np.ndarray, domain: GridDomain) -> np.ndarray:
+    """CRPS of each row of the (..., d) stack of CDF values on `domain`
+    against every grid outcome z_1..z_d.
 
-    One O(d) pass via prefix sums; entry k equals crps(forecast, z_k).
-    Outcomes strictly between grid points share the indicator vector of
-    the edge above them, so these d values cover all of [a, b].
+    One O(d) pass per row via prefix sums; entry k of a row equals the
+    crps of that row at z_k.  Outcomes strictly between grid points share
+    the indicator vector of the edge above them, so these d values cover
+    all of [a, b].
     """
-    v = forecast.values
-    sq = np.cumsum(v * v)
-    sq1 = np.cumsum((v - 1.0) ** 2)
-    below = np.concatenate(([0.0], sq[:-1]))
-    above = sq1[-1] - np.concatenate(([0.0], sq1[:-1]))
-    return forecast.domain.delta * (below + above)
+    v = np.asarray(values, dtype=float)
+    if v.shape[-1:] != (domain.d,):
+        raise ValueError(f"expected rows of {domain.d} CDF values, got shape {v.shape}")
+    sq = np.cumsum(v * v, axis=-1)
+    sq1 = np.cumsum((v - 1.0) ** 2, axis=-1)
+    zero = np.zeros(v.shape[:-1] + (1,))
+    below = np.concatenate((zero, sq[..., :-1]), axis=-1)
+    above = sq1[..., -1:] - np.concatenate((zero, sq1[..., :-1]), axis=-1)
+    return domain.delta * (below + above)
 
 
 def quantile(forecast: GridCDF, tau: float) -> float:

@@ -10,6 +10,7 @@ from itertools import product
 import numpy as np
 
 from .aggregation import (
+    aa_learning_rate,
     combine_wa,
     substitute_crps_aa,
     substitute_vector_aa,
@@ -18,7 +19,7 @@ from .aggregation import (
 from .data import default_generators, rotating_leader_schedule, synth_stream
 from .experts import triangular_cdf
 from .game import GameConfig, replay, run_square_loss_game, telescoping_gap
-from .grids import GridCDF, GridDomain, cdf_values, crps_grid_profile
+from .grids import GridDomain, cdf_values, crps_grid_profile
 from .rng import spawn_rngs
 
 MIX_TOL = 1e-9
@@ -41,10 +42,11 @@ class CheckResult:
         return msg
 
 
-def random_grid_cdf(rng: np.random.Generator, domain: GridDomain) -> GridCDF:
-    """Random monotone CDF: diffuse half the time, steppy (few jumps,
-    including point masses) otherwise — the steppy ones stress the
-    aggregation rules far harder."""
+def random_grid_cdf(rng: np.random.Generator, domain: GridDomain) -> np.ndarray:
+    """(d,) values of a random monotone CDF, valid by construction (the
+    repair of `cdf_values` leaves them unchanged): diffuse half the time,
+    steppy (few jumps, including point masses) otherwise — the steppy ones
+    stress the aggregation rules far harder."""
     d = domain.d
     if rng.random() < 0.5:
         vals = np.sort(rng.random(d))
@@ -56,7 +58,7 @@ def random_grid_cdf(rng: np.random.Generator, domain: GridDomain) -> GridCDF:
         vals = np.cumsum(jumps)
         vals /= vals[-1]
         vals[-1] = 1.0
-    return GridCDF(domain, vals)
+    return vals
 
 
 def random_weights(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -74,12 +76,12 @@ def _mixability_case(rng, aggregate, eta_for):
     a = float(rng.uniform(-5, 5))
     b = a + float(rng.uniform(0.5, 20))
     domain = GridDomain(a, b, d)
-    forecasts = [random_grid_cdf(rng, domain) for _ in range(n)]
+    forecasts = cdf_values([random_grid_cdf(rng, domain) for _ in range(n)], domain)
     q = random_weights(rng, n)
     eta = eta_for(domain.width)
-    combined = GridCDF(domain, aggregate(cdf_values(forecasts, domain), q))
-    lhs = np.exp(-eta * crps_grid_profile(combined))
-    rhs = np.exp(-eta * np.stack([crps_grid_profile(f) for f in forecasts]))
+    combined = cdf_values(aggregate(forecasts, q), domain)
+    lhs = np.exp(-eta * crps_grid_profile(combined, domain))
+    rhs = np.exp(-eta * crps_grid_profile(forecasts, domain))
     slack = (q @ rhs) - lhs
     worst = int(np.argmax(slack))
     return float(slack[worst]), {
@@ -108,7 +110,7 @@ def check_crps_mixability(seed=0, cases=100, aggregate=substitute_crps_aa) -> Ch
     """Substitution output dominates the exponential loss mixture at
     eta = 2/(b-a), for every grid outcome."""
     return _run_mixability(
-        "crps substitution mixability", seed, cases, aggregate, lambda w: 2.0 / w
+        "crps substitution mixability", seed, cases, aggregate, aa_learning_rate
     )
 
 
@@ -175,11 +177,13 @@ def check_square_loss_regret(seed=0, cases=50) -> CheckResult:
     )
 
 
-def check_crps_game_bounds(seed=0, steps=1500, d=256) -> CheckResult:
-    """On a rotating-leader synthetic stream with full confidence and no
-    mixing: the substitution run obeys the ((b-a)/2) ln N regret bound and
-    the per-prefix telescoping bound; the averaging run obeys 2(b-a) ln N."""
-    domain = GridDomain(0.0, 1.0, d)
+def check_crps_game_bounds(seed=0) -> CheckResult:
+    """On a 1500-step rotating-leader synthetic stream at d=256, with full
+    confidence and no mixing: the substitution run obeys the ((b-a)/2) ln N
+    regret bound and the per-prefix telescoping bound; the averaging run
+    obeys 2(b-a) ln N."""
+    steps = 1500
+    domain = GridDomain(0.0, 1.0, 256)
     gens = default_generators()
     schedule = rotating_leader_schedule(steps, 3, 6)
     outcomes = synth_stream(gens, schedule, steps, seed)
@@ -222,7 +226,7 @@ def check_discounted_regret(seed=0, cases=40) -> CheckResult:
         p = np.empty((steps, n))
         y = np.empty(steps)
         for t in range(steps):
-            matrices[t] = [random_grid_cdf(rng, domain).values for _ in range(n)]
+            matrices[t] = [random_grid_cdf(rng, domain) for _ in range(n)]
             style = rng.random()
             if style < 0.1:
                 p[t] = 0.0  # all asleep: learner falls back to uniform

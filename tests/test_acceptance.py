@@ -14,9 +14,9 @@ from crpsmix.cli import main, read_manifest
 from crpsmix.data import default_generators, rotating_leader_schedule, synth_stream
 from crpsmix.experts import fit_gmm_em, triangular_cdf
 from crpsmix.game import GameConfig, replay, telescoping_gap
-from crpsmix.grids import GridCDF, GridDomain, cdf_values, crps, crps_grid_profile
+from crpsmix.grids import GridCDF, GridDomain, crps
 from crpsmix.rng import rng_from_seed, spawn_rngs
-from crpsmix.verify import random_grid_cdf, random_weights
+from crpsmix.verify import _mixability_case, random_grid_cdf, random_weights
 
 from conftest import random_cdf_values
 
@@ -30,21 +30,9 @@ def report(num, passed, detail=""):
 def mixability_suite(aggregate, eta_for, seed, cases=500):
     """Worst slack of e^(-eta h(y)) >= sum q_i e^(-eta l_i(y)) over all
     grid outcomes across randomized pools."""
-    worst = -np.inf
-    for rng in spawn_rngs(seed, cases):
-        n = int(rng.integers(2, 9))
-        d = int(rng.choice([16, 256, 1024]))
-        a = float(rng.uniform(-5, 5))
-        b = a + float(rng.uniform(0.5, 20.0))
-        domain = GridDomain(a, b, d)
-        forecasts = [random_grid_cdf(rng, domain) for _ in range(n)]
-        q = random_weights(rng, n)
-        eta = eta_for(domain.width)
-        combined = GridCDF(domain, aggregate(cdf_values(forecasts, domain), q))
-        lhs = np.exp(-eta * crps_grid_profile(combined))
-        rhs = q @ np.exp(-eta * np.stack([crps_grid_profile(f) for f in forecasts]))
-        worst = max(worst, float((rhs - lhs).max()))
-    return worst
+    return max(
+        _mixability_case(rng, aggregate, eta_for)[0] for rng in spawn_rngs(seed, cases)
+    )
 
 
 def test_01_crps_mixability():
@@ -104,7 +92,7 @@ def test_05_discounted_regret_bound():
         p = np.empty((steps, n))
         y = np.empty(steps)
         for t in range(steps):
-            matrices[t] = [random_grid_cdf(rng, domain).values for _ in range(n)]
+            matrices[t] = [random_grid_cdf(rng, domain) for _ in range(n)]
             style = rng.random()
             if style < 0.1:
                 p[t] = 0.0  # all asleep, learner falls back to uniform

@@ -9,7 +9,6 @@ from crpsmix.aggregation import (
     AllExpertsAsleep,
     SubstitutionError,
     _substitute_columns,
-    _worst_cdf_violation,
     aa_learning_rate,
     combine_wa,
     confidence_reweight,
@@ -22,7 +21,10 @@ from crpsmix.aggregation import (
     update_weights_confidence,
     wa_learning_rate,
 )
-from crpsmix.grids import GridCDF, GridDomain, cdf_values, crps_grid_profile
+import crpsmix.aggregation as agg
+import crpsmix.game as game_mod
+from crpsmix.game import GameConfig, replay
+from crpsmix.grids import GridCDF, GridDomain, cdf_values, check_cdf, crps_grid_profile
 
 from conftest import probability_vectors, random_cdf_values
 
@@ -175,40 +177,48 @@ class TestCrpsSubstitution:
             b = a + float(rng.uniform(0.1, 30))
             dom = GridDomain(a, b, d)
             n = int(rng.integers(2, 6))
-            fs = [GridCDF(dom, random_cdf_values(rng, d)) for _ in range(n)]
+            fs = cdf_values([random_cdf_values(rng, d) for _ in range(n)], dom)
             q = rng.random(n)
             q /= q.sum()
             eta = 2.0 / dom.width
-            out = GridCDF(dom, substitute_crps_aa(cdf_values(fs, dom), q))
-            lhs = np.exp(-eta * crps_grid_profile(out))
-            rhs = q @ np.exp(-eta * np.stack([crps_grid_profile(f) for f in fs]))
+            out = cdf_values(substitute_crps_aa(fs, q), dom)
+            lhs = np.exp(-eta * crps_grid_profile(out, dom))
+            rhs = q @ np.exp(-eta * crps_grid_profile(fs, dom))
             assert np.all(lhs >= rhs - 1e-9)
 
     def test_output_monotone_for_monotone_inputs(self):
         rng = np.random.default_rng(4)
         dom = GridDomain(0.0, 1.0, 128)
         for _ in range(20):
-            fs = [GridCDF(dom, random_cdf_values(rng, 128)) for _ in range(4)]
+            fs = cdf_values([random_cdf_values(rng, 128) for _ in range(4)], dom)
             q = rng.random(4)
             q /= q.sum()
-            raw = _substitute_columns(
-                np.stack([f.values for f in fs]), q, 2.0
-            )
-            assert _worst_cdf_violation(raw) <= 1e-12
+            check_cdf(_substitute_columns(fs, q, 2.0))  # raises beyond float noise
 
-    def test_large_violation_raises_substitution_error(self):
-        assert _worst_cdf_violation(np.array([0.2, 0.1, 1.0])) > 1e-12
-        f = np.array([[0.1, 0.5, 1.0]])
-        broken = lambda m, q, eta: np.array([0.2, 0.1, 1.0])  # noqa: E731
-        import crpsmix.aggregation as agg
+    def test_large_violation_raises_substitution_error(self, monkeypatch):
+        monkeypatch.setattr(
+            agg, "_substitute_columns", lambda m, q, eta: np.array([0.2, 0.1, 1.0])
+        )
+        with pytest.raises(SubstitutionError, match="monotone"):
+            substitute_crps_aa(np.array([[0.1, 0.5, 1.0]]), np.array([1.0]))
 
-        orig = agg._substitute_columns
-        agg._substitute_columns = broken
-        try:
-            with pytest.raises(SubstitutionError):
-                substitute_crps_aa(f, np.array([1.0]))
-        finally:
-            agg._substitute_columns = orig
+    @pytest.mark.parametrize(
+        "bad, message", [([0.1, 0.5, 0.9], "end at 1"), ([0.1, np.nan, 1.0], "finite")]
+    )
+    def test_invalid_output_raises_substitution_error(self, monkeypatch, bad, message):
+        # the CDF checks of `grids` reject the output, as SubstitutionError
+        monkeypatch.setattr(agg, "_substitute_columns", lambda m, q, eta: np.array(bad))
+        with pytest.raises(SubstitutionError, match=message):
+            substitute_crps_aa(np.array([[0.1, 0.5, 1.0]]), np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [[0.2, 0.1, 1.0], [0.1, np.nan, 1.0]])
+    def test_broken_rule_raises_substitution_error_in_replay(self, monkeypatch, bad):
+        monkeypatch.setattr(
+            game_mod, "_substitute_exponents", lambda ex, q, eta: np.array([bad] * len(q))
+        )
+        dom = GridDomain(0.0, 1.0, 3)
+        with pytest.raises(SubstitutionError):
+            replay([GameConfig(dom)], [[0.1, 0.5, 1.0], [0.3, 0.6, 1.0]], [0.4])
 
     def test_domain_mismatch_rejected(self):
         # the rules see bare values; stacking GridCDFs at the edge checks

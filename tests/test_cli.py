@@ -301,6 +301,28 @@ class TestLoad:
         assert "cannot ingest data" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("constant", [False, True], ids=["too_short", "constant"])
+    def test_unfittable_training_span_is_data_error(self, tmp_path, constant):
+        # 10 training hours are too few to fit k=2; 40 identical hours
+        # carry no spread: either way no expert fits
+        demo = write_demo_load_csv(tmp_path / "demo.csv", hours=50)
+        with open(demo, encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        if constant:
+            rows[1:] = [[ts, "100.0", "50.0"] for ts, _, _ in rows[1:]]
+        else:
+            rows = rows[:16]
+        data = tmp_path / "train.csv"
+        with open(data, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        proc = run_cli_process("load", "--data", str(data), "--split",
+                               rows[-5][0], "--out", str(tmp_path / "o"))
+        assert proc.returncode == 3
+        reason = "all points identical" if constant else "need at least 20 points"
+        assert f"roster fit failed for expert01_anytime: {reason}" in proc.stderr
+        assert "roster too small to aggregate" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_multicharacter_delimiter_is_usage_error(self, demo_load_csv, tmp_path):
         proc = run_cli_process("load", "--data", demo_load_csv, "--delimiter", ";;",
                                "--out", str(tmp_path / "o"))

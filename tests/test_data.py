@@ -27,7 +27,6 @@ class TestSchedules:
     def test_rotating_leader_rows_are_one_hot(self):
         s = rotating_leader_schedule(600, 3, 6)
         assert s.steps == 600
-        assert s.segment_length == 100
         w = s.weights
         assert np.all((w == 0.0) | (w == 1.0))
         np.testing.assert_array_equal(w.sum(axis=1), np.ones(600))
@@ -47,7 +46,7 @@ class TestSchedules:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            MixtureSchedule(np.array([[0.5, 0.4]]), 1)  # rows must sum to 1
+            MixtureSchedule(np.array([[0.5, 0.4]]))  # rows must sum to 1
         with pytest.raises(ValueError):
             rotating_leader_schedule(0, 3, 2)
 
@@ -57,7 +56,7 @@ class TestSynthStream:
         gens = default_generators()
         w = np.zeros((200, 3))
         w[:, 1] = 1.0
-        sched = MixtureSchedule(w, 200)
+        sched = MixtureSchedule(w)
         y = synth_stream(gens, sched, 200, seed=0)
         assert y.min() >= gens[1].left
         assert y.max() <= gens[1].right
@@ -76,7 +75,7 @@ class TestSynthStream:
         gens = default_generators()
         mix = np.array([0.3, 0.3, 0.4])
         w = np.tile(mix, (30_000, 1))
-        sched = MixtureSchedule(w, 30_000)
+        sched = MixtureSchedule(w)
         y = synth_stream(gens, sched, 30_000, seed=12)
         edges = np.linspace(0.0, 1.0, 21)
         counts, _ = np.histogram(y, edges)
@@ -204,7 +203,7 @@ class TestSplitAndCalendar:
 
     def test_default_boundary_reserves_final_hours(self):
         records = self.make_records(10_000)
-        boundary = default_test_boundary(records, test_hours=8760)
+        boundary = default_test_boundary(records)
         train, test = split_train_test(records, boundary)
         assert len(test) == 8760
         assert len(train) == 10_000 - 8760

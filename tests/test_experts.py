@@ -13,12 +13,11 @@ from crpsmix.experts import (
     DegenerateFit,
     Gmm2D,
     TriangularExpert,
-    conditional_load_cdf,
-    conditional_load_mixture,
+    conditional_load_cdfs,
     fit_gmm_em,
     triangular_cdf,
 )
-from crpsmix.experts import _kmeanspp_centers
+from crpsmix.experts import _condition_on_temperature, _kmeanspp_centers
 from crpsmix.grids import GridDomain
 from crpsmix.rng import rng_from_seed
 
@@ -42,7 +41,7 @@ class TestTriangular:
         dom = GridDomain(0.0, 1.0, 1000)
         f = triangular_cdf(e, dom)
         mid = np.searchsorted(dom.grid, 0.5)
-        assert f.values[mid] == pytest.approx(0.5, abs=2e-3)
+        assert f[mid] == pytest.approx(0.5, abs=2e-3)
 
     def test_support_endpoints(self):
         e = TriangularExpert(peak=0.4, left=0.2, right=0.9)
@@ -65,7 +64,7 @@ class TestTriangular:
             dom = GridDomain(0.0, 1.0, 64)
             f = triangular_cdf(e, dom)
             oracle = np.interp(dom.grid, u, cum)
-            np.testing.assert_allclose(f.values, oracle, atol=1e-6)
+            np.testing.assert_allclose(f, oracle, atol=1e-6)
 
     def test_invalid_shape_rejected(self):
         with pytest.raises(ValueError):
@@ -260,14 +259,14 @@ class TestConditionalLoadCdf:
     def test_zero_covariance_matches_marginal(self):
         g = make_gmm([1.0], [[10.0, 5.0]], [[[4.0, 0.0], [0.0, 1.0]]])
         dom = GridDomain(0.0, 10.0, 200)
-        a = conditional_load_cdf(g, -20.0, dom)
-        b = conditional_load_cdf(g, 35.0, dom)
-        np.testing.assert_allclose(a.values, b.values, atol=1e-12)
+        a = conditional_load_cdfs([g], -20.0, dom)[0]
+        b = conditional_load_cdfs([g], 35.0, dom)[0]
+        np.testing.assert_allclose(a, b, atol=1e-12)
         from scipy.special import ndtr
 
         marginal = ndtr((dom.grid - 5.0) / 1.0)
         marginal[-1] = 1.0
-        np.testing.assert_allclose(a.values, marginal, atol=1e-12)
+        np.testing.assert_allclose(a, marginal, atol=1e-12)
 
     def test_conditional_mean_slope(self):
         rho, s_t, s_l = 0.6, 2.0, 1.5
@@ -275,7 +274,7 @@ class TestConditionalLoadCdf:
         g = make_gmm([1.0], [[0.0, 0.0]], [cov])
         slope = rho * s_l / s_t
         for temp in (-3.0, 0.0, 2.5):
-            _, mean, var = conditional_load_mixture(g, temp)
+            _, mean, var = (x[0] for x in _condition_on_temperature([g], temp))
             assert mean[0] == pytest.approx(slope * temp, abs=1e-12)
             assert var[0] == pytest.approx(s_l**2 * (1 - rho**2), abs=1e-12)
 
@@ -291,14 +290,14 @@ class TestConditionalLoadCdf:
         )
         dom = GridDomain(0.0, 300.0, 64)
         for temp in (50.0, 65.0, 90.0):
-            got = conditional_load_cdf(g, temp, dom)
+            got = conditional_load_cdfs([g], temp, dom)[0]
             loads = np.linspace(-200.0, 500.0, 140_001)
             dens = joint_pdf(g, np.array([temp]), loads[None, :])[0]
             cdf = np.cumsum((dens[1:] + dens[:-1]) / 2 * np.diff(loads))
             cdf = np.concatenate(([0.0], cdf)) / np.trapezoid(dens, loads)
             oracle = np.interp(dom.grid, loads, cdf)
             oracle[-1] = 1.0
-            np.testing.assert_allclose(got.values, oracle, atol=1e-6)
+            np.testing.assert_allclose(got, oracle, atol=1e-6)
 
     def test_monte_carlo_draws_match_cdf(self):
         # sample from the conditional mixture parameters and compare the
@@ -313,15 +312,15 @@ class TestConditionalLoadCdf:
         )
         dom = GridDomain(0.0, 320.0, 256)
         temp = 70.0
-        post, mean, var = conditional_load_mixture(g, temp)
+        post, mean, var = (x[0] for x in _condition_on_temperature([g], temp))
         rng = rng_from_seed(99)
         n = 100_000
         comps = rng.choice(g.k, size=n, p=post)
         draws = rng.normal(mean[comps], np.sqrt(var[comps]))
         draws = np.clip(draws, dom.a, dom.b)
         ecdf = np.searchsorted(np.sort(draws), dom.grid, side="right") / n
-        got = conditional_load_cdf(g, temp, dom)
-        assert np.max(np.abs(got.values - ecdf)) < 0.01
+        got = conditional_load_cdfs([g], temp, dom)[0]
+        assert np.max(np.abs(got - ecdf)) < 0.01
 
     def test_output_is_valid_cdf(self):
         rng = np.random.default_rng(10)
@@ -336,15 +335,15 @@ class TestConditionalLoadCdf:
                 m = rng.normal(0, 1, size=(2, 2))
                 covs.append(m @ m.T + 0.3 * np.eye(2))
             g = make_gmm(w, means, covs)
-            f = conditional_load_cdf(g, float(rng.normal(0, 3)), dom)
-            assert np.all(np.diff(f.values) >= 0)
-            assert f.values[-1] == 1.0
+            f = conditional_load_cdfs([g], float(rng.normal(0, 3)), dom)[0]
+            assert np.all(np.diff(f) >= 0)
+            assert f[-1] == 1.0
 
     def test_far_temperature_stays_finite(self):
         g = make_gmm([1.0], [[0.0, 0.0]], [[[1.0, 0.5], [0.5, 1.0]]])
         dom = GridDomain(-50.0, 50.0, 64)
-        f = conditional_load_cdf(g, 1e3, dom)
-        assert np.all(np.isfinite(f.values))
+        f = conditional_load_cdfs([g], 1e3, dom)[0]
+        assert np.all(np.isfinite(f))
 
     def test_gmm_validation(self):
         with pytest.raises(ValueError):

@@ -28,7 +28,7 @@ from conftest import random_cdf_values, reference_game
 def synth_setup(T=600, d=128, seed=0, n_segments=6):
     dom = GridDomain(0.0, 1.0, d)
     gens = default_generators()
-    cdfs = [triangular_cdf(g, dom) for g in gens]
+    cdfs = [GridCDF(dom, triangular_cdf(g, dom)) for g in gens]
     sched = rotating_leader_schedule(T, 3, n_segments)
     y = synth_stream(gens, sched, T, seed)
     return dom, cdfs, y

@@ -7,6 +7,7 @@ from crpsmix.grids import (
     GridCDF,
     GridDomain,
     cdf_from_row,
+    cdf_values,
     cdf_to_row,
     crps,
     crps_grid_profile,
@@ -15,6 +16,8 @@ from crpsmix.grids import (
     heaviside_cdf,
     quantile,
 )
+from crpsmix.rng import spawn_rngs
+from crpsmix.verify import random_grid_cdf
 
 from conftest import grid_cdfs, numeric_crps, random_cdf_values, step_cdf_fn
 
@@ -37,6 +40,12 @@ class TestGridDomain:
 
 
 class TestGridCdfValidation:
+    def test_random_grid_cdf_needs_no_repair(self):
+        for rng in spawn_rngs(17, 2000):
+            dom = GridDomain(0.0, 1.0, int(rng.choice([1, 2, 16, 256])))
+            vals = random_grid_cdf(rng, dom)
+            np.testing.assert_array_equal(cdf_values(vals, dom), vals)
+
     def test_rejects_large_monotonicity_violation(self):
         dom = GridDomain(0.0, 1.0, 4)
         with pytest.raises(ValueError, match="monotone"):
@@ -163,9 +172,19 @@ class TestCrpsProfileAndRows:
         dom = GridDomain(-2.0, 7.0, 33)
         for _ in range(5):
             f = GridCDF(dom, random_cdf_values(rng, dom.d))
-            profile = crps_grid_profile(f)
+            profile = crps_grid_profile(f.values, dom)
             direct = np.array([crps(f, z) for z in dom.grid])
             np.testing.assert_allclose(profile, direct, atol=1e-12)
+        # an (N, d) stack gives every row's profile, bit for bit
+        stack = cdf_values([random_cdf_values(rng, dom.d) for _ in range(6)], dom)
+        profiles = crps_grid_profile(stack, dom)
+        assert profiles.shape == (6, dom.d)
+        for row, profile in zip(stack, profiles):
+            np.testing.assert_array_equal(profile, crps_grid_profile(row, dom))
+            direct = [crps(GridCDF(dom, row), z) for z in dom.grid]
+            np.testing.assert_allclose(profile, direct, atol=1e-12)
+        with pytest.raises(ValueError, match="33"):
+            crps_grid_profile(stack[:, :-1], dom)
 
     def test_rows_matches_single(self):
         rng = np.random.default_rng(6)
