@@ -31,6 +31,7 @@ from .data import (
     synth_stream,
 )
 from .experts import (
+    ConditioningError,
     ConfidenceSchedule,
     DegenerateFit,
     Gmm2D,

@@ -38,10 +38,10 @@ from .data import (
     split_train_test,
     synth_stream,
 )
-from .experts import em_hit_max_iter, triangular_cdf
+from .experts import ConditioningError, em_hit_max_iter, triangular_cdf
 from .game import GameConfig, GameLog, RegretReport, regret_report, replay
 from .grids import GridDomain, cdf_to_row, cdf_values, quantile
-from .roster import build_load_roster, roster_confidences, roster_forecasts
+from .roster import RosterStream, build_load_roster, roster_confidences
 
 logger = logging.getLogger(__name__)
 
@@ -300,11 +300,15 @@ def cmd_load(args) -> int:
     confidences = roster_confidences(experts, [rec.timestamp for rec in test])
     band_steps = [t for t, rec in enumerate(test, start=1)
                   if rec.timestamp.hour == args.band_hour]
-    (log,), kept = replay(
-        [GameConfig(domain, mode=args.mode, alpha=args.alpha)],
-        (roster_forecasts(experts, temp, domain)[None] for temp in temps),
-        outcomes, confidences, keep=band_steps,
-    )
+    forecasts = RosterStream(experts, temps, domain)
+    try:
+        (log,), kept = replay(
+            [GameConfig(domain, mode=args.mode, alpha=args.alpha)],
+            forecasts, outcomes, confidences, keep=band_steps,
+        )
+    except ConditioningError as exc:
+        print(f"cannot forecast the test span: {exc}", file=sys.stderr)
+        return 3
     band_rows = [
         [t, test[t - 1].timestamp.isoformat()]
         + [quantile(kept[t][0], tau) for tau in QUANTILE_LEVELS]
@@ -352,6 +356,7 @@ def cmd_load(args) -> int:
     metrics["final_average_loss"] = float(log.learner_cumulative()[-1] / log.steps)
     metrics["asleep_steps"] = log.asleep_steps
     metrics["test_outcomes_clipped"] = clipped
+    metrics["roster_evaluations"] = forecasts.evaluations
     metrics["min_regret_headroom"] = report.bound - float(report.max_discounted_regret.max())
     manifest = RunManifest("load", config, args.seed, inputs, args.out, metrics)
     manifest.write(os.path.join(args.out, "manifest.txt"))

@@ -20,6 +20,10 @@ class DegenerateFit(RuntimeError):
     """EM cannot proceed: the data carry no usable spread."""
 
 
+class ConditioningError(ValueError):
+    """A temperature the fitted mixtures cannot condition the load on."""
+
+
 # ---------------------------------------------------------------------------
 # Triangular experts
 # ---------------------------------------------------------------------------
@@ -251,37 +255,51 @@ def em_hit_max_iter(history) -> bool:
     return len(history) == EM_MAX_ITER and not history[-1] - history[-2] < EM_TOL
 
 
-def _condition_on_temperature(models, temp: float):
-    """Posterior component weights and per-component (mean, variance) of
-    load given the temperature, by exact bivariate-normal conditioning;
-    each an (N, k) array over N models with k components each."""
+def _condition_on_temperature(models, temps):
+    """Posterior component weights and per-component mean of load given
+    each temperature, by exact bivariate-normal conditioning, each a
+    (..., N, k) array over the shape of `temps`, N models and k components
+    per model; and the (N, k) conditional variances, which do not depend
+    on the temperature.
+
+    Raises ConditioningError for a temperature that is not finite, or so
+    far from every component of some model that all its densities vanish.
+    """
+    temps = np.asarray(temps, dtype=float)
     means = np.stack([g.means for g in models])
     covs = np.stack([g.covs for g in models])
     mu_t, mu_l = means[..., 0], means[..., 1]
     s_tt, s_tl, s_ll = covs[..., 0, 0], covs[..., 0, 1], covs[..., 1, 1]
-    log_dens = -0.5 * np.log(2.0 * np.pi * s_tt) - 0.5 * (temp - mu_t) ** 2 / s_tt
+    dt = temps[..., None, None] - mu_t
+    with np.errstate(over="ignore"):  # an overflow is a zero density
+        log_dens = -0.5 * np.log(2.0 * np.pi * s_tt) - 0.5 * dt**2 / s_tt
     log_post = np.log(np.stack([g.weights for g in models])) + log_dens
-    post = np.exp(log_post - logsumexp(log_post, axis=1)[:, None])
-    cond_mean = mu_l + s_tl / s_tt * (temp - mu_t)
+    reachable = np.isfinite(log_post.max(axis=-1)).all(axis=-1)
+    if not reachable.all():
+        temp = float(temps[~reachable].flat[0])
+        raise ConditioningError(
+            f"temperature {temp!r} is not finite, or too far from the fitted "
+            "mixtures to condition the load on"
+        )
+    post = np.exp(log_post - logsumexp(log_post, axis=-1)[..., None])
+    cond_mean = mu_l + s_tl / s_tt * dt
     cond_var = s_ll - s_tl**2 / s_tt
     return post, cond_mean, cond_var
 
 
-def conditional_load_cdfs(models, temp: float, domain: GridDomain) -> np.ndarray:
-    """(N, d) matrix of load CDFs given the temperature, one row per model
-    (all with the same component count), evaluated on the grid with one
-    vectorised normal-CDF call.  Mixture mass outside [a, b] is assigned
-    to the endpoints."""
-    temp = float(temp)
-    if not np.isfinite(temp):
-        raise ValueError(f"temperature must be finite, got {temp}")
+def conditional_load_cdfs(models, temps, domain: GridDomain) -> np.ndarray:
+    """(..., N, d) stack of load CDFs given each temperature, one row per
+    model (all with the same component count), evaluated on the grid with
+    one vectorised normal-CDF call; a scalar temperature gives (N, d).
+    Mixture mass outside [a, b] is assigned to the endpoints.  Row for row
+    the values equal those of one call per temperature, bit for bit."""
     from scipy.special import ndtr  # the only scipy use; `import crpsmix` skips scipy
 
-    post, mean, var = _condition_on_temperature(models, temp)
+    post, mean, var = _condition_on_temperature(models, temps)
     sd = np.sqrt(np.maximum(var, 1e-300))
     comp = ndtr((domain.grid - mean[..., None]) / sd[..., None])
-    vals = np.matmul(post[:, None, :], comp)[:, 0, :]
-    vals[:, -1] = 1.0
+    vals = np.matmul(post[..., None, :], comp)[..., 0, :]
+    vals[..., -1] = 1.0
     return cdf_values(vals, domain)
 
 

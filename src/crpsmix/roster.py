@@ -5,7 +5,6 @@ schedule."""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +27,14 @@ from .experts import (
 )
 from .grids import GridDomain
 
-logger = logging.getLogger(__name__)
-
 DAY_RAMP_HOURS = 2.0  # confidence decrease of a daily expert
+
+#: Bytes of the table that holds one window's roster matrices, one per
+#: distinct temperature: 48 temperatures at N=21, d=128, and 6 at d=1024.
+WINDOW_TABLE_BYTES = 1 << 20
+#: Bytes of normal-CDF arguments, N * k * d per temperature, evaluated in
+#: one batch; at least one temperature is.
+BATCH_ARGUMENT_BYTES = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,7 +112,6 @@ def build_load_roster(
             )
         except (ValueError, DegenerateFit) as exc:
             failures.append((name, str(exc)))
-            logger.warning("skipping %s: %s", name, exc)
             continue
         sched_s = sched_d = None
         if confidence != "off":
@@ -138,6 +141,52 @@ def roster_confidences(experts, timestamps) -> np.ndarray:
     return out
 
 
-def roster_forecasts(experts, temp: float, domain: GridDomain) -> np.ndarray:
-    """(N, d) matrix of the experts' load CDFs given the temperature."""
-    return conditional_load_cdfs([e.model for e in experts], temp, domain)
+def roster_forecasts(experts, temps, domain: GridDomain) -> np.ndarray:
+    """(..., N, d) stack of the experts' load CDFs given each temperature;
+    (N, d) for a scalar temperature."""
+    return conditional_load_cdfs([e.model for e in experts], temps, domain)
+
+
+class RosterStream:
+    """Iterator of the (1, N, d) roster matrix of each temperature in turn,
+    the per-step chunks `replay` takes; each equals
+    `roster_forecasts(experts, temp, domain)[None]` bit for bit.
+
+    The temperatures are split into consecutive windows whose distinct
+    values fill at most one table of WINDOW_TABLE_BYTES, allocated once.
+    A window's distinct temperatures are evaluated once each, in batches of
+    at most BATCH_ARGUMENT_BYTES of normal-CDF arguments, and each step
+    gets a copy of its row, so no yielded matrix changes when a later
+    window refills the table.  `evaluations` counts the temperatures
+    evaluated so far.
+    """
+
+    def __init__(self, experts, temps, domain: GridDomain):
+        self.evaluations = 0
+        self._rows = self._windows(experts, list(temps), domain)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> np.ndarray:
+        return next(self._rows)
+
+    def _windows(self, experts, temps, domain):
+        row_bytes = len(experts) * domain.d * 8
+        table = np.empty((max(1, WINDOW_TABLE_BYTES // row_bytes), len(experts), domain.d))
+        batch = max(1, BATCH_ARGUMENT_BYTES // (sum(e.model.k for e in experts) * domain.d * 8))
+        start = 0
+        while start < len(temps):
+            slots = {}  # distinct temperature -> table row
+            end = start
+            while end < len(temps) and (temps[end] in slots or len(slots) < len(table)):
+                slots.setdefault(temps[end], len(slots))
+                end += 1
+            distinct = list(slots)
+            for i in range(0, len(distinct), batch):
+                chunk = distinct[i : i + batch]
+                table[i : i + len(chunk)] = roster_forecasts(experts, chunk, domain)
+            self.evaluations += len(distinct)
+            for temp in temps[start:end]:
+                yield table[slots[temp]][None].copy()
+            start = end

@@ -3,15 +3,18 @@ import math
 import os
 import subprocess
 import sys
+from datetime import datetime
 
 import numpy as np
 import pytest
 
 import crpsmix
 from crpsmix.cli import main, read_manifest
-from crpsmix.data import write_demo_load_csv
+from crpsmix.data import load_csv, split_train_test, write_demo_load_csv
 from crpsmix.experts import EM_MAX_ITER
-from crpsmix.grids import cdf_from_row
+from crpsmix.game import GameConfig, replay
+from crpsmix.grids import GridDomain, cdf_from_row
+from crpsmix.roster import build_load_roster, roster_confidences, roster_forecasts
 from crpsmix import verify as verify_mod
 
 
@@ -32,6 +35,18 @@ def run_cli_process(*args):
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         timeout=120,
     )
+
+
+def demo_rows(path, hours):
+    """Header and rows of a fresh demo load CSV."""
+    with open(write_demo_load_csv(path, hours=hours), encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def write_rows(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    return str(path)
 
 
 def assert_regret_headroom(manifest, out):
@@ -215,8 +230,50 @@ class TestLoad:
         assert manifest["metric_asleep_steps"] == str(asleep)
         quality = read_manifest(out / "data_quality.txt")
         assert manifest["metric_test_outcomes_clipped"] == quality["test_outcomes_clipped"]
+        assert list(manifest)[-2] == "metric_roster_evaluations"
+        assert 0 < int(manifest["metric_roster_evaluations"]) <= int(manifest["metric_steps"])
         assert_regret_headroom(manifest, out)
         assert float(manifest["metric_min_regret_headroom"]) > 0.0
+
+    def test_whole_degree_run_matches_per_step_roster(self, tmp_path):
+        # the replay cmd_load ran before the windowed roster stream: one
+        # roster evaluation per hour.  300 whole-degree hours take fewer
+        # than the 48 distinct temperatures of one window at d=128.
+        rows = demo_rows(tmp_path / "demo.csv", 8760 + 300)
+        for row in rows[1:]:
+            row[2] = repr(float(round(float(row[2]))))
+        data = write_rows(tmp_path / "whole.csv", rows)
+        split = rows[1 + 8760][0]
+        out = tmp_path / "out"
+        assert main(["load", "--data", data, "--split", split, "--grid", "128",
+                     "--seed", "5", "--out", str(out)]) == 0
+
+        train, test = split_train_test(load_csv(data)[0], datetime.fromisoformat(split))
+        experts, _ = build_load_roster(train, components=2, seed=5)
+        domain = GridDomain(0.0, 1.05 * max(r.load for r in train), 128)
+        temps = [train[-1].temperature] + [r.temperature for r in test[:-1]]
+        (log,), _ = replay(
+            [GameConfig(domain, mode="aa", alpha=0.001)],
+            (roster_forecasts(experts, temp, domain)[None] for temp in temps),
+            [min(max(r.load, domain.a), domain.b) for r in test],
+            roster_confidences(experts, [r.timestamp for r in test]),
+        )
+        log.to_csv(tmp_path / "per_step_log.csv")
+        assert (out / "game_log.csv").read_bytes() == (tmp_path / "per_step_log.csv").read_bytes()
+        manifest = read_manifest(out / "manifest.txt")
+        assert manifest["metric_roster_evaluations"] == str(len(set(temps)))
+
+    @pytest.mark.parametrize("temp", ["1e160", "-1e200"])
+    def test_unreachable_test_temperature_is_data_error(self, tmp_path, temp):
+        # its squared distance from every component overflows
+        rows = demo_rows(tmp_path / "demo.csv", 8760 + 48)
+        rows[1 + 8760 + 5][2] = temp
+        data = write_rows(tmp_path / "huge.csv", rows)
+        proc = run_cli_process("load", "--data", data, "--split", rows[1 + 8760][0],
+                               "--grid", "64", "--out", str(tmp_path / "o"))
+        assert proc.returncode == 3
+        [line] = proc.stderr.splitlines()
+        assert f"temperature {float(temp)!r}" in line
 
     def test_conf_blocks_shape(self, load_run):
         _, out = load_run
@@ -305,23 +362,24 @@ class TestLoad:
     def test_unfittable_training_span_is_data_error(self, tmp_path, constant):
         # 10 training hours are too few to fit k=2; 40 identical hours
         # carry no spread: either way no expert fits
-        demo = write_demo_load_csv(tmp_path / "demo.csv", hours=50)
-        with open(demo, encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        rows = demo_rows(tmp_path / "demo.csv", 50)
         if constant:
             rows[1:] = [[ts, "100.0", "50.0"] for ts, _, _ in rows[1:]]
         else:
             rows = rows[:16]
-        data = tmp_path / "train.csv"
-        with open(data, "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(rows)
-        proc = run_cli_process("load", "--data", str(data), "--split",
+        data = write_rows(tmp_path / "train.csv", rows)
+        proc = run_cli_process("load", "--data", data, "--split",
                                rows[-5][0], "--out", str(tmp_path / "o"))
         assert proc.returncode == 3
         reason = "all points identical" if constant else "need at least 20 points"
         assert f"roster fit failed for expert01_anytime: {reason}" in proc.stderr
         assert "roster too small to aggregate" in proc.stderr
         assert "Traceback" not in proc.stderr
+        # each failure is reported once, as "<name>: <reason>"
+        failed = [line.removeprefix("roster fit failed for ")
+                  for line in proc.stderr.splitlines() if line.startswith("roster fit failed")]
+        assert len(failed) == 21
+        assert all(proc.stderr.count(f) == 1 for f in failed)
 
     def test_multicharacter_delimiter_is_usage_error(self, demo_load_csv, tmp_path):
         proc = run_cli_process("load", "--data", demo_load_csv, "--delimiter", ";;",

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from crpsmix.experts import (
     COV_RIDGE,
     EM_MAX_ITER,
     EM_TOL,
+    ConditioningError,
     ConfidenceSchedule,
     DegenerateFit,
     Gmm2D,
@@ -344,6 +347,30 @@ class TestConditionalLoadCdf:
         dom = GridDomain(-50.0, 50.0, 64)
         f = conditional_load_cdfs([g], 1e3, dom)[0]
         assert np.all(np.isfinite(f))
+
+    def test_batched_temperatures_match_per_temperature_calls(self):
+        # repeats, both zeros, a far temperature whose squared distance
+        # overflows for one component only, and a 2-D batch shape
+        models = [
+            make_gmm([0.3, 0.7], [[5.0, 40.0], [20.0, 60.0]],
+                     [[[9.0, 4.0], [4.0, 30.0]], [[4.0, -2.0], [-2.0, 25.0]]]),
+            make_gmm([0.5, 0.5], [[0.0, 30.0], [10.0, 70.0]],
+                     [[[0.5, 0.1], [0.1, 20.0]], [[16.0, 6.0], [6.0, 40.0]]]),
+        ]
+        dom = GridDomain(0.0, 120.0, 64)
+        temps = np.array([[3.0, -0.0, 0.0, 3.0], [1.2e154, 12.5, -7.25, 12.5]])
+        got = conditional_load_cdfs(models, temps, dom)
+        assert got.shape == (2, 4, len(models), dom.d)
+        want = np.stack([conditional_load_cdfs(models, t, dom) for t in temps.ravel()])
+        assert np.array_equal(got.reshape(want.shape), want)
+        assert conditional_load_cdfs(models, 12.5, dom).shape == (len(models), dom.d)
+
+    @pytest.mark.parametrize("temp", [1e160, -1e200, np.inf, np.nan])
+    def test_unreachable_temperature_is_named(self, temp):
+        g = make_gmm([1.0], [[0.0, 0.0]], [[[1.0, 0.5], [0.5, 1.0]]])
+        dom = GridDomain(-50.0, 50.0, 64)
+        with pytest.raises(ConditioningError, match=re.escape(f"temperature {temp!r} ")):
+            conditional_load_cdfs([g], [2.0, temp, 3.0], dom)
 
     def test_gmm_validation(self):
         with pytest.raises(ValueError):

@@ -6,8 +6,12 @@ from scipy.special import logsumexp, ndtr
 
 from crpsmix.data import HOURS_PER_YEAR, hour_of_year, load_csv, split_train_test
 from crpsmix.experts import EM_MAX_ITER
+from crpsmix import roster
 from crpsmix.grids import GridCDF, GridDomain
 from crpsmix.roster import (
+    BATCH_ARGUMENT_BYTES,
+    WINDOW_TABLE_BYTES,
+    RosterStream,
     build_load_roster,
     day_schedule,
     roster_confidences,
@@ -166,6 +170,51 @@ class TestRoster:
             got = roster_forecasts(experts, temp, dom)
             want = np.stack([reference_load_cdf(e.model, temp, dom) for e in experts])
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d, hours", [(128, 1200), (1024, 150)])
+    @pytest.mark.parametrize("whole", [True, False], ids=["whole_degree", "fine"])
+    def test_stream_matches_per_step_forecasts(self, fitted, d, hours, whole):
+        # materialized with list(): a row yielded in one window must not
+        # change when a later window refills the table
+        train, test, experts, _ = fitted
+        dom = GridDomain(0.0, 1.05 * max(r.load for r in train), d)
+        temps = [r.temperature for r in test[:hours]]
+        if whole:
+            temps = [float(round(t)) for t in temps]
+        stream = RosterStream(experts, temps, dom)
+        rows = list(stream)
+        assert len(rows) == len(temps)
+        for temp, got in zip(temps, rows):
+            assert got.shape == (1, len(experts), d)
+            assert np.array_equal(got[0], roster_forecasts(experts, temp, dom))
+        assert len(set(temps)) <= stream.evaluations <= len(temps)
+
+    @pytest.mark.parametrize("d", [128, 1024])
+    def test_stream_windows_keep_their_byte_budgets(self, fitted, monkeypatch, d):
+        train, test, experts, _ = fitted
+        dom = GridDomain(0.0, 1.05 * max(r.load for r in train), d)
+        temps = [float(round(r.temperature)) for r in test[:300]]
+        served, batches = [0], []
+
+        def spy(experts, temps, domain):
+            batches.append((served[0], list(temps)))  # the hours served so far
+            return roster_forecasts(experts, temps, domain)
+
+        monkeypatch.setattr(roster, "roster_forecasts", spy)
+        stream = RosterStream(experts, temps, dom)
+        for _ in stream:
+            served[0] += 1
+        n, k = len(experts), experts[0].model.k
+        windows = {}
+        for at, batch in batches:
+            assert len(batch) == 1 or len(batch) * n * k * d * 8 <= BATCH_ARGUMENT_BYTES
+            windows.setdefault(at, []).extend(batch)
+        table_rows = WINDOW_TABLE_BYTES // (n * d * 8)
+        assert table_rows == {128: 48, 1024: 6}[d]
+        assert len(windows) > 1 if d == 1024 else len(windows) == 1
+        for window in windows.values():
+            assert len(set(window)) == len(window) <= table_rows
+        assert stream.evaluations == len(sum(windows.values(), []))
 
     def test_insufficient_segment_reports_failure(self, fitted):
         train, _, _, _ = fitted
