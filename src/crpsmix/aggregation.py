@@ -102,11 +102,6 @@ def _check_probability(q, n: int) -> np.ndarray:
     return q
 
 
-def _log_q(q: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(q)
-
-
 def substitute_square_aa(forecasts, q, eta: float) -> float:
     """Aggregated forecast in [0, 1] for the square loss against a binary
     outcome:
@@ -120,29 +115,41 @@ def substitute_square_aa(forecasts, q, eta: float) -> float:
     return float(substitute_vector_aa(np.reshape(forecasts, (-1, 1)), q, eta)[0])
 
 
-def _square_exponents(matrix: np.ndarray, eta: float) -> tuple:
-    """The exponents -eta f^2 and -eta (1-f)^2 of the substitution rule."""
-    return -eta * matrix**2, -eta * (1.0 - matrix) ** 2
+def square_tables(values: np.ndarray, eta: float) -> tuple:
+    """The tables A = e^{-eta F^2} and B = e^{-eta (1-F)^2} of the
+    substitution rule, for any (..., N, d) stack of values F in [0, 1]."""
+    # in place, one temporary per table: the bits of exp(-eta * F**2)
+    a = np.square(values)
+    b = np.square(1.0 - values)
+    a *= -eta
+    b *= -eta
+    return np.exp(a, out=a), np.exp(b, out=b)
 
 
-def _substitute_exponents(exponents: tuple, q: np.ndarray, eta: float) -> np.ndarray:
-    """Column-by-column substitution over an (n_experts, d) matrix given by
-    its `_square_exponents`, without clipping; a (C, n_experts) q gives C
-    rows of output."""
-    lq = _log_q(q)[..., None]
-    num = logsumexp(exponents[0] + lq, axis=-2)
-    den = logsumexp(exponents[1] + lq, axis=-2)
-    return 0.5 - (num - den) / (2.0 * eta)
+def substitute_tables(tables: tuple, q: np.ndarray, eta: float) -> np.ndarray:
+    """The substitution rule, cell by cell, from the `square_tables` (A, B)
+    of an (N, d) matrix, without clipping:
 
+        F = 1/2 - ln( sum_i q_i A_i / sum_i q_i B_i ) / (2 eta).
 
-def _substitute_columns(matrix: np.ndarray, q: np.ndarray, eta: float) -> np.ndarray:
-    """Column-by-column substitution over an (n_experts, d) matrix,
-    without clipping."""
-    return _substitute_exponents(_square_exponents(matrix, eta), q, eta)
+    An (N,) q gives a (d,) row; a (C, N) q gives C rows, each summed over
+    the experts in one order (numpy's reduction over the expert axis), so
+    a row does not depend on how many others are formed with it.
+
+    No max shift is needed: with F in [0, 1] and 0 < eta <= 2 every
+    exponent lies in [-eta, 0], so every table entry lies in
+    [e^{-2}, 1], and each sum, a convex combination of them under the
+    probability vector q, lies in [e^{-2}, 1] too: it neither underflows
+    nor vanishes, and a zero weight adds an exact zero instead of a log.
+    """
+    a, b = tables
+    qc = q[..., None]
+    return 0.5 - np.log((qc * a).sum(axis=-2) / (qc * b).sum(axis=-2)) / (2.0 * eta)
 
 
 def substitute_vector_aa(forecast_matrix, q, eta: float) -> np.ndarray:
-    """Componentwise substitution for d-dimensional square-loss forecasts.
+    """Componentwise substitution for d-dimensional square-loss forecasts
+    in [0, 1].
 
     Applied to rows c_1..c_N it yields a vector f with
     e^{-(eta/d) L(f, y)} >= sum_i q_i e^{-(eta/d) L(c_i, y)} for every
@@ -153,8 +160,10 @@ def substitute_vector_aa(forecast_matrix, q, eta: float) -> np.ndarray:
             f"square-loss aggregation needs 0 < eta <= {SQUARE_LOSS_ETA}, got {eta}"
         )
     m = np.atleast_2d(np.asarray(forecast_matrix, dtype=float))
+    if not (m.min() >= 0.0 and m.max() <= 1.0):
+        raise ValueError("square-loss forecasts must lie in [0, 1]")
     q = _check_probability(q, m.shape[0])
-    return np.clip(_substitute_columns(m, q, eta), 0.0, 1.0)
+    return np.clip(substitute_tables(square_tables(m, eta), q, eta), 0.0, 1.0)
 
 
 def _check_substitution(vals: np.ndarray) -> None:
@@ -185,7 +194,8 @@ def substitute_crps_aa(values, q) -> np.ndarray:
     SubstitutionError because they indicate a broken rule, not bad data.
     """
     matrix, q = _forecast_matrix(values, q)
-    vals = _substitute_columns(matrix, q, SQUARE_LOSS_ETA)
+    eta = SQUARE_LOSS_ETA
+    vals = substitute_tables(square_tables(matrix, eta), q, eta)
     _check_substitution(vals)
     return vals
 
@@ -204,7 +214,8 @@ def superprediction(losses, q, eta: float) -> float:
         raise ValueError(f"learning rate must be positive, got {eta}")
     l = np.asarray(losses, dtype=float)
     q = _check_probability(q, l.size)
-    return float(-logsumexp(-eta * l + _log_q(q)) / eta)
+    with np.errstate(divide="ignore"):
+        return float(-logsumexp(-eta * l + np.log(q)) / eta)
 
 
 def update_weights_confidence(

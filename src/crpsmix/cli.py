@@ -16,12 +16,12 @@ to fit the roster).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
 import os
 import sys
+import time
 from dataclasses import dataclass, field
 from datetime import datetime
 
@@ -40,7 +40,7 @@ from .data import (
 )
 from .experts import ConditioningError, em_hit_max_iter, triangular_cdf
 from .game import GameConfig, GameLog, RegretReport, regret_report, replay
-from .grids import GridDomain, cdf_to_row, cdf_values, quantile
+from .grids import GridDomain, cdf_to_row, quantile
 from .roster import RosterStream, build_load_roster, roster_confidences
 
 logger = logging.getLogger(__name__)
@@ -49,6 +49,8 @@ QUANTILE_LEVELS = (0.05, 0.25, 0.75, 0.95)
 
 
 def _fmt(x) -> str:
+    if type(x) is float:
+        return repr(x)
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (float, np.floating)):
@@ -57,11 +59,28 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
+    """Write the header and the rows, every cell formatted by `_fmt`, in
+    the bytes of csv.writer's default dialect: no cell written here needs
+    quoting (numbers, booleans, ISO timestamps and identifiers)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for row in rows:
-            writer.writerow([_fmt(x) for x in row])
+            fh.write(",".join(map(_fmt, row)) + "\r\n")
+
+
+def _phase_clock(enabled: bool):
+    """`mark(phase)`: with `enabled`, print the wall time since the last
+    mark (or since this call) to stderr as `timing <phase>: <s> s`."""
+    last = time.perf_counter()
+
+    def mark(phase: str) -> None:
+        nonlocal last
+        now = time.perf_counter()
+        if enabled:
+            print(f"timing {phase}: {now - last:.6f} s", file=sys.stderr)
+        last = now
+
+    return mark
 
 
 @dataclass
@@ -126,19 +145,17 @@ def _regret_metrics(report: RegretReport, alpha: float) -> dict:
 
 
 def _write_loss_curves(path, log: GameLog) -> None:
-    n = log.n
     cum_h = log.learner_cumulative()
-    cum_l = log.expert_cumulative()
-    header = ["t", "H", "H_avg"] + [f"L_{i + 1}" for i in range(n)]
-    rows = []
-    for t in range(log.steps):
-        rows.append([t + 1, cum_h[t], cum_h[t] / (t + 1)] + list(cum_l[t]))
-    _write_csv(path, header, rows)
+    table = np.column_stack(
+        [cum_h, cum_h / np.arange(1, log.steps + 1), log.expert_cumulative()]
+    )
+    header = ["t", "H", "H_avg"] + [f"L_{i + 1}" for i in range(log.n)]
+    _write_csv(path, header, ([t] + row for t, row in enumerate(table.tolist(), start=1)))
 
 
 def _write_weight_trajectories(path, log: GameLog) -> None:
     header = ["t"] + [f"q_{i + 1}" for i in range(log.n)]
-    rows = [[t + 1] + list(log.weights[t]) for t in range(log.steps)]
+    rows = ([t] + row for t, row in enumerate(log.weights.tolist(), start=1))
     _write_csv(path, header, rows)
 
 
@@ -168,6 +185,7 @@ def _write_regret_report(path, report: RegretReport, names=None) -> None:
 
 
 def cmd_synth(args) -> int:
+    mark = _phase_clock(args.timings)
     domain = GridDomain(0.0, 1.0, args.grid)
     gens = default_generators()
     if args.method == 1:
@@ -175,14 +193,16 @@ def cmd_synth(args) -> int:
     else:
         schedule = smooth_crossfade_schedule(args.steps, len(gens), args.segments)
     outcomes = synth_stream(gens, schedule, args.steps, args.seed)
-    values = cdf_values([triangular_cdf(g, domain) for g in gens], domain)
+    values = [triangular_cdf(g, domain) for g in gens]  # checked once, by replay
 
     snap_steps = sorted({int(t) for t in np.linspace(1, args.steps, num=min(8, args.steps))})
     configs = [
         GameConfig(domain, mode=args.mode, alpha=args.alpha),
         GameConfig(domain, mode="wa", alpha=0.0),  # the baseline
     ]
+    mark("setup")
     (log, baseline), kept = replay(configs, values, outcomes, keep=snap_steps)
+    mark("replay")
 
     os.makedirs(args.out, exist_ok=True)
     log.to_csv(os.path.join(args.out, "game_log.csv"))
@@ -212,8 +232,10 @@ def cmd_synth(args) -> int:
         metrics["bound_wa_form"] = 2.0 * domain.width * np.log(len(values))
     metrics["asleep_steps"] = log.asleep_steps
     metrics["min_regret_headroom"] = report.bound - float(report.max_discounted_regret.max())
+    metrics["max_cdf_repair"] = log.max_cdf_repair
     manifest = RunManifest("synth", config, args.seed, [], args.out, metrics)
     manifest.write(os.path.join(args.out, "manifest.txt"))
+    mark("write")
 
     print(f"synth: T={args.steps} mode={args.mode} alpha={args.alpha} "
           f"loss={final:.6g} bound={log.bound:.6g}")
@@ -249,6 +271,7 @@ def _load_records(args, schema):
 
 
 def cmd_load(args) -> int:
+    mark = _phase_clock(args.timings)
     schema = CsvSchema(
         timestamp_col=args.timestamp_col,
         load_col=args.load_col,
@@ -260,6 +283,7 @@ def cmd_load(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"cannot ingest data: {exc}", file=sys.stderr)
         return 3
+    mark("ingest")
 
     max_train_load = max(r.load for r in train)
     domain = GridDomain(0.0, 1.05 * max_train_load, args.grid)
@@ -271,24 +295,7 @@ def cmd_load(args) -> int:
     if len(experts) < 2 or (failures and failures[0][0] == "expert01_anytime"):
         print("roster too small to aggregate", file=sys.stderr)
         return 3
-
-    os.makedirs(args.out, exist_ok=True)
-    expert_dir = os.path.join(args.out, "experts")
-    os.makedirs(expert_dir, exist_ok=True)
-    for e in experts:
-        with open(os.path.join(expert_dir, f"{e.name}.txt"), "w", encoding="utf-8") as fh:
-            fh.write(e.model.to_text())
-
-    em_rows = [
-        [e.name, e.fit_points, len(e.fit_history), float(e.fit_history[-1]),
-         em_hit_max_iter(e.fit_history)]
-        for e in experts
-    ]
-    _write_csv(
-        os.path.join(args.out, "em_fits.csv"),
-        ["expert", "points", "iterations", "final_log_likelihood", "at_max_iter"],
-        em_rows,
-    )
+    mark("fit")
 
     outcomes = [min(max(rec.load, domain.a), domain.b) for rec in test]
     clipped = sum(y != rec.load for y, rec in zip(outcomes, test))
@@ -309,6 +316,24 @@ def cmd_load(args) -> int:
     except ConditioningError as exc:
         print(f"cannot forecast the test span: {exc}", file=sys.stderr)
         return 3
+    mark("replay")
+
+    os.makedirs(args.out, exist_ok=True)
+    expert_dir = os.path.join(args.out, "experts")
+    os.makedirs(expert_dir, exist_ok=True)
+    for e in experts:
+        with open(os.path.join(expert_dir, f"{e.name}.txt"), "w", encoding="utf-8") as fh:
+            fh.write(e.model.to_text())
+    em_rows = [
+        [e.name, e.fit_points, len(e.fit_history), float(e.fit_history[-1]),
+         em_hit_max_iter(e.fit_history)]
+        for e in experts
+    ]
+    _write_csv(
+        os.path.join(args.out, "em_fits.csv"),
+        ["expert", "points", "iterations", "final_log_likelihood", "at_max_iter"],
+        em_rows,
+    )
     band_rows = [
         [t, test[t - 1].timestamp.isoformat()]
         + [quantile(kept[t][0], tau) for tau in QUANTILE_LEVELS]
@@ -329,8 +354,8 @@ def cmd_load(args) -> int:
     _write_csv(
         os.path.join(args.out, "conf_blocks.csv"),
         ["t", "timestamp"] + names,
-        ([t, rec.timestamp.isoformat()] + list(p)
-         for t, (rec, p) in enumerate(zip(test, confidences), start=1)),
+        ([t, rec.timestamp.isoformat()] + p
+         for t, (rec, p) in enumerate(zip(test, confidences.tolist()), start=1)),
     )
     _write_csv(
         os.path.join(args.out, "records.csv"),
@@ -358,8 +383,10 @@ def cmd_load(args) -> int:
     metrics["test_outcomes_clipped"] = clipped
     metrics["roster_evaluations"] = forecasts.evaluations
     metrics["min_regret_headroom"] = report.bound - float(report.max_discounted_regret.max())
+    metrics["max_cdf_repair"] = log.max_cdf_repair
     manifest = RunManifest("load", config, args.seed, inputs, args.out, metrics)
     manifest.write(os.path.join(args.out, "manifest.txt"))
+    mark("write")
 
     print(f"load: T={log.steps} experts={len(experts)} mode={args.mode} "
           f"confidence={args.confidence} "
@@ -380,6 +407,8 @@ def cmd_verify(args) -> int:
     failures = []
     for res in results:
         print(res.line())
+        if args.timings:
+            print(f"timing {res.name}: {res.seconds:.6f} s", file=sys.stderr)
         if not res.passed:
             failures.append({"name": res.name, "detail": res.detail,
                              "witness": res.witness})
@@ -406,6 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     out_default = os.environ.get("CRPSMIX_OUT")
+    timings_help = "print the wall time of each phase to stderr"
 
     ps = sub.add_parser("synth", help="synthetic triangular-mixture experiment")
     ps.add_argument("--method", type=int, choices=(1, 2), required=True,
@@ -417,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--grid", type=int, default=1024)
     ps.add_argument("--segments", type=int, default=6)
     ps.add_argument("--out", default=out_default)
+    ps.add_argument("--timings", action="store_true", help=timings_help)
     ps.set_defaults(func=cmd_synth)
 
     pl = sub.add_parser("load", help="hourly load forecasting experiment")
@@ -437,12 +468,14 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--temperature-col", default="temperature")
     pl.add_argument("--delimiter", default=",")
     pl.add_argument("--out", default=out_default)
+    pl.add_argument("--timings", action="store_true", help=timings_help)
     pl.set_defaults(func=cmd_load)
 
     pv = sub.add_parser("verify", help="run the property suites")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--cases", type=int, default=100)
     pv.add_argument("--report", help="write the JSON failure report here")
+    pv.add_argument("--timings", action="store_true", help=timings_help)
     pv.set_defaults(func=cmd_verify)
     return parser
 

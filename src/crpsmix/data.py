@@ -197,7 +197,7 @@ def load_csv(path, schema: CsvSchema = CsvSchema()):
                 ts = datetime.fromisoformat(row[schema.timestamp_col].strip())
                 load = float(row[schema.load_col])
                 temp = float(row[schema.temperature_col])
-                if not (np.isfinite(load) and np.isfinite(temp)):
+                if not (math.isfinite(load) and math.isfinite(temp)):
                     raise ValueError("non-finite load or temperature")
             except (ValueError, TypeError, KeyError) as exc:
                 report.row_errors.append((line, str(exc)))

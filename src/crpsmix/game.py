@@ -15,21 +15,22 @@ from .aggregation import (
     _as_confidence,
     _check_substitution,
     _reweight,
-    _square_exponents,
-    _substitute_exponents,
     _update,
     aa_learning_rate,
     logsumexp,
     mix_past_posteriors,
     normalized_weights,
-    substitute_square_aa,
-    update_weights_confidence,
+    square_tables,
+    substitute_tables,
     wa_learning_rate,
 )
-from .grids import GridCDF, GridDomain, _check_outcome, cdf_values, crps_rows
+from .grids import GridCDF, GridDomain, _check_outcome, cdf_array, repair_cdf
 
 #: Float slack allowed on the regret bound of a RegretReport.
 BOUND_TOL = 1e-9
+
+#: Largest temporary, in bytes, of the block scoring in `replay`.
+BLOCK_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -59,11 +60,15 @@ class GameLog:
     the learner loss h, the expert losses l_1..l_n, the confidences
     p_1..p_n, the weights q_1..q_n that formed the forecast (after
     confidence reweighting), and the normalized pool weights w_1..w_n
-    before it.  The fields are views of the `(steps, 2 + 4n)` rows."""
+    before it.  The fields are views of the `(steps, 2 + 4n)` rows.
+    `max_cdf_repair` is the largest change `repair_cdf` made to a cell of
+    an expert matrix or a forecast of the run."""
 
-    def __init__(self, n: int, eta: float, rows: np.ndarray | None = None):
+    def __init__(self, n: int, eta: float, rows: np.ndarray | None = None,
+                 max_cdf_repair: float = 0.0):
         self.n = n
         self.eta = eta
+        self.max_cdf_repair = max_cdf_repair
         self._rows = np.empty((0, 2 + 4 * n)) if rows is None else rows
         self.steps = len(self._rows)
 
@@ -142,12 +147,15 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
     run, all ones when omitted, checked once with the outcomes.
 
     Each step, for every configuration at once: reweight the experts by
-    confidence, aggregate (substitution for "aa", averaging for "wa"),
-    score everyone against the outcome (the expert losses once for all C),
-    charge the virtual-expert update, then mix toward the uniform start
-    vector.  When every expert sleeps the learners forecast from uniform
-    weights and skip that step's weight update.  A configuration's numbers
-    do not depend on the others replayed with it.
+    confidence, aggregate (substitution for "aa", from the `square_tables`
+    built once per fixed matrix or chunk; averaging for "wa"), check the
+    forecasts, score everyone against the outcome, charge the
+    virtual-expert update, then mix toward the uniform start vector.  The
+    expert losses are scored for blocks of steps at once, each temporary
+    within BLOCK_BYTES (or one step, if larger).  When every expert
+    sleeps the learners forecast from uniform weights and skip that
+    step's weight update.  A configuration's numbers do not depend on the
+    others replayed with it.
 
     Returns one GameLog per configuration, and {t: [the forecast of each
     configuration as a GridCDF]} for the 1-based steps t in `keep`.
@@ -156,22 +164,53 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
     domain = configs[0].domain
     if any(cfg.domain != domain for cfg in configs):
         raise ValueError("configurations must share one domain")
-    ys = [_check_outcome(domain, y) for y in outcomes]
-    if isinstance(experts, Iterator):
-        matrices = (m for chunk in experts for m in cdf_values(chunk, domain))
-        exponents = None
-    else:
-        fixed = cdf_values(experts, domain)
-        matrices = itertools.repeat(fixed, len(ys))
-        exponents = _square_exponents(fixed, SQUARE_LOSS_ETA)
-    first = next(matrices, None)
-    if first is None or first.ndim != 2:
-        raise ValueError("expert values must be (N, d) matrices, one per outcome")
-    matrices = itertools.chain([first], matrices)
-    steps, n, c = len(ys), len(first), len(configs)
-    p = None if confidences is None else _as_confidence(confidences, (steps, n))
+    y = np.array([_check_outcome(domain, v) for v in outcomes])
+    steps, c, d = len(y), len(configs), domain.d
     aa = [i for i, cfg in enumerate(configs) if cfg.mode == "aa"]
     wa = [i for i, cfg in enumerate(configs) if cfg.mode == "wa"]
+    repair = np.zeros(c)  # largest repair of an expert matrix or forecast
+
+    def checked(vals):  # a new (k, N, d) float array
+        if vals.ndim != 3:
+            raise ValueError("expert values must be (N, d) matrices, one per outcome")
+        np.maximum(repair, np.max(repair_cdf(vals)), out=repair)
+        return vals, square_tables(vals, SQUARE_LOSS_ETA) if aa else None
+
+    if isinstance(experts, Iterator):
+        chunks = (checked(cdf_array(chunk, domain)) for chunk in experts)
+    else:
+        fixed, tables = checked(cdf_array(experts, domain)[None])
+        stack = (steps,) + fixed.shape[1:]
+        if tables:
+            tables = tuple(np.broadcast_to(tab, stack) for tab in tables)
+        chunks = iter([(np.broadcast_to(fixed, stack), tables)])
+    first = next(chunks, None)
+    if first is None:
+        raise ValueError("expert values must be (N, d) matrices, one per outcome")
+    n = first[0].shape[1]
+    block = max(1, BLOCK_BYTES // (8 * n * d))
+
+    def per_step():
+        """The expert matrix, its tables, the outcome indicators and the
+        expert losses of each step, scored for a block of steps at once
+        (as `crps_rows` scores one step)."""
+        t = 0
+        for values, tables in itertools.chain([first], chunks):
+            if values.shape[1:] != (n, d):
+                raise ValueError(f"step {t + 1}: expert matrix of shape {values.shape[1:]}")
+            if t + len(values) > steps:
+                raise ValueError(f"expert stream is longer than the {steps} outcomes")
+            for j0 in range(0, len(values), block):
+                k = min(block, len(values) - j0)
+                ind = domain.grid >= y[t : t + k, None]
+                res = values[j0 : j0 + k] - ind[:, None, :]
+                lt = domain.delta * np.einsum("tij,tij->ti", res, res)
+                for j in range(k):
+                    tab = None if tables is None else (tables[0][j0 + j], tables[1][j0 + j])
+                    yield values[j0 + j], tab, ind[j], lt[j]
+                t += k
+
+    p = None if confidences is None else _as_confidence(confidences, (steps, n))
     eta = np.array([[cfg.eta] for cfg in configs])
     alpha = np.array([[cfg.alpha] for cfg in configs])
     lw = np.full((c, n), -math.log(n))  # the (C, N) log weights
@@ -182,9 +221,7 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
     w = np.empty_like(q)
     keep = set(keep)
     kept = {}
-    for t, (y, values) in enumerate(zip(ys, matrices, strict=True)):
-        if values.shape != first.shape:
-            raise ValueError(f"step {t + 1}: expert matrix of shape {values.shape}")
+    for t, (values, tables, ind, lt) in zip(range(steps), per_step(), strict=True):
         pt = ones if p is None else p[t]
         awake = pt.any()
         wt = normalized_weights(lw)
@@ -194,20 +231,18 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
             qt = _reweight(lw, pt)
         else:
             qt = np.full((c, n), 1.0 / n)
-        f = np.empty((c, domain.d))
+        f = np.empty((c, d))
         if aa:
-            ex = exponents or _square_exponents(values, SQUARE_LOSS_ETA)
-            f[aa] = _substitute_exponents(ex, qt[aa], SQUARE_LOSS_ETA)
+            f[aa] = substitute_tables(tables, qt[aa], SQUARE_LOSS_ETA)
         for i in wa:
             f[i] = qt[i] @ values
         try:
-            f = cdf_values(f, domain)
+            np.maximum(repair, repair_cdf(f), out=repair)
         except ValueError:
             for i in aa:
                 _check_substitution(f[i])
             raise
-        lt = crps_rows(values, domain, y)
-        r = f - (domain.grid >= y)  # crps of each row, as dot products
+        r = f - ind  # crps of each row, as dot products
         ht = domain.delta * np.array([row @ row for row in r])
         if awake:
             lw = mix_past_posteriors(_update(lw, eta, pt, lt, ht[:, None]), alpha)
@@ -217,9 +252,9 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
     _check_losses(h, losses)
     if p is None:
         p = np.ones((steps, n))
-    y = np.array(ys)
     logs = [
-        GameLog(n, cfg.eta, np.column_stack([y, h[:, i], losses, p, q[i], w[i]]))
+        GameLog(n, cfg.eta, np.column_stack([y, h[:, i], losses, p, q[i], w[i]]),
+                max_cdf_repair=float(repair[i]))
         for i, cfg in enumerate(configs)
     ]
     return logs, kept
@@ -291,13 +326,16 @@ def run_square_loss_game(expert_forecasts, outcomes, eta: float) -> GameLog:
         raise ValueError(f"square loss admits 0 < eta <= 2, got {eta}")
 
     steps, n = f.shape
-    log_weights = np.full(n, -math.log(n))
+    a, b = square_tables(f[..., None], eta)  # (T, N, 1): each step's tables
+    losses = (f - y[:, None]) ** 2
+    pred = np.empty(steps)
+    q = np.empty((steps, n))
+    lw = np.full(n, -math.log(n))
     ones = np.ones(n)
-    rows = np.empty((steps, 2 + 4 * n))
     for t in range(steps):
-        q = normalized_weights(log_weights)
-        pred = substitute_square_aa(f[t], q, eta)
-        losses = (f[t] - y[t]) ** 2
-        log_weights = update_weights_confidence(log_weights, eta, ones, losses, 0.0)
-        rows[t] = np.concatenate(([y[t], (pred - y[t]) ** 2], losses, ones, q, q))
+        q[t] = normalized_weights(lw)
+        pred[t] = substitute_tables((a[t], b[t]), q[t], eta)[0]
+        lw = _update(lw, eta, ones, losses[t], 0.0)
+    pred = np.clip(pred, 0.0, 1.0)
+    rows = np.column_stack([y, (pred - y) ** 2, losses, np.ones((steps, n)), q, q])
     return GameLog(n, eta, rows)

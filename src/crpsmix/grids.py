@@ -107,14 +107,38 @@ def check_cdf(vals: np.ndarray) -> None:
         raise ValueError(f"CDF must end at 1, got {last.min()!r}")
 
 
-def cdf_values(forecasts, domain: GridDomain) -> np.ndarray:
-    """Checked and repaired CDF values on `domain`: a (d,) vector from one
-    row of values, an (N, d) matrix from N rows or from N GridCDFs on
-    `domain`, or any (..., d) stack of rows.
+def repair_cdf(vals: np.ndarray):
+    """Check the (..., d) float array of CDF rows and repair it in place,
+    bit for bit as the full clamp of `cdf_values` does.
 
-    Every row must pass `check_cdf`; violations up to REPAIR_TOL are
-    float noise, repaired by clamping.
+    One pass of reductions passes rows that lie in [0, 1], are monotone
+    and end within REPAIR_TOL of 1: only their last value is set to 1 (and
+    a -0.0 made 0.0).  Anything else must pass `check_cdf` and is clamped
+    into [0, 1], then to monotone, then its last value set to 1.  Returns
+    the largest change made to a cell of each row other than the last,
+    which is 1 by definition (0.0 when nothing was out of place).
     """
+    lo = vals.min()
+    drop = (vals[..., 1:] - vals[..., :-1]).min() if vals.shape[-1] > 1 else 0.0
+    if (lo >= 0.0 and drop >= 0.0 and (vals[..., -2:-1] <= 1.0).all()
+            and (np.abs(vals[..., -1] - 1.0) <= REPAIR_TOL).all()):
+        if lo == 0.0:
+            np.maximum(vals, 0.0, out=vals)  # -0.0 -> 0.0, as the clamp does
+        vals[..., -1] = 1.0
+        return 0.0
+    check_cdf(vals)
+    # clamp into [0, 1] (the finite-value form of np.clip), then to monotone
+    fixed = np.maximum.accumulate(np.minimum(np.maximum(vals, 0.0), 1.0), axis=-1)
+    fixed[..., -1] = 1.0
+    change = np.abs(fixed - vals)[..., :-1].max(axis=-1, initial=0.0)
+    vals[...] = fixed
+    return change
+
+
+def cdf_array(forecasts, domain: GridDomain) -> np.ndarray:
+    """A new float array of CDF rows on `domain`, not yet checked: a (d,)
+    vector from one row of values, an (N, d) matrix from N rows or from N
+    GridCDFs on `domain`, or any (..., d) stack of rows."""
     if isinstance(forecasts, (list, tuple)) and forecasts and isinstance(forecasts[0], GridCDF):
         if any(f.domain != domain for f in forecasts):
             raise ValueError("forecast domain does not match the grid domain")
@@ -124,10 +148,18 @@ def cdf_values(forecasts, domain: GridDomain) -> np.ndarray:
         raise ValueError(
             f"expected rows of {domain.d} CDF values, got shape {vals.shape}"
         )
-    check_cdf(vals)
-    # clamp into [0, 1] (the finite-value form of np.clip), then to monotone
-    vals = np.maximum.accumulate(np.minimum(np.maximum(vals, 0.0), 1.0), axis=-1)
-    vals[..., -1] = 1.0
+    return vals
+
+
+def cdf_values(forecasts, domain: GridDomain) -> np.ndarray:
+    """Checked and repaired CDF values on `domain`, from anything
+    `cdf_array` stacks.
+
+    Every row must pass `check_cdf`; violations up to REPAIR_TOL are
+    float noise, repaired by `repair_cdf`.
+    """
+    vals = cdf_array(forecasts, domain)
+    repair_cdf(vals)
     return vals
 
 

@@ -4,6 +4,7 @@ on, checked on randomized inputs with machine-readable failure witnesses."""
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from itertools import product
 
@@ -33,6 +34,7 @@ class CheckResult:
     cases: int
     detail: str = ""
     witness: dict | None = None
+    seconds: float = 0.0  # wall time of the check, set by run_all
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -254,12 +256,19 @@ def check_discounted_regret(seed=0, cases=40) -> CheckResult:
 def run_all(seed: int = 0, cases: int = 100) -> list[CheckResult]:
     if cases < 1:
         raise ValueError("case count must be positive")
-    small = max(1, cases // 5)
-    return [
-        check_crps_mixability(seed, cases),
-        check_wa_exp_concavity(seed + 1, cases),
-        check_vector_mixability(seed + 2, small),
-        check_square_loss_regret(seed + 3, max(1, cases // 2)),
-        check_crps_game_bounds(seed + 4),
-        check_discounted_regret(seed + 5, max(1, cases // 2)),
+    small, half = max(1, cases // 5), max(1, cases // 2)
+    suite = [
+        (check_crps_mixability, seed, cases),
+        (check_wa_exp_concavity, seed + 1, cases),
+        (check_vector_mixability, seed + 2, small),
+        (check_square_loss_regret, seed + 3, half),
+        (check_crps_game_bounds, seed + 4),
+        (check_discounted_regret, seed + 5, half),
     ]
+    results = []
+    for check, *args in suite:
+        start = time.perf_counter()
+        res = check(*args)
+        res.seconds = time.perf_counter() - start
+        results.append(res)
+    return results

@@ -15,6 +15,7 @@ from crpsmix.aggregation import (
     mix_past_posteriors,
     normalized_weights,
     substitute_crps_aa,
+    substitute_square_aa,
     update_weights_confidence,
 )
 from crpsmix.data import write_demo_load_csv
@@ -105,6 +106,24 @@ def reference_game(config, experts, outcomes, confidences=None):
         rows.append(np.concatenate(([y, h], losses, p, q, w)))
         forecasts.append(f)
     return GameLog(n, config.eta, np.array(rows)), forecasts, np.array(states)
+
+
+def reference_square_loss_game(forecasts, outcomes, eta):
+    """`game.run_square_loss_game` played a step at a time from the public
+    checked functions: substitution with the current weights, then the
+    confidence update at full confidence against a zero learner loss."""
+    n = forecasts.shape[1]
+    lw = np.full(n, -math.log(n))
+    ones = np.ones(n)
+    rows = []
+    for f, y in zip(forecasts, outcomes, strict=True):
+        q = normalized_weights(lw)
+        pred = substitute_square_aa(f, q, eta)
+        losses = (f - y) ** 2
+        lw = update_weights_confidence(lw, eta, ones, losses, 0.0)
+        # np.square rounds the square correctly; a scalar ** 2 may call pow
+        rows.append(np.concatenate(([y, np.square(pred - y)], losses, ones, q, q)))
+    return GameLog(n, eta, np.array(rows))
 
 
 @st.composite

@@ -8,15 +8,16 @@ from hypothesis import strategies as st
 from crpsmix.aggregation import (
     AllExpertsAsleep,
     SubstitutionError,
-    _substitute_columns,
     aa_learning_rate,
     combine_wa,
     confidence_reweight,
     mix_past_posteriors,
     normalized_weights,
+    square_tables,
     substitute_crps_aa,
     substitute_square_aa,
     substitute_vector_aa,
+    substitute_tables,
     superprediction,
     update_weights_confidence,
     wa_learning_rate,
@@ -193,11 +194,12 @@ class TestCrpsSubstitution:
             fs = cdf_values([random_cdf_values(rng, 128) for _ in range(4)], dom)
             q = rng.random(4)
             q /= q.sum()
-            check_cdf(_substitute_columns(fs, q, 2.0))  # raises beyond float noise
+            # raises beyond float noise
+            check_cdf(substitute_tables(square_tables(fs, 2.0), q, 2.0))
 
     def test_large_violation_raises_substitution_error(self, monkeypatch):
         monkeypatch.setattr(
-            agg, "_substitute_columns", lambda m, q, eta: np.array([0.2, 0.1, 1.0])
+            agg, "substitute_tables", lambda tables, q, eta: np.array([0.2, 0.1, 1.0])
         )
         with pytest.raises(SubstitutionError, match="monotone"):
             substitute_crps_aa(np.array([[0.1, 0.5, 1.0]]), np.array([1.0]))
@@ -207,14 +209,14 @@ class TestCrpsSubstitution:
     )
     def test_invalid_output_raises_substitution_error(self, monkeypatch, bad, message):
         # the CDF checks of `grids` reject the output, as SubstitutionError
-        monkeypatch.setattr(agg, "_substitute_columns", lambda m, q, eta: np.array(bad))
+        monkeypatch.setattr(agg, "substitute_tables", lambda tables, q, eta: np.array(bad))
         with pytest.raises(SubstitutionError, match=message):
             substitute_crps_aa(np.array([[0.1, 0.5, 1.0]]), np.array([1.0]))
 
     @pytest.mark.parametrize("bad", [[0.2, 0.1, 1.0], [0.1, np.nan, 1.0]])
     def test_broken_rule_raises_substitution_error_in_replay(self, monkeypatch, bad):
         monkeypatch.setattr(
-            game_mod, "_substitute_exponents", lambda ex, q, eta: np.array([bad] * len(q))
+            game_mod, "substitute_tables", lambda tables, q, eta: np.array([bad] * len(q))
         )
         dom = GridDomain(0.0, 1.0, 3)
         with pytest.raises(SubstitutionError):

@@ -1,15 +1,17 @@
 import csv
 import math
 import os
+import shutil
 import subprocess
 import sys
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
 import crpsmix
-from crpsmix.cli import main, read_manifest
+import crpsmix.cli as cli_mod
+from crpsmix.cli import _fmt, _write_csv, main, read_manifest
 from crpsmix.data import load_csv, split_train_test, write_demo_load_csv
 from crpsmix.experts import EM_MAX_ITER
 from crpsmix.game import GameConfig, replay
@@ -50,12 +52,12 @@ def write_rows(path, rows):
 
 
 def assert_regret_headroom(manifest, out):
-    """The last manifest key is the bound minus the largest discounted
-    regret in regret_report.csv."""
+    """The last two manifest keys are the bound minus the largest
+    discounted regret in regret_report.csv and the largest CDF repair."""
     with open(out / "regret_report.csv") as fh:
         rows = list(csv.DictReader(fh))
     peak = max(float(row["max_discounted_regret"]) for row in rows)
-    assert list(manifest)[-1] == "metric_min_regret_headroom"
+    assert list(manifest)[-2:] == ["metric_min_regret_headroom", "metric_max_cdf_repair"]
     assert float(manifest["metric_min_regret_headroom"]) == float(rows[0]["bound"]) - peak
 
 
@@ -136,6 +138,26 @@ class TestSynth:
         manifest = read_manifest(out / "manifest.txt")
         assert manifest["metric_asleep_steps"] == "0"
         assert_regret_headroom(manifest, out)
+        assert manifest["metric_max_cdf_repair"] == "0.0"
+
+    @pytest.mark.parametrize("where", ["below 0", "above 1"])
+    def test_max_cdf_repair_reports_an_injected_violation(self, tmp_path, monkeypatch, where):
+        violation = 2.0**-42  # 2.3e-13, exact in floats
+        triangular = cli_mod.triangular_cdf
+
+        def noisy(expert, domain):
+            vals = triangular(expert, domain)
+            if where == "below 0":
+                vals[: np.argmax(vals > 0.0)] = -violation  # the cells at 0
+            else:
+                vals[np.argmax(vals == 1.0):-1] = 1.0 + violation  # cells at 1
+            return vals
+
+        monkeypatch.setattr(cli_mod, "triangular_cdf", noisy)
+        out = tmp_path / "run"
+        assert run_cli(*SYNTH_FLAGS, "--out", str(out)) == 0
+        manifest = read_manifest(out / "manifest.txt")
+        assert float(manifest["metric_max_cdf_repair"]) == violation
 
     def test_one_cell_grid_is_usage_error(self, tmp_path):
         proc = run_cli_process("synth", "--method", "1", "--steps", "20", "--grid", "1",
@@ -230,10 +252,11 @@ class TestLoad:
         assert manifest["metric_asleep_steps"] == str(asleep)
         quality = read_manifest(out / "data_quality.txt")
         assert manifest["metric_test_outcomes_clipped"] == quality["test_outcomes_clipped"]
-        assert list(manifest)[-2] == "metric_roster_evaluations"
+        assert list(manifest)[-3] == "metric_roster_evaluations"
         assert 0 < int(manifest["metric_roster_evaluations"]) <= int(manifest["metric_steps"])
         assert_regret_headroom(manifest, out)
         assert float(manifest["metric_min_regret_headroom"]) > 0.0
+        assert 0.0 <= float(manifest["metric_max_cdf_repair"]) <= 1e-12
 
     def test_whole_degree_run_matches_per_step_roster(self, tmp_path):
         # the replay cmd_load ran before the windowed roster stream: one
@@ -449,10 +472,10 @@ class TestVerify:
     def test_broken_substitution_is_caught_with_witness(self):
         # substitution constant doubled: the mixability suite must fail and
         # produce a concrete witness
-        from crpsmix.aggregation import _substitute_columns
+        from crpsmix.aggregation import square_tables, substitute_tables
 
         def broken(values, q):
-            vals = _substitute_columns(values, np.asarray(q, float), 4.0)
+            vals = substitute_tables(square_tables(values, 4.0), np.asarray(q, float), 4.0)
             return np.clip(vals, 0.0, 1.0)
 
         res = verify_mod.check_crps_mixability(seed=0, cases=10, aggregate=broken)
@@ -476,3 +499,67 @@ class TestVerify:
             cli_mod.verify_mod.run_all = orig
         assert code == 1
         assert "boom" in report.read_text()
+
+
+def outputs(out):
+    """Every file under `out`, by relative path, as bytes."""
+    return {
+        os.path.relpath(os.path.join(root, name), out):
+            open(os.path.join(root, name), "rb").read()
+        for root, _, names in os.walk(out) for name in names
+    }
+
+
+class TestTimings:
+    @pytest.mark.parametrize("command, phases", [
+        ("synth", ["setup", "replay", "write"]),
+        ("load", ["ingest", "fit", "replay", "write"]),
+        ("verify", None),
+    ])
+    def test_outputs_are_unchanged(self, tmp_path, capsys, command, phases):
+        out = tmp_path / "out"
+        if command == "synth":
+            args = [*SYNTH_FLAGS, "--out", str(out)]
+        elif command == "load":
+            rows = demo_rows(tmp_path / "demo.csv", 8760 + 150)
+            data = write_rows(tmp_path / "short.csv", rows)
+            args = ["load", "--data", data, "--split", rows[1 + 8760][0],
+                    "--grid", "64", "--out", str(out)]
+        else:
+            args = ["verify", "--cases", "4", "--seed", "2"]
+        runs = []
+        for flags in ([], ["--timings"]):
+            shutil.rmtree(out, ignore_errors=True)
+            assert main(args + flags) == 0
+            captured = capsys.readouterr()
+            runs.append((captured.out, outputs(out) if out.exists() else {}, captured.err))
+        (out0, files0, err0), (out1, files1, err1) = runs
+        assert out1 == out0
+        assert files1 == files0
+        assert "timing" not in err0
+        timed = [line for line in err1.splitlines() if line.startswith("timing ")]
+        if phases is None:  # one line per check, named as on stdout
+            phases = [line.split("  ", 1)[1].split(" (")[0] for line in out0.splitlines()]
+        assert [line[len("timing "):].split(":")[0] for line in timed] == phases
+        assert all(line.endswith(" s") and float(line.split()[-2]) >= 0 for line in timed)
+
+
+def test_csv_writer_matches_csv_module(tmp_path):
+    stamp = datetime(2010, 3, 28, 1, 30, tzinfo=timezone(timedelta(hours=1)))
+    header = ["t", "timestamp", "name", "value", "flag"]
+    rows = [
+        [1, stamp.isoformat(), "expert01_anytime", 0.1, True],
+        [np.int64(2), datetime(2010, 1, 1).isoformat(), "x", np.float64(1e-300), False],
+        [3, "2010-01-01T00:00:00", "y", np.float32(0.25), np.float64(-0.0)],
+        [4, "z", "", float("inf"), 12345678901234567890],
+        [5, 2.5, 1 / 3, -7, np.bool_(True)],
+    ]
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(x) for x in row])
+    got = tmp_path / "got.csv"
+    _write_csv(got, header, iter(rows))
+    assert got.read_bytes() == want.read_bytes()

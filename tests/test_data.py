@@ -154,6 +154,18 @@ class TestLoadCsv:
         assert len(records) == 199
         assert [line for line, _ in report.row_errors] == [52]
 
+    def test_non_finite_values_are_row_errors(self, tmp_path):
+        rows = hourly_rows(datetime(2010, 1, 1), 300)
+        for i, (load, temp) in enumerate([("nan", "50"), ("100", "inf"), ("-inf", "nan")]):
+            ts = rows[20 + i].split(",")[0]
+            rows[20 + i] = f"{ts},{load},{temp}"
+        p = write_csv(tmp_path / "nonfinite.csv", rows)
+        records, report = load_csv(p)
+        assert len(records) == 297
+        assert report.row_errors == [
+            (22 + i, "non-finite load or temperature") for i in range(3)
+        ]
+
     def test_too_many_bad_rows_fatal(self, tmp_path):
         rows = hourly_rows(datetime(2010, 1, 1), 50)
         for i in range(5):

@@ -22,7 +22,7 @@ from crpsmix.game import (
 )
 from crpsmix.grids import GridCDF, GridDomain, cdf_values, crps
 
-from conftest import random_cdf_values, reference_game
+from conftest import random_cdf_values, reference_game, reference_square_loss_game
 
 
 def synth_setup(T=600, d=128, seed=0, n_segments=6):
@@ -301,7 +301,7 @@ class TestReplay:
         k = int(np.argmax(broken[1] > 0.5))
         broken[1, k] = broken[1, k - 1] - 1e-6  # a decrease: not a CDF
         monkeypatch.setattr(
-            game_mod, "crps_rows", lambda *a, **k: pytest.fail("a step ran")
+            game_mod, "substitute_tables", lambda *a, **k: pytest.fail("a step ran")
         )
         with pytest.raises(ValueError, match="monotone"):
             replay([GameConfig(dom)], broken, y)
@@ -323,6 +323,44 @@ class TestReplay:
             replay([GameConfig(dom)], iter([np.stack([m] * 7)]), y)
         with pytest.raises(ValueError, match="outside"):
             replay([GameConfig(dom)], m, [0.5, 1.5])
+
+    def test_roster_sized_stream_with_confidences_is_exact(self):
+        # the load roster's size: 21 experts at d=128, scored three steps
+        # per block, in chunks that split blocks
+        rng = np.random.default_rng(21)
+        dom = GridDomain(0.0, 3.0, 128)
+        T, n = 70, 21
+        matrices = np.stack([
+            np.stack([random_cdf_values(rng, 128) for _ in range(n)]) for _ in range(T)
+        ])
+        p = rng.random((T, n))
+        p[rng.random((T, n)) < 0.4] = 0.0
+        p[9::23] = 0.0  # all asleep
+        y = 3.0 * rng.random(T)
+        configs = [GameConfig(dom, mode="aa", alpha=0.0), GameConfig(dom, mode="wa", alpha=0.01),
+                   GameConfig(dom, mode="aa", alpha=0.001)]
+        chunks = iter([matrices[:1], matrices[1:26], matrices[26:]])
+        logs = assert_replay_matches_reference(configs, matrices, y, p, chunks=chunks)
+        assert all(log.asleep_steps == 3 for log in logs)
+
+    def test_max_cdf_repair_is_the_largest_clamp(self):
+        dom, cdfs, y = synth_setup(T=30)
+        matrix = np.stack([f.values for f in cdfs])
+        configs = [GameConfig(dom, mode="aa"), GameConfig(dom, mode="wa", alpha=0.01)]
+        clean, _ = replay(configs, matrix, y)
+        assert clean[0].max_cdf_repair == 0.0
+        assert 0.0 <= clean[1].max_cdf_repair <= 1e-15  # averaging's rounding
+        violation = 4e-13
+        low = int(np.argmax(matrix[0] == 0.0))  # a cell at zero
+        matrix[0, low] = -violation
+        for experts in (matrix, iter([np.stack([matrix] * 30)])):
+            logs, _ = replay(configs, experts, y)
+            assert [log.max_cdf_repair for log in logs] == [violation, violation]
+        # in one chunk of a stream
+        stack = np.stack([np.stack([f.values for f in cdfs])] * 30)
+        stack[17, 2, -2] = 1.0 + 2.0**-42
+        (log,), _ = replay(configs[:1], iter([stack[:10], stack[10:]]), y)
+        assert log.max_cdf_repair == 2.0**-42
 
     def test_configurations_share_one_domain(self):
         dom, cdfs, y = synth_setup(T=6)
@@ -376,6 +414,19 @@ class TestSquareLossGame:
         for eta in (0.5, 1.0, 2.0):
             log = run_square_loss_game(f, y, eta)
             assert np.all(log.regret().min(axis=1) <= log.bound + 1e-9)
+
+    @pytest.mark.parametrize("n", [2, 5, 9, 21])
+    def test_matches_step_at_a_time_oracle(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            steps = int(rng.integers(1, 80))
+            f = rng.random((steps, n))
+            f[rng.random((steps, n)) < 0.1] = 1.0
+            y = rng.integers(0, 2, size=steps).astype(float)
+            eta = float(rng.uniform(0.2, 2.0))
+            got = run_square_loss_game(f, y, eta)
+            want = reference_square_loss_game(f, y, eta)
+            assert_logs_close(got, want, rtol=0.0)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -5,16 +5,19 @@ from hypothesis import strategies as st
 
 from crpsmix.grids import (
     GridCDF,
+    REPAIR_TOL,
     GridDomain,
     cdf_from_row,
     cdf_values,
     cdf_to_row,
+    check_cdf,
     crps,
     crps_grid_profile,
     crps_rows,
     empirical_cdf,
     heaviside_cdf,
     quantile,
+    repair_cdf,
 )
 from crpsmix.rng import spawn_rngs
 from crpsmix.verify import random_grid_cdf
@@ -71,6 +74,79 @@ class TestGridCdfValidation:
         f = GridCDF(GridDomain(0.0, 1.0, 3), [0.1, 0.5, 1.0])
         with pytest.raises(ValueError):
             f.values[0] = 0.9
+
+
+def clamp_reference(vals):
+    """The repair of `cdf_values` as one full pass: check every row, clamp
+    into [0, 1], then to monotone, then set the last value to 1."""
+    check_cdf(vals)
+    out = np.maximum.accumulate(np.minimum(np.maximum(vals, 0.0), 1.0), axis=-1)
+    out[..., -1] = 1.0
+    return out
+
+
+def noisy_rows(rng, shape):
+    """Random CDF rows of `shape` (..., d), with -0.0 cells and, in about
+    half the rows, float-noise violations of every kind up to REPAIR_TOL."""
+    rows = np.sort(rng.random(shape), axis=-1)
+    rows[..., -1] = 1.0
+    flat = rows.reshape(-1, shape[-1])  # a view
+    for row in flat:
+        row[: int(rng.integers(0, min(2, len(row) - 1) + 1))] = -0.0  # a prefix
+    for row in flat[rng.random(len(flat)) < 0.5]:
+        k = int(rng.integers(0, shape[-1]))
+        noise = float(rng.uniform(0.0, REPAIR_TOL))
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            row[0] = -noise  # below 0
+        elif kind == 1:
+            row[k:] = 1.0 + noise  # above 1
+        elif kind == 2 and k > 0:
+            row[k] = row[k - 1] - noise  # a drop
+        else:
+            row[-1] = 1.0 - noise  # the end
+    return rows
+
+
+class TestRepairCdf:
+    def test_bit_identical_to_the_full_clamp(self):
+        rng = np.random.default_rng(5)
+        for shape in [(1,), (2,), (16,), (7, 16), (5, 3, 128), (4, 1024)]:
+            for _ in range(50):
+                vals = noisy_rows(rng, shape)
+                want = clamp_reference(vals)
+                got = vals.copy()
+                change = repair_cdf(got)
+                assert got.tobytes() == want.tobytes()  # -0.0 included
+                want_change = np.abs(want - vals)[..., :-1].max(axis=-1, initial=0.0)
+                np.testing.assert_array_equal(np.broadcast_to(change, shape[:-1]), want_change)
+
+    def test_clean_rows_report_no_repair(self):
+        rng = np.random.default_rng(6)
+        for shape in [(1,), (16,), (3, 256)]:
+            vals = np.sort(rng.random(shape), axis=-1)
+            vals[..., -1] = 1.0 - REPAIR_TOL / 2  # the end is set, not repaired
+            assert repair_cdf(vals) == 0.0
+            assert np.all(vals[..., -1] == 1.0)
+
+    def test_change_is_the_injected_violation(self):
+        vals = np.array([[0.0, 0.25, 0.5, 1.0], [0.0, 0.5, 0.75, 1.0]])
+        vals[1, 2] = 0.5 - 2.0**-42  # a drop of 2.3e-13, exact in floats
+        assert list(repair_cdf(vals)) == [0.0, 2.0**-42]
+
+    @pytest.mark.parametrize("bad", [
+        [0.1, np.nan, 1.0], [0.1, 0.5, np.inf], [-0.1, 0.5, 1.0], [0.1, 1.2, 1.0],
+        [0.5, 0.3, 1.0], [0.1, 0.5, 0.9], [0.1, 0.5, 1.0 + 1e-9],
+    ])
+    def test_raises_the_messages_of_check_cdf(self, bad):
+        vals = np.array([[0.0, 0.5, 1.0], bad])
+        with pytest.raises(ValueError) as want:
+            check_cdf(vals)
+        before = vals.copy()
+        with pytest.raises(ValueError) as got:
+            repair_cdf(vals)
+        assert str(got.value) == str(want.value)
+        assert before.tobytes() == vals.tobytes()  # left as it was
 
 
 class TestHeaviside:
