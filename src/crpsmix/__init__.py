@@ -38,6 +38,7 @@ from .experts import (
     TriangularExpert,
     conditional_load_cdfs,
     fit_gmm_em,
+    fit_gmm_ems,
     triangular_cdf,
 )
 from .game import (

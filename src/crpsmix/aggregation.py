@@ -244,10 +244,27 @@ def mix_past_posteriors(log_weights: np.ndarray, alpha) -> np.ndarray:
     w_i <- alpha/n + (1-alpha) w_i / sum_j w_j.  Returns log weights that
     sum to 1 with floor alpha/n; alpha = 0 is plain normalization.  (C, N)
     log weights take a (C, 1) alpha, one per row."""
-    lw = log_weights
-    norm = lw - logsumexp(lw, axis=-1)[..., None]
-    if not np.any(alpha):
-        return norm
-    with np.errstate(divide="ignore"):  # log(0) only in rows where alpha = 0
-        mixed = np.log(alpha / lw.shape[-1] + (1.0 - alpha) * np.exp(norm))
-    return np.where(alpha == 0.0, norm, mixed)
+    return fixed_share(alpha, log_weights.shape[-1])(log_weights)
+
+
+def fixed_share(alpha, n: int):
+    """`mix_past_posteriors` with alpha fixed, as a function of (..., n)
+    log weights, bit for bit: the tests on alpha are made once, here, for
+    a caller that mixes every step with the same alpha."""
+    alpha = np.asarray(alpha, dtype=float)
+    plain = alpha == 0.0
+
+    def normalize(lw):
+        return lw - logsumexp(lw, axis=-1)[..., None]
+
+    if plain.all():
+        return normalize
+    share, keep, some_plain = alpha / n, 1.0 - alpha, bool(plain.any())
+
+    def mix(lw):
+        norm = normalize(lw)
+        with np.errstate(divide="ignore"):  # log(0) only in rows where alpha = 0
+            mixed = np.log(share + keep * np.exp(norm))
+        return np.where(plain, norm, mixed) if some_plain else mixed
+
+    return mix

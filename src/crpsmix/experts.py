@@ -147,67 +147,10 @@ def _kmeanspp_centers(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return np.array(centers)
 
 
-def _m_step(pts, resp, ridge):
-    """Weights, means and covariances from (k, n) responsibilities, plus the
-    (k, n, 2) deviations of the points from the new means, which the next
-    E-step reuses.
-
-    Bit for bit the per-component M-step it replaced: the masses are
-    sequential sums, and the BLAS products see the layouts they saw there,
-    (n, k) C-order responsibilities and (n, 2) C-order blocks, since gemm
-    results depend on layout.  Rows are taken as complex numbers
-    (temperature + i load), so that subtracting a mean and scaling by a
-    responsibility are contiguous passes of the same float operations.
-    """
-    nk = np.cumsum(resp, axis=1)[:, -1]
-    if np.any(nk < 1e-10):
-        raise DegenerateFit("a mixture component collapsed to zero mass")
-    weights = nk / len(pts)
-    means = (resp.T.copy().T @ pts) / nk[:, None]  # resp.T.copy(): (n, k) C order
-    k, n = resp.shape
-    dev_c = _as_complex(pts) - _as_complex(means)[:, None]
-    dev = dev_c.view(float).reshape(k, n, 2)
-    weighted = (dev_c * resp).view(float).reshape(k, n, 2)
-    covs = np.matmul(weighted.transpose(0, 2, 1), dev) / nk[:, None, None]
-    covs[:, 0, 0] += ridge[0]
-    covs[:, 1, 1] += ridge[1]
-    covs = 0.5 * (covs + covs.transpose(0, 2, 1))
-    return weights, means, covs, dev
-
-
-def _as_complex(pairs: np.ndarray) -> np.ndarray:
-    """(m, 2) float rows as m complex numbers, without copying when C-order."""
-    return np.ascontiguousarray(pairs).view(complex)[:, 0]
-
-
-def _e_step(weights, covs, dev):
-    """(k, n) log joint densities log w_j + log N(x_i; mu_j, S_j)."""
-    s_tt, s_tl, s_lt, s_ll = covs[:, 0, 0], covs[:, 0, 1], covs[:, 1, 0], covs[:, 1, 1]
-    det = s_tt * s_ll - s_tl * s_lt
-    if np.any(det <= 0):
-        raise DegenerateFit("covariance lost positive definiteness")
-    d_t, d_l = dev[..., 0], dev[..., 1]
-    # explicit 2x2 inverse
-    quad = (
-        s_ll[:, None] * d_t**2
-        - 2.0 * s_tl[:, None] * d_t * d_l
-        + s_tt[:, None] * d_l**2
-    ) / det[:, None]
-    log_norm = -np.log(2.0 * np.pi) - 0.5 * np.log(det)
-    return np.log(weights)[:, None] + (log_norm[:, None] - 0.5 * quad)
-
-
-def fit_gmm_em(points, k: int, seed: int, *, return_history: bool = False):
-    """Fit a k-component bivariate Gaussian mixture by EM.
-
-    Seeding is k-means++ style from the given seed, so the fit is
-    deterministic.  Iterates until the log-likelihood improves by less
-    than EM_TOL or EM_MAX_ITER rounds; the log-likelihood must not
-    decrease between rounds (a decrease beyond float noise raises
-    DegenerateFit).  Covariances carry a ridge of COV_RIDGE times the
-    per-dimension data variance.  Each round is one pass over (k, n)
-    arrays.
-    """
+def _em_start(points, k: int, seed: int):
+    """Checked (n, 2) points, their covariance ridge and the (k, n) hard
+    responsibilities of k-means++ seeding; raises ValueError or
+    DegenerateFit for a set that cannot be fitted."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be an (n, 2) array of (temp, load) pairs")
@@ -218,35 +161,168 @@ def fit_gmm_em(points, k: int, seed: int, *, return_history: bool = False):
     data_var = pts.var(axis=0)
     if np.all(data_var < 1e-12):
         raise DegenerateFit("all points identical")
-    ridge = COV_RIDGE * np.maximum(data_var, 1e-12)
-
-    rng = rng_from_seed(seed)
-    centers = _kmeanspp_centers(pts, k, rng)
+    centers = _kmeanspp_centers(pts, k, rng_from_seed(seed))
     d2 = np.sum((pts - centers[:, None, :]) ** 2, axis=2)
     resp = (d2.argmin(axis=0) == np.arange(k)[:, None]).astype(float)
-    weights, means, covs, dev = _m_step(pts, resp, ridge)
+    return pts, COV_RIDGE * np.maximum(data_var, 1e-12), resp
 
-    history = []
-    prev_ll = -np.inf
-    for _ in range(EM_MAX_ITER):
-        log_joint = _e_step(weights, covs, dev)
-        row_ll = logsumexp(log_joint, axis=0)
-        ll = float(row_ll.sum())
-        if ll < prev_ll - 1e-9 * max(1.0, abs(prev_ll)):
-            raise DegenerateFit(
-                f"log-likelihood decreased ({prev_ll} -> {ll}); fit is unstable"
-            )
-        history.append(ll)
-        if ll - prev_ll < EM_TOL:
+
+def _m_step(pts, n, resp, nk, ridge):
+    """Weights, means and covariances of G fits from their (G, k, w)
+    responsibilities and (G, k) masses, plus the (G, k, w, 2) deviations
+    of the points from the new means, which the next E-step reuses.  The
+    (G, w, 2) points are padded past each fit's size n; padded points
+    carry responsibility 0.
+
+    Bit for bit the per-component M-step of one unpadded set (the tests
+    check it against that reference): padded points add exact zeros to
+    every sum, and the BLAS products see per fit the layouts they saw
+    there, (w, k) C-order responsibilities and (w, 2) C-order blocks, since
+    gemm results depend on layout.  Rows are taken as complex numbers
+    (temperature + i load), so that subtracting a mean and scaling by a
+    responsibility are contiguous passes of the same float operations.
+    """
+    weights = nk / n[:, None]
+    means = (resp.swapaxes(1, 2).copy().swapaxes(1, 2) @ pts) / nk[..., None]
+    dev_c = _as_complex(pts)[:, None] - _as_complex(means)[..., None]
+    dev = dev_c.view(float).reshape(dev_c.shape + (2,))
+    weighted = (dev_c * resp).view(float).reshape(dev.shape)
+    covs = np.matmul(weighted.swapaxes(2, 3), dev) / nk[..., None, None]
+    covs[..., 0, 0] += ridge[:, 0, None]
+    covs[..., 1, 1] += ridge[:, 1, None]
+    covs = 0.5 * (covs + covs.swapaxes(2, 3))
+    return weights, means, covs, dev
+
+
+def _as_complex(pairs: np.ndarray) -> np.ndarray:
+    """(..., m, 2) float rows as (..., m) complex numbers, without copying
+    when C-order."""
+    return np.ascontiguousarray(pairs).view(complex)[..., 0]
+
+
+def _e_step(weights, covs, det, dev):
+    """(G, k, w) log joint densities log w_j + log N(x_i; mu_j, S_j), from
+    the (G, k) covariance determinants."""
+    s_tt, s_tl, s_ll = covs[..., 0, 0], covs[..., 0, 1], covs[..., 1, 1]
+    d_t, d_l = dev[..., 0], dev[..., 1]
+    # explicit 2x2 inverse
+    quad = (
+        s_ll[..., None] * d_t**2
+        - 2.0 * s_tl[..., None] * d_t * d_l
+        + s_tt[..., None] * d_l**2
+    ) / det[..., None]
+    log_norm = -np.log(2.0 * np.pi) - 0.5 * np.log(det)
+    return np.log(weights)[..., None] + (log_norm[..., None] - 0.5 * quad)
+
+
+def _fitted(weights, means, covs, history):
+    try:
+        return Gmm2D(weights, means, covs), np.array(history)
+    except ValueError as exc:
+        return exc
+
+
+def fit_gmm_ems(point_sets, k: int, seeds) -> list:
+    """Fit a k-component bivariate Gaussian mixture by EM to each point
+    set, all sets in lockstep.
+
+    Seeding is k-means++ style from each set's seed, so every fit is
+    deterministic.  A fit iterates until its log-likelihood improves by
+    less than EM_TOL or for EM_MAX_ITER rounds; the log-likelihood must
+    not decrease between rounds (a decrease beyond float noise raises
+    DegenerateFit).  Covariances carry a ridge of COV_RIDGE times the
+    per-dimension variance of the set.
+
+    Each round is one pass over (G, k, w) arrays for the G fits still
+    running, each set padded to the largest size w with points of
+    responsibility 0; a fit's total log-likelihood sums its own points
+    only.  A fit leaves the stack when it stops or raises, so its result is
+    bit for bit that of fitting its set alone.
+
+    Returns, per set in order, (model, log-likelihood history) or the
+    ValueError or DegenerateFit its fit raised.
+    """
+    results = [None] * len(point_sets)
+    starts = []
+    for i, (points, seed) in enumerate(zip(point_sets, seeds, strict=True)):
+        try:
+            starts.append((i, *_em_start(points, k, seed)))
+        except (ValueError, DegenerateFit) as exc:
+            results[i] = exc
+    if not starts:
+        return results
+    ids = np.array([i for i, *_ in starts])
+    n = np.array([len(p) for _, p, _, _ in starts])
+    pts = np.zeros((len(starts), n.max(), 2))
+    resp = np.zeros((len(starts), k, n.max()))
+    for g, (_, p, _, r) in enumerate(starts):
+        pts[g, : n[g]] = p
+        resp[g, :, : n[g]] = r
+    ridge = np.array([c for _, _, c, _ in starts])
+    prev_ll = np.full(len(ids), -np.inf)
+    histories = {i: [] for i in ids}
+
+    for rnd in range(EM_MAX_ITER + 1):
+        nk = np.cumsum(resp, axis=-1)[..., -1]  # sequential sums, as the reference's
+        collapsed = nk < 1e-10
+        if collapsed.any():
+            gone = np.flatnonzero(collapsed.any(axis=1))
+            for i in ids[gone]:
+                results[i] = DegenerateFit("a mixture component collapsed to zero mass")
+            ids, n, pts, ridge, prev_ll, resp, nk = (
+                np.delete(a, gone, axis=0) for a in (ids, n, pts, ridge, prev_ll, resp, nk))
+        if not len(ids):
             break
-        prev_ll = ll
-        resp = np.exp(log_joint - row_ll)
-        weights, means, covs, dev = _m_step(pts, resp, ridge)
+        weights, means, covs, dev = _m_step(pts, n, resp, nk, ridge)
+        if rnd == EM_MAX_ITER:
+            break
 
-    model = Gmm2D(weights, means, covs)
-    if return_history:
-        return model, np.array(history)
-    return model
+        det = covs[..., 0, 0] * covs[..., 1, 1] - covs[..., 0, 1] * covs[..., 1, 0]
+        indefinite = det <= 0
+        if indefinite.any():
+            gone = np.flatnonzero(indefinite.any(axis=1))
+            for i in ids[gone]:
+                results[i] = DegenerateFit("covariance lost positive definiteness")
+            ids, n, pts, ridge, prev_ll, weights, means, covs, det, dev = (
+                np.delete(a, gone, axis=0)
+                for a in (ids, n, pts, ridge, prev_ll, weights, means, covs, det, dev))
+        log_joint = _e_step(weights, covs, det, dev)
+        row_ll = logsumexp(log_joint, axis=1)
+        gone = []
+        for g, i in enumerate(ids):
+            ll, prev = float(row_ll[g, : n[g]].sum()), float(prev_ll[g])
+            if ll < prev - 1e-9 * max(1.0, abs(prev)):
+                results[i] = DegenerateFit(
+                    f"log-likelihood decreased ({prev} -> {ll}); fit is unstable"
+                )
+                gone.append(g)
+                continue
+            histories[i].append(ll)
+            if ll - prev < EM_TOL:
+                results[i] = _fitted(weights[g], means[g], covs[g], histories[i])
+                gone.append(g)
+            prev_ll[g] = ll
+        if gone:
+            ids, n, pts, ridge, prev_ll, log_joint, row_ll = (
+                np.delete(a, gone, axis=0)
+                for a in (ids, n, pts, ridge, prev_ll, log_joint, row_ll))
+        resp = np.exp(log_joint - row_ll[:, None])
+        if n.min(initial=pts.shape[1]) < pts.shape[1]:
+            resp *= np.arange(pts.shape[1]) < n[:, None, None]  # padding: exactly 0
+
+    for g, i in enumerate(ids):
+        results[i] = _fitted(weights[g], means[g], covs[g], histories[i])
+    return results
+
+
+def fit_gmm_em(points, k: int, seed: int, *, return_history: bool = False):
+    """Fit one point set: `fit_gmm_ems` with G = 1, raising the fit's
+    ValueError or DegenerateFit.  Returns the model, and its
+    log-likelihood history when `return_history` is set."""
+    result = fit_gmm_ems([points], k, [seed])[0]
+    if isinstance(result, Exception):
+        raise result
+    return result if return_history else result[0]
 
 
 def em_hit_max_iter(history) -> bool:

@@ -17,8 +17,8 @@ from .aggregation import (
     _reweight,
     _update,
     aa_learning_rate,
+    fixed_share,
     logsumexp,
-    mix_past_posteriors,
     normalized_weights,
     square_tables,
     substitute_tables,
@@ -212,7 +212,7 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
 
     p = None if confidences is None else _as_confidence(confidences, (steps, n))
     eta = np.array([[cfg.eta] for cfg in configs])
-    alpha = np.array([[cfg.alpha] for cfg in configs])
+    mix = fixed_share(np.array([[cfg.alpha] for cfg in configs]), n)
     lw = np.full((c, n), -math.log(n))  # the (C, N) log weights
     ones = np.ones(n)
     h = np.empty((steps, c))
@@ -245,7 +245,7 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
         r = f - ind  # crps of each row, as dot products
         ht = domain.delta * np.array([row @ row for row in r])
         if awake:
-            lw = mix_past_posteriors(_update(lw, eta, pt, lt, ht[:, None]), alpha)
+            lw = mix(_update(lw, eta, pt, lt, ht[:, None]))
         h[t], losses[t], q[:, t], w[:, t] = ht, lt, qt, wt
         if t + 1 in keep:
             kept[t + 1] = [GridCDF(domain, v) for v in f]

@@ -5,6 +5,7 @@ schedule."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,10 +21,9 @@ from .data import (
 )
 from .experts import (
     ConfidenceSchedule,
-    DegenerateFit,
     Gmm2D,
     conditional_load_cdfs,
-    fit_gmm_em,
+    fit_gmm_ems,
 )
 from .grids import GridDomain
 
@@ -97,22 +97,27 @@ def build_load_roster(
         for p, pname in enumerate(DAY_PERIOD_NAMES):
             specs.append((f"expert{len(specs) + 1:02d}_{sname}_{pname}", s, p))
 
-    seeds = np.random.SeedSequence(seed).generate_state(len(specs))
-    experts: list[LoadExpert] = []
-    failures: list[tuple[str, str]] = []
-    for (name, s, p), sub_seed in zip(specs, seeds):
+    seeds = [int(x) for x in np.random.SeedSequence(seed).generate_state(len(specs))]
+    segments = []
+    for _, s, p in specs:
         mask = np.ones(len(points), dtype=bool)
         if s is not None:
             mask &= labels[:, 0] == s
         if p is not None:
             mask &= labels[:, 1] == p
-        try:
-            model, history = fit_gmm_em(
-                points[mask], components, int(sub_seed), return_history=True
-            )
-        except (ValueError, DegenerateFit) as exc:
-            failures.append((name, str(exc)))
+        segments.append(points[mask])
+    fits = []  # one lockstep fit per level: anytime, seasons, season-periods
+    for _, level in itertools.groupby(range(len(specs)), key=lambda i: specs[i][1:].count(None)):
+        level = list(level)
+        fits += fit_gmm_ems([segments[i] for i in level], components, [seeds[i] for i in level])
+
+    experts: list[LoadExpert] = []
+    failures: list[tuple[str, str]] = []
+    for (name, s, p), segment, fit in zip(specs, segments, fits):
+        if isinstance(fit, Exception):
+            failures.append((name, str(fit)))
             continue
+        model, history = fit
         sched_s = sched_d = None
         if confidence != "off":
             if s is not None:
@@ -121,7 +126,7 @@ def build_load_roster(
                 sched_d = day_schedule(p, day_ramp)
         experts.append(
             LoadExpert(name=name, model=model, season_schedule=sched_s, day_schedule=sched_d,
-                       fit_points=int(mask.sum()), fit_history=history)
+                       fit_points=len(segment), fit_history=history)
         )
     return experts, failures
 

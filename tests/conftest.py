@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from crpsmix.aggregation import (
     combine_wa,
     confidence_reweight,
+    logsumexp,
     mix_past_posteriors,
     normalized_weights,
     substitute_crps_aa,
@@ -19,8 +20,10 @@ from crpsmix.aggregation import (
     update_weights_confidence,
 )
 from crpsmix.data import write_demo_load_csv
+from crpsmix.experts import COV_RIDGE, EM_MAX_ITER, EM_TOL, DegenerateFit, _kmeanspp_centers
 from crpsmix.game import GameLog
 from crpsmix.grids import GridCDF, GridDomain, cdf_values, crps, crps_rows
+from crpsmix.rng import rng_from_seed
 
 
 def numeric_crps(cdf_fn, y, a, b, n=20001):
@@ -124,6 +127,67 @@ def reference_square_loss_game(forecasts, outcomes, eta):
         # np.square rounds the square correctly; a scalar ** 2 may call pow
         rows.append(np.concatenate(([y, np.square(pred - y)], losses, ones, q, q)))
     return GameLog(n, eta, np.array(rows))
+
+
+# The per-component EM, kept as the reference for the vectorised fits:
+# every history entry, weight, mean and covariance must match it bit for bit,
+# since a last-bit change can move the EM_TOL stopping test by a round.
+
+
+def _reference_log_gauss2(points, mean, cov):
+    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
+    if det <= 0:
+        raise DegenerateFit("covariance lost positive definiteness")
+    d = points - mean
+    quad = (
+        cov[1, 1] * d[:, 0] ** 2
+        - 2.0 * cov[0, 1] * d[:, 0] * d[:, 1]
+        + cov[0, 0] * d[:, 1] ** 2
+    ) / det
+    return -np.log(2.0 * np.pi) - 0.5 * np.log(det) - 0.5 * quad
+
+
+def _reference_m_step(pts, resp, ridge):
+    nk = resp.sum(axis=0)
+    if np.any(nk < 1e-10):
+        raise DegenerateFit("a mixture component collapsed to zero mass")
+    weights = nk / len(pts)
+    means = (resp.T @ pts) / nk[:, None]
+    covs = np.empty((resp.shape[1], 2, 2))
+    for j in range(resp.shape[1]):
+        d = pts - means[j]
+        cov = (resp[:, j, None] * d).T @ d / nk[j]
+        cov[0, 0] += ridge[0]
+        cov[1, 1] += ridge[1]
+        covs[j] = 0.5 * (cov + cov.T)
+    return weights, means, covs
+
+
+def reference_fit_gmm_em(pts, k, seed):
+    pts = np.asarray(pts, dtype=float)
+    ridge = COV_RIDGE * np.maximum(pts.var(axis=0), 1e-12)
+    centers = _kmeanspp_centers(pts, k, rng_from_seed(seed))
+    d2 = np.stack([np.sum((pts - c) ** 2, axis=1) for c in centers], axis=1)
+    resp = np.zeros((len(pts), k))
+    resp[np.arange(len(pts)), d2.argmin(axis=1)] = 1.0
+    weights, means, covs = _reference_m_step(pts, resp, ridge)
+    history = []
+    prev_ll = -np.inf
+    for _ in range(EM_MAX_ITER):
+        log_joint = np.stack(
+            [np.log(weights[j]) + _reference_log_gauss2(pts, means[j], covs[j])
+             for j in range(k)],
+            axis=1,
+        )
+        row_ll = logsumexp(log_joint, axis=1)
+        ll = float(row_ll.sum())
+        history.append(ll)
+        if ll - prev_ll < EM_TOL:
+            break
+        prev_ll = ll
+        resp = np.exp(log_joint - row_ll[:, None])
+        weights, means, covs = _reference_m_step(pts, resp, ridge)
+    return weights, means, covs, np.array(history)
 
 
 @st.composite

@@ -11,6 +11,8 @@ from crpsmix.aggregation import (
     aa_learning_rate,
     combine_wa,
     confidence_reweight,
+    fixed_share,
+    logsumexp,
     mix_past_posteriors,
     normalized_weights,
     square_tables,
@@ -360,6 +362,21 @@ class TestMixPastPosteriors:
         w = np.exp(mix_past_posteriors(np.array(lw), alpha))
         assert abs(w.sum() - 1.0) < 1e-9
         assert np.all(w >= alpha / w.size - 1e-15)
+
+
+    @pytest.mark.parametrize(
+        "alpha",
+        [0.0, 0.001, 1.0, [[0.0], [0.0], [0.0]], [[0.001], [0.0], [1.0]], [[0.3], [0.001], [1.0]]],
+    )
+    def test_fixed_share_is_the_mixing_formula_bit_for_bit(self, alpha):
+        # alpha decided once per replay; the per-call formula is the oracle
+        lw = np.random.default_rng(1).normal(size=(3, 5)) * 30.0
+        alpha = np.asarray(alpha, dtype=float)
+        norm = lw - logsumexp(lw, axis=-1)[..., None]
+        mixed = np.log(alpha / 5 + (1.0 - alpha) * np.exp(norm))
+        want = np.where(alpha == 0.0, norm, mixed)
+        assert np.array_equal(fixed_share(alpha, 5)(lw), want)
+        assert np.array_equal(mix_past_posteriors(lw, alpha), want)
 
 
 class TestScaleInvariance:

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crpsmix.aggregation import logsumexp
 from crpsmix.data import calendar_segments, load_csv, write_demo_load_csv
+from crpsmix import experts
 from crpsmix.experts import (
-    COV_RIDGE,
     EM_MAX_ITER,
     EM_TOL,
     ConditioningError,
@@ -18,13 +17,14 @@ from crpsmix.experts import (
     TriangularExpert,
     conditional_load_cdfs,
     fit_gmm_em,
+    fit_gmm_ems,
     triangular_cdf,
 )
-from crpsmix.experts import _condition_on_temperature, _kmeanspp_centers
+from crpsmix.experts import _condition_on_temperature
 from crpsmix.grids import GridDomain
 from crpsmix.rng import rng_from_seed
 
-from conftest import reference_schedule_at
+from conftest import reference_fit_gmm_em, reference_schedule_at
 
 
 def tri_density(e: TriangularExpert, u):
@@ -141,67 +141,6 @@ class TestFitGmmEm:
         np.testing.assert_array_equal(back.covs, g.covs)
 
 
-# The per-component EM that the one-pass fit replaced, kept as the reference:
-# every history entry, weight, mean and covariance must match it bit for bit,
-# since a last-bit change can move the EM_TOL stopping test by a round.
-
-
-def _reference_log_gauss2(points, mean, cov):
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
-    if det <= 0:
-        raise DegenerateFit("covariance lost positive definiteness")
-    d = points - mean
-    quad = (
-        cov[1, 1] * d[:, 0] ** 2
-        - 2.0 * cov[0, 1] * d[:, 0] * d[:, 1]
-        + cov[0, 0] * d[:, 1] ** 2
-    ) / det
-    return -np.log(2.0 * np.pi) - 0.5 * np.log(det) - 0.5 * quad
-
-
-def _reference_m_step(pts, resp, ridge):
-    nk = resp.sum(axis=0)
-    if np.any(nk < 1e-10):
-        raise DegenerateFit("a mixture component collapsed to zero mass")
-    weights = nk / len(pts)
-    means = (resp.T @ pts) / nk[:, None]
-    covs = np.empty((resp.shape[1], 2, 2))
-    for j in range(resp.shape[1]):
-        d = pts - means[j]
-        cov = (resp[:, j, None] * d).T @ d / nk[j]
-        cov[0, 0] += ridge[0]
-        cov[1, 1] += ridge[1]
-        covs[j] = 0.5 * (cov + cov.T)
-    return weights, means, covs
-
-
-def reference_fit_gmm_em(pts, k, seed):
-    pts = np.asarray(pts, dtype=float)
-    ridge = COV_RIDGE * np.maximum(pts.var(axis=0), 1e-12)
-    centers = _kmeanspp_centers(pts, k, rng_from_seed(seed))
-    d2 = np.stack([np.sum((pts - c) ** 2, axis=1) for c in centers], axis=1)
-    resp = np.zeros((len(pts), k))
-    resp[np.arange(len(pts)), d2.argmin(axis=1)] = 1.0
-    weights, means, covs = _reference_m_step(pts, resp, ridge)
-    history = []
-    prev_ll = -np.inf
-    for _ in range(EM_MAX_ITER):
-        log_joint = np.stack(
-            [np.log(weights[j]) + _reference_log_gauss2(pts, means[j], covs[j])
-             for j in range(k)],
-            axis=1,
-        )
-        row_ll = logsumexp(log_joint, axis=1)
-        ll = float(row_ll.sum())
-        history.append(ll)
-        if ll - prev_ll < EM_TOL:
-            break
-        prev_ll = ll
-        resp = np.exp(log_joint - row_ll[:, None])
-        weights, means, covs = _reference_m_step(pts, resp, ridge)
-    return weights, means, covs, np.array(history)
-
-
 @pytest.fixture(scope="module")
 def demo_year_segment(tmp_path_factory):
     """The summer-day segment of one demo year: its k=2 fit from seed 7
@@ -226,17 +165,106 @@ def _em_sets(demo_year_segment):
     }
 
 
+def unstable_points():
+    """44 near-collinear points in four tight clusters: their k=3 fit from
+    seed 60 sees the log-likelihood fall between rounds 5 and 6, while the
+    k=1 and k=2 fits converge in round 2."""
+    rng = np.random.default_rng(60)
+    x = rng.choice([0.0, 1.0, 2.0, 10.0], size=44) + rng.normal(size=44) * 1e-3 * rng.random()
+    return np.column_stack([x, 2 * x + rng.normal(size=44) * 1e-4])
+
+
+def assert_same_fit(fit, weights, means, covs, history, what):
+    model, got = fit
+    assert np.array_equal(got, history), what
+    assert np.array_equal(model.weights, weights), what
+    assert np.array_equal(model.means, means), what
+    assert np.array_equal(model.covs, covs), what
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_one_pass_em_matches_per_component_reference(k, demo_year_segment):
     for name, (pts, seed) in _em_sets(demo_year_segment).items():
         g, history = fit_gmm_em(pts, k, seed, return_history=True)
-        w, m, c, h = reference_fit_gmm_em(pts, k, seed)
-        assert np.array_equal(history, h), (name, k)
-        assert np.array_equal(g.weights, w), (name, k)
-        assert np.array_equal(g.means, m), (name, k)
-        assert np.array_equal(g.covs, c), (name, k)
+        assert_same_fit((g, history), *reference_fit_gmm_em(pts, k, seed), (name, k))
         if (name, k) == ("demo_summer_day", 2):  # a fit that runs to the cap
             assert len(history) == EM_MAX_ITER and history[-1] - history[-2] >= EM_TOL
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_lockstep_em_matches_per_set_reference(k, demo_year_segment):
+    # one group of sets of 500, 500, 300, 200, 44 and ~550 points: each fit
+    # stops in its own round (round 2 for k=1, the cap for the summer day at
+    # k=2), or fails mid-run next to fits that must finish unchanged
+    sets = dict(_em_sets(demo_year_segment), unstable=(unstable_points(), 60))
+    fits = fit_gmm_ems([pts for pts, _ in sets.values()], k, [s for _, s in sets.values()])
+    for (name, (pts, seed)), fit in zip(sets.items(), fits, strict=True):
+        weights, means, covs, history = reference_fit_gmm_em(pts, k, seed)
+        if (name, k) == ("unstable", 3):
+            # the reference has no decrease check: it records the fall, then
+            # stops on the negative improvement
+            assert isinstance(fit, DegenerateFit)
+            prev, ll = (float(x) for x in re.search(r"\((\S+) -> (\S+)\)", str(fit)).groups())
+            assert (prev, ll) == tuple(history[4:6]) and len(history) == 6
+            continue
+        assert_same_fit(fit, weights, means, covs, history, (name, k))
+        if k == 1:
+            assert len(history) == 2
+        if (name, k) == ("demo_summer_day", 2):
+            assert len(history) == EM_MAX_ITER
+
+
+def test_failed_fits_leave_only_their_own_result(monkeypatch, demo_year_segment):
+    # every way a fit can fail, in one lockstep group; the two injected
+    # faults hit the sets of 480 and 470 points only: weights that empty
+    # component 0 after round 1, and a covariance that turns indefinite in
+    # round 4
+    k = 3
+    sets = [
+        (two_cluster_data(), 1),
+        (np.random.default_rng(0).normal(size=(15, 2)), 0),
+        (two_cluster_data(seed=9)[:480], 7),
+        (demo_year_segment, 7),
+        (np.tile([1.0, 2.0], (50, 1)), 0),
+        (two_cluster_data(seed=4)[:470], 3),
+        (unstable_points(), 60),
+        (np.random.default_rng(2).normal([1.0, -3.0], [2.0, 0.5], size=(300, 2)), 0),
+    ]
+    alone = [fit_gmm_ems([pts], k, [seed])[0] for pts, seed in sets]
+    real_m_step, m_steps = experts._m_step, [0]
+
+    def faulty_m_step(pts, n, resp, nk, ridge):
+        weights, means, covs, dev = real_m_step(pts, n, resp, nk, ridge)
+        m_steps[0] += 1
+        rows = list(n)
+        if m_steps[0] == 1:
+            weights[rows.index(480), 0] = 1e-300
+        if m_steps[0] == 4:
+            covs[rows.index(470), 0] = [[1.0, 2.0], [2.0, 1.0]]
+        return weights, means, covs, dev
+
+    monkeypatch.setattr(experts, "_m_step", faulty_m_step)
+    fits = fit_gmm_ems([pts for pts, _ in sets], k, [seed for _, seed in sets])
+    errors = {
+        1: (ValueError, "need at least 30 points to fit k=3, got 15"),
+        2: (DegenerateFit, "a mixture component collapsed to zero mass"),
+        4: (DegenerateFit, "all points identical"),
+        5: (DegenerateFit, "covariance lost positive definiteness"),
+        6: (DegenerateFit, "log-likelihood decreased ("),
+    }
+    for i, (fit, solo) in enumerate(zip(fits, alone, strict=True)):
+        if i in errors:
+            kind, text = errors[i]
+            assert type(fit) is kind and str(fit).startswith(text), (i, fit)
+            if i == 6:
+                assert str(fit) == str(solo)
+            continue
+        assert_same_fit(fit, solo[0].weights, solo[0].means, solo[0].covs, solo[1], i)
+
+
+def test_single_set_fit_raises_its_failure():
+    with pytest.raises(DegenerateFit, match=r"log-likelihood decreased \("):
+        fit_gmm_em(unstable_points(), 3, 60)
 
 
 def make_gmm(weights, means, covs):

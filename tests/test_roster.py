@@ -1,11 +1,21 @@
+from dataclasses import replace
 from datetime import datetime
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp, ndtr
 
-from crpsmix.data import HOURS_PER_YEAR, hour_of_year, load_csv, split_train_test
-from crpsmix.experts import EM_MAX_ITER
+from crpsmix.data import (
+    DAY_PERIOD_NAMES,
+    HOURS_PER_YEAR,
+    SEASON_NAMES,
+    calendar_segments,
+    hour_of_year,
+    load_csv,
+    split_train_test,
+    write_demo_load_csv,
+)
+from crpsmix.experts import EM_MAX_ITER, fit_gmm_em
 from crpsmix import roster
 from crpsmix.grids import GridCDF, GridDomain
 from crpsmix.roster import (
@@ -19,7 +29,7 @@ from crpsmix.roster import (
     season_schedule,
 )
 
-from conftest import reference_schedule_at
+from conftest import reference_fit_gmm_em, reference_schedule_at
 
 
 def reference_load_cdf(g, temp, domain):
@@ -45,6 +55,26 @@ def fitted(demo_load_csv):
         train, components=2, seed=5, confidence="smooth"
     )
     return train, test, experts, failures
+
+
+@pytest.fixture(scope="module")
+def demo_year(tmp_path_factory):
+    path = write_demo_load_csv(tmp_path_factory.mktemp("roster") / "year.csv", hours=8760)
+    return load_csv(path)[0]
+
+
+def expert_segment(name, records):
+    """The (temperature, load) points of an expert's calendar segment,
+    read from its name: expert01_anytime, expert02_winter, ...,
+    expert21_autumn_evening."""
+    _, *parts = name.split("_")
+    labels = calendar_segments(records)
+    mask = np.ones(len(records), dtype=bool)
+    if parts != ["anytime"]:
+        mask &= labels[:, 0] == SEASON_NAMES.index(parts[0])
+    if len(parts) == 2:
+        mask &= labels[:, 1] == DAY_PERIOD_NAMES.index(parts[1])
+    return np.array([(r.temperature, r.load) for r in records])[mask]
 
 
 class TestSchedules:
@@ -228,3 +258,54 @@ class TestRoster:
         train, _, _, _ = fitted
         with pytest.raises(ValueError):
             build_load_roster(train, confidence="fuzzy")
+
+
+class TestRosterFit:
+    def test_every_fit_matches_per_set_reference(self, demo_year):
+        # the roster fits its levels in lockstep; each expert must be the
+        # per-component reference fit of its own segment, bit for bit
+        experts, failures = build_load_roster(demo_year, components=2, seed=3)
+        assert failures == [] and len(experts) == 21
+        seeds = np.random.SeedSequence(3).generate_state(21)
+        for e, seed in zip(experts, seeds, strict=True):
+            segment = expert_segment(e.name, demo_year)
+            weights, means, covs, history = reference_fit_gmm_em(segment, 2, int(seed))
+            assert e.fit_points == len(segment), e.name
+            assert np.array_equal(e.fit_history, history), e.name
+            assert np.array_equal(e.model.weights, weights), e.name
+            assert np.array_equal(e.model.means, means), e.name
+            assert np.array_equal(e.model.covs, covs), e.name
+
+    def test_failed_segments_drop_only_their_experts(self, demo_year):
+        # summer made one repeated point fails its season and its four
+        # periods; autumn evenings cut to 10 hours fail theirs
+        labels = calendar_segments(demo_year)
+        train, evenings = [], 0
+        for r, (s, p) in zip(demo_year, labels):
+            if SEASON_NAMES[s] == "summer":
+                r = replace(r, temperature=70.0, load=100.0)
+            if (SEASON_NAMES[s], DAY_PERIOD_NAMES[p]) == ("autumn", "evening"):
+                evenings += 1
+                if evenings > 10:
+                    continue
+            train.append(r)
+        experts, failures = build_load_roster(train, components=2, seed=3)
+        identical = "all points identical"
+        assert failures == [
+            ("expert04_summer", identical),
+            ("expert14_summer_night", identical),
+            ("expert15_summer_morning", identical),
+            ("expert16_summer_day", identical),
+            ("expert17_summer_evening", identical),
+            ("expert21_autumn_evening", "need at least 20 points to fit k=2, got 10"),
+        ]
+        assert len(experts) == 15
+        seeds = dict(zip([f"expert{i:02d}" for i in range(1, 22)],
+                         np.random.SeedSequence(3).generate_state(21)))
+        for e in experts:
+            segment = expert_segment(e.name, train)
+            model, history = fit_gmm_em(segment, 2, int(seeds[e.name[:8]]), return_history=True)
+            assert np.array_equal(e.fit_history, history), e.name
+            assert np.array_equal(e.model.means, model.means), e.name
+            assert np.array_equal(e.model.covs, model.covs), e.name
+            assert np.array_equal(e.model.weights, model.weights), e.name
