@@ -77,20 +77,16 @@ def normalized_weights(log_weights: np.ndarray) -> np.ndarray:
     return np.exp(log_weights - logsumexp(log_weights, axis=-1)[..., None])
 
 
-def _reweight(log_weights: np.ndarray, p: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        q = normalized_weights(log_weights + np.log(p))
-    q[..., p == 0.0] = 0.0
-    return q
-
-
 def confidence_reweight(log_weights: np.ndarray, p) -> np.ndarray:
     """Probability vector proportional to p_i * w_i; experts with zero
     confidence get exactly zero mass."""
     p = _as_confidence(p, log_weights.shape[-1:])
     if not np.any(p > 0):
         raise AllExpertsAsleep("all confidences are zero at this step")
-    return _reweight(log_weights, p)
+    with np.errstate(divide="ignore"):
+        q = normalized_weights(log_weights + np.log(p))
+    q[..., p == 0.0] = 0.0
+    return q
 
 
 def _check_probability(q, n: int) -> np.ndarray:
@@ -230,13 +226,8 @@ def update_weights_confidence(
     h = float(learner_loss)
     if not np.isfinite(h) or h < 0:
         raise ValueError(f"learner loss must be finite and non-negative, got {h}")
-    return _update(log_weights, eta, p, l, h)
-
-
-def _update(log_weights, eta, p, losses, h) -> np.ndarray:
-    # (C, N) log weights take a (C, 1) eta and h
-    lw = log_weights - eta * (p * losses + (1.0 - p) * h)
-    return lw - lw.max(axis=-1, keepdims=True)
+    lw = log_weights - eta * (p * l + (1.0 - p) * h)
+    return lw - lw.max()
 
 
 def mix_past_posteriors(log_weights: np.ndarray, alpha) -> np.ndarray:
@@ -251,20 +242,35 @@ def fixed_share(alpha, n: int):
     """`mix_past_posteriors` with alpha fixed, as a function of (..., n)
     log weights, bit for bit: the tests on alpha are made once, here, for
     a caller that mixes every step with the same alpha."""
+    share = _share(alpha, n)
+    return lambda lw: share(lw - logsumexp(lw, axis=-1)[..., None])
+
+
+def _share(alpha, n: int):
+    """The fixed-share step on log weights that sum to 1, in place:
+    log(alpha/n + (1-alpha) w_i), and the weights themselves where
+    alpha = 0 (where the log is never taken, so log(0) cannot arise)."""
     alpha = np.asarray(alpha, dtype=float)
     plain = alpha == 0.0
-
-    def normalize(lw):
-        return lw - logsumexp(lw, axis=-1)[..., None]
-
     if plain.all():
-        return normalize
-    share, keep, some_plain = alpha / n, 1.0 - alpha, bool(plain.any())
+        return lambda norm: norm
+    share, keep, mixed = alpha / n, 1.0 - alpha, ~plain
+    return lambda norm: np.log(share + keep * np.exp(norm), out=norm, where=mixed)
 
-    def mix(lw):
-        norm = normalize(lw)
-        with np.errstate(divide="ignore"):  # log(0) only in rows where alpha = 0
-            mixed = np.log(share + keep * np.exp(norm))
-        return np.where(plain, norm, mixed) if some_plain else mixed
 
-    return mix
+def confidence_step(eta, alpha, n: int):
+    """The weight step of a replay, as a function of the (..., n) log
+    weights and the charge p*l + (1-p)*h of each expert (just l at full
+    confidence): `mix_past_posteriors` after `update_weights_confidence`,
+    bit for bit, with a (C, 1) eta and alpha for (C, n) log weights.  After
+    the rescale the largest log weight is exactly 0, so the normalizing
+    logsumexp needs no max shift."""
+    share = _share(alpha, n)
+
+    def step(lw, charge):
+        lw = lw - eta * charge
+        lw -= lw.max(axis=-1, keepdims=True)
+        lw -= np.log(np.exp(lw).sum(axis=-1, keepdims=True))
+        return share(lw)
+
+    return step

@@ -233,6 +233,7 @@ def cmd_synth(args) -> int:
     metrics["asleep_steps"] = log.asleep_steps
     metrics["min_regret_headroom"] = report.bound - float(report.max_discounted_regret.max())
     metrics["max_cdf_repair"] = log.max_cdf_repair
+    metrics["feedback_steps"] = log.feedback_steps
     manifest = RunManifest("synth", config, args.seed, [], args.out, metrics)
     manifest.write(os.path.join(args.out, "manifest.txt"))
     mark("write")
@@ -384,6 +385,7 @@ def cmd_load(args) -> int:
     metrics["roster_evaluations"] = forecasts.evaluations
     metrics["min_regret_headroom"] = report.bound - float(report.max_discounted_regret.max())
     metrics["max_cdf_repair"] = log.max_cdf_repair
+    metrics["feedback_steps"] = log.feedback_steps
     manifest = RunManifest("load", config, args.seed, inputs, args.out, metrics)
     manifest.write(os.path.join(args.out, "manifest.txt"))
     mark("write")

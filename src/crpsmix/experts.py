@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import logsumexp
-from .grids import GridDomain, cdf_values
+from .grids import GridDomain, cdf_values, repair_cdf
 from .rng import rng_from_seed
 
 EM_TOL = 1e-8
@@ -369,6 +369,15 @@ def conditional_load_cdfs(models, temps, domain: GridDomain) -> np.ndarray:
     one vectorised normal-CDF call; a scalar temperature gives (N, d).
     Mixture mass outside [a, b] is assigned to the endpoints.  Row for row
     the values equal those of one call per temperature, bit for bit."""
+    vals = load_cdf_values(models, temps, domain)
+    repair_cdf(vals)
+    return vals
+
+
+def load_cdf_values(models, temps, domain: GridDomain) -> np.ndarray:
+    """`conditional_load_cdfs` before its `repair_cdf` check: a cell just
+    below the last may exceed 1 by a rounding error, where the posterior
+    weights of normal CDFs that are all 1 sum above 1."""
     from scipy.special import ndtr  # the only scipy use; `import crpsmix` skips scipy
 
     post, mean, var = _condition_on_temperature(models, temps)
@@ -376,7 +385,7 @@ def conditional_load_cdfs(models, temps, domain: GridDomain) -> np.ndarray:
     comp = ndtr((domain.grid - mean[..., None]) / sd[..., None])
     vals = np.matmul(post[..., None, :], comp)[..., 0, :]
     vals[..., -1] = 1.0
-    return cdf_values(vals, domain)
+    return vals
 
 
 # ---------------------------------------------------------------------------

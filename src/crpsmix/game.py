@@ -14,10 +14,8 @@ from .aggregation import (
     SQUARE_LOSS_ETA,
     _as_confidence,
     _check_substitution,
-    _reweight,
-    _update,
     aa_learning_rate,
-    fixed_share,
+    confidence_step,
     logsumexp,
     normalized_weights,
     square_tables,
@@ -88,6 +86,12 @@ class GameLog:
         return int(np.count_nonzero(~np.any(self.confidences > 0, axis=1)))
 
     @property
+    def feedback_steps(self) -> int:
+        """Steps whose weight update read the learner's loss: some expert
+        awake and some confidence below 1."""
+        return int(np.count_nonzero(_reads_learner_loss(self.confidences)))
+
+    @property
     def bound(self) -> float:
         """Time-independent regret budget ln(n)/eta."""
         return math.log(self.n) / self.eta
@@ -137,6 +141,13 @@ def _check_losses(h: np.ndarray, losses: np.ndarray) -> None:
         raise RuntimeError(f"non-finite loss at step {t + 1}: h={h[t]}, l={losses[t]}")
 
 
+def _reads_learner_loss(p: np.ndarray) -> np.ndarray:
+    """Per step of the (T, N) confidences, whether the confidence update
+    p_i l_i + (1 - p_i) h reads the learner's loss h: some expert is
+    awake and some confidence is below 1."""
+    return p.any(axis=1) & ~(p == 1.0).all(axis=1)
+
+
 def replay(configs, experts, outcomes, confidences=None, keep=()):
     """Play C configurations over one stream in one pass.
 
@@ -150,12 +161,21 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
     confidence, aggregate (substitution for "aa", from the `square_tables`
     built once per fixed matrix or chunk; averaging for "wa"), check the
     forecasts, score everyone against the outcome, charge the
-    virtual-expert update, then mix toward the uniform start vector.  The
-    expert losses are scored for blocks of steps at once, each temporary
-    within BLOCK_BYTES (or one step, if larger).  When every expert
-    sleeps the learners forecast from uniform weights and skip that
-    step's weight update.  A configuration's numbers do not depend on the
-    others replayed with it.
+    virtual-expert update, then mix toward the uniform start vector.  When
+    every expert sleeps the learners forecast from uniform weights and skip
+    that step's weight update.
+
+    Only the weight recursion is sequential.  An update reads the
+    learner's loss h only on a step where some expert is awake with a
+    confidence below 1; at full confidence, or when all sleep, the weights
+    move on without the forecast.  So the steps are played in blocks, each
+    ending at a step whose update reads h, at the end of a chunk or of a
+    window of BLOCK_BYTES of confidences, or after as many steps as keep
+    each temporary within BLOCK_BYTES (one step, if larger): the block's
+    expert losses, then its weights step by step, then its forecasts,
+    check and learner losses at once, then the update of a last step that
+    reads h.  Every row has the bits of its step played alone, and a
+    configuration's numbers do not depend on the others replayed with it.
 
     Returns one GameLog per configuration, and {t: [the forecast of each
     configuration as a GridCDF]} for the 1-based steps t in `keep`.
@@ -166,15 +186,18 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
         raise ValueError("configurations must share one domain")
     y = np.array([_check_outcome(domain, v) for v in outcomes])
     steps, c, d = len(y), len(configs), domain.d
-    aa = [i for i, cfg in enumerate(configs) if cfg.mode == "aa"]
-    wa = [i for i, cfg in enumerate(configs) if cfg.mode == "wa"]
+    grid, delta = domain.grid, domain.delta
+    # inside, the "aa" configurations come first, so each rule takes a slice
+    order = sorted(range(c), key=lambda i: configs[i].mode != "aa")
+    place = [order.index(i) for i in range(c)]  # where each configuration sits inside
+    na = sum(cfg.mode == "aa" for cfg in configs)
     repair = np.zeros(c)  # largest repair of an expert matrix or forecast
 
     def checked(vals):  # a new (k, N, d) float array
         if vals.ndim != 3:
             raise ValueError("expert values must be (N, d) matrices, one per outcome")
         np.maximum(repair, np.max(repair_cdf(vals)), out=repair)
-        return vals, square_tables(vals, SQUARE_LOSS_ETA) if aa else None
+        return vals, square_tables(vals, SQUARE_LOSS_ETA) if na else None
 
     if isinstance(experts, Iterator):
         chunks = (checked(cdf_array(chunk, domain)) for chunk in experts)
@@ -188,74 +211,93 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
     if first is None:
         raise ValueError("expert values must be (N, d) matrices, one per outcome")
     n = first[0].shape[1]
-    block = max(1, BLOCK_BYTES // (8 * n * d))
+    block = max(1, BLOCK_BYTES // (8 * d * max(n * na, n, c)))
 
-    def per_step():
-        """The expert matrix, its tables, the outcome indicators and the
-        expert losses of each step, scored for a block of steps at once
-        (as `crps_rows` scores one step)."""
-        t = 0
-        for values, tables in itertools.chain([first], chunks):
-            if values.shape[1:] != (n, d):
-                raise ValueError(f"step {t + 1}: expert matrix of shape {values.shape[1:]}")
-            if t + len(values) > steps:
-                raise ValueError(f"expert stream is longer than the {steps} outcomes")
-            for j0 in range(0, len(values), block):
-                k = min(block, len(values) - j0)
-                ind = domain.grid >= y[t : t + k, None]
-                res = values[j0 : j0 + k] - ind[:, None, :]
-                lt = domain.delta * np.einsum("tij,tij->ti", res, res)
-                for j in range(k):
-                    tab = None if tables is None else (tables[0][j0 + j], tables[1][j0 + j])
-                    yield values[j0 + j], tab, ind[j], lt[j]
-                t += k
-
-    p = None if confidences is None else _as_confidence(confidences, (steps, n))
-    eta = np.array([[cfg.eta] for cfg in configs])
-    mix = fixed_share(np.array([[cfg.alpha] for cfg in configs]), n)
+    if confidences is None:
+        p = np.broadcast_to(1.0, (steps, n))
+    else:
+        p = _as_confidence(confidences, (steps, n))
+    # per-step flags as bytes of 0 or 1: a step whose update reads h ends a block
+    awake, feedback = p.any(axis=1).tobytes(), _reads_learner_loss(p).tobytes()
+    window = max(1, BLOCK_BYTES // (8 * n))  # steps of log p and 1 - p held at once
+    w0 = w1 = 0
+    eta = np.array([[configs[i].eta] for i in order])
+    step = confidence_step(eta, np.array([[configs[i].alpha] for i in order]), n)
     lw = np.full((c, n), -math.log(n))  # the (C, N) log weights
-    ones = np.ones(n)
     h = np.empty((steps, c))
     losses = np.empty((steps, n))
-    q = np.empty((c, steps, n))
-    w = np.empty_like(q)
+    wq = np.empty((steps, 2, c, n))  # per step: the pool weights w, then the q that formed the forecast
     keep = set(keep)
     kept = {}
-    for t, (values, tables, ind, lt) in zip(range(steps), per_step(), strict=True):
-        pt = ones if p is None else p[t]
-        awake = pt.any()
-        wt = normalized_weights(lw)
-        if p is None:
-            qt = wt  # reweighting by ones leaves w's bits alone
-        elif awake:
-            qt = _reweight(lw, pt)
-        else:
-            qt = np.full((c, n), 1.0 / n)
-        f = np.empty((c, d))
-        if aa:
-            f[aa] = substitute_tables(tables, qt[aa], SQUARE_LOSS_ETA)
-        for i in wa:
-            f[i] = qt[i] @ values
-        try:
-            np.maximum(repair, repair_cdf(f), out=repair)
-        except ValueError:
-            for i in aa:
-                _check_substitution(f[i])
-            raise
-        r = f - ind  # crps of each row, as dot products
-        ht = domain.delta * np.array([row @ row for row in r])
-        if awake:
-            lw = mix(_update(lw, eta, pt, lt, ht[:, None]))
-        h[t], losses[t], q[:, t], w[:, t] = ht, lt, qt, wt
-        if t + 1 in keep:
-            kept[t + 1] = [GridCDF(domain, v) for v in f]
+    t = 0
+    for values, tables in itertools.chain([first], chunks):
+        if values.shape[1:] != (n, d):
+            raise ValueError(f"step {t + 1}: expert matrix of shape {values.shape[1:]}")
+        if t + len(values) > steps:
+            raise ValueError(f"expert stream is longer than the {steps} outcomes")
+        j0 = 0
+        while j0 < len(values):
+            if t == w1:
+                w0, w1 = t, min(t + window, steps)
+                with np.errstate(divide="ignore"):
+                    log_p = np.log(p[w0:w1])  # -inf for a sleeper: exp gives it weight 0
+                skip = 1.0 - p[w0:w1]
+            k = min(block, len(values) - j0, w1 - t)
+            stop = feedback.find(1, t, t + k)
+            if stop >= 0:
+                k = stop + 1 - t
+            j1, last = j0 + k, t + k - 1
+            vals = values[j0:j1]
+            ind = grid >= y[t : t + k, None]  # the outcome indicators
+            res = vals - ind[:, None, :]
+            losses[t : t + k] = delta * np.einsum("tij,tij->ti", res, res)
+            del res
+            asleep = []
+            for s in range(t, t + k):  # the recursion: log weights before each step
+                wq[s] = lw
+                if not awake[s]:
+                    asleep.append(s)
+                elif not feedback[s]:  # full confidence: h is not read
+                    lw = step(lw, losses[s])
+            if feedback[last]:  # q is reweighted by confidence: lw + log p
+                wq[last, 1] += log_p[last - w0]
+            # w and q of the block from one call; at full confidence q is w
+            wq[t : t + k] = normalized_weights(wq[t : t + k])
+            if asleep:
+                wq[asleep, 1] = 1.0 / n
+            q = wq[t : t + k, 1]  # the block's forecasts, their check and scores
+            f = np.empty((k, c, d))
+            if na:
+                a, b = tables
+                f[:, :na] = substitute_tables(
+                    (a[j0:j1, None], b[j0:j1, None]), q[:, :na], SQUARE_LOSS_ETA)
+            if na < c:
+                f[:, na:] = np.matmul(q[:, na:, None, :], vals[:, None])[..., 0, :]
+            try:
+                change = repair_cdf(f)
+            except ValueError:
+                for ft in f:  # the first substitution at fault, step by step
+                    for i in range(na):
+                        _check_substitution(ft[i])
+                raise
+            if not isinstance(change, float):  # 0.0: nothing repaired
+                np.maximum(repair, change.max(axis=0), out=repair)
+            r = f - ind[:, None, :]  # crps of each row, as one dot product per row
+            h[t : t + k] = delta * np.vecdot(r, r)
+            if feedback[last]:
+                lw = step(lw, p[last] * losses[last] + skip[last - w0] * h[last, :, None])
+            for s in range(t, t + k):
+                if s + 1 in keep:
+                    kept[s + 1] = [GridCDF(domain, f[s - t, j]) for j in place]
+            t, j0 = t + k, j1
+    if t < steps:
+        raise ValueError(f"expert stream is shorter than the {steps} outcomes")
     _check_losses(h, losses)
-    if p is None:
-        p = np.ones((steps, n))
     logs = [
-        GameLog(n, cfg.eta, np.column_stack([y, h[:, i], losses, p, q[i], w[i]]),
-                max_cdf_repair=float(repair[i]))
-        for i, cfg in enumerate(configs)
+        GameLog(n, configs[i].eta,
+                np.column_stack([y, h[:, j], losses, p, wq[:, 1, j], wq[:, 0, j]]),
+                max_cdf_repair=float(repair[j]))
+        for i, j in enumerate(place)
     ]
     return logs, kept
 
@@ -326,16 +368,15 @@ def run_square_loss_game(expert_forecasts, outcomes, eta: float) -> GameLog:
         raise ValueError(f"square loss admits 0 < eta <= 2, got {eta}")
 
     steps, n = f.shape
-    a, b = square_tables(f[..., None], eta)  # (T, N, 1): each step's tables
     losses = (f - y[:, None]) ** 2
-    pred = np.empty(steps)
     q = np.empty((steps, n))
     lw = np.full(n, -math.log(n))
-    ones = np.ones(n)
-    for t in range(steps):
-        q[t] = normalized_weights(lw)
-        pred[t] = substitute_tables((a[t], b[t]), q[t], eta)[0]
-        lw = _update(lw, eta, ones, losses[t], 0.0)
-    pred = np.clip(pred, 0.0, 1.0)
+    for t in range(steps):  # the weights first: at full confidence h is not read
+        q[t] = lw
+        lw = lw - eta * losses[t]
+        lw -= lw.max()
+    q = normalized_weights(q)
+    tables = square_tables(f[..., None], eta)  # (T, N, 1): each step's tables
+    pred = np.clip(substitute_tables(tables, q, eta)[:, 0], 0.0, 1.0)
     rows = np.column_stack([y, (pred - y) ** 2, losses, np.ones((steps, n)), q, q])
     return GameLog(n, eta, rows)

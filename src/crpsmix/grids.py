@@ -113,22 +113,34 @@ def repair_cdf(vals: np.ndarray):
 
     One pass of reductions passes rows that lie in [0, 1], are monotone
     and end within REPAIR_TOL of 1: only their last value is set to 1 (and
-    a -0.0 made 0.0).  Anything else must pass `check_cdf` and is clamped
-    into [0, 1], then to monotone, then its last value set to 1.  Returns
-    the largest change made to a cell of each row other than the last,
-    which is 1 by definition (0.0 when nothing was out of place).
+    a -0.0 made 0.0).  Rows that only exceed 1, by at most REPAIR_TOL, are
+    clipped into [0, 1]; when that leaves them monotone, the monotone clamp
+    would change nothing, so it is skipped.  Anything else must pass
+    `check_cdf` and is clamped into [0, 1], then to monotone, then its last
+    value set to 1.  Returns the largest change made to a cell of each row
+    other than the last, which is 1 by definition (0.0 when nothing was
+    out of place).
     """
+    def least_step(v):
+        return (v[..., 1:] - v[..., :-1]).min() if v.shape[-1] > 1 else 0.0
+
+    fixed = None
     lo = vals.min()
-    drop = (vals[..., 1:] - vals[..., :-1]).min() if vals.shape[-1] > 1 else 0.0
-    if (lo >= 0.0 and drop >= 0.0 and (vals[..., -2:-1] <= 1.0).all()
-            and (np.abs(vals[..., -1] - 1.0) <= REPAIR_TOL).all()):
-        if lo == 0.0:
-            np.maximum(vals, 0.0, out=vals)  # -0.0 -> 0.0, as the clamp does
-        vals[..., -1] = 1.0
-        return 0.0
-    check_cdf(vals)
-    # clamp into [0, 1] (the finite-value form of np.clip), then to monotone
-    fixed = np.maximum.accumulate(np.minimum(np.maximum(vals, 0.0), 1.0), axis=-1)
+    if lo >= 0.0 and np.abs(vals[..., -1] - 1.0).max() <= REPAIR_TOL:
+        hi = vals[..., :-1].max(initial=0.0)
+        if hi <= 1.0 and least_step(vals) >= 0.0:
+            if lo == 0.0:
+                np.maximum(vals, 0.0, out=vals)  # -0.0 -> 0.0, as the clamp does
+            vals[..., -1] = 1.0
+            return 0.0
+        if hi <= 1.0 + REPAIR_TOL:  # passes check_cdf if monotone once clipped
+            fixed = np.minimum(np.maximum(vals, 0.0), 1.0)
+            if least_step(fixed) < 0.0:
+                fixed = None
+    if fixed is None:
+        check_cdf(vals)
+        # clamp into [0, 1] (the finite-value form of np.clip), then to monotone
+        fixed = np.maximum.accumulate(np.minimum(np.maximum(vals, 0.0), 1.0), axis=-1)
     fixed[..., -1] = 1.0
     change = np.abs(fixed - vals)[..., :-1].max(axis=-1, initial=0.0)
     vals[...] = fixed

@@ -24,6 +24,7 @@ from .experts import (
     Gmm2D,
     conditional_load_cdfs,
     fit_gmm_ems,
+    load_cdf_values,
 )
 from .grids import GridDomain
 
@@ -154,7 +155,8 @@ def roster_forecasts(experts, temps, domain: GridDomain) -> np.ndarray:
 
 class RosterStream:
     """Iterator of the (1, N, d) roster matrix of each temperature in turn,
-    the per-step chunks `replay` takes; each equals
+    the per-step chunks `replay` takes.  The rows are not yet checked:
+    `replay`'s `repair_cdf` check is their only one, and turns each into
     `roster_forecasts(experts, temp, domain)[None]` bit for bit.
 
     The temperatures are split into consecutive windows whose distinct
@@ -177,6 +179,7 @@ class RosterStream:
         return next(self._rows)
 
     def _windows(self, experts, temps, domain):
+        models = [e.model for e in experts]
         row_bytes = len(experts) * domain.d * 8
         table = np.empty((max(1, WINDOW_TABLE_BYTES // row_bytes), len(experts), domain.d))
         batch = max(1, BATCH_ARGUMENT_BYTES // (sum(e.model.k for e in experts) * domain.d * 8))
@@ -190,7 +193,7 @@ class RosterStream:
             distinct = list(slots)
             for i in range(0, len(distinct), batch):
                 chunk = distinct[i : i + batch]
-                table[i : i + len(chunk)] = roster_forecasts(experts, chunk, domain)
+                table[i : i + len(chunk)] = load_cdf_values(models, chunk, domain)
             self.evaluations += len(distinct)
             for temp in temps[start:end]:
                 yield table[slots[temp]][None].copy()

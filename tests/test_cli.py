@@ -52,12 +52,14 @@ def write_rows(path, rows):
 
 
 def assert_regret_headroom(manifest, out):
-    """The last two manifest keys are the bound minus the largest
-    discounted regret in regret_report.csv and the largest CDF repair."""
+    """The last three manifest keys are the bound minus the largest
+    discounted regret in regret_report.csv, the largest CDF repair and the
+    count of steps whose weight update read the learner's loss."""
     with open(out / "regret_report.csv") as fh:
         rows = list(csv.DictReader(fh))
     peak = max(float(row["max_discounted_regret"]) for row in rows)
-    assert list(manifest)[-2:] == ["metric_min_regret_headroom", "metric_max_cdf_repair"]
+    assert list(manifest)[-3:] == [
+        "metric_min_regret_headroom", "metric_max_cdf_repair", "metric_feedback_steps"]
     assert float(manifest["metric_min_regret_headroom"]) == float(rows[0]["bound"]) - peak
 
 
@@ -139,6 +141,7 @@ class TestSynth:
         assert manifest["metric_asleep_steps"] == "0"
         assert_regret_headroom(manifest, out)
         assert manifest["metric_max_cdf_repair"] == "0.0"
+        assert manifest["metric_feedback_steps"] == "0"  # full confidence throughout
 
     @pytest.mark.parametrize("where", ["below 0", "above 1"])
     def test_max_cdf_repair_reports_an_injected_violation(self, tmp_path, monkeypatch, where):
@@ -250,13 +253,18 @@ class TestLoad:
         p_cols = [i for i, name in enumerate(rows[0]) if name.startswith("p_")]
         asleep = sum(not any(float(row[i]) > 0 for i in p_cols) for row in rows[1:])
         assert manifest["metric_asleep_steps"] == str(asleep)
+        # smooth confidences: every awake hour has an expert below 1
+        partial = sum(any(float(row[i]) > 0 for i in p_cols)
+                      and any(float(row[i]) < 1 for i in p_cols) for row in rows[1:])
+        assert manifest["metric_feedback_steps"] == str(partial) == str(len(rows) - 1 - asleep)
         quality = read_manifest(out / "data_quality.txt")
         assert manifest["metric_test_outcomes_clipped"] == quality["test_outcomes_clipped"]
-        assert list(manifest)[-3] == "metric_roster_evaluations"
+        assert list(manifest)[-4] == "metric_roster_evaluations"
         assert 0 < int(manifest["metric_roster_evaluations"]) <= int(manifest["metric_steps"])
         assert_regret_headroom(manifest, out)
         assert float(manifest["metric_min_regret_headroom"]) > 0.0
-        assert 0.0 <= float(manifest["metric_max_cdf_repair"]) <= 1e-12
+        # the roster's rows reach `replay` unchecked: their clamps are counted
+        assert 0.0 < float(manifest["metric_max_cdf_repair"]) <= 1e-12
 
     def test_whole_degree_run_matches_per_step_roster(self, tmp_path):
         # the replay cmd_load ran before the windowed roster stream: one

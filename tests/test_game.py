@@ -1,12 +1,18 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crpsmix.aggregation import (
+    SubstitutionError,
     confidence_reweight,
     normalized_weights,
+    square_tables,
     substitute_crps_aa,
+    substitute_tables,
     superprediction,
 )
 from crpsmix.data import default_generators, rotating_leader_schedule, synth_stream
@@ -324,6 +330,13 @@ class TestReplay:
         with pytest.raises(ValueError, match="outside"):
             replay([GameConfig(dom)], m, [0.5, 1.5])
 
+    def test_a_chunk_of_another_shape_names_its_first_step(self):
+        dom, cdfs, y = synth_setup(T=6)
+        m = cdf_values(cdfs, dom)
+        chunks = iter([np.stack([m] * 3), np.stack([np.vstack([m, m[:1]])] * 3)])
+        with pytest.raises(ValueError, match=r"^step 4: expert matrix of shape \(4, 128\)$"):
+            replay([GameConfig(dom)], chunks, y)
+
     def test_roster_sized_stream_with_confidences_is_exact(self):
         # the load roster's size: 21 experts at d=128, scored three steps
         # per block, in chunks that split blocks
@@ -367,6 +380,131 @@ class TestReplay:
         other = GridDomain(0.0, 2.0, dom.d)
         with pytest.raises(ValueError, match="domain"):
             replay([GameConfig(dom), GameConfig(other)], cdfs, y)
+
+
+#: The kinds of step the block engine tells apart: full confidence (the
+#: update does not read the learner's loss), a confidence below 1 next to
+#: an awake expert (it does), and every expert asleep (no update).
+STEP_KINDS = ("full", "feedback", "asleep")
+
+
+def confidence_rows(rng, kinds, n):
+    """(T, N) confidences with one row of each kind in `kinds`."""
+    p = np.ones((len(kinds), n))
+    for row, kind in zip(p, kinds):
+        if kind == "asleep":
+            row[:] = 0.0
+        elif kind == "feedback":
+            row[:] = rng.integers(0, 2, n) if rng.random() < 0.3 else rng.random(n)
+            row[rng.random(n) < 0.3] = 0.0
+            if not row.any() or (row == 1.0).all():
+                row[int(rng.integers(0, n))] = 0.5
+    return p
+
+
+@st.composite
+def block_games(draw):
+    """A replay case: runs of each step kind, C <= 8 configurations of both
+    rules and three alphas, a fixed matrix or a chunked stream, and a block
+    budget from one step to the default."""
+    n = draw(st.integers(1, 5))
+    d = draw(st.sampled_from([1, 4, 16, 64]))
+    runs = draw(st.lists(st.tuples(st.sampled_from(STEP_KINDS), st.integers(1, 9)),
+                         min_size=1, max_size=6))
+    kinds = [kind for kind, length in runs for _ in range(length)]
+    cells = draw(st.lists(st.tuples(st.sampled_from(["aa", "wa"]),
+                                    st.sampled_from([0.0, 0.001, 0.2])), min_size=1, max_size=8))
+    cuts = draw(st.lists(st.integers(0, len(kinds)), max_size=4))
+    return {
+        "n": n, "d": d, "kinds": kinds, "cells": cells,
+        "fixed": draw(st.booleans()), "cuts": sorted(set(cuts) | {0, len(kinds)}),
+        "no_confidences": "feedback" not in kinds and "asleep" not in kinds and draw(st.booleans()),
+        "block_steps": draw(st.sampled_from([1, 2, 3, 7, None])),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    }
+
+
+def block_case(case):
+    rng = np.random.default_rng(case["seed"])
+    n, d, T = case["n"], case["d"], len(case["kinds"])
+    dom = GridDomain(0.0, 2.0, d)
+    configs = [GameConfig(dom, mode=m, alpha=a) for m, a in case["cells"]]
+    if case["fixed"]:
+        matrices = np.stack([random_cdf_values(rng, d) for _ in range(n)])
+        chunks = None
+    else:
+        matrices = np.stack([
+            np.stack([random_cdf_values(rng, d) for _ in range(n)]) for _ in range(T)
+        ])
+        cuts = case["cuts"]
+        chunks = iter([matrices[a:b] for a, b in zip(cuts, cuts[1:])])
+    p = None if case["no_confidences"] else confidence_rows(rng, case["kinds"], n)
+    y = 2.0 * rng.random(T)
+    steps = case["block_steps"]
+    budget = game_mod.BLOCK_BYTES if steps is None else steps * 8 * d * n * len(configs)
+    return configs, matrices, chunks, p, y, budget
+
+
+class TestBlockEngine:
+    def test_block_products_have_the_bits_of_one_row(self):
+        # what the engine batches: the learner loss stays row @ row, a "wa"
+        # forecast q_i @ values, a substitution one row of q at a time
+        rng = np.random.default_rng(3)
+        for k, c, n, d in [(1, 1, 1, 1), (3, 2, 3, 16), (10, 8, 5, 256), (2, 4, 21, 128),
+                           (4, 3, 9, 1024)]:
+            r = rng.standard_normal((k, c, d))
+            assert np.array_equal(np.vecdot(r, r), [[row @ row for row in rows] for rows in r])
+            q = rng.dirichlet(np.ones(n), size=(k, c))
+            for values in (rng.random((k, n, d)), np.broadcast_to(rng.random((n, d)), (k, n, d))):
+                got = np.matmul(q[:, :, None, :], values[:, None])[..., 0, :]
+                assert np.array_equal(got, [[qi @ m for qi in qs] for qs, m in zip(q, values)])
+                a, b = square_tables(values, 2.0)
+                got = substitute_tables((a[:, None], b[:, None]), q, 2.0)
+                want = [[substitute_tables((ta, tb), qi, 2.0) for qi in qs]
+                        for qs, ta, tb in zip(q, a, b)]
+                assert np.array_equal(got, want)
+
+    @given(block_games())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_step_at_a_time_reference_bit_for_bit(self, case):
+        configs, matrices, chunks, p, y, budget = block_case(case)
+        with mock.patch.object(game_mod, "BLOCK_BYTES", budget):
+            logs = assert_replay_matches_reference(configs, matrices, y, p, chunks=chunks)
+        kinds = case["kinds"]
+        for log in logs:
+            assert log.feedback_steps == kinds.count("feedback")
+            assert log.asleep_steps == kinds.count("asleep")
+
+    @given(block_games(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_a_broken_rule_raises_at_its_first_broken_step(self, case, data):
+        configs, matrices, chunks, p, y, budget = block_case(case)
+        if not any(cfg.mode == "aa" for cfg in configs):
+            configs.append(GameConfig(configs[0].domain, mode="aa"))
+        T = len(y)
+        broken = sorted(data.draw(st.sets(st.integers(0, T - 1), min_size=1, max_size=2)))
+        rule = game_mod.substitute_tables
+
+        def breaking(tables, q, eta):
+            f = rule(tables, q, eta)
+            for s in range(formed[0], formed[0] + len(f)):
+                if s in broken:  # the first broken step rises above 1, a later one ends low
+                    f[s - formed[0], -1, -1] = 1.5 if s == broken[0] else 0.5
+            formed[0] += len(f)
+            return f
+
+        messages = []
+        for size in (budget, 1):  # a block of steps, then one step at a time
+            formed = [0]
+            experts = matrices if chunks is None else iter(
+                [matrices[a:b] for a, b in zip(case["cuts"], case["cuts"][1:])])
+            with mock.patch.object(game_mod, "BLOCK_BYTES", size), \
+                    mock.patch.object(game_mod, "substitute_tables", breaking):
+                with pytest.raises(SubstitutionError) as err:
+                    replay(configs, experts, y, p)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert "outside [0, 1]" in messages[0]
 
 
 class TestRegretReport:

@@ -22,6 +22,8 @@ from crpsmix.grids import (
 from crpsmix.rng import spawn_rngs
 from crpsmix.verify import random_grid_cdf
 
+from crpsmix import grids
+
 from conftest import grid_cdfs, numeric_crps, random_cdf_values, step_cdf_fn
 
 
@@ -133,6 +135,39 @@ class TestRepairCdf:
         vals = np.array([[0.0, 0.25, 0.5, 1.0], [0.0, 0.5, 0.75, 1.0]])
         vals[1, 2] = 0.5 - 2.0**-42  # a drop of 2.3e-13, exact in floats
         assert list(repair_cdf(vals)) == [0.0, 2.0**-42]
+
+    def test_rows_just_above_one_take_the_clip_bit_for_bit(self, monkeypatch):
+        # the load roster's fault: cells before the last above 1 by a
+        # rounding error, and the row back at 1 in the last cell
+        rng = np.random.default_rng(7)
+        checks = []
+        monkeypatch.setattr(grids, "check_cdf", lambda v: checks.append(v.shape))
+        for shape in [(2,), (16,), (7, 16), (1, 21, 128), (3, 2, 1024)]:
+            for _ in range(40):
+                vals = np.sort(rng.random(shape), axis=-1)
+                vals[..., -1] = 1.0
+                vals[..., : int(rng.integers(0, min(2, shape[-1] - 1) + 1))] = -0.0
+                flat = vals.reshape(-1, shape[-1])
+                for i in np.flatnonzero(rng.random(len(flat)) < 0.6):
+                    row, k = flat[i], int(rng.integers(0, shape[-1]))  # a view of vals
+                    row[k:-1] = 1.0 + rng.uniform(0.0, REPAIR_TOL, shape[-1] - 1 - k)
+                want = clamp_reference(vals)
+                got = vals.copy()
+                change = repair_cdf(got)
+                assert got.tobytes() == want.tobytes()  # -0.0 included
+                want_change = np.abs(want - vals)[..., :-1].max(axis=-1, initial=0.0)
+                np.testing.assert_array_equal(np.broadcast_to(change, shape[:-1]), want_change)
+        assert checks == []  # no row needed the full check and clamp
+        # above 1 and a drop: the clip alone leaves the row not monotone
+        vals = np.array([[0.0, 0.5, 0.5 - 2.0**-42, 1.0 + 2.0**-43, 1.0]])
+        want = clamp_reference(vals)
+        assert list(repair_cdf(vals)) == [2.0**-42]
+        assert vals.tobytes() == want.tobytes() and checks == [(1, 5)]
+
+    def test_clip_reports_the_excess_over_one(self):
+        vals = np.array([[0.0, 0.5, 1.0, 1.0], [0.0, 1.0 + 2.0**-44, 1.0 + 2.0**-42, 1.0]])
+        assert list(repair_cdf(vals)) == [0.0, 2.0**-42]
+        assert vals.tolist() == [[0.0, 0.5, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0]]
 
     @pytest.mark.parametrize("bad", [
         [0.1, np.nan, 1.0], [0.1, 0.5, np.inf], [-0.1, 0.5, 1.0], [0.1, 1.2, 1.0],

@@ -15,9 +15,9 @@ from crpsmix.data import (
     split_train_test,
     write_demo_load_csv,
 )
-from crpsmix.experts import EM_MAX_ITER, fit_gmm_em
+from crpsmix.experts import EM_MAX_ITER, fit_gmm_em, load_cdf_values
 from crpsmix import roster
-from crpsmix.grids import GridCDF, GridDomain
+from crpsmix.grids import GridCDF, GridDomain, repair_cdf
 from crpsmix.roster import (
     BATCH_ARGUMENT_BYTES,
     WINDOW_TABLE_BYTES,
@@ -216,6 +216,9 @@ class TestRoster:
         assert len(rows) == len(temps)
         for temp, got in zip(temps, rows):
             assert got.shape == (1, len(experts), d)
+            # unchecked rows: `replay`'s repair_cdf makes them the checked ones
+            assert np.array_equal(got[0], load_cdf_values([e.model for e in experts], temp, dom))
+            repair_cdf(got)
             assert np.array_equal(got[0], roster_forecasts(experts, temp, dom))
         assert len(set(temps)) <= stream.evaluations <= len(temps)
 
@@ -226,11 +229,11 @@ class TestRoster:
         temps = [float(round(r.temperature)) for r in test[:300]]
         served, batches = [0], []
 
-        def spy(experts, temps, domain):
+        def spy(models, temps, domain):
             batches.append((served[0], list(temps)))  # the hours served so far
-            return roster_forecasts(experts, temps, domain)
+            return load_cdf_values(models, temps, domain)
 
-        monkeypatch.setattr(roster, "roster_forecasts", spy)
+        monkeypatch.setattr(roster, "load_cdf_values", spy)
         stream = RosterStream(experts, temps, dom)
         for _ in stream:
             served[0] += 1
