@@ -4,18 +4,12 @@ specialized experts, fixed-share mixing, and regret tracking against
 time-independent bounds."""
 
 from .aggregation import (
-    AllExpertsAsleep,
     SubstitutionError,
     aa_learning_rate,
     combine_wa,
-    confidence_reweight,
-    mix_past_posteriors,
     normalized_weights,
     substitute_crps_aa,
-    substitute_square_aa,
     substitute_vector_aa,
-    superprediction,
-    update_weights_confidence,
     wa_learning_rate,
 )
 from .data import (
@@ -36,8 +30,6 @@ from .experts import (
     DegenerateFit,
     Gmm2D,
     TriangularExpert,
-    conditional_load_cdfs,
-    fit_gmm_em,
     fit_gmm_ems,
     triangular_cdf,
 )
@@ -55,7 +47,6 @@ from .grids import (
     GridDomain,
     crps,
     crps_grid_profile,
-    empirical_cdf,
     heaviside_cdf,
     quantile,
 )

@@ -3,8 +3,8 @@
 Implements the substitution rule that turns expert forecasts and a weight
 vector into an aggregated forecast dominating the weighted exponential
 mixture of losses, for the unit-interval square loss and for grid CDFs
-under CRPS, together with weighted-average aggregation, confidence
-reweighting of sleeping experts, and the fixed-share mixing update.
+under CRPS, together with weighted-average aggregation and the weight
+step: the confidence-discounted update and the fixed-share mix.
 
 The weight state is one (N,) array of log weights, unnormalized: the
 update rescales it so the largest weight is 1, which leaves every
@@ -20,10 +20,6 @@ from .grids import check_cdf
 #: The unit square loss (f - w)^2 on [0, 1] x {0, 1} admits aggregation at
 #: learning rates up to 2; the pointwise CRPS rule always runs at this cap.
 SQUARE_LOSS_ETA = 2.0
-
-
-class AllExpertsAsleep(ValueError):
-    """Every confidence is zero: there is no expert mass to aggregate."""
 
 
 class SubstitutionError(RuntimeError):
@@ -62,31 +58,10 @@ def _as_confidence(p, shape: tuple) -> np.ndarray:
     return p
 
 
-def _as_losses(losses, n: int) -> np.ndarray:
-    l = np.asarray(losses, dtype=float)
-    if l.shape != (n,):
-        raise ValueError(f"expected {n} losses, got shape {l.shape}")
-    if not np.all(np.isfinite(l)) or l.min() < 0.0:
-        raise ValueError("losses must be finite and non-negative")
-    return l
-
-
 def normalized_weights(log_weights: np.ndarray) -> np.ndarray:
     """Probability vector q_i = w_i / sum_j w_j (per row of a (C, N)
     array of log weights)."""
     return np.exp(log_weights - logsumexp(log_weights, axis=-1)[..., None])
-
-
-def confidence_reweight(log_weights: np.ndarray, p) -> np.ndarray:
-    """Probability vector proportional to p_i * w_i; experts with zero
-    confidence get exactly zero mass."""
-    p = _as_confidence(p, log_weights.shape[-1:])
-    if not np.any(p > 0):
-        raise AllExpertsAsleep("all confidences are zero at this step")
-    with np.errstate(divide="ignore"):
-        q = normalized_weights(log_weights + np.log(p))
-    q[..., p == 0.0] = 0.0
-    return q
 
 
 def _check_probability(q, n: int) -> np.ndarray:
@@ -96,19 +71,6 @@ def _check_probability(q, n: int) -> np.ndarray:
     if q.min() < 0 or abs(q.sum() - 1.0) > 1e-9:
         raise ValueError("weights must form a probability vector")
     return q
-
-
-def substitute_square_aa(forecasts, q, eta: float) -> float:
-    """Aggregated forecast in [0, 1] for the square loss against a binary
-    outcome:
-
-        f = 1/2 - (1/(2 eta)) * ln( sum_i q_i e^{-eta f_i^2}
-                                   / sum_i q_i e^{-eta (1-f_i)^2} ).
-
-    The result satisfies (f - w)^2 <= -(1/eta) ln sum_i q_i e^{-eta (f_i - w)^2}
-    for both outcomes w: the d = 1 case of `substitute_vector_aa`.
-    """
-    return float(substitute_vector_aa(np.reshape(forecasts, (-1, 1)), q, eta)[0])
 
 
 def square_tables(values: np.ndarray, eta: float) -> tuple:
@@ -203,49 +165,6 @@ def combine_wa(values, q) -> np.ndarray:
     return q @ matrix
 
 
-def superprediction(losses, q, eta: float) -> float:
-    """g = -(1/eta) ln sum_i q_i e^{-eta l_i}, the benchmark an aggregated
-    forecast must dominate; always between min_i l_i and sum_i q_i l_i."""
-    if not eta > 0:
-        raise ValueError(f"learning rate must be positive, got {eta}")
-    l = np.asarray(losses, dtype=float)
-    q = _check_probability(q, l.size)
-    with np.errstate(divide="ignore"):
-        return float(-logsumexp(-eta * l + np.log(q)) / eta)
-
-
-def update_weights_confidence(
-    log_weights: np.ndarray, eta: float, p, expert_losses, learner_loss: float
-) -> np.ndarray:
-    """Virtual-expert update at learning rate eta: expert i is charged
-    p_i l_i + (1-p_i) h, its loss discounted toward the learner's by its
-    confidence.  Returns the new log weights, rescaled so the largest is 0."""
-    n = log_weights.size
-    p = _as_confidence(p, (n,))
-    l = _as_losses(expert_losses, n)
-    h = float(learner_loss)
-    if not np.isfinite(h) or h < 0:
-        raise ValueError(f"learner loss must be finite and non-negative, got {h}")
-    lw = log_weights - eta * (p * l + (1.0 - p) * h)
-    return lw - lw.max()
-
-
-def mix_past_posteriors(log_weights: np.ndarray, alpha) -> np.ndarray:
-    """Fixed-share mix toward the uniform start vector:
-    w_i <- alpha/n + (1-alpha) w_i / sum_j w_j.  Returns log weights that
-    sum to 1 with floor alpha/n; alpha = 0 is plain normalization.  (C, N)
-    log weights take a (C, 1) alpha, one per row."""
-    return fixed_share(alpha, log_weights.shape[-1])(log_weights)
-
-
-def fixed_share(alpha, n: int):
-    """`mix_past_posteriors` with alpha fixed, as a function of (..., n)
-    log weights, bit for bit: the tests on alpha are made once, here, for
-    a caller that mixes every step with the same alpha."""
-    share = _share(alpha, n)
-    return lambda lw: share(lw - logsumexp(lw, axis=-1)[..., None])
-
-
 def _share(alpha, n: int):
     """The fixed-share step on log weights that sum to 1, in place:
     log(alpha/n + (1-alpha) w_i), and the weights themselves where
@@ -261,10 +180,9 @@ def _share(alpha, n: int):
 def confidence_step(eta, alpha, n: int):
     """The weight step of a replay, as a function of the (..., n) log
     weights and the charge p*l + (1-p)*h of each expert (just l at full
-    confidence): `mix_past_posteriors` after `update_weights_confidence`,
-    bit for bit, with a (C, 1) eta and alpha for (C, n) log weights.  After
-    the rescale the largest log weight is exactly 0, so the normalizing
-    logsumexp needs no max shift."""
+    confidence), with a (C, 1) eta and alpha for (C, n) log weights: the
+    update rescaled so the largest log weight is exactly 0 (so the
+    normalizing logsumexp needs no max shift), then the fixed-share mix."""
     share = _share(alpha, n)
 
     def step(lw, charge):

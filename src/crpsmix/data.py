@@ -181,45 +181,49 @@ def load_csv(path, schema: CsvSchema = CsvSchema()):
     """
     records: list[LoadRecord] = []
     report = DataQualityReport()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         # a short row reads "" in its missing columns: a row error, not a crash
         reader = csv.DictReader(fh, delimiter=schema.delimiter, restval="")
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty file")
-        for col in (schema.timestamp_col, schema.load_col, schema.temperature_col):
-            if col not in reader.fieldnames:
-                raise ValueError(f"{path}: missing column {col!r}")
-        n_rows = 0
-        for row in reader:
-            n_rows += 1
-            line = reader.line_num
-            try:
-                ts = datetime.fromisoformat(row[schema.timestamp_col].strip())
-                load = float(row[schema.load_col])
-                temp = float(row[schema.temperature_col])
-                if not (math.isfinite(load) and math.isfinite(temp)):
-                    raise ValueError("non-finite load or temperature")
-            except (ValueError, TypeError, KeyError) as exc:
-                report.row_errors.append((line, str(exc)))
-                continue
-            if records:
-                prev = records[-1].timestamp
+        try:
+            if reader.fieldnames is None:
+                raise ValueError(f"{path}: empty file")
+            for col in (schema.timestamp_col, schema.load_col, schema.temperature_col):
+                if col not in reader.fieldnames:
+                    raise ValueError(f"{path}: missing column {col!r}")
+            n_rows = 0
+            for row in reader:
+                n_rows += 1
+                line = reader.line_num
                 try:
-                    delta_h = (ts - prev).total_seconds() / 3600.0
-                except TypeError as exc:  # timezone-aware mixed with naive
-                    raise ValueError(f"{path}:{line}: {exc}") from exc
-                if delta_h <= 0:
-                    raise ValueError(
-                        f"{path}:{line}: timestamp {ts.isoformat()} does not "
-                        f"advance past {prev.isoformat()}"
-                    )
-                if delta_h != int(delta_h):
-                    raise ValueError(
-                        f"{path}:{line}: spacing of {delta_h} hours is not hourly"
-                    )
-                if delta_h > 1:
-                    report.gaps.append((prev, int(delta_h) - 1))
-            records.append(LoadRecord(ts, load, temp))
+                    ts = datetime.fromisoformat(row[schema.timestamp_col].strip())
+                    load = float(row[schema.load_col])
+                    temp = float(row[schema.temperature_col])
+                    if not (math.isfinite(load) and math.isfinite(temp)):
+                        raise ValueError("non-finite load or temperature")
+                except (ValueError, TypeError, KeyError) as exc:
+                    report.row_errors.append((line, str(exc)))
+                    continue
+                if records:
+                    prev = records[-1].timestamp
+                    try:
+                        delta_h = (ts - prev).total_seconds() / 3600.0
+                    except TypeError as exc:  # timezone-aware mixed with naive
+                        raise ValueError(f"{path}:{line}: {exc}") from exc
+                    if delta_h <= 0:
+                        raise ValueError(
+                            f"{path}:{line}: timestamp {ts.isoformat()} does not "
+                            f"advance past {prev.isoformat()}"
+                        )
+                    if delta_h != int(delta_h):
+                        raise ValueError(
+                            f"{path}:{line}: spacing of {delta_h} hours is not hourly"
+                        )
+                    if delta_h > 1:
+                        report.gaps.append((prev, int(delta_h) - 1))
+                records.append(LoadRecord(ts, load, temp))
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            # the DictReader's own line_num stops at the last row it returned
+            raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from exc
         report.rows_parsed = len(records)
         if n_rows == 0:
             raise ValueError(f"{path}: no data rows")

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import logsumexp
-from .grids import GridDomain, cdf_values, repair_cdf
+from .grids import GridDomain, cdf_values
 from .rng import rng_from_seed
 
 EM_TOL = 1e-8
@@ -315,19 +315,9 @@ def fit_gmm_ems(point_sets, k: int, seeds) -> list:
     return results
 
 
-def fit_gmm_em(points, k: int, seed: int, *, return_history: bool = False):
-    """Fit one point set: `fit_gmm_ems` with G = 1, raising the fit's
-    ValueError or DegenerateFit.  Returns the model, and its
-    log-likelihood history when `return_history` is set."""
-    result = fit_gmm_ems([points], k, [seed])[0]
-    if isinstance(result, Exception):
-        raise result
-    return result if return_history else result[0]
-
-
 def em_hit_max_iter(history) -> bool:
-    """Whether a fit_gmm_em history ran EM_MAX_ITER rounds without meeting
-    the EM_TOL stopping test."""
+    """Whether a `fit_gmm_ems` history ran EM_MAX_ITER rounds without
+    meeting the EM_TOL stopping test."""
     return len(history) == EM_MAX_ITER and not history[-1] - history[-2] < EM_TOL
 
 
@@ -363,21 +353,13 @@ def _condition_on_temperature(models, temps):
     return post, cond_mean, cond_var
 
 
-def conditional_load_cdfs(models, temps, domain: GridDomain) -> np.ndarray:
-    """(..., N, d) stack of load CDFs given each temperature, one row per
-    model (all with the same component count), evaluated on the grid with
-    one vectorised normal-CDF call; a scalar temperature gives (N, d).
-    Mixture mass outside [a, b] is assigned to the endpoints.  Row for row
-    the values equal those of one call per temperature, bit for bit."""
-    vals = load_cdf_values(models, temps, domain)
-    repair_cdf(vals)
-    return vals
-
-
 def load_cdf_values(models, temps, domain: GridDomain) -> np.ndarray:
-    """`conditional_load_cdfs` before its `repair_cdf` check: a cell just
-    below the last may exceed 1 by a rounding error, where the posterior
-    weights of normal CDFs that are all 1 sum above 1."""
+    """(..., N, d) load CDF values given each temperature, one row per model
+    (all with one component count), from one vectorised normal-CDF call; a
+    scalar temperature gives (N, d), and each row has the bits of a call at
+    its temperature alone.  Mass outside [a, b] goes to the endpoints.  Not
+    checked: a cell before the last may exceed 1 by a rounding error (the
+    posterior weights of normal CDFs that are all 1 sum above 1)."""
     from scipy.special import ndtr  # the only scipy use; `import crpsmix` skips scipy
 
     post, mean, var = _condition_on_temperature(models, temps)

@@ -62,12 +62,11 @@ class GameLog:
     `max_cdf_repair` is the largest change `repair_cdf` made to a cell of
     an expert matrix or a forecast of the run."""
 
-    def __init__(self, n: int, eta: float, rows: np.ndarray | None = None,
-                 max_cdf_repair: float = 0.0):
+    def __init__(self, n: int, eta: float, rows: np.ndarray, max_cdf_repair: float = 0.0):
         self.n = n
         self.eta = eta
         self.max_cdf_repair = max_cdf_repair
-        self._rows = np.empty((0, 2 + 4 * n)) if rows is None else rows
+        self._rows = rows
         self.steps = len(self._rows)
 
     def _block(self, k: int) -> np.ndarray:

@@ -188,13 +188,6 @@ def crps(forecast: GridCDF, y: float) -> float:
     return forecast.domain.delta * float(r @ r)
 
 
-def crps_rows(values: np.ndarray, domain: GridDomain, y: float) -> np.ndarray:
-    """CRPS of several forecasts (rows of `values`) against one outcome."""
-    y = _check_outcome(domain, y)
-    r = np.atleast_2d(values) - (domain.grid >= y)
-    return domain.delta * np.einsum("ij,ij->i", r, r)
-
-
 def crps_grid_profile(values: np.ndarray, domain: GridDomain) -> np.ndarray:
     """CRPS of each row of the (..., d) stack of CDF values on `domain`
     against every grid outcome z_1..z_d.
@@ -223,33 +216,7 @@ def quantile(forecast: GridCDF, tau: float) -> float:
     return float(forecast.domain.grid[idx])
 
 
-def empirical_cdf(samples, domain: GridDomain) -> GridCDF:
-    """Empirical CDF of the samples on the grid: f_s = #(samples <= z_s)/n."""
-    s = np.asarray(samples, dtype=float).ravel()
-    if s.size == 0:
-        raise ValueError("need at least one sample")
-    if s.min() < domain.a or s.max() > domain.b:
-        raise ValueError(
-            f"samples outside [{domain.a}, {domain.b}] "
-            f"(range [{s.min()}, {s.max()}])"
-        )
-    counts = np.searchsorted(np.sort(s), domain.grid, side="right")
-    vals = counts / s.size
-    vals[-1] = 1.0
-    return GridCDF(domain, vals)
-
-
 def cdf_to_row(forecast: GridCDF) -> list:
     """Flatten to the d+3 column CSV row (a, b, d, f_1..f_d)."""
     dom = forecast.domain
     return [dom.a, dom.b, dom.d, *forecast.values.tolist()]
-
-
-def cdf_from_row(row) -> GridCDF:
-    vals = [float(x) for x in row]
-    if len(vals) < 4:
-        raise ValueError("CDF row needs at least 4 columns: a, b, d, values")
-    a, b, d = vals[0], vals[1], int(vals[2])
-    if len(vals) != d + 3:
-        raise ValueError(f"CDF row for d={d} must have {d + 3} columns")
-    return GridCDF(GridDomain(a, b, d), np.array(vals[3:]))

@@ -19,13 +19,7 @@ from .data import (
     hour_of_year,
     season_hour_interval,
 )
-from .experts import (
-    ConfidenceSchedule,
-    Gmm2D,
-    conditional_load_cdfs,
-    fit_gmm_ems,
-    load_cdf_values,
-)
+from .experts import ConfidenceSchedule, Gmm2D, fit_gmm_ems, load_cdf_values
 from .grids import GridDomain
 
 DAY_RAMP_HOURS = 2.0  # confidence decrease of a daily expert
@@ -147,17 +141,11 @@ def roster_confidences(experts, timestamps) -> np.ndarray:
     return out
 
 
-def roster_forecasts(experts, temps, domain: GridDomain) -> np.ndarray:
-    """(..., N, d) stack of the experts' load CDFs given each temperature;
-    (N, d) for a scalar temperature."""
-    return conditional_load_cdfs([e.model for e in experts], temps, domain)
-
-
 class RosterStream:
     """Iterator of the (1, N, d) roster matrix of each temperature in turn,
-    the per-step chunks `replay` takes.  The rows are not yet checked:
-    `replay`'s `repair_cdf` check is their only one, and turns each into
-    `roster_forecasts(experts, temp, domain)[None]` bit for bit.
+    the per-step chunks `replay` takes: the `load_cdf_values` of the
+    experts' models at that temperature, bit for bit.  The rows are not yet
+    checked: `replay`'s `repair_cdf` check is their only one.
 
     The temperatures are split into consecutive windows whose distinct
     values fill at most one table of WINDOW_TABLE_BYTES, allocated once.

@@ -10,20 +10,131 @@ import pytest
 from hypothesis import strategies as st
 
 from crpsmix.aggregation import (
+    _as_confidence,
+    _check_probability,
+    _share,
     combine_wa,
-    confidence_reweight,
     logsumexp,
-    mix_past_posteriors,
     normalized_weights,
     substitute_crps_aa,
-    substitute_square_aa,
-    update_weights_confidence,
+    substitute_vector_aa,
 )
 from crpsmix.data import write_demo_load_csv
-from crpsmix.experts import COV_RIDGE, EM_MAX_ITER, EM_TOL, DegenerateFit, _kmeanspp_centers
+from crpsmix.experts import (COV_RIDGE, EM_MAX_ITER, EM_TOL, DegenerateFit, _kmeanspp_centers,
+                              load_cdf_values)
 from crpsmix.game import GameLog
-from crpsmix.grids import GridCDF, GridDomain, cdf_values, crps, crps_rows
+from crpsmix.grids import GridCDF, GridDomain, _check_outcome, cdf_values, crps, repair_cdf
 from crpsmix.rng import rng_from_seed
+
+
+# Step-at-a-time references that tests compare the library's array paths
+# against: the weight functions of one step, per-outcome scores, checked
+# roster CDFs.
+
+
+class AllExpertsAsleep(ValueError):
+    """Every confidence is zero: there is no expert mass to aggregate."""
+
+
+def _as_losses(losses, n: int) -> np.ndarray:
+    l = np.asarray(losses, dtype=float)
+    if l.shape != (n,):
+        raise ValueError(f"expected {n} losses, got shape {l.shape}")
+    if not np.all(np.isfinite(l)) or l.min() < 0.0:
+        raise ValueError("losses must be finite and non-negative")
+    return l
+
+
+def confidence_reweight(log_weights: np.ndarray, p) -> np.ndarray:
+    """Probability vector proportional to p_i * w_i; experts with zero
+    confidence get exactly zero mass."""
+    p = _as_confidence(p, log_weights.shape[-1:])
+    if not np.any(p > 0):
+        raise AllExpertsAsleep("all confidences are zero at this step")
+    with np.errstate(divide="ignore"):
+        q = normalized_weights(log_weights + np.log(p))
+    q[..., p == 0.0] = 0.0
+    return q
+
+
+def superprediction(losses, q, eta: float) -> float:
+    """g = -(1/eta) ln sum_i q_i e^{-eta l_i}, the benchmark an aggregated
+    forecast must dominate; always between min_i l_i and sum_i q_i l_i."""
+    if not eta > 0:
+        raise ValueError(f"learning rate must be positive, got {eta}")
+    l = np.asarray(losses, dtype=float)
+    q = _check_probability(q, l.size)
+    with np.errstate(divide="ignore"):
+        return float(-logsumexp(-eta * l + np.log(q)) / eta)
+
+
+def update_weights_confidence(
+    log_weights: np.ndarray, eta: float, p, expert_losses, learner_loss: float
+) -> np.ndarray:
+    """Virtual-expert update at learning rate eta: expert i is charged
+    p_i l_i + (1-p_i) h, its loss discounted toward the learner's by its
+    confidence.  Returns the new log weights, rescaled so the largest is 0."""
+    n = log_weights.size
+    p = _as_confidence(p, (n,))
+    l = _as_losses(expert_losses, n)
+    h = float(learner_loss)
+    if not np.isfinite(h) or h < 0:
+        raise ValueError(f"learner loss must be finite and non-negative, got {h}")
+    lw = log_weights - eta * (p * l + (1.0 - p) * h)
+    return lw - lw.max()
+
+
+def mix_past_posteriors(log_weights: np.ndarray, alpha) -> np.ndarray:
+    """Fixed-share mix toward the uniform start vector:
+    w_i <- alpha/n + (1-alpha) w_i / sum_j w_j.  Returns log weights that
+    sum to 1 with floor alpha/n; alpha = 0 is plain normalization.  (C, N)
+    log weights take a (C, 1) alpha, one per row.  The mixing step is the
+    library's `aggregation._share`, the one `replay` runs."""
+    share = _share(alpha, log_weights.shape[-1])
+    return share(log_weights - logsumexp(log_weights, axis=-1)[..., None])
+
+
+def crps_rows(values: np.ndarray, domain: GridDomain, y: float) -> np.ndarray:
+    """CRPS of several forecasts (rows of `values`) against one outcome."""
+    y = _check_outcome(domain, y)
+    r = np.atleast_2d(values) - (domain.grid >= y)
+    return domain.delta * np.einsum("ij,ij->i", r, r)
+
+
+def empirical_cdf(samples, domain: GridDomain) -> GridCDF:
+    """Empirical CDF of the samples on the grid: f_s = #(samples <= z_s)/n."""
+    s = np.asarray(samples, dtype=float).ravel()
+    if s.size == 0:
+        raise ValueError("need at least one sample")
+    if s.min() < domain.a or s.max() > domain.b:
+        raise ValueError(
+            f"samples outside [{domain.a}, {domain.b}] "
+            f"(range [{s.min()}, {s.max()}])"
+        )
+    counts = np.searchsorted(np.sort(s), domain.grid, side="right")
+    vals = counts / s.size
+    vals[-1] = 1.0
+    return GridCDF(domain, vals)
+
+
+def cdf_from_row(row) -> GridCDF:
+    """The GridCDF of a d+3 column CSV row (a, b, d, f_1..f_d), as
+    `grids.cdf_to_row` writes it."""
+    vals = [float(x) for x in row]
+    if len(vals) < 4:
+        raise ValueError("CDF row needs at least 4 columns: a, b, d, values")
+    a, b, d = vals[0], vals[1], int(vals[2])
+    if len(vals) != d + 3:
+        raise ValueError(f"CDF row for d={d} must have {d + 3} columns")
+    return GridCDF(GridDomain(a, b, d), np.array(vals[3:]))
+
+
+def conditional_load_cdfs(models, temps, domain: GridDomain) -> np.ndarray:
+    """`load_cdf_values` after its `repair_cdf` check: the checked load
+    CDFs of each model at each temperature."""
+    vals = load_cdf_values(models, temps, domain)
+    repair_cdf(vals)
+    return vals
 
 
 def numeric_crps(cdf_fn, y, a, b, n=20001):
@@ -121,7 +232,7 @@ def reference_square_loss_game(forecasts, outcomes, eta):
     rows = []
     for f, y in zip(forecasts, outcomes, strict=True):
         q = normalized_weights(lw)
-        pred = substitute_square_aa(f, q, eta)
+        pred = substitute_vector_aa(np.reshape(f, (-1, 1)), q, eta)[0]
         losses = (f - y) ** 2
         lw = update_weights_confidence(lw, eta, ones, losses, 0.0)
         # np.square rounds the square correctly; a scalar ** 2 may call pow

@@ -12,7 +12,7 @@ import pytest
 from crpsmix.aggregation import combine_wa, substitute_crps_aa, substitute_vector_aa
 from crpsmix.cli import main, read_manifest
 from crpsmix.data import default_generators, rotating_leader_schedule, synth_stream
-from crpsmix.experts import fit_gmm_em, triangular_cdf
+from crpsmix.experts import fit_gmm_ems, triangular_cdf
 from crpsmix.game import GameConfig, replay, telescoping_gap
 from crpsmix.grids import GridCDF, GridDomain, crps
 from crpsmix.rng import rng_from_seed, spawn_rngs
@@ -231,7 +231,7 @@ def test_11_em_two_clusters():
         rng.normal(true_means[1], sigma, size=(2500, 2)),
     ])
     rng.shuffle(pts)
-    model, history = fit_gmm_em(pts, 2, seed=3, return_history=True)
+    model, history = fit_gmm_ems([pts], 2, [3])[0]
     order = np.argsort(model.means[:, 0])
     err = np.abs(model.means[order] - true_means).max()
     monotone = np.all(

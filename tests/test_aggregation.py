@@ -6,22 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crpsmix.aggregation import (
-    AllExpertsAsleep,
     SubstitutionError,
     aa_learning_rate,
     combine_wa,
-    confidence_reweight,
-    fixed_share,
     logsumexp,
-    mix_past_posteriors,
     normalized_weights,
     square_tables,
     substitute_crps_aa,
-    substitute_square_aa,
     substitute_vector_aa,
     substitute_tables,
-    superprediction,
-    update_weights_confidence,
     wa_learning_rate,
 )
 import crpsmix.aggregation as agg
@@ -29,7 +22,9 @@ import crpsmix.game as game_mod
 from crpsmix.game import GameConfig, replay
 from crpsmix.grids import GridCDF, GridDomain, cdf_values, check_cdf, crps_grid_profile
 
-from conftest import probability_vectors, random_cdf_values
+from conftest import (AllExpertsAsleep, confidence_reweight, mix_past_posteriors,
+                      probability_vectors, random_cdf_values, superprediction,
+                      update_weights_confidence)
 
 
 def log_w(weights):
@@ -93,11 +88,11 @@ class TestSquareSubstitution:
     def test_single_active_expert_passthrough(self):
         q = np.array([1.0, 0.0, 0.0])
         for f1 in (0.0, 0.2, 0.9, 1.0):
-            got = substitute_square_aa([f1, 0.7, 0.1], q, 2.0)
+            got = substitute_vector_aa(np.reshape([f1, 0.7, 0.1], (-1, 1)), q, 2.0)[0]
             assert abs(got - f1) < 1e-12
 
     def test_symmetric_split(self):
-        assert substitute_square_aa([0.0, 1.0], [0.5, 0.5], 2.0) == pytest.approx(0.5)
+        assert substitute_vector_aa([[0.0], [1.0]], [0.5, 0.5], 2.0)[0] == pytest.approx(0.5)
 
     @given(
         st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6),
@@ -110,7 +105,7 @@ class TestSquareSubstitution:
         rng = np.random.default_rng(seed)
         q = rng.random(f.size) + 1e-6
         q /= q.sum()
-        pred = substitute_square_aa(f, q, eta)
+        pred = substitute_vector_aa(np.reshape(f, (-1, 1)), q, eta)[0]
         for w in (0.0, 1.0):
             lhs = (pred - w) ** 2
             rhs = -math.log(float(q @ np.exp(-eta * (f - w) ** 2))) / eta
@@ -119,7 +114,7 @@ class TestSquareSubstitution:
     def test_eta_range_enforced(self):
         for eta in (0.0, -1.0, 2.5):
             with pytest.raises(ValueError):
-                substitute_square_aa([0.5], [1.0], eta)
+                substitute_vector_aa([[0.5]], [1.0], eta)
 
 
 class TestVectorSubstitution:
@@ -129,7 +124,10 @@ class TestVectorSubstitution:
         q = np.full(4, 0.25)
         got = substitute_vector_aa(m, q, 2.0)
         assert got.shape == (1,)
-        assert got[0] == pytest.approx(substitute_square_aa(m[:, 0], q, 2.0))
+        # f = 1/2 - (1/(2 eta)) ln( sum_i q_i e^{-eta f_i^2} / sum_i q_i e^{-eta (1-f_i)^2} )
+        f = m[:, 0]
+        want = 0.5 - math.log((q @ np.exp(-2.0 * f**2)) / (q @ np.exp(-2.0 * (1.0 - f) ** 2))) / 4.0
+        assert got[0] == pytest.approx(want)
 
     def test_identical_rows_pass_through(self):
         row = np.array([0.1, 0.4, 0.9])
@@ -369,13 +367,13 @@ class TestMixPastPosteriors:
         [0.0, 0.001, 1.0, [[0.0], [0.0], [0.0]], [[0.001], [0.0], [1.0]], [[0.3], [0.001], [1.0]]],
     )
     def test_fixed_share_is_the_mixing_formula_bit_for_bit(self, alpha):
-        # alpha decided once per replay; the per-call formula is the oracle
+        # the library's mixing step, aggregation._share, against the formula
         lw = np.random.default_rng(1).normal(size=(3, 5)) * 30.0
         alpha = np.asarray(alpha, dtype=float)
         norm = lw - logsumexp(lw, axis=-1)[..., None]
         mixed = np.log(alpha / 5 + (1.0 - alpha) * np.exp(norm))
         want = np.where(alpha == 0.0, norm, mixed)
-        assert np.array_equal(fixed_share(alpha, 5)(lw), want)
+        assert np.array_equal(agg._share(alpha, 5)(norm.copy()), want)
         assert np.array_equal(mix_past_posteriors(lw, alpha), want)
 
 
@@ -394,6 +392,6 @@ class TestScaleInvariance:
             confidence_reweight(lw, p), confidence_reweight(shifted, p), atol=1e-12
         )
         f = np.linspace(0.05, 0.95, n)
-        a = substitute_square_aa(f, normalized_weights(lw), 2.0)
-        b = substitute_square_aa(f, normalized_weights(shifted), 2.0)
+        a = substitute_vector_aa(np.reshape(f, (-1, 1)), normalized_weights(lw), 2.0)[0]
+        b = substitute_vector_aa(np.reshape(f, (-1, 1)), normalized_weights(shifted), 2.0)[0]
         assert abs(a - b) < 1e-12

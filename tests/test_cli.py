@@ -15,9 +15,11 @@ from crpsmix.cli import _fmt, _write_csv, main, read_manifest
 from crpsmix.data import load_csv, split_train_test, write_demo_load_csv
 from crpsmix.experts import EM_MAX_ITER
 from crpsmix.game import GameConfig, replay
-from crpsmix.grids import GridDomain, cdf_from_row
-from crpsmix.roster import build_load_roster, roster_confidences, roster_forecasts
+from crpsmix.grids import GridDomain
+from crpsmix.roster import build_load_roster, roster_confidences
 from crpsmix import verify as verify_mod
+
+from conftest import cdf_from_row, conditional_load_cdfs
 
 
 def run_cli(*args):
@@ -283,9 +285,10 @@ class TestLoad:
         experts, _ = build_load_roster(train, components=2, seed=5)
         domain = GridDomain(0.0, 1.05 * max(r.load for r in train), 128)
         temps = [train[-1].temperature] + [r.temperature for r in test[:-1]]
+        models = [e.model for e in experts]
         (log,), _ = replay(
             [GameConfig(domain, mode="aa", alpha=0.001)],
-            (roster_forecasts(experts, temp, domain)[None] for temp in temps),
+            (conditional_load_cdfs(models, temp, domain)[None] for temp in temps),
             [min(max(r.load, domain.a), domain.b) for r in test],
             roster_confidences(experts, [r.timestamp for r in test]),
         )
@@ -372,6 +375,17 @@ class TestLoad:
         proc = run_cli_process(*argv)
         assert proc.returncode == 3
         assert "cannot ingest data" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_field_over_the_csv_size_limit_is_data_error(self, tmp_path):
+        # the csv module rejects a field over 131072 characters by default
+        rows = demo_rows(tmp_path / "demo.csv", 300)
+        rows[280][1] = "1" * 200_000
+        data = write_rows(tmp_path / "huge.csv", rows)
+        proc = run_cli_process("load", "--data", data, "--split", rows[250][0],
+                               "--out", str(tmp_path / "o"))
+        assert proc.returncode == 3
+        assert f"cannot ingest data: {data}:281: field larger than field limit" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_nonpositive_training_loads_are_data_errors(self, tmp_path):

@@ -20,6 +20,7 @@ from crpsmix.data import (
     smooth_crossfade_schedule,
     split_train_test,
     synth_stream,
+    write_demo_load_csv,
 )
 
 
@@ -185,6 +186,14 @@ class TestLoadCsv:
             ),
         )
         assert records[0] == LoadRecord(datetime(2010, 1, 1), 88.0, 41.0)
+
+    def test_utf8_bom_before_the_header_is_skipped(self, tmp_path):
+        # spreadsheet "UTF-8 CSV" exports start with a byte order mark
+        plain = tmp_path / "plain.csv"
+        write_demo_load_csv(plain, hours=48)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_csv(bom)[0] == load_csv(plain)[0]
 
     def test_missing_column_fatal(self, tmp_path):
         p = tmp_path / "cols.csv"

@@ -15,8 +15,6 @@ from crpsmix.experts import (
     DegenerateFit,
     Gmm2D,
     TriangularExpert,
-    conditional_load_cdfs,
-    fit_gmm_em,
     fit_gmm_ems,
     triangular_cdf,
 )
@@ -24,7 +22,7 @@ from crpsmix.experts import _condition_on_temperature
 from crpsmix.grids import GridDomain
 from crpsmix.rng import rng_from_seed
 
-from conftest import reference_fit_gmm_em, reference_schedule_at
+from conftest import conditional_load_cdfs, reference_fit_gmm_em, reference_schedule_at
 
 
 def tri_density(e: TriangularExpert, u):
@@ -92,14 +90,14 @@ class TestFitGmmEm:
     def test_single_component_matches_moments(self):
         rng = np.random.default_rng(2)
         pts = rng.normal([1.0, -3.0], [2.0, 0.5], size=(300, 2))
-        g = fit_gmm_em(pts, 1, seed=0)
+        g, _ = fit_gmm_ems([pts], 1, [0])[0]
         np.testing.assert_allclose(g.means[0], pts.mean(axis=0), atol=1e-9)
         expected = np.cov(pts.T, bias=True) + 1e-6 * np.diag(pts.var(axis=0))
         np.testing.assert_allclose(g.covs[0], expected, atol=1e-9)
 
     def test_two_clusters_recovered(self):
         pts = two_cluster_data()
-        g, history = fit_gmm_em(pts, 2, seed=1, return_history=True)
+        g, history = fit_gmm_ems([pts], 2, [1])[0]
         order = np.argsort(g.means[:, 0])
         got = g.means[order]
         np.testing.assert_allclose(got[0], [-2.0, -1.0], atol=0.1 * 0.5)
@@ -110,13 +108,13 @@ class TestFitGmmEm:
         rng = np.random.default_rng(3)
         pts = rng.normal(0.0, 1.0, size=(200, 2))
         pts[:, 1] = 0.6 * pts[:, 0] + 0.8 * pts[:, 1]
-        _, history = fit_gmm_em(pts, 3, seed=2, return_history=True)
+        _, history = fit_gmm_ems([pts], 3, [2])[0]
         assert np.all(np.diff(history) >= -1e-9 * np.maximum(1.0, np.abs(history[:-1])))
 
     def test_deterministic_given_seed(self):
         pts = two_cluster_data(seed=9)
-        a = fit_gmm_em(pts, 2, seed=7)
-        b = fit_gmm_em(pts, 2, seed=7)
+        a, _ = fit_gmm_ems([pts], 2, [7])[0]
+        b, _ = fit_gmm_ems([pts], 2, [7])[0]
         np.testing.assert_array_equal(a.means, b.means)
         np.testing.assert_array_equal(a.covs, b.covs)
         np.testing.assert_array_equal(a.weights, b.weights)
@@ -124,17 +122,17 @@ class TestFitGmmEm:
     def test_degenerate_data_rejected(self):
         pts = np.tile([1.0, 2.0], (50, 1))
         with pytest.raises(DegenerateFit):
-            fit_gmm_em(pts, 2, seed=0)
+            raise fit_gmm_ems([pts], 2, [0])[0]  # the fit returns its error
 
     def test_preconditions(self):
         pts = np.random.default_rng(0).normal(size=(15, 2))
         with pytest.raises(ValueError):
-            fit_gmm_em(pts, 2, seed=0)  # needs 20 points for k=2
+            raise fit_gmm_ems([pts], 2, [0])[0]  # needs 20 points for k=2
         with pytest.raises(ValueError):
-            fit_gmm_em(pts, 4, seed=0)
+            raise fit_gmm_ems([pts], 4, [0])[0]
 
     def test_text_round_trip(self):
-        g = fit_gmm_em(two_cluster_data(seed=4), 2, seed=3)
+        g, _ = fit_gmm_ems([two_cluster_data(seed=4)], 2, [3])[0]
         back = Gmm2D.from_text(g.to_text())
         np.testing.assert_array_equal(back.weights, g.weights)
         np.testing.assert_array_equal(back.means, g.means)
@@ -185,7 +183,7 @@ def assert_same_fit(fit, weights, means, covs, history, what):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_one_pass_em_matches_per_component_reference(k, demo_year_segment):
     for name, (pts, seed) in _em_sets(demo_year_segment).items():
-        g, history = fit_gmm_em(pts, k, seed, return_history=True)
+        g, history = fit_gmm_ems([pts], k, [seed])[0]
         assert_same_fit((g, history), *reference_fit_gmm_em(pts, k, seed), (name, k))
         if (name, k) == ("demo_summer_day", 2):  # a fit that runs to the cap
             assert len(history) == EM_MAX_ITER and history[-1] - history[-2] >= EM_TOL
@@ -264,7 +262,7 @@ def test_failed_fits_leave_only_their_own_result(monkeypatch, demo_year_segment)
 
 def test_single_set_fit_raises_its_failure():
     with pytest.raises(DegenerateFit, match=r"log-likelihood decreased \("):
-        fit_gmm_em(unstable_points(), 3, 60)
+        raise fit_gmm_ems([unstable_points()], 3, [60])[0]
 
 
 def make_gmm(weights, means, covs):

@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 
 from crpsmix.aggregation import (
     SubstitutionError,
-    confidence_reweight,
     normalized_weights,
     square_tables,
     substitute_crps_aa,
     substitute_tables,
-    superprediction,
 )
 from crpsmix.data import default_generators, rotating_leader_schedule, synth_stream
 from crpsmix.experts import triangular_cdf
@@ -28,7 +26,8 @@ from crpsmix.game import (
 )
 from crpsmix.grids import GridCDF, GridDomain, cdf_values, crps
 
-from conftest import random_cdf_values, reference_game, reference_square_loss_game
+from conftest import (confidence_reweight, random_cdf_values, reference_game,
+                      reference_square_loss_game, superprediction)
 
 
 def synth_setup(T=600, d=128, seed=0, n_segments=6):
@@ -510,7 +509,7 @@ class TestBlockEngine:
 class TestRegretReport:
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
-            regret_report(GameLog(3, 1.0))
+            regret_report(GameLog(3, 1.0, np.empty((0, 2 + 4 * 3))))
 
     def test_report_fields(self):
         dom, cdfs, y = synth_setup(T=300)

@@ -7,14 +7,11 @@ from crpsmix.grids import (
     GridCDF,
     REPAIR_TOL,
     GridDomain,
-    cdf_from_row,
     cdf_values,
     cdf_to_row,
     check_cdf,
     crps,
     crps_grid_profile,
-    crps_rows,
-    empirical_cdf,
     heaviside_cdf,
     quantile,
     repair_cdf,
@@ -24,7 +21,8 @@ from crpsmix.verify import random_grid_cdf
 
 from crpsmix import grids
 
-from conftest import grid_cdfs, numeric_crps, random_cdf_values, step_cdf_fn
+from conftest import (cdf_from_row, crps_rows, empirical_cdf, grid_cdfs, numeric_crps,
+                      random_cdf_values, step_cdf_fn)
 
 
 class TestGridDomain:
@@ -95,15 +93,18 @@ def noisy_rows(rng, shape):
     flat = rows.reshape(-1, shape[-1])  # a view
     for row in flat:
         row[: int(rng.integers(0, min(2, len(row) - 1) + 1))] = -0.0  # a prefix
-    for row in flat[rng.random(len(flat)) < 0.5]:
-        k = int(rng.integers(0, shape[-1]))
+    d = shape[-1]
+    for i in np.flatnonzero(rng.random(len(flat)) < 0.5):
+        row = flat[i]  # a view: a boolean-mask index would write into a copy
+        k = int(rng.integers(0, d))
         noise = float(rng.uniform(0.0, REPAIR_TOL))
         kind = rng.integers(0, 4)
-        if kind == 0:
+        # only "above 1" and "the end" may touch the last cell
+        if kind == 0 and d > 1:
             row[0] = -noise  # below 0
         elif kind == 1:
             row[k:] = 1.0 + noise  # above 1
-        elif kind == 2 and k > 0:
+        elif kind == 2 and 0 < k < d - 1:
             row[k] = row[k - 1] - noise  # a drop
         else:
             row[-1] = 1.0 - noise  # the end

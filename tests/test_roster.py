@@ -15,7 +15,7 @@ from crpsmix.data import (
     split_train_test,
     write_demo_load_csv,
 )
-from crpsmix.experts import EM_MAX_ITER, fit_gmm_em, load_cdf_values
+from crpsmix.experts import EM_MAX_ITER, fit_gmm_ems, load_cdf_values
 from crpsmix import roster
 from crpsmix.grids import GridCDF, GridDomain, repair_cdf
 from crpsmix.roster import (
@@ -25,11 +25,10 @@ from crpsmix.roster import (
     build_load_roster,
     day_schedule,
     roster_confidences,
-    roster_forecasts,
     season_schedule,
 )
 
-from conftest import reference_fit_gmm_em, reference_schedule_at
+from conftest import conditional_load_cdfs, reference_fit_gmm_em, reference_schedule_at
 
 
 def reference_load_cdf(g, temp, domain):
@@ -185,7 +184,7 @@ class TestRoster:
         train, _, experts, _ = fitted
         dom = GridDomain(0.0, 1.05 * max(r.load for r in train), 64)
         for temp in (-10.0, 55.0, 101.5):
-            m = roster_forecasts(experts, temp, dom)
+            m = conditional_load_cdfs([e.model for e in experts], temp, dom)
             assert m.shape == (len(experts), dom.d)
             assert np.all((m >= 0.0) & (m <= 1.0))
             assert np.all(np.diff(m, axis=1) >= 0)
@@ -197,7 +196,7 @@ class TestRoster:
         train, test, experts, _ = fitted
         dom = GridDomain(0.0, 1.05 * max(r.load for r in train), 128)
         for temp in [r.temperature for r in test[:48]] + [-40.0, 130.0]:
-            got = roster_forecasts(experts, temp, dom)
+            got = conditional_load_cdfs([e.model for e in experts], temp, dom)
             want = np.stack([reference_load_cdf(e.model, temp, dom) for e in experts])
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -214,12 +213,13 @@ class TestRoster:
         stream = RosterStream(experts, temps, dom)
         rows = list(stream)
         assert len(rows) == len(temps)
+        models = [e.model for e in experts]
         for temp, got in zip(temps, rows):
             assert got.shape == (1, len(experts), d)
             # unchecked rows: `replay`'s repair_cdf makes them the checked ones
-            assert np.array_equal(got[0], load_cdf_values([e.model for e in experts], temp, dom))
+            assert np.array_equal(got[0], load_cdf_values(models, temp, dom))
             repair_cdf(got)
-            assert np.array_equal(got[0], roster_forecasts(experts, temp, dom))
+            assert np.array_equal(got[0], conditional_load_cdfs(models, temp, dom))
         assert len(set(temps)) <= stream.evaluations <= len(temps)
 
     @pytest.mark.parametrize("d", [128, 1024])
@@ -307,7 +307,7 @@ class TestRosterFit:
                          np.random.SeedSequence(3).generate_state(21)))
         for e in experts:
             segment = expert_segment(e.name, train)
-            model, history = fit_gmm_em(segment, 2, int(seeds[e.name[:8]]), return_history=True)
+            model, history = fit_gmm_ems([segment], 2, [int(seeds[e.name[:8]])])[0]
             assert np.array_equal(e.fit_history, history), e.name
             assert np.array_equal(e.model.means, model.means), e.name
             assert np.array_equal(e.model.covs, model.covs), e.name

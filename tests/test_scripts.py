@@ -41,3 +41,15 @@ def test_make_demo_load_csv_matches_library_writer(tmp_path):
         tmp_path / "library.csv", 300, datetime(2009, 3, 1, 5), 4
     )
     assert out.read_bytes() == want.read_bytes()
+
+
+def test_readme_library_sketch_runs():
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme.split("\n## Library sketch\n", 1)[1]
+    sketch = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(sketch, "README.md", "exec"), {})
+    # the set-up calls of perfbench/setup_probe.py
+    for name in ("load_csv", "split_train_test", "build_load_roster", "default_generators",
+                 "rotating_leader_schedule", "synth_stream", "GridDomain", "triangular_cdf"):
+        assert callable(getattr(crpsmix, name, None)), name
