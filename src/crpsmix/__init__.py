@@ -26,7 +26,6 @@ from .data import (
 )
 from .experts import (
     ConditioningError,
-    ConfidenceSchedule,
     DegenerateFit,
     Gmm2D,
     TriangularExpert,

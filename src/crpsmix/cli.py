@@ -436,41 +436,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Online aggregation of probabilistic forecasts under CRPS.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    out_default = os.environ.get("CRPSMIX_OUT")
     timings_help = "print the wall time of each phase to stderr"
+    game = argparse.ArgumentParser(add_help=False)  # the flags synth and load share
+    game.add_argument("--mode", choices=("aa", "wa"), default="aa")
+    game.add_argument("--alpha", type=float, default=0.001)
+    game.add_argument("--seed", type=int, default=0)
+    game.add_argument("--grid", type=int, default=1024)
+    game.add_argument("--out", default=os.environ.get("CRPSMIX_OUT"))
+    game.add_argument("--timings", action="store_true", help=timings_help)
 
-    ps = sub.add_parser("synth", help="synthetic triangular-mixture experiment")
+    ps = sub.add_parser("synth", parents=[game], help="synthetic triangular-mixture experiment")
     ps.add_argument("--method", type=int, choices=(1, 2), required=True,
                     help="1: rotating leader, 2: smooth crossfade")
-    ps.add_argument("--mode", choices=("aa", "wa"), default="aa")
-    ps.add_argument("--alpha", type=float, default=0.001)
     ps.add_argument("--steps", type=int, default=3000)
-    ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--grid", type=int, default=1024)
     ps.add_argument("--segments", type=int, default=6)
-    ps.add_argument("--out", default=out_default)
-    ps.add_argument("--timings", action="store_true", help=timings_help)
     ps.set_defaults(func=cmd_synth)
 
-    pl = sub.add_parser("load", help="hourly load forecasting experiment")
+    pl = sub.add_parser("load", parents=[game], help="hourly load forecasting experiment")
     pl.add_argument("--train", help="training CSV")
     pl.add_argument("--test", help="testing CSV")
     pl.add_argument("--data", help="single CSV to split by --split")
     pl.add_argument("--split", help="ISO timestamp boundary for --data")
-    pl.add_argument("--mode", choices=("aa", "wa"), default="aa")
     pl.add_argument("--confidence", choices=("smooth", "binary", "off"),
                     default="smooth")
-    pl.add_argument("--alpha", type=float, default=0.001)
-    pl.add_argument("--grid", type=int, default=1024)
-    pl.add_argument("--seed", type=int, default=0)
     pl.add_argument("--components", type=int, default=2)
     pl.add_argument("--band-hour", type=int, default=12)
     pl.add_argument("--timestamp-col", default="timestamp")
     pl.add_argument("--load-col", default="load")
     pl.add_argument("--temperature-col", default="temperature")
     pl.add_argument("--delimiter", default=",")
-    pl.add_argument("--out", default=out_default)
-    pl.add_argument("--timings", action="store_true", help=timings_help)
     pl.set_defaults(func=cmd_load)
 
     pv = sub.add_parser("verify", help="run the property suites")
@@ -488,14 +482,8 @@ def _validate(parser, args) -> None:
     if args.command == "synth":
         if args.steps < 1:
             parser.error("--steps must be positive (empty run)")
-        if args.grid < 2:
-            parser.error("--grid must be at least 2")
         if args.segments < 1:
             parser.error("--segments must be positive")
-        if not 0.0 <= args.alpha <= 1.0:
-            parser.error("--alpha must lie in [0, 1]")
-        if args.out is None:
-            parser.error("need --out or the CRPSMIX_OUT environment variable")
     elif args.command == "load":
         if bool(args.data) == bool(args.train):
             parser.error("give either --data [--split] or --train with --test")
@@ -506,21 +494,21 @@ def _validate(parser, args) -> None:
                 datetime.fromisoformat(args.split)
             except ValueError:
                 parser.error(f"--split is not an ISO timestamp: {args.split!r}")
-        if args.grid < 2:
-            parser.error("--grid must be at least 2")
-        if not 0.0 <= args.alpha <= 1.0:
-            parser.error("--alpha must lie in [0, 1]")
         if len(args.delimiter) != 1:
             parser.error("--delimiter must be one character")
         if args.components not in (1, 2, 3):
             parser.error("--components must be 1, 2 or 3")
         if not 0 <= args.band_hour <= 23:
             parser.error("--band-hour must be an hour 0..23")
+    elif args.command == "verify" and args.cases < 1:
+        parser.error("--cases must be positive")
+    if args.command != "verify":
+        if args.grid < 2:
+            parser.error("--grid must be at least 2")
+        if not 0.0 <= args.alpha <= 1.0:
+            parser.error("--alpha must lie in [0, 1]")
         if args.out is None:
             parser.error("need --out or the CRPSMIX_OUT environment variable")
-    elif args.command == "verify":
-        if args.cases < 1:
-            parser.error("--cases must be positive")
 
 
 def main(argv=None) -> int:

@@ -1,6 +1,5 @@
-"""Forecasting experts: fixed triangular densities, bivariate Gaussian
-mixtures conditioned on temperature, and piecewise-linear confidence
-schedules for specialized experts."""
+"""Forecasting experts: fixed triangular densities and bivariate Gaussian
+mixtures conditioned on temperature."""
 
 from __future__ import annotations
 
@@ -8,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregation import logsumexp
-from .grids import GridDomain, cdf_values
+from .grids import GridDomain
 from .rng import rng_from_seed
 
 EM_TOL = 1e-8
@@ -57,7 +56,10 @@ class TriangularExpert:
 
 
 def triangular_cdf(expert: TriangularExpert, domain: GridDomain) -> np.ndarray:
-    """Checked (d,) values of the exact triangular CDF at the grid points."""
+    """(d,) values of the exact triangular CDF at the grid points, its
+    support checked against the domain.  Not checked as a CDF: `replay`
+    checks the matrix it takes, and `cdf_values` checks a standalone
+    use."""
     if expert.left < domain.a or expert.right > domain.b:
         raise ValueError(
             f"support [{expert.left}, {expert.right}] outside "
@@ -65,7 +67,7 @@ def triangular_cdf(expert: TriangularExpert, domain: GridDomain) -> np.ndarray:
         )
     vals = expert.cdf_at(domain.grid)
     vals[-1] = 1.0
-    return cdf_values(vals, domain)
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -368,59 +370,3 @@ def load_cdf_values(models, temps, domain: GridDomain) -> np.ndarray:
     vals = np.matmul(post[..., None, :], comp)[..., 0, :]
     vals[..., -1] = 1.0
     return vals
-
-
-# ---------------------------------------------------------------------------
-# Confidence schedules
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConfidenceSchedule:
-    """Confidence as a function of the time step: 1 on each block's plateau,
-    linear over its entry/exit ramps, 0 elsewhere.
-
-    Blocks are (plateau_start, plateau_end, ramp_up, ramp_down) with the
-    plateau endpoints included; overlapping blocks combine by maximum.
-    A periodic schedule wraps modulo `period`.
-    """
-
-    blocks: tuple[tuple[float, float, float, float], ...]
-    period: float | None = None
-
-    def __post_init__(self):
-        blocks = tuple(tuple(float(x) for x in blk) for blk in self.blocks)
-        for ps, pe, ru, rd in blocks:
-            if pe < ps:
-                raise ValueError(f"plateau end {pe} before start {ps}")
-            if ru < 0 or rd < 0:
-                raise ValueError("ramp lengths must be non-negative")
-        if self.period is not None and not self.period > 0:
-            raise ValueError("period must be positive")
-        object.__setattr__(self, "blocks", blocks)
-
-    def at(self, t):
-        """Confidence at time step t, elementwise when t is an array."""
-        x = np.asarray(t, dtype=float)
-        if np.any(x < 0):
-            raise ValueError(f"time step must be non-negative, got {x.min()}")
-        if self.period is not None:
-            x = x % self.period
-            candidates = (x - self.period, x, x + self.period)
-        else:
-            candidates = (x,)
-        best = np.zeros_like(x)
-        for ps, pe, ru, rd in self.blocks:
-            for c in candidates:
-                best = np.maximum(best, _block_value(c, ps, pe, ru, rd))
-        return best if best.ndim else float(best)
-
-
-def _block_value(x, ps, pe, ru, rd):
-    out = np.where((ps <= x) & (x <= pe), 1.0, 0.0)
-    if ru > 0:
-        out = np.where((ps - ru <= x) & (x < ps), (x - (ps - ru)) / ru, out)
-    if rd > 0:
-        out = np.where((pe < x) & (x <= pe + rd), 1.0 - (x - pe) / rd, out)
-    return out
-

@@ -168,13 +168,13 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
     learner's loss h only on a step where some expert is awake with a
     confidence below 1; at full confidence, or when all sleep, the weights
     move on without the forecast.  So the steps are played in blocks, each
-    ending at a step whose update reads h, at the end of a chunk or of a
-    window of BLOCK_BYTES of confidences, or after as many steps as keep
-    each temporary within BLOCK_BYTES (one step, if larger): the block's
-    expert losses, then its weights step by step, then its forecasts,
-    check and learner losses at once, then the update of a last step that
-    reads h.  Every row has the bits of its step played alone, and a
-    configuration's numbers do not depend on the others replayed with it.
+    ending at a step whose update reads h, at the end of a chunk, or after
+    as many steps as keep each temporary within BLOCK_BYTES (one step, if
+    larger): the block's expert losses, then its weights step by step, then
+    its forecasts, check and learner losses at once, then the update of a
+    last step that reads h.  Every row has the bits of its step played
+    alone, and a configuration's numbers do not depend on the others
+    replayed with it.
 
     Returns one GameLog per configuration, and {t: [the forecast of each
     configuration as a GridCDF]} for the 1-based steps t in `keep`.
@@ -218,8 +218,8 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
         p = _as_confidence(confidences, (steps, n))
     # per-step flags as bytes of 0 or 1: a step whose update reads h ends a block
     awake, feedback = p.any(axis=1).tobytes(), _reads_learner_loss(p).tobytes()
-    window = max(1, BLOCK_BYTES // (8 * n))  # steps of log p and 1 - p held at once
-    w0 = w1 = 0
+    with np.errstate(divide="ignore"):
+        log_p = np.log(p)  # -inf for a sleeper: exp gives it weight 0
     eta = np.array([[configs[i].eta] for i in order])
     step = confidence_step(eta, np.array([[configs[i].alpha] for i in order]), n)
     lw = np.full((c, n), -math.log(n))  # the (C, N) log weights
@@ -236,12 +236,7 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
             raise ValueError(f"expert stream is longer than the {steps} outcomes")
         j0 = 0
         while j0 < len(values):
-            if t == w1:
-                w0, w1 = t, min(t + window, steps)
-                with np.errstate(divide="ignore"):
-                    log_p = np.log(p[w0:w1])  # -inf for a sleeper: exp gives it weight 0
-                skip = 1.0 - p[w0:w1]
-            k = min(block, len(values) - j0, w1 - t)
+            k = min(block, len(values) - j0)
             stop = feedback.find(1, t, t + k)
             if stop >= 0:
                 k = stop + 1 - t
@@ -259,7 +254,7 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
                 elif not feedback[s]:  # full confidence: h is not read
                     lw = step(lw, losses[s])
             if feedback[last]:  # q is reweighted by confidence: lw + log p
-                wq[last, 1] += log_p[last - w0]
+                wq[last, 1] += log_p[last]
             # w and q of the block from one call; at full confidence q is w
             wq[t : t + k] = normalized_weights(wq[t : t + k])
             if asleep:
@@ -284,7 +279,7 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
             r = f - ind[:, None, :]  # crps of each row, as one dot product per row
             h[t : t + k] = delta * np.vecdot(r, r)
             if feedback[last]:
-                lw = step(lw, p[last] * losses[last] + skip[last - w0] * h[last, :, None])
+                lw = step(lw, p[last] * losses[last] + (1.0 - p[last]) * h[last, :, None])
             for s in range(t, t + k):
                 if s + 1 in keep:
                     kept[s + 1] = [GridCDF(domain, f[s - t, j]) for j in place]

@@ -19,7 +19,7 @@ from .data import (
     hour_of_year,
     season_hour_interval,
 )
-from .experts import ConfidenceSchedule, Gmm2D, fit_gmm_ems, load_cdf_values
+from .experts import Gmm2D, fit_gmm_ems, load_cdf_values
 from .grids import GridDomain
 
 DAY_RAMP_HOURS = 2.0  # confidence decrease of a daily expert
@@ -39,27 +39,25 @@ class LoadExpert:
 
     name: str
     model: Gmm2D
-    season_schedule: ConfidenceSchedule | None = None  # over hour-of-year
-    day_schedule: ConfidenceSchedule | None = None  # over hour-of-day
+    season_schedule: tuple | None = None  # (start, end, ramp) over hour-of-year
+    day_schedule: tuple | None = None  # (start, end, ramp) over hour-of-day
     fit_points: int = 0
     fit_history: np.ndarray | None = None  # log-likelihood per EM round
 
 
-def season_schedule(season: int, ramp_scale: float = 0.5) -> ConfidenceSchedule:
-    """Confidence over the hour-of-year: 1 inside the season, decreasing
-    linearly over ramps of `ramp_scale` times the season duration."""
-    start, end, duration = season_hour_interval(season)
-    ramp = ramp_scale * duration
-    return ConfidenceSchedule(
-        blocks=((start, end, ramp, ramp),), period=float(HOURS_PER_YEAR)
-    )
-
-
-def day_schedule(period: int, ramp_hours: float = DAY_RAMP_HOURS) -> ConfidenceSchedule:
-    """Confidence over the hour-of-day: 1 inside the six-hour block,
-    decreasing linearly over `ramp_hours` on each side."""
-    start, end, _ = day_period_hour_interval(period)
-    return ConfidenceSchedule(blocks=((start, end, ramp_hours, ramp_hours),), period=24.0)
+def periodic_ramp(x, start, end, ramp, period):
+    """Confidence at the times x, elementwise: 1 on the plateau [start,
+    end], linear over `ramp` on each side, 0 elsewhere, periodic modulo
+    `period` (the plateau may reach past it)."""
+    x = x % period
+    best = 0.0
+    for c in (x - period, x, x + period):
+        v = np.where((start <= c) & (c <= end), 1.0, 0.0)
+        if ramp > 0:
+            v = np.where((start - ramp <= c) & (c < start), (c - (start - ramp)) / ramp, v)
+            v = np.where((end < c) & (c <= end + ramp), 1.0 - (c - end) / ramp, v)
+        best = np.maximum(best, v)
+    return best
 
 
 def build_load_roster(
@@ -116,9 +114,11 @@ def build_load_roster(
         sched_s = sched_d = None
         if confidence != "off":
             if s is not None:
-                sched_s = season_schedule(s, season_ramp)
+                start, end, duration = season_hour_interval(s)
+                sched_s = (start, end, season_ramp * duration)
             if p is not None:
-                sched_d = day_schedule(p, day_ramp)
+                start, end, _ = day_period_hour_interval(p)
+                sched_d = (start, end, day_ramp)
         experts.append(
             LoadExpert(name=name, model=model, season_schedule=sched_s, day_schedule=sched_d,
                        fit_points=len(segment), fit_history=history)
@@ -135,9 +135,9 @@ def roster_confidences(experts, timestamps) -> np.ndarray:
     out = np.ones((len(hours), len(experts)))
     for i, e in enumerate(experts):
         if e.season_schedule is not None:
-            out[:, i] *= e.season_schedule.at(hours_of_year)
+            out[:, i] *= periodic_ramp(hours_of_year, *e.season_schedule, HOURS_PER_YEAR)
         if e.day_schedule is not None:
-            out[:, i] *= e.day_schedule.at(hours)
+            out[:, i] *= periodic_ramp(hours, *e.day_schedule, 24)
     return out
 
 

@@ -166,26 +166,22 @@ def random_cdf_values(rng: np.random.Generator, d: int) -> np.ndarray:
     return vals
 
 
-def reference_schedule_at(schedule, t: float) -> float:
-    """ConfidenceSchedule.at evaluated one scalar at a time in plain Python:
-    the wrap candidates, each block's plateau or ramp, combined by max."""
-    if schedule.period is not None:
-        t = t % schedule.period
-        candidates = (t - schedule.period, t, t + schedule.period)
-    else:
-        candidates = (t,)
+def reference_schedule_at(t: float, start, end, ramp, period) -> float:
+    """`roster.periodic_ramp` evaluated one scalar at a time in plain
+    Python: the wrap candidates, each one's plateau or ramp, combined by
+    max."""
+    t = t % period
     best = 0.0
-    for ps, pe, ru, rd in schedule.blocks:
-        for x in candidates:
-            if ps <= x <= pe:
-                v = 1.0
-            elif ru > 0 and ps - ru <= x < ps:
-                v = (x - (ps - ru)) / ru
-            elif rd > 0 and pe < x <= pe + rd:
-                v = 1.0 - (x - pe) / rd
-            else:
-                v = 0.0
-            best = max(best, v)
+    for x in (t - period, t, t + period):
+        if start <= x <= end:
+            v = 1.0
+        elif ramp > 0 and start - ramp <= x < start:
+            v = (x - (start - ramp)) / ramp
+        elif ramp > 0 and end < x <= end + ramp:
+            v = 1.0 - (x - end) / ramp
+        else:
+            v = 0.0
+        best = max(best, v)
     return best
 
 

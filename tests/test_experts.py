@@ -11,7 +11,6 @@ from crpsmix.experts import (
     EM_MAX_ITER,
     EM_TOL,
     ConditioningError,
-    ConfidenceSchedule,
     DegenerateFit,
     Gmm2D,
     TriangularExpert,
@@ -20,6 +19,7 @@ from crpsmix.experts import (
 )
 from crpsmix.experts import _condition_on_temperature
 from crpsmix.grids import GridDomain
+from crpsmix.roster import periodic_ramp
 from crpsmix.rng import rng_from_seed
 
 from conftest import conditional_load_cdfs, reference_fit_gmm_em, reference_schedule_at
@@ -406,61 +406,57 @@ class TestConditionalLoadCdf:
 
 
 class TestConfidenceSchedule:
+    """The specialists' confidence schedule, `roster.periodic_ramp`."""
+
     def test_plateau_and_ramps(self):
-        s = ConfidenceSchedule(blocks=((10.0, 20.0, 4.0, 2.0),))
-        assert s.at(10.0) == 1.0
-        assert s.at(20.0) == 1.0
-        assert s.at(15.0) == 1.0
-        assert s.at(8.0) == pytest.approx(0.5)  # ramp-up midpoint
-        assert s.at(21.0) == pytest.approx(0.5)  # ramp-down midpoint
-        assert s.at(6.0) == 0.0
-        assert s.at(22.0) == 0.0
-        assert s.at(100.0) == 0.0
+        def at(t):
+            return periodic_ramp(t, 10.0, 20.0, 4.0, 1000.0)
+
+        assert at(10.0) == 1.0
+        assert at(20.0) == 1.0
+        assert at(15.0) == 1.0
+        assert at(8.0) == pytest.approx(0.5)  # ramp-up midpoint
+        assert at(22.0) == pytest.approx(0.5)  # ramp-down midpoint
+        assert at(6.0) == 0.0
+        assert at(24.0) == 0.0
+        assert at(100.0) == 0.0
 
     def test_zero_length_ramp_is_step(self):
-        s = ConfidenceSchedule(blocks=((5.0, 9.0, 0.0, 0.0),))
-        assert s.at(4.999) == 0.0
-        assert s.at(5.0) == 1.0
-        assert s.at(9.0) == 1.0
-        assert s.at(9.001) == 0.0
+        def at(t):
+            return periodic_ramp(t, 5.0, 9.0, 0.0, 24.0)
+
+        assert at(4.999) == 0.0
+        assert at(5.0) == 1.0
+        assert at(9.0) == 1.0
+        assert at(9.001) == 0.0
 
     def test_periodic_wrap(self):
-        s = ConfidenceSchedule(blocks=((20.0, 26.0, 2.0, 2.0),), period=24.0)
+        def at(t):
+            return periodic_ramp(t, 20.0, 26.0, 2.0, 24.0)
+
         # plateau extends past the period boundary into the next cycle
-        assert s.at(1.0) == 1.0  # 1 == 25 mod 24
-        assert s.at(3.0) == pytest.approx(0.5)  # ramp-down at 27
-        assert s.at(19.0) == pytest.approx(0.5)
-        assert s.at(12.0) == 0.0
-        assert s.at(45.0) == 1.0  # 45 mod 24 = 21
+        assert at(1.0) == 1.0  # 1 == 25 mod 24
+        assert at(3.0) == pytest.approx(0.5)  # ramp-down at 27
+        assert at(19.0) == pytest.approx(0.5)
+        assert at(12.0) == 0.0
+        assert at(45.0) == 1.0  # 45 mod 24 = 21
 
     def test_piecewise_linear_between_breakpoints(self):
-        s = ConfidenceSchedule(blocks=((100.0, 200.0, 30.0, 50.0),))
-        for lo, hi in ((70.0, 100.0), (200.0, 250.0)):
+        for lo, hi in ((70.0, 100.0), (200.0, 230.0)):
             ts = np.linspace(lo, hi, 7)
-            vals = np.array([s.at(t) for t in ts])
-            diffs = np.diff(vals)
+            diffs = np.diff(periodic_ramp(ts, 100.0, 200.0, 30.0, 1000.0))
             np.testing.assert_allclose(diffs, diffs[0], atol=1e-12)
 
     def test_array_matches_scalar_reference(self):
-        for s in (
-            ConfidenceSchedule(blocks=((20.0, 26.0, 2.5, 3.0), (2.0, 4.0, 0.0, 1.0)), period=24.0),
-            ConfidenceSchedule(blocks=((100.0, 200.0, 30.0, 50.0),)),
-        ):
-            ts = np.concatenate([np.linspace(0.0, 260.0, 5201), [23.0, 48.0, 4380.5]])
-            got = s.at(ts)
+        ts = np.concatenate([np.linspace(0.0, 260.0, 5201), [23.0, 48.0, 4380.5]])
+        for params in ((20.0, 26.0, 2.5, 24.0), (2.0, 4.0, 0.0, 24.0),
+                       (100.0, 200.0, 30.0, 1000.0), (7.0, 7.0, 50.0, 60.0)):
+            got = periodic_ramp(ts, *params)
             assert got.shape == ts.shape
-            assert all(got[i] == reference_schedule_at(s, float(t)) for i, t in enumerate(ts))
-            assert isinstance(s.at(3.0), float)
+            assert all(got[i] == reference_schedule_at(float(t), *params) for i, t in enumerate(ts))
 
-    def test_negative_time_rejected(self):
-        s = ConfidenceSchedule(blocks=((0.0, 1.0, 0.0, 0.0),))
-        with pytest.raises(ValueError):
-            s.at(-1.0)
-
-    @given(st.floats(0, 500), st.floats(0, 500))
+    @given(st.floats(0, 500), st.floats(0, 500), st.floats(0, 40))
     @settings(max_examples=60)
-    def test_always_within_unit_interval(self, t1, t2):
-        s = ConfidenceSchedule(blocks=((50.0, 60.0, 25.0, 10.0), (90.0, 95.0, 5.0, 5.0)))
+    def test_always_within_unit_interval(self, t1, t2, ramp):
         for t in (t1, t2):
-            assert 0.0 <= s.at(t) <= 1.0
-
+            assert 0.0 <= periodic_ramp(t, 50.0, 60.0, ramp, 100.0) <= 1.0

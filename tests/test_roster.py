@@ -1,5 +1,5 @@
 from dataclasses import replace
-from datetime import datetime
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -10,8 +10,10 @@ from crpsmix.data import (
     HOURS_PER_YEAR,
     SEASON_NAMES,
     calendar_segments,
+    day_period_hour_interval,
     hour_of_year,
     load_csv,
+    season_hour_interval,
     split_train_test,
     write_demo_load_csv,
 )
@@ -20,12 +22,12 @@ from crpsmix import roster
 from crpsmix.grids import GridCDF, GridDomain, repair_cdf
 from crpsmix.roster import (
     BATCH_ARGUMENT_BYTES,
+    DAY_RAMP_HOURS,
     WINDOW_TABLE_BYTES,
     RosterStream,
     build_load_roster,
-    day_schedule,
+    periodic_ramp,
     roster_confidences,
-    season_schedule,
 )
 
 from conftest import conditional_load_cdfs, reference_fit_gmm_em, reference_schedule_at
@@ -57,6 +59,14 @@ def fitted(demo_load_csv):
 
 
 @pytest.fixture(scope="module")
+def rosters(fitted):
+    """{confidence mode: roster} fitted on 380 days at one component."""
+    train = fitted[0][: 380 * 24]
+    return {mode: build_load_roster(train, components=1, seed=2, confidence=mode)[0]
+            for mode in ("smooth", "binary", "off")}
+
+
+@pytest.fixture(scope="module")
 def demo_year(tmp_path_factory):
     path = write_demo_load_csv(tmp_path_factory.mktemp("roster") / "year.csv", hours=8760)
     return load_csv(path)[0]
@@ -77,33 +87,85 @@ def expert_segment(name, records):
 
 
 class TestSchedules:
-    def test_season_schedule_plateau_and_ramp(self):
-        s = season_schedule(2)  # summer: Jun-Aug
-        jun1 = HOURS_PER_YEAR and 3624  # cumulative hours to Jun 1
-        assert s.at(float(jun1)) == 1.0
-        assert s.at(float(jun1 + 500)) == 1.0
+    """The (start, end, ramp) triples build_load_roster attaches, read
+    through periodic_ramp."""
+
+    def test_season_schedule_plateau_and_ramp(self, rosters):
+        summer = rosters["smooth"][3]  # Jun-Aug
+        assert summer.name == "expert04_summer"
+
+        def at(t):
+            return periodic_ramp(t, *summer.season_schedule, HOURS_PER_YEAR)
+
+        jun1 = 3624  # cumulative hours to Jun 1
+        assert at(float(jun1)) == 1.0
+        assert at(float(jun1 + 500)) == 1.0
         # half-season ramp on each side
         dur = (30 + 31 + 31) * 24
-        assert s.at(float(jun1 - dur / 4)) == pytest.approx(0.5)
-        assert s.at(float(jun1 - dur)) == 0.0
+        assert at(float(jun1 - dur / 4)) == pytest.approx(0.5)
+        assert at(float(jun1 - dur)) == 0.0
 
-    def test_winter_schedule_wraps_year_end(self):
-        s = season_schedule(0)
-        assert s.at(100.0) == 1.0  # early January
-        assert s.at(8500.0) == 1.0  # December
-        assert s.at(4380.0) == 0.0  # mid-summer
+    def test_winter_schedule_wraps_year_end(self, rosters):
+        winter = rosters["smooth"][1]
+        assert winter.name == "expert02_winter"
 
-    def test_day_schedule(self):
-        s = day_schedule(1)  # morning 06-11
-        assert s.at(8.0) == 1.0
-        assert s.at(5.0) == pytest.approx(0.5)
-        assert s.at(12.0) == pytest.approx(0.5)
-        assert s.at(13.0) == 0.0
-        assert s.at(0.0) == 0.0
+        def at(t):
+            return periodic_ramp(t, *winter.season_schedule, HOURS_PER_YEAR)
 
-    def test_binary_ramps(self):
-        s = day_schedule(1, ramp_hours=0.0)
-        assert s.at(5.0) == 0.0 and s.at(6.0) == 1.0 and s.at(12.0) == 0.0
+        assert at(100.0) == 1.0  # early January
+        assert at(8500.0) == 1.0  # December
+        assert at(4380.0) == 0.0  # mid-summer
+
+    def test_day_schedule(self, rosters):
+        morning = rosters["smooth"][6]  # 06-11
+        assert morning.name == "expert07_winter_morning"
+        assert morning.day_schedule == (6, 11, DAY_RAMP_HOURS)
+
+        def at(t):
+            return periodic_ramp(t, *morning.day_schedule, 24)
+
+        assert at(8.0) == 1.0
+        assert at(5.0) == pytest.approx(0.5)
+        assert at(12.0) == pytest.approx(0.5)
+        assert at(13.0) == 0.0
+        assert at(0.0) == 0.0
+
+    def test_binary_ramps(self, rosters):
+        morning = rosters["binary"][6]
+        assert morning.day_schedule == (6, 11, 0.0)
+        assert morning.season_schedule[2] == 0.0
+
+        def at(t):
+            return periodic_ramp(t, *morning.day_schedule, 24)
+
+        assert at(5.0) == 0.0 and at(6.0) == 1.0 and at(12.0) == 0.0
+
+    @pytest.mark.parametrize("mode", ["smooth", "binary", "off"])
+    def test_every_hour_of_two_years_matches_the_scalar_reference(self, rosters, mode):
+        # 2012 is a leap year: hour_of_year counts Feb 29 as Feb 28
+        stamps = [datetime(2011, 1, 1) + timedelta(hours=h) for h in range((365 + 366) * 24)]
+        experts = rosters[mode]
+        got = roster_confidences(experts, stamps)
+        hours_of_year = np.array([hour_of_year(ts) for ts in stamps])
+        hours = np.array([ts.hour for ts in stamps])
+        season_scale = {"smooth": 0.5, "binary": 0.0}.get(mode)
+        day_ramp = {"smooth": DAY_RAMP_HOURS, "binary": 0.0}.get(mode)
+        want = np.ones((len(stamps), len(experts)))
+        for i, e in enumerate(experts):
+            _, *parts = e.name.split("_")
+            if mode == "off" or parts == ["anytime"]:
+                continue
+            start, end, duration = season_hour_interval(SEASON_NAMES.index(parts[0]))
+            season = [reference_schedule_at(float(h), start, end, season_scale * duration,
+                                            HOURS_PER_YEAR) for h in range(HOURS_PER_YEAR)]
+            want[:, i] *= np.array(season)[hours_of_year]
+            if len(parts) == 2:
+                start, end, _ = day_period_hour_interval(DAY_PERIOD_NAMES.index(parts[1]))
+                day = [reference_schedule_at(float(h), start, end, day_ramp, 24)
+                       for h in range(24)]
+                want[:, i] *= np.array(day)[hours]
+        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == want.tobytes()  # bit for bit, signs of zeros too
 
 
 class TestRoster:
@@ -168,9 +230,10 @@ class TestRoster:
             for i, e in enumerate(experts):
                 c = 1.0
                 if e.season_schedule is not None:
-                    c *= reference_schedule_at(e.season_schedule, hour_of_year(ts))
+                    c *= reference_schedule_at(hour_of_year(ts), *e.season_schedule,
+                                               HOURS_PER_YEAR)
                 if e.day_schedule is not None:
-                    c *= reference_schedule_at(e.day_schedule, ts.hour)
+                    c *= reference_schedule_at(ts.hour, *e.day_schedule, 24)
                 assert got[t, i] == c
 
     def test_em_fit_records(self, fitted):
