@@ -35,8 +35,6 @@ from .experts import (
 from .game import (
     GameConfig,
     GameLog,
-    RegretReport,
-    regret_report,
     replay,
     run_square_loss_game,
     telescoping_gap,

@@ -39,7 +39,7 @@ from .data import (
     synth_stream,
 )
 from .experts import ConditioningError, em_hit_max_iter, triangular_cdf
-from .game import GameConfig, GameLog, RegretReport, regret_report, replay
+from .game import BOUND_TOL, GameConfig, GameLog, replay
 from .grids import GridDomain, cdf_to_row, quantile
 from .roster import RosterStream, build_load_roster, roster_confidences
 
@@ -127,18 +127,19 @@ def read_manifest(path) -> dict:
     return out
 
 
-def _regret_metrics(report: RegretReport, alpha: float) -> dict:
+def _regret_metrics(log: GameLog, alpha: float) -> dict:
+    learner, experts = log.learner_cumulative()[-1], log.expert_cumulative()[-1]
     metrics = {
-        "steps": report.steps,
-        "final_learner_loss": report.learner_loss,
-        "min_expert_loss": float(report.expert_losses.min()),
-        "final_regret_vs_best": float(report.final_regret.max()),
-        "regret_bound": report.bound,
+        "steps": log.steps,
+        "final_learner_loss": float(learner),
+        "min_expert_loss": float(experts.min()),
+        "final_regret_vs_best": float((learner - experts).max()),
+        "regret_bound": log.bound,
     }
-    for i, loss in enumerate(report.expert_losses):
+    for i, loss in enumerate(experts):
         metrics[f"expert_{i + 1}_loss"] = float(loss)
     if alpha == 0.0:
-        metrics["bound_satisfied"] = report.all_bounds_satisfied
+        metrics["bound_satisfied"] = log.bound_excess() <= BOUND_TOL
     else:
         metrics["bound_satisfied"] = "not_asserted_for_alpha>0"
     return metrics
@@ -159,23 +160,20 @@ def _write_weight_trajectories(path, log: GameLog) -> None:
     _write_csv(path, header, rows)
 
 
-def _write_regret_report(path, report: RegretReport, names=None) -> None:
+def _write_regret_report(path, log: GameLog, names=None) -> None:
     header = [
         "expert", "final_loss", "final_regret", "final_discounted_regret",
         "max_discounted_regret", "bound", "bound_satisfied",
     ]
-    rows = []
-    for i in range(report.expert_losses.size):
-        name = names[i] if names else f"expert_{i + 1}"
-        rows.append([
-            name,
-            float(report.expert_losses[i]),
-            float(report.final_regret[i]),
-            float(report.final_discounted_regret[i]),
-            float(report.max_discounted_regret[i]),
-            report.bound,
-            bool(report.bound_satisfied[i]),
-        ])
+    experts = log.expert_cumulative()[-1]
+    final = log.learner_cumulative()[-1] - experts
+    disc = log.discounted_regret()
+    peak = disc.max(axis=0)
+    rows = (
+        [names[i] if names else f"expert_{i + 1}", float(experts[i]), float(final[i]),
+         float(disc[-1, i]), float(peak[i]), log.bound, bool(peak[i] - log.bound <= BOUND_TOL)]
+        for i in range(log.n)
+    )
     _write_csv(path, header, rows)
 
 
@@ -208,8 +206,7 @@ def cmd_synth(args) -> int:
     log.to_csv(os.path.join(args.out, "game_log.csv"))
     _write_loss_curves(os.path.join(args.out, "loss_curves.csv"), log)
     _write_weight_trajectories(os.path.join(args.out, "weights.csv"), log)
-    report = regret_report(log)
-    _write_regret_report(os.path.join(args.out, "regret_report.csv"), report)
+    _write_regret_report(os.path.join(args.out, "regret_report.csv"), log)
     _write_csv(
         os.path.join(args.out, "cdf_snapshots.csv"),
         ["t", "a", "b", "d"] + [f"f_{s + 1}" for s in range(domain.d)],
@@ -222,7 +219,7 @@ def cmd_synth(args) -> int:
         "method": args.method, "mode": args.mode, "alpha": args.alpha,
         "steps": args.steps, "grid": args.grid, "segments": args.segments,
     }
-    metrics = _regret_metrics(report, args.alpha)
+    metrics = _regret_metrics(log, args.alpha)
     metrics["wa_alpha0_baseline_loss"] = base
     metrics["loss_normalized_vs_wa_alpha0"] = final / base
     if args.mode == "aa":
@@ -231,7 +228,7 @@ def cmd_synth(args) -> int:
         metrics["bound_expression"] = "2*(b-a)*ln(N)"
         metrics["bound_wa_form"] = 2.0 * domain.width * np.log(len(values))
     metrics["asleep_steps"] = log.asleep_steps
-    metrics["min_regret_headroom"] = report.bound - float(report.max_discounted_regret.max())
+    metrics["min_regret_headroom"] = log.bound - float(log.discounted_regret().max())
     metrics["max_cdf_repair"] = log.max_cdf_repair
     metrics["feedback_steps"] = log.feedback_steps
     manifest = RunManifest("synth", config, args.seed, [], args.out, metrics)
@@ -252,6 +249,9 @@ def cmd_synth(args) -> int:
 
 
 def _load_records(args, schema):
+    """The training and test records, the inputs, their quality reports and
+    the outcome domain [0, 1.05 * max training load]; a ValueError when the
+    data give no such domain (no positive load, or an end that overflows)."""
     if args.data:
         records, report = load_csv(args.data, schema)
         if args.split:
@@ -266,9 +266,10 @@ def _load_records(args, schema):
         test, rep_test = load_csv(args.test, schema)
         inputs = [args.train, args.test]
         reports = [("train", rep_train), ("test", rep_test)]
-    if not max(r.load for r in train) > 0:  # the outcome domain is [0, 1.05 max]
+    top = max(r.load for r in train)
+    if not top > 0:
         raise ValueError("no positive load in the training span")
-    return train, test, inputs, reports
+    return train, test, inputs, reports, GridDomain(0.0, 1.05 * top, args.grid)
 
 
 def cmd_load(args) -> int:
@@ -280,14 +281,12 @@ def cmd_load(args) -> int:
         delimiter=args.delimiter,
     )
     try:
-        train, test, inputs, reports = _load_records(args, schema)
+        train, test, inputs, reports, domain = _load_records(args, schema)
     except (OSError, ValueError) as exc:
         print(f"cannot ingest data: {exc}", file=sys.stderr)
         return 3
     mark("ingest")
 
-    max_train_load = max(r.load for r in train)
-    domain = GridDomain(0.0, 1.05 * max_train_load, args.grid)
     experts, failures = build_load_roster(
         train, components=args.components, seed=args.seed, confidence=args.confidence
     )
@@ -345,8 +344,7 @@ def cmd_load(args) -> int:
     names = [e.name for e in experts]
     log.to_csv(os.path.join(args.out, "game_log.csv"))
     _write_loss_curves(os.path.join(args.out, "loss_curves.csv"), log)
-    report = regret_report(log)
-    _write_regret_report(os.path.join(args.out, "regret_report.csv"), report, names)
+    _write_regret_report(os.path.join(args.out, "regret_report.csv"), log, names)
     _write_csv(
         os.path.join(args.out, "quantile_bands.csv"),
         ["t", "timestamp"] + [f"q{int(100 * tau):02d}" for tau in QUANTILE_LEVELS] + ["actual"],
@@ -374,7 +372,7 @@ def cmd_load(args) -> int:
         "grid": args.grid, "components": args.components,
         "band_hour": args.band_hour,
     }
-    metrics = _regret_metrics(report, args.alpha)
+    metrics = _regret_metrics(log, args.alpha)
     metrics["n_experts"] = len(experts)
     metrics["n_fit_failures"] = len(failures)
     metrics["em_fits_at_max_iter"] = sum(row[-1] for row in em_rows)
@@ -383,7 +381,7 @@ def cmd_load(args) -> int:
     metrics["asleep_steps"] = log.asleep_steps
     metrics["test_outcomes_clipped"] = clipped
     metrics["roster_evaluations"] = forecasts.evaluations
-    metrics["min_regret_headroom"] = report.bound - float(report.max_discounted_regret.max())
+    metrics["min_regret_headroom"] = log.bound - float(log.discounted_regret().max())
     metrics["max_cdf_repair"] = log.max_cdf_repair
     metrics["feedback_steps"] = log.feedback_steps
     manifest = RunManifest("load", config, args.seed, inputs, args.out, metrics)

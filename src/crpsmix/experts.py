@@ -161,6 +161,8 @@ def _em_start(points, k: int, seed: int):
     if len(pts) < 10 * k:
         raise ValueError(f"need at least {10 * k} points to fit k={k}, got {len(pts)}")
     data_var = pts.var(axis=0)
+    if not np.isfinite(data_var).all():
+        raise DegenerateFit("points too far apart: their variance overflows")
     if np.all(data_var < 1e-12):
         raise DegenerateFit("all points identical")
     centers = _kmeanspp_centers(pts, k, rng_from_seed(seed))
@@ -241,9 +243,17 @@ def fit_gmm_ems(point_sets, k: int, seeds) -> list:
     only.  A fit leaves the stack when it stops or raises, so its result is
     bit for bit that of fitting its set alone.
 
+    A set whose numbers overflow (points too far apart) raises
+    DegenerateFit, and leaves the other fits' numbers as they are.
+
     Returns, per set in order, (model, log-likelihood history) or the
     ValueError or DegenerateFit its fit raised.
     """
+    with np.errstate(over="ignore", invalid="ignore"):  # each fit checks its own
+        return _fit_lockstep(point_sets, k, seeds)
+
+
+def _fit_lockstep(point_sets, k: int, seeds) -> list:
     results = [None] * len(point_sets)
     starts = []
     for i, (points, seed) in enumerate(zip(point_sets, seeds, strict=True)):
@@ -293,6 +303,10 @@ def fit_gmm_ems(point_sets, k: int, seeds) -> list:
         gone = []
         for g, i in enumerate(ids):
             ll, prev = float(row_ll[g, : n[g]].sum()), float(prev_ll[g])
+            if not np.isfinite(ll):
+                results[i] = DegenerateFit("log-likelihood overflowed: points too far apart")
+                gone.append(g)
+                continue
             if ll < prev - 1e-9 * max(1.0, abs(prev)):
                 results[i] = DegenerateFit(
                     f"log-likelihood decreased ({prev} -> {ll}); fit is unstable"

@@ -1,5 +1,5 @@
 """Online aggregation games: drive the forecast/outcome loop, record
-losses and weights, and report regrets against their theoretical bounds."""
+losses and weights, and test regrets against their theoretical bounds."""
 
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .aggregation import (
 )
 from .grids import GridCDF, GridDomain, _check_outcome, cdf_array, repair_cdf
 
-#: Float slack allowed on the regret bound of a RegretReport.
+#: Float slack allowed on the regret bound: see GameLog.bound_excess.
 BOUND_TOL = 1e-9
 
 #: Largest temporary, in bytes, of the block scoring in `replay`.
@@ -101,14 +101,17 @@ class GameLog:
     def expert_cumulative(self) -> np.ndarray:
         return np.cumsum(self.expert_losses, axis=0)
 
-    def regret(self) -> np.ndarray:
-        """(steps, n) prefix regrets H_t - L^i_t."""
-        return self.learner_cumulative()[:, None] - self.expert_cumulative()
-
     def discounted_regret(self) -> np.ndarray:
         """(steps, n) prefix sums of p_i (h - l_i)."""
         h = self.learner_losses[:, None]
         return np.cumsum(self.confidences * (h - self.expert_losses), axis=0)
+
+    def bound_excess(self) -> float:
+        """The largest discounted regret of any expert at any prefix, minus
+        ln(n)/eta: the bound holds when this is at most BOUND_TOL.  At full
+        confidence the discounted regret is the regret H_t - L^i_t, so this
+        is the learner's excess over the best expert."""
+        return float(self.discounted_regret().max()) - self.bound
 
     def to_csv(self, path) -> None:
         """One row per step: t, y, h, l_1..l_n, p_1..p_n, q_1..q_n (the
@@ -294,43 +297,6 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
         for i, j in enumerate(place)
     ]
     return logs, kept
-
-
-@dataclass(frozen=True)
-class RegretReport:
-    """Final losses and regrets of a run next to the ln(n)/eta budget."""
-
-    steps: int
-    learner_loss: float
-    expert_losses: np.ndarray
-    final_regret: np.ndarray
-    final_discounted_regret: np.ndarray
-    max_discounted_regret: np.ndarray  # per expert, over all prefixes
-    bound: float
-    bound_satisfied: np.ndarray  # per expert
-
-    @property
-    def all_bounds_satisfied(self) -> bool:
-        return bool(np.all(self.bound_satisfied))
-
-
-def regret_report(log: GameLog) -> RegretReport:
-    """Final losses and regrets; an expert's bound holds when its largest
-    discounted regret is within BOUND_TOL of ln(n)/eta."""
-    if log.steps == 0:
-        raise ValueError("empty game log")
-    disc = log.discounted_regret()
-    peak = disc.max(axis=0)
-    return RegretReport(
-        steps=log.steps,
-        learner_loss=float(log.learner_cumulative()[-1]),
-        expert_losses=log.expert_cumulative()[-1],
-        final_regret=log.regret()[-1],
-        final_discounted_regret=disc[-1],
-        max_discounted_regret=peak,
-        bound=log.bound,
-        bound_satisfied=peak <= log.bound + BOUND_TOL,
-    )
 
 
 def telescoping_gap(log: GameLog) -> np.ndarray:

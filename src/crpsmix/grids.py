@@ -32,7 +32,7 @@ class GridDomain:
 
     def __post_init__(self):
         if not (np.isfinite(self.a) and np.isfinite(self.b)):
-            raise ValueError("interval endpoints must be finite")
+            raise ValueError(f"interval endpoints must be finite, got [{self.a}, {self.b}]")
         if not self.a < self.b:
             raise ValueError(f"need a < b, got [{self.a}, {self.b}]")
         if self.d < 1:

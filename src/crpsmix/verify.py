@@ -19,11 +19,11 @@ from .aggregation import (
 )
 from .data import default_generators, rotating_leader_schedule, synth_stream
 from .experts import triangular_cdf
-from .game import GameConfig, replay, run_square_loss_game, telescoping_gap
+from .game import BOUND_TOL, GameConfig, replay, run_square_loss_game, telescoping_gap
 from .grids import GridDomain, cdf_values, crps_grid_profile
 from .rng import spawn_rngs
 
-MIX_TOL = 1e-9
+MIX_TOL = 1e-9  # the mixability checks; the regret checks use game.BOUND_TOL
 ENUM_TOL = 1e-10
 
 
@@ -96,87 +96,81 @@ def _mixability_case(rng, aggregate, eta_for):
     }
 
 
-def _run_mixability(name, seed, cases, aggregate, eta_for) -> CheckResult:
+def _worst_case(name, seed, cases, case, tol, detail) -> CheckResult:
+    """The largest value of `case(rng)` -> (value, witness) over `cases`
+    generators spawned from `seed`, with the witness of its first case;
+    the check passes when it is at most `tol`.  `detail` formats the
+    worst value and the tolerance."""
     worst = -np.inf
     witness = None
     for rng in spawn_rngs(seed, cases):
-        slack, info = _mixability_case(rng, aggregate, eta_for)
-        if slack > worst:
-            worst, witness = slack, info
-    passed = worst <= MIX_TOL
-    detail = f"worst slack {worst:.3e} (tol {MIX_TOL:g})"
-    return CheckResult(name, passed, cases, detail, None if passed else witness)
+        value, info = case(rng)
+        if value > worst:
+            worst, witness = value, info
+    passed = worst <= tol
+    return CheckResult(name, passed, cases, detail.format(worst, tol),
+                       None if passed else witness)
 
 
 def check_crps_mixability(seed=0, cases=100, aggregate=substitute_crps_aa) -> CheckResult:
     """Substitution output dominates the exponential loss mixture at
     eta = 2/(b-a), for every grid outcome."""
-    return _run_mixability(
-        "crps substitution mixability", seed, cases, aggregate, aa_learning_rate
-    )
+    return _worst_case("crps substitution mixability", seed, cases,
+                       lambda rng: _mixability_case(rng, aggregate, aa_learning_rate),
+                       MIX_TOL, "worst slack {:.3e} (tol {:g})")
 
 
 def check_wa_exp_concavity(seed=0, cases=100) -> CheckResult:
     """Weighted averaging satisfies the same inequality at eta = 1/(2(b-a))."""
-    return _run_mixability(
-        "weighted-average exp-concavity", seed, cases, combine_wa, wa_learning_rate
-    )
+    return _worst_case("weighted-average exp-concavity", seed, cases,
+                       lambda rng: _mixability_case(rng, combine_wa, wa_learning_rate),
+                       MIX_TOL, "worst slack {:.3e} (tol {:g})")
+
+
+def _vector_case(rng):
+    """Worst slack of the mixability inequality over every binary outcome
+    vector, for one random pool of vector forecasts and weights."""
+    n = int(rng.integers(2, 5))
+    d = int(rng.integers(1, 11))
+    eta = 2.0
+    m = rng.random((n, d))
+    q = random_weights(rng, n)
+    f = substitute_vector_aa(m, q, eta)
+    worst = -np.inf
+    witness = None
+    for bits in product((0.0, 1.0), repeat=d):
+        y = np.array(bits)
+        lhs = math.exp(-(eta / d) * float(((f - y) ** 2).sum()))
+        rhs = float(q @ np.exp(-(eta / d) * ((m - y) ** 2).sum(axis=1)))
+        slack = rhs - lhs
+        if slack > worst:
+            worst = slack
+            witness = {"n": n, "d": d, "outcome": list(bits), "weights": q.tolist()}
+    return worst, witness
 
 
 def check_vector_mixability(seed=0, cases=20) -> CheckResult:
     """Componentwise substitution beats the mixture for every binary
     outcome vector (exhaustive over {0,1}^d, d <= 10 here)."""
-    worst = -np.inf
-    witness = None
-    for rng in spawn_rngs(seed, cases):
-        n = int(rng.integers(2, 5))
-        d = int(rng.integers(1, 11))
-        eta = 2.0
-        m = rng.random((n, d))
-        q = random_weights(rng, n)
-        f = substitute_vector_aa(m, q, eta)
-        for bits in product((0.0, 1.0), repeat=d):
-            y = np.array(bits)
-            lhs = math.exp(-(eta / d) * float(((f - y) ** 2).sum()))
-            rhs = float(q @ np.exp(-(eta / d) * ((m - y) ** 2).sum(axis=1)))
-            slack = rhs - lhs
-            if slack > worst:
-                worst = slack
-                witness = {"n": n, "d": d, "outcome": list(bits), "weights": q.tolist()}
-    passed = worst <= ENUM_TOL
-    return CheckResult(
-        "vector substitution mixability",
-        passed,
-        cases,
-        f"worst slack {worst:.3e} (tol {ENUM_TOL:g})",
-        None if passed else witness,
-    )
+    return _worst_case("vector substitution mixability", seed, cases, _vector_case,
+                       ENUM_TOL, "worst slack {:.3e} (tol {:g})")
+
+
+def _square_loss_case(rng):
+    n = int(rng.integers(2, 6))
+    steps = int(rng.integers(20, 80))
+    eta = float(rng.uniform(0.2, 2.0))
+    f = rng.random((steps, n))
+    y = rng.integers(0, 2, size=steps).astype(float)
+    log = run_square_loss_game(f, y, eta)
+    return log.bound_excess(), {"n": n, "steps": steps, "eta": eta}
 
 
 def check_square_loss_regret(seed=0, cases=50) -> CheckResult:
-    """Square-loss game regret stays below ln(n)/eta on random adversarial
-    streams at every prefix."""
-    worst = -np.inf
-    witness = None
-    for rng in spawn_rngs(seed, cases):
-        n = int(rng.integers(2, 6))
-        steps = int(rng.integers(20, 80))
-        eta = float(rng.uniform(0.2, 2.0))
-        f = rng.random((steps, n))
-        y = rng.integers(0, 2, size=steps).astype(float)
-        log = run_square_loss_game(f, y, eta)
-        excess = float((log.regret().min(axis=1) - log.bound).max())
-        if excess > worst:
-            worst = excess
-            witness = {"n": n, "steps": steps, "eta": eta}
-    passed = worst <= MIX_TOL
-    return CheckResult(
-        "square-loss regret bound",
-        passed,
-        cases,
-        f"worst excess {worst:.3e}",
-        None if passed else witness,
-    )
+    """Square-loss game regret against the best expert stays below
+    ln(n)/eta on random adversarial streams at every prefix."""
+    return _worst_case("square-loss regret bound", seed, cases, _square_loss_case,
+                       BOUND_TOL, "worst excess {:.3e}")
 
 
 def check_crps_game_bounds(seed=0) -> CheckResult:
@@ -195,8 +189,7 @@ def check_crps_game_bounds(seed=0) -> CheckResult:
     logs, _ = replay([GameConfig(domain, mode=m, alpha=0.0) for m in modes], values, outcomes)
     problems = []
     for mode, log in zip(modes, logs):
-        regret = log.regret().min(axis=1)  # vs the best expert, per prefix
-        if float((regret - log.bound).max()) > MIX_TOL:
+        if log.bound_excess() > BOUND_TOL:  # vs the best expert, at every prefix
             problems.append(f"{mode} regret exceeds ln(N)/eta")
         if mode == "aa":
             gap = telescoping_gap(log)
@@ -213,44 +206,35 @@ def check_crps_game_bounds(seed=0) -> CheckResult:
     )
 
 
+def _discounted_case(rng):
+    n = int(rng.integers(2, 6))
+    steps = int(rng.integers(20, 60))
+    domain = GridDomain(0.0, 1.0, 16)
+    mode = "aa" if rng.random() < 0.5 else "wa"
+    matrices = np.empty((steps, n, domain.d))
+    p = np.empty((steps, n))
+    y = np.empty(steps)
+    for t in range(steps):
+        matrices[t] = [random_grid_cdf(rng, domain) for _ in range(n)]
+        style = rng.random()
+        if style < 0.1:
+            p[t] = 0.0  # all asleep: learner falls back to uniform
+        elif style < 0.5:
+            p[t] = rng.integers(0, 2, size=n)
+        else:
+            p[t] = rng.random(n)
+        y[t] = rng.random()
+    config = GameConfig(domain, mode=mode, alpha=0.0)
+    (log,), _ = replay([config], iter([matrices]), y, p)
+    return log.bound_excess(), {"n": n, "steps": steps, "mode": mode}
+
+
 def check_discounted_regret(seed=0, cases=40) -> CheckResult:
     """Confidence-weighted runs keep every expert's discounted regret below
     ln(N)/eta at every prefix, for random confidence patterns including
     binary sleeping and all-asleep steps."""
-    worst = -np.inf
-    witness = None
-    for rng in spawn_rngs(seed, cases):
-        n = int(rng.integers(2, 6))
-        steps = int(rng.integers(20, 60))
-        domain = GridDomain(0.0, 1.0, 16)
-        mode = "aa" if rng.random() < 0.5 else "wa"
-        matrices = np.empty((steps, n, domain.d))
-        p = np.empty((steps, n))
-        y = np.empty(steps)
-        for t in range(steps):
-            matrices[t] = [random_grid_cdf(rng, domain) for _ in range(n)]
-            style = rng.random()
-            if style < 0.1:
-                p[t] = 0.0  # all asleep: learner falls back to uniform
-            elif style < 0.5:
-                p[t] = rng.integers(0, 2, size=n)
-            else:
-                p[t] = rng.random(n)
-            y[t] = rng.random()
-        config = GameConfig(domain, mode=mode, alpha=0.0)
-        (log,), _ = replay([config], iter([matrices]), y, p)
-        excess = float((log.discounted_regret().max(axis=0) - log.bound).max())
-        if excess > worst:
-            worst = excess
-            witness = {"n": n, "steps": steps, "mode": mode}
-    passed = worst <= MIX_TOL
-    return CheckResult(
-        "discounted regret bound",
-        passed,
-        cases,
-        f"worst excess {worst:.3e}",
-        None if passed else witness,
-    )
+    return _worst_case("discounted regret bound", seed, cases, _discounted_case,
+                       BOUND_TOL, "worst excess {:.3e}")
 
 
 def run_all(seed: int = 0, cases: int = 100) -> list[CheckResult]:

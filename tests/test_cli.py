@@ -8,6 +8,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crpsmix
 import crpsmix.cli as cli_mod
@@ -403,6 +405,16 @@ class TestLoad:
         assert "cannot ingest data" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_overflowing_outcome_domain_is_data_error(self, tmp_path, capsys):
+        # 1.05 times this training load overflows the end of the outcome domain
+        rows = demo_rows(tmp_path / "demo.csv", 300)
+        rows[100][1] = "1.75e308"
+        data = write_rows(tmp_path / "huge.csv", rows)
+        code = run_cli("load", "--data", data, "--split", rows[250][0],
+                       "--out", str(tmp_path / "o"))
+        assert code == 3
+        assert "cannot ingest data: interval endpoints must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("constant", [False, True], ids=["too_short", "constant"])
     def test_unfittable_training_span_is_data_error(self, tmp_path, constant):
         # 10 training hours are too few to fit k=2; 40 identical hours
@@ -450,6 +462,37 @@ class TestLoad:
                     "--out", str(tmp_path))
         usage_error("load", "--data", demo_load_csv, "--grid", "1",
                     "--out", str(tmp_path))
+
+
+@pytest.fixture(scope="module")
+def fuzz_input(tmp_path_factory):
+    """A scratch directory and the rows of a 600-hour demo CSV."""
+    path = tmp_path_factory.mktemp("fuzz")
+    return path, demo_rows(path / "demo.csv", 600)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    row=st.integers(0, 599),
+    column=st.sampled_from([1, 2]),  # load, temperature
+    value=st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.0]),
+        st.floats(1e10, 1.79e308).flatmap(lambda x: st.sampled_from([x, -x])),  # huge
+        st.floats(max_value=0.0, allow_nan=False, allow_infinity=False),  # zero or negative
+    ),
+)
+def test_a_bad_numeric_cell_is_data_or_success(fuzz_input, row, column, value):
+    """Whatever one training (first 500 hours) or test cell holds, a load
+    run succeeds or exits with a data error, and raises nothing (no
+    RuntimeWarning either)."""
+    path, rows = fuzz_input
+    rows = list(rows)
+    rows[1 + row] = list(rows[1 + row])
+    rows[1 + row][column] = repr(value)
+    data = write_rows(path / "cell.csv", rows)
+    code = run_cli("load", "--data", data, "--split", rows[1 + 500][0], "--grid", "16",
+                   "--components", "1", "--out", str(path / "o"))
+    assert code in (0, 3)
 
 
 @pytest.mark.parametrize("command", ["synth", "load", "verify"])

@@ -17,9 +17,9 @@ from crpsmix.data import default_generators, rotating_leader_schedule, synth_str
 from crpsmix.experts import triangular_cdf
 import crpsmix.game as game_mod
 from crpsmix.game import (
+    BOUND_TOL,
     GameConfig,
     GameLog,
-    regret_report,
     replay,
     run_square_loss_game,
     telescoping_gap,
@@ -67,9 +67,8 @@ class TestStepBasics:
         dom, cdfs, y = synth_setup(T=50)
         for mode in ("aa", "wa"):
             log = play(dom, cdfs[:1], y, mode=mode)
-            np.testing.assert_allclose(log.regret()[:, 0], 0.0, atol=1e-12)
-            report = regret_report(log)
-            assert report.all_bounds_satisfied
+            np.testing.assert_allclose(log.discounted_regret()[:, 0], 0.0, atol=1e-12)
+            assert log.bound_excess() <= BOUND_TOL
 
     def test_forecast_equals_single_expert(self):
         dom, cdfs, y = synth_setup(T=5)
@@ -158,15 +157,14 @@ class TestBounds:
         log = play(dom, cdfs, y, mode="aa", alpha=0.0)
         bound = (dom.width / 2.0) * math.log(3)
         assert log.bound == pytest.approx(bound)
-        regret_vs_best = log.regret().min(axis=1)
-        assert np.all(regret_vs_best <= bound + 1e-9)
+        assert log.bound_excess() <= BOUND_TOL
 
     def test_averaging_regret_bound_every_prefix(self):
         dom, cdfs, y = synth_setup(T=1000)
         log = play(dom, cdfs, y, mode="wa", alpha=0.0)
         bound = 2.0 * dom.width * math.log(3)
         assert log.bound == pytest.approx(bound)
-        assert np.all(log.regret().min(axis=1) <= bound + 1e-9)
+        assert log.bound_excess() <= BOUND_TOL
 
     def test_per_step_mixability_vs_superprediction(self):
         dom, cdfs, y = synth_setup(T=200)
@@ -204,8 +202,7 @@ class TestBounds:
                     y[t] = rng.random()
                 config = GameConfig(dom, mode=mode, alpha=0.0)
                 (log,), _ = replay([config], iter([matrices]), y, p)
-                disc = log.discounted_regret()
-                assert np.all(disc.max(axis=0) <= log.bound + 1e-9)
+                assert log.bound_excess() <= BOUND_TOL
 
     def test_mpp_keeps_weight_floor(self):
         dom, cdfs, y = synth_setup(T=100)
@@ -506,22 +503,39 @@ class TestBlockEngine:
         assert "outside [0, 1]" in messages[0]
 
 
-class TestRegretReport:
+class TestBoundExcess:
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError):
-            regret_report(GameLog(3, 1.0, np.empty((0, 2 + 4 * 3))))
+            GameLog(3, 1.0, np.empty((0, 2 + 4 * 3))).bound_excess()
 
-    def test_report_fields(self):
+    def test_measured_against_the_best_expert(self):
+        # the learner trails the best expert by 2 > ln(3)/eta = 1.0986 but
+        # leads the other two: the regret against the worst expert is negative
+        n, eta = 3, 1.0
+        h = np.array([1.0, 1.0, 1.0])
+        losses = np.array([[0.0, 2.0, 3.0], [0.5, 2.0, 3.0], [0.5, 2.0, 3.0]])
+        rows = np.column_stack([np.zeros(3), h, losses, np.ones((3, n)),
+                                np.full((3, 2 * n), 1 / n)])
+        log = GameLog(n, eta, rows)
+        regret = np.cumsum(h)[:, None] - np.cumsum(losses, axis=0)
+        assert float((regret.min(axis=1) - log.bound).max()) < 0
+        assert log.bound_excess() == pytest.approx(2.0 - math.log(3))
+        assert log.bound_excess() > BOUND_TOL
+
+    def test_is_the_largest_regret_at_full_confidence(self):
         dom, cdfs, y = synth_setup(T=300)
-        log = play(dom, cdfs, y)
-        report = regret_report(log)
-        assert report.steps == 300
-        assert report.expert_losses.shape == (3,)
-        np.testing.assert_allclose(
-            report.final_regret, report.learner_loss - report.expert_losses
-        )
-        assert report.bound == log.bound
-        assert report.all_bounds_satisfied  # alpha = 0 substitution run
+        for alpha in (0.05, 0.0):
+            log = play(dom, cdfs, y, alpha=alpha)
+            regret = log.learner_cumulative()[:, None] - log.expert_cumulative()
+            assert log.bound_excess() == pytest.approx(regret.max() - log.bound,
+                                                       rel=1e-12, abs=1e-12)
+        assert log.bound_excess() <= BOUND_TOL  # alpha = 0 substitution run
+
+    def test_discounts_by_confidence(self):
+        # an expert asleep on the step it wins costs the learner nothing
+        rows = np.array([[0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.5, 0.5, 0.5, 0.5]])
+        log = GameLog(2, 1.0, rows)
+        assert log.bound_excess() == 0.0 - math.log(2)
 
 
 class TestSquareLossGame:
@@ -531,7 +545,7 @@ class TestSquareLossGame:
         y = np.zeros(T)
         log = run_square_loss_game(f, y, eta=2.0)
         assert log.bound == pytest.approx(math.log(2) / 2)
-        assert np.all(log.regret().min(axis=1) <= log.bound + 1e-9)
+        assert log.bound_excess() <= BOUND_TOL
         # learner's final prediction is near the good expert
         assert log.learner_losses[-1] < 1e-6
         q_last = log.weights[-1]
@@ -542,7 +556,7 @@ class TestSquareLossGame:
         f = rng.random((40, 1))
         y = rng.integers(0, 2, 40).astype(float)
         log = run_square_loss_game(f, y, eta=1.0)
-        np.testing.assert_allclose(log.regret()[:, 0], 0.0, atol=1e-12)
+        np.testing.assert_allclose(log.discounted_regret()[:, 0], 0.0, atol=1e-12)
 
     def test_adversarial_alternation_stays_bounded(self):
         T = 200
@@ -550,7 +564,7 @@ class TestSquareLossGame:
         y = (np.arange(T) % 2).astype(float)  # alternating outcomes
         for eta in (0.5, 1.0, 2.0):
             log = run_square_loss_game(f, y, eta)
-            assert np.all(log.regret().min(axis=1) <= log.bound + 1e-9)
+            assert log.bound_excess() <= BOUND_TOL
 
     @pytest.mark.parametrize("n", [2, 5, 9, 21])
     def test_matches_step_at_a_time_oracle(self, n):
