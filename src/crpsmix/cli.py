@@ -2,7 +2,8 @@
 
 Subcommands:
   synth   -- aggregate three fixed triangular experts on a synthetic
-             mixture stream and write loss/weight/CDF trajectories.
+             mixture stream and write the per-step game log, CDF
+             snapshots and the regret report.
   load    -- fit the 21-expert calendar roster on hourly load data and
              replay the test year with confidence-weighted aggregation.
   verify  -- run the randomized property suites headlessly.
@@ -145,21 +146,6 @@ def _regret_metrics(log: GameLog, alpha: float) -> dict:
     return metrics
 
 
-def _write_loss_curves(path, log: GameLog) -> None:
-    cum_h = log.learner_cumulative()
-    table = np.column_stack(
-        [cum_h, cum_h / np.arange(1, log.steps + 1), log.expert_cumulative()]
-    )
-    header = ["t", "H", "H_avg"] + [f"L_{i + 1}" for i in range(log.n)]
-    _write_csv(path, header, ([t] + row for t, row in enumerate(table.tolist(), start=1)))
-
-
-def _write_weight_trajectories(path, log: GameLog) -> None:
-    header = ["t"] + [f"q_{i + 1}" for i in range(log.n)]
-    rows = ([t] + row for t, row in enumerate(log.weights.tolist(), start=1))
-    _write_csv(path, header, rows)
-
-
 def _write_regret_report(path, log: GameLog, names=None) -> None:
     header = [
         "expert", "final_loss", "final_regret", "final_discounted_regret",
@@ -204,8 +190,6 @@ def cmd_synth(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     log.to_csv(os.path.join(args.out, "game_log.csv"))
-    _write_loss_curves(os.path.join(args.out, "loss_curves.csv"), log)
-    _write_weight_trajectories(os.path.join(args.out, "weights.csv"), log)
     _write_regret_report(os.path.join(args.out, "regret_report.csv"), log)
     _write_csv(
         os.path.join(args.out, "cdf_snapshots.csv"),
@@ -341,25 +325,16 @@ def cmd_load(args) -> int:
         for t in band_steps
     ]
 
-    names = [e.name for e in experts]
-    log.to_csv(os.path.join(args.out, "game_log.csv"))
-    _write_loss_curves(os.path.join(args.out, "loss_curves.csv"), log)
-    _write_regret_report(os.path.join(args.out, "regret_report.csv"), log, names)
+    log.to_csv(os.path.join(args.out, "game_log.csv"), {
+        "timestamp": [rec.timestamp.isoformat() for rec in test],
+        "temperature": [rec.temperature for rec in test],
+    })
+    _write_regret_report(os.path.join(args.out, "regret_report.csv"), log,
+                         [e.name for e in experts])
     _write_csv(
         os.path.join(args.out, "quantile_bands.csv"),
         ["t", "timestamp"] + [f"q{int(100 * tau):02d}" for tau in QUANTILE_LEVELS] + ["actual"],
         band_rows,
-    )
-    _write_csv(
-        os.path.join(args.out, "conf_blocks.csv"),
-        ["t", "timestamp"] + names,
-        ([t, rec.timestamp.isoformat()] + p
-         for t, (rec, p) in enumerate(zip(test, confidences.tolist()), start=1)),
-    )
-    _write_csv(
-        os.path.join(args.out, "records.csv"),
-        ["timestamp", "load", "temperature"],
-        ([rec.timestamp.isoformat(), y, rec.temperature] for rec, y in zip(test, outcomes)),
     )
     with open(os.path.join(args.out, "data_quality.txt"), "w", encoding="utf-8") as fh:
         for label, quality in reports:

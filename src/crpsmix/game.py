@@ -113,25 +113,27 @@ class GameLog:
         is the learner's excess over the best expert."""
         return float(self.discounted_regret().max()) - self.bound
 
-    def to_csv(self, path) -> None:
-        """One row per step: t, y, h, l_1..l_n, p_1..p_n, q_1..q_n (the
+    def to_csv(self, path, leading=None) -> None:
+        """One row per step: t, the `leading` columns ({name: one cell per
+        step}, written with `str`), y, h, l_1..l_n, p_1..p_n, q_1..q_n (the
         weights that formed the forecast), w_1..w_n (the pool weights before
-        confidence reweighting), D_1..D_n."""
+        confidence reweighting)."""
         n = self.n
+        leading = leading or {}
         header = (
-            ["t", "y", "h"]
+            ["t", *leading, "y", "h"]
             + [f"l_{i + 1}" for i in range(n)]
             + [f"p_{i + 1}" for i in range(n)]
             + [f"q_{i + 1}" for i in range(n)]
             + [f"w_{i + 1}" for i in range(n)]
-            + [f"D_{i + 1}" for i in range(n)]
         )
-        disc = self.discounted_regret()
+        lead = zip(*leading.values(), strict=True) if leading else [()] * self.steps
+        rows = zip(lead, self._rows, strict=True)  # one row's floats as objects at a time
         # the bytes of csv.writer's default dialect: no cell needs quoting
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(",".join(header) + "\r\n")
-            for t, (row, d) in enumerate(zip(self._rows, disc), start=1):
-                fh.write(f"{t}," + ",".join(map(repr, row.tolist() + d.tolist())) + "\r\n")
+            for t, (cells, row) in enumerate(rows, start=1):
+                fh.write(",".join([str(t), *map(str, cells), *map(repr, row.tolist())]) + "\r\n")
 
 
 def _check_losses(h: np.ndarray, losses: np.ndarray) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import math
 import os
 
@@ -19,6 +20,7 @@ from crpsmix.aggregation import (
     substitute_crps_aa,
     substitute_vector_aa,
 )
+from crpsmix.cli import main
 from crpsmix.data import write_demo_load_csv
 from crpsmix.experts import (COV_RIDGE, EM_MAX_ITER, EM_TOL, DegenerateFit, _kmeanspp_centers,
                               load_cdf_values)
@@ -135,6 +137,17 @@ def conditional_load_cdfs(models, temps, domain: GridDomain) -> np.ndarray:
     vals = load_cdf_values(models, temps, domain)
     repair_cdf(vals)
     return vals
+
+
+def read_game_log(path) -> np.ndarray:
+    """A game_log.csv as numpy's structured array, one field per column,
+    as the README reads it."""
+    return np.genfromtxt(path, delimiter=",", names=True, dtype=None, encoding="utf-8")
+
+
+def game_log_block(g: np.ndarray, prefix: str) -> np.ndarray:
+    """The (steps, n) columns prefix_1..prefix_n of a read game log."""
+    return np.column_stack([g[name] for name in g.dtype.names if name.startswith(prefix + "_")])
 
 
 def numeric_crps(cdf_fn, y, a, b, n=20001):
@@ -324,6 +337,24 @@ def demo_load_csv(tmp_path_factory):
     """Two years of training data plus a short test stretch."""
     path = tmp_path_factory.mktemp("demo") / "demo_load.csv"
     return str(write_demo_load_csv(path, hours=2 * 8760 + 1200))
+
+
+@pytest.fixture(scope="session")
+def small_runs(tmp_path_factory):
+    """The --out directories of a short synth run, and of a short load run
+    whose timestamps carry a UTC offset."""
+    path = tmp_path_factory.mktemp("small_runs")
+    with open(write_demo_load_csv(path / "demo.csv", hours=8760 + 48), encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    aware = [[ts + "+01:00", *rest] for ts, *rest in rows]
+    with open(path / "aware.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *aware])
+    synth, load = path / "synth", path / "load"
+    assert main(["synth", "--method", "1", "--steps", "50", "--grid", "16",
+                 "--out", str(synth)]) == 0
+    assert main(["load", "--data", str(path / "aware.csv"), "--split", aware[8760][0],
+                 "--grid", "16", "--components", "1", "--out", str(load)]) == 0
+    return synth, load
 
 
 @pytest.fixture(scope="session")

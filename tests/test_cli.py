@@ -1,4 +1,5 @@
 import csv
+import io
 import math
 import os
 import shutil
@@ -14,14 +15,14 @@ from hypothesis import strategies as st
 import crpsmix
 import crpsmix.cli as cli_mod
 from crpsmix.cli import _fmt, _write_csv, main, read_manifest
-from crpsmix.data import load_csv, split_train_test, write_demo_load_csv
+from crpsmix.data import default_test_boundary, load_csv, split_train_test, write_demo_load_csv
 from crpsmix.experts import EM_MAX_ITER
 from crpsmix.game import GameConfig, replay
 from crpsmix.grids import GridDomain
 from crpsmix.roster import build_load_roster, roster_confidences
 from crpsmix import verify as verify_mod
 
-from conftest import cdf_from_row, conditional_load_cdfs
+from conftest import cdf_from_row, conditional_load_cdfs, game_log_block, read_game_log
 
 
 def run_cli(*args):
@@ -67,6 +68,32 @@ def assert_regret_headroom(manifest, out):
     assert float(manifest["metric_min_regret_headroom"]) == float(rows[0]["bound"]) - peak
 
 
+def assert_game_log_rebuilds_the_summaries(out):
+    """H, L_i and D_i, rebuilt from game_log.csv alone by the README's
+    recipes, equal regret_report.csv and the manifest's learner loss and
+    regret headroom.  Returns the game log."""
+    g = read_game_log(out / "game_log.csv")
+    h, l, p = g["h"], game_log_block(g, "l"), game_log_block(g, "p")
+    H = np.cumsum(h)
+    L = np.cumsum(l, axis=0)
+    D = np.cumsum(p * (h[:, None] - l), axis=0)
+    with open(out / "regret_report.csv") as fh:
+        report = list(csv.DictReader(fh))
+    assert [float(r["final_loss"]) for r in report] == L[-1].tolist()
+    assert [float(r["final_regret"]) for r in report] == (H[-1] - L[-1]).tolist()
+    assert [float(r["final_discounted_regret"]) for r in report] == D[-1].tolist()
+    assert [float(r["max_discounted_regret"]) for r in report] == D.max(axis=0).tolist()
+    manifest = read_manifest(out / "manifest.txt")
+    assert float(manifest["metric_final_learner_loss"]) == H[-1]
+    assert float(manifest["metric_min_regret_headroom"]) == float(report[0]["bound"]) - D.max()
+    return g
+
+
+SYNTH_FILES = {"game_log.csv", "cdf_snapshots.csv", "regret_report.csv", "manifest.txt"}
+LOAD_FILES = {"game_log.csv", "regret_report.csv", "quantile_bands.csv", "em_fits.csv",
+              "experts", "data_quality.txt", "manifest.txt"}
+
+
 SYNTH_FLAGS = ["synth", "--method", "1", "--steps", "400", "--grid", "128",
                "--seed", "3"]
 
@@ -76,11 +103,7 @@ class TestSynth:
         out = tmp_path / "run"
         code = run_cli(*SYNTH_FLAGS, "--mode", "aa", "--alpha", "0", "--out", str(out))
         assert code == 0
-        for name in (
-            "game_log.csv", "loss_curves.csv", "weights.csv",
-            "cdf_snapshots.csv", "regret_report.csv", "manifest.txt",
-        ):
-            assert (out / name).exists()
+        assert set(os.listdir(out)) == SYNTH_FILES
         manifest = read_manifest(out / "manifest.txt")
         assert manifest["experiment"] == "synth"
         assert manifest["metric_bound_satisfied"] == "true"
@@ -93,8 +116,8 @@ class TestSynth:
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run_cli(*SYNTH_FLAGS, "--out", str(out1)) == 0
         assert run_cli(*SYNTH_FLAGS, "--out", str(out2)) == 0
-        for name in ("game_log.csv", "loss_curves.csv", "weights.csv",
-                     "cdf_snapshots.csv"):
+        assert set(os.listdir(out1)) == SYNTH_FILES
+        for name in ("game_log.csv", "cdf_snapshots.csv", "regret_report.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_snapshot_rows_reparse_as_valid_cdfs(self, tmp_path):
@@ -111,16 +134,22 @@ class TestSynth:
     def test_numeric_cells_parse_as_floats(self, tmp_path):
         out = tmp_path / "wa"
         assert run_cli(*SYNTH_FLAGS, "--mode", "wa", "--out", str(out)) == 0
-        for name in ("weights.csv", "loss_curves.csv"):
-            with open(out / name) as fh:
-                rows = list(csv.reader(fh))[1:]
-            assert rows
-            for row in rows:
-                [float(x) for x in row]
+        assert set(os.listdir(out)) == SYNTH_FILES
+        with open(out / "game_log.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 400
+        for row in rows:
+            [float(x) for x in row]
         manifest = read_manifest(out / "manifest.txt")
         assert float(manifest["metric_bound_wa_form"]) == pytest.approx(
             2.0 * math.log(3)
         )
+
+    def test_game_log_rebuilds_the_dropped_numbers(self, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli(*SYNTH_FLAGS, "--out", str(out)) == 0
+        g = assert_game_log_rebuilds_the_summaries(out)
+        assert g.dtype.names[:3] == ("t", "y", "h")
 
     def test_method_two_runs(self, tmp_path):
         out = tmp_path / "m2"
@@ -203,12 +232,7 @@ class TestLoad:
     def test_run_succeeds_with_artifacts(self, load_run):
         code, out = load_run
         assert code == 0
-        for name in (
-            "game_log.csv", "loss_curves.csv", "regret_report.csv",
-            "quantile_bands.csv", "conf_blocks.csv", "records.csv",
-            "data_quality.txt", "manifest.txt",
-        ):
-            assert (out / name).exists()
+        assert set(os.listdir(out)) == LOAD_FILES
         manifest = read_manifest(out / "manifest.txt")
         assert manifest["metric_n_experts"] == "21"
         assert float(manifest["metric_final_average_loss"]) > 0
@@ -249,7 +273,23 @@ class TestLoad:
             q75, q95 = float(row["q75"]), float(row["q95"])
             assert q05 <= q25 <= q75 <= q95
 
-    def test_manifest_counters(self, load_run):
+    def test_game_log_rebuilds_the_dropped_numbers(self, load_run, demo_load_csv):
+        _, out = load_run
+        g = assert_game_log_rebuilds_the_summaries(out)
+        manifest = read_manifest(out / "manifest.txt")
+        assert float(manifest["metric_final_average_loss"]) == np.cumsum(g["h"])[-1] / g["t"][-1]
+        # what records.csv and conf_blocks.csv carried
+        records = load_csv(demo_load_csv)[0]
+        train, test = split_train_test(records, default_test_boundary(records))
+        top = 1.05 * max(r.load for r in train)
+        assert g["timestamp"].tolist() == [r.timestamp.isoformat() for r in test]
+        assert g["temperature"].tolist() == [r.temperature for r in test]
+        assert g["y"].tolist() == [min(max(r.load, 0.0), top) for r in test]
+        experts, _ = build_load_roster(train, components=2, seed=5)
+        confidences = roster_confidences(experts, [r.timestamp for r in test])
+        assert np.array_equal(game_log_block(g, "p"), confidences)
+
+    def test_manifest_counters(self, load_run, demo_load_csv):
         _, out = load_run
         manifest = read_manifest(out / "manifest.txt")
         with open(out / "game_log.csv") as fh:
@@ -261,8 +301,13 @@ class TestLoad:
         partial = sum(any(float(row[i]) > 0 for i in p_cols)
                       and any(float(row[i]) < 1 for i in p_cols) for row in rows[1:])
         assert manifest["metric_feedback_steps"] == str(partial) == str(len(rows) - 1 - asleep)
+        records = load_csv(demo_load_csv)[0]
+        _, test = split_train_test(records, default_test_boundary(records))
+        j = rows[0].index("y")
+        clipped = sum(float(row[j]) != r.load for row, r in zip(rows[1:], test, strict=True))
+        assert manifest["metric_test_outcomes_clipped"] == str(clipped)
         quality = read_manifest(out / "data_quality.txt")
-        assert manifest["metric_test_outcomes_clipped"] == quality["test_outcomes_clipped"]
+        assert quality["test_outcomes_clipped"] == str(clipped)
         assert list(manifest)[-4] == "metric_roster_evaluations"
         assert 0 < int(manifest["metric_roster_evaluations"]) <= int(manifest["metric_steps"])
         assert_regret_headroom(manifest, out)
@@ -294,7 +339,10 @@ class TestLoad:
             [min(max(r.load, domain.a), domain.b) for r in test],
             roster_confidences(experts, [r.timestamp for r in test]),
         )
-        log.to_csv(tmp_path / "per_step_log.csv")
+        log.to_csv(tmp_path / "per_step_log.csv", {
+            "timestamp": [r.timestamp.isoformat() for r in test],
+            "temperature": [r.temperature for r in test],
+        })
         assert (out / "game_log.csv").read_bytes() == (tmp_path / "per_step_log.csv").read_bytes()
         manifest = read_manifest(out / "manifest.txt")
         assert manifest["metric_roster_evaluations"] == str(len(set(temps)))
@@ -311,21 +359,21 @@ class TestLoad:
         [line] = proc.stderr.splitlines()
         assert f"temperature {float(temp)!r}" in line
 
-    def test_conf_blocks_shape(self, load_run):
+    def test_game_log_header(self, load_run):
         _, out = load_run
-        with open(out / "conf_blocks.csv") as fh:
+        with open(out / "game_log.csv") as fh:
             header = next(csv.reader(fh))
-        assert header[:2] == ["t", "timestamp"]
-        assert len(header) == 2 + 21
+        assert header == (["t", "timestamp", "temperature", "y", "h"]
+                          + [f"{c}_{i}" for c in "lpqw" for i in range(1, 22)])
 
     def test_numeric_cells_parse_as_floats(self, load_run):
         _, out = load_run
-        for name in ("conf_blocks.csv", "loss_curves.csv"):
-            with open(out / name) as fh:
-                rows = list(csv.DictReader(fh))
-            assert len(rows) == 8760
-            for row in rows:
-                [float(v) for k, v in row.items() if k != "timestamp"]
+        with open(out / "game_log.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 8760
+        for row in rows:
+            datetime.fromisoformat(row["timestamp"])
+            [float(v) for k, v in row.items() if k != "timestamp"]
 
     def test_discounted_regret_within_bound(self, load_run):
         _, out = load_run
@@ -628,3 +676,18 @@ def test_csv_writer_matches_csv_module(tmp_path):
     got = tmp_path / "got.csv"
     _write_csv(got, header, iter(rows))
     assert got.read_bytes() == want.read_bytes()
+
+
+def test_every_written_csv_has_the_csv_module_bytes(small_runs):
+    # _write_csv and GameLog.to_csv join the cells themselves, relying on
+    # no cell needing quoting; timestamps with a UTC offset included
+    synth, load = small_runs
+    paths = sorted(synth.glob("*.csv")) + sorted(load.glob("*.csv"))
+    assert len(paths) == 3 + 4
+    for path in paths:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        buf = io.StringIO(newline="")
+        csv.writer(buf).writerows(rows)
+        assert buf.getvalue().encode() == path.read_bytes(), path.name
+    assert read_game_log(load / "game_log.csv")["timestamp"][0].endswith("+01:00")

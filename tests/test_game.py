@@ -26,8 +26,8 @@ from crpsmix.game import (
 )
 from crpsmix.grids import GridCDF, GridDomain, cdf_values, crps
 
-from conftest import (confidence_reweight, random_cdf_values, reference_game,
-                      reference_square_loss_game, superprediction)
+from conftest import (confidence_reweight, game_log_block, random_cdf_values, read_game_log,
+                      reference_game, reference_square_loss_game, superprediction)
 
 
 def synth_setup(T=600, d=128, seed=0, n_segments=6):
@@ -617,9 +617,25 @@ class TestGameLogCsv:
             + [f"p_{i}" for i in (1, 2, 3)]
             + [f"q_{i}" for i in (1, 2, 3)]
             + [f"w_{i}" for i in (1, 2, 3)]
-            + [f"D_{i}" for i in (1, 2, 3)]
         )
         assert len(body) == 20
         assert float(body[4][2]) == log.learner_losses[4]
-        disc = log.discounted_regret()
-        assert float(body[-1][-1]) == disc[-1, -1]
+        # the discounted regret, by the README's recipe on the columns
+        g = read_game_log(path)
+        h, l = g["h"], game_log_block(g, "l")
+        disc = np.cumsum(game_log_block(g, "p") * (h[:, None] - l), axis=0)
+        assert np.array_equal(disc, log.discounted_regret())
+
+    def test_leading_columns(self, tmp_path):
+        dom, cdfs, y = synth_setup(T=5)
+        log = play(dom, cdfs, y)
+        stamps = [f"2010-01-01T0{t}:00:00+01:00" for t in range(5)]
+        log.to_csv(tmp_path / "plain.csv")
+        log.to_csv(tmp_path / "lead.csv", {"timestamp": stamps, "temperature": [0.1] * 5})
+        plain = (tmp_path / "plain.csv").read_text().splitlines()
+        lead = (tmp_path / "lead.csv").read_text().splitlines()
+        assert lead[0] == plain[0].replace("t,", "t,timestamp,temperature,", 1)
+        for t, (a, b) in enumerate(zip(plain[1:], lead[1:], strict=True)):
+            assert b == a.replace(",", f",{stamps[t]},0.1,", 1)
+        with pytest.raises(ValueError):
+            log.to_csv(tmp_path / "short.csv", {"timestamp": stamps[:4]})

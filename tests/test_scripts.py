@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from datetime import datetime
@@ -53,3 +54,21 @@ def test_readme_library_sketch_runs():
     for name in ("load_csv", "split_train_test", "build_load_roster", "default_generators",
                  "rotating_leader_schedule", "synth_stream", "GridDomain", "triangular_cdf"):
         assert callable(getattr(crpsmix, name, None)), name
+
+
+def readme_artifacts(readme, title):
+    """The file names in backquotes in the README section `title`, outside
+    its code blocks; a directory as `name/`."""
+    section = readme.split(f"\n### {title}\n", 1)[1]
+    section = re.sub(r"```.*?```", "", section, flags=re.S).split("\n#", 1)[0]
+    return set(re.findall(r"`(\w+\.(?:csv|txt)|\w+/)`", section))
+
+
+def test_readme_names_the_artifacts_each_run_writes(small_runs):
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    synth, load = small_runs
+    for title, out in (("Synthetic mixture experiment", synth),
+                       ("Hourly load forecasting", load)):
+        written = {p.name + "/" if p.is_dir() else p.name for p in out.iterdir()}
+        assert readme_artifacts(readme, title) == written, title
