@@ -4,6 +4,8 @@ mixtures conditioned on temperature."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
 from .aggregation import logsumexp
@@ -337,25 +339,39 @@ def em_hit_max_iter(history) -> bool:
     return len(history) == EM_MAX_ITER and not history[-1] - history[-2] < EM_TOL
 
 
+class GmmStack(NamedTuple):
+    """The parameters of N mixtures with one component count k, stacked:
+    weights (N, k), means (N, k, 2) and covariances (N, k, 2, 2)."""
+
+    weights: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
+
+
+def stack_models(models) -> GmmStack:
+    """The stacked parameters of a list of `Gmm2D` models, for callers that
+    evaluate the same models at many temperatures."""
+    return GmmStack(*(np.stack([getattr(g, f) for g in models]) for f in GmmStack._fields))
+
+
 def _condition_on_temperature(models, temps):
     """Posterior component weights and per-component mean of load given
     each temperature, by exact bivariate-normal conditioning, each a
-    (..., N, k) array over the shape of `temps`, N models and k components
-    per model; and the (N, k) conditional variances, which do not depend
-    on the temperature.
+    (..., N, k) array over the shape of `temps`, N models (a list of
+    `Gmm2D`, or their `GmmStack`) and k components per model; and the
+    (N, k) conditional variances, which do not depend on the temperature.
 
     Raises ConditioningError for a temperature that is not finite, or so
     far from every component of some model that all its densities vanish.
     """
     temps = np.asarray(temps, dtype=float)
-    means = np.stack([g.means for g in models])
-    covs = np.stack([g.covs for g in models])
+    weights, means, covs = models if isinstance(models, GmmStack) else stack_models(models)
     mu_t, mu_l = means[..., 0], means[..., 1]
     s_tt, s_tl, s_ll = covs[..., 0, 0], covs[..., 0, 1], covs[..., 1, 1]
     dt = temps[..., None, None] - mu_t
     with np.errstate(over="ignore"):  # an overflow is a zero density
         log_dens = -0.5 * np.log(2.0 * np.pi * s_tt) - 0.5 * dt**2 / s_tt
-    log_post = np.log(np.stack([g.weights for g in models])) + log_dens
+    log_post = np.log(weights) + log_dens
     reachable = np.isfinite(log_post.max(axis=-1)).all(axis=-1)
     if not reachable.all():
         temp = float(temps[~reachable].flat[0])
@@ -371,11 +387,13 @@ def _condition_on_temperature(models, temps):
 
 def load_cdf_values(models, temps, domain: GridDomain) -> np.ndarray:
     """(..., N, d) load CDF values given each temperature, one row per model
-    (all with one component count), from one vectorised normal-CDF call; a
-    scalar temperature gives (N, d), and each row has the bits of a call at
-    its temperature alone.  Mass outside [a, b] goes to the endpoints.  Not
-    checked: a cell before the last may exceed 1 by a rounding error (the
-    posterior weights of normal CDFs that are all 1 sum above 1)."""
+    (all with one component count; a list of `Gmm2D`, or their `GmmStack`
+    when the caller evaluates them again), from one vectorised normal-CDF
+    call; a scalar temperature gives (N, d), and each row has the bits of a
+    call at its temperature alone.  Mass outside [a, b] goes to the
+    endpoints.  Not checked: a cell before the last may exceed 1 by a
+    rounding error (the posterior weights of normal CDFs that are all 1 sum
+    above 1)."""
     from scipy.special import ndtr  # the only scipy use; `import crpsmix` skips scipy
 
     post, mean, var = _condition_on_temperature(models, temps)

@@ -5,7 +5,8 @@ schedule."""
 
 from __future__ import annotations
 
-import itertools
+import os
+import pickle
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ from .data import (
     hour_of_year,
     season_hour_interval,
 )
-from .experts import Gmm2D, fit_gmm_ems, load_cdf_values
+from .experts import Gmm2D, fit_gmm_ems, load_cdf_values, stack_models
 from .grids import GridDomain
 
 DAY_RAMP_HOURS = 2.0  # confidence decrease of a daily expert
@@ -99,10 +100,13 @@ def build_load_roster(
         if p is not None:
             mask &= labels[:, 1] == p
         segments.append(points[mask])
-    fits = []  # one lockstep fit per level: anytime, seasons, season-periods
-    for _, level in itertools.groupby(range(len(specs)), key=lambda i: specs[i][1:].count(None)):
-        level = list(level)
-        fits += fit_gmm_ems([segments[i] for i in level], components, [seeds[i] for i in level])
+    # one lockstep fit per level: the season-by-day-period experts in a
+    # child process while this one fits the anytime expert and the seasons
+    periods = 1 + len(SEASON_NAMES)
+    with _ForkedFit(segments[periods:], components, seeds[periods:]) as child:
+        fits = fit_gmm_ems(segments[:1], components, seeds[:1])
+        fits += fit_gmm_ems(segments[1:periods], components, seeds[1:periods])
+        fits += child.result()
 
     experts: list[LoadExpert] = []
     failures: list[tuple[str, str]] = []
@@ -124,6 +128,79 @@ def build_load_roster(
                        fit_points=len(segment), fit_history=history)
         )
     return experts, failures
+
+
+class _ForkedFit:
+    """`fit_gmm_ems(point_sets, k, seeds)` run in a forked child process
+    while the caller works, as a context: `result()` returns the child's
+    results, bit for bit those of the call in this process, and leaving the
+    context reaps the child on every path.  Where `os.fork` does not exist,
+    the call runs in this process on entry.
+
+    The child pickles plain arrays, `(weights, means, covs, history)` per
+    fitted set, or the `ValueError` / `DegenerateFit` of a set, or the
+    exception the call raised, into a pipe, and ends with `os._exit` (no
+    stdio flush, no atexit handlers).  The parent reads the whole pipe
+    before `waitpid`, since the histories can exceed the pipe's buffer, and
+    rebuilds each `Gmm2D` through its constructor, since unpickled arrays
+    come back writeable.
+    """
+
+    def __init__(self, point_sets, k, seeds):
+        self._pid = None
+        if not hasattr(os, "fork"):
+            self._fits = fit_gmm_ems(point_sets, k, seeds)
+            return
+        read_fd, write_fd = os.pipe()
+        self._pid = os.fork()
+        if self._pid == 0:
+            os.close(read_fd)  # else a parent that stops reading cannot break the pipe
+            _serve_fit(write_fd, point_sets, k, seeds)
+        os.close(write_fd)
+        self._reader = os.fdopen(read_fd, "rb")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._pid is not None:
+            self._reader.close()  # a child still writing gets EPIPE and ends
+            os.waitpid(self._pid, 0)
+            self._pid = None
+
+    def result(self) -> list:
+        if self._pid is None:
+            return self._fits
+        with self._reader:
+            data = self._reader.read()
+        _, status = os.waitpid(self._pid, 0)
+        self._pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            how = f"signal {-code}" if code < 0 else f"exit status {code}"
+            raise RuntimeError(f"the EM fit process ended by {how} without a result")
+        fits = pickle.loads(data)
+        if isinstance(fits, Exception):
+            raise fits
+        return [fit if isinstance(fit, Exception) else (Gmm2D(*fit[:3]), fit[3])
+                for fit in fits]
+
+
+def _serve_fit(write_fd, point_sets, k, seeds):
+    """The forked child of `_ForkedFit`: fit, send and `os._exit`."""
+    code = 1
+    try:
+        try:
+            fits = [fit if isinstance(fit, Exception)
+                    else (fit[0].weights, fit[0].means, fit[0].covs, fit[1])
+                    for fit in fit_gmm_ems(point_sets, k, seeds)]
+        except Exception as exc:  # sent to the parent, which raises it
+            fits = exc
+        with open(write_fd, "wb") as out:
+            pickle.dump(fits, out)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def roster_confidences(experts, timestamps) -> np.ndarray:
@@ -149,8 +226,9 @@ class RosterStream:
 
     The temperatures are split into consecutive windows whose distinct
     values fill at most one table of WINDOW_TABLE_BYTES, allocated once.
-    A window's distinct temperatures are evaluated once each, in batches of
-    at most BATCH_ARGUMENT_BYTES of normal-CDF arguments, and each step
+    A window's distinct temperatures are evaluated once each, from the
+    models' parameters stacked once per stream, in batches of at most
+    BATCH_ARGUMENT_BYTES of normal-CDF arguments, and each step
     gets a copy of its row, so no yielded matrix changes when a later
     window refills the table.  `evaluations` counts the temperatures
     evaluated so far.
@@ -167,7 +245,7 @@ class RosterStream:
         return next(self._rows)
 
     def _windows(self, experts, temps, domain):
-        models = [e.model for e in experts]
+        models = stack_models([e.model for e in experts])
         row_bytes = len(experts) * domain.d * 8
         table = np.empty((max(1, WINDOW_TABLE_BYTES // row_bytes), len(experts), domain.d))
         batch = max(1, BATCH_ARGUMENT_BYTES // (sum(e.model.k for e in experts) * domain.d * 8))

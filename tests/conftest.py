@@ -332,6 +332,18 @@ def probability_vectors(draw, min_n=1, max_n=6):
     return q / q.sum()
 
 
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process behind, running or not yet
+    reaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind (pid {pid or 'still running'})")
+
+
 @pytest.fixture(scope="session")
 def demo_load_csv(tmp_path_factory):
     """Two years of training data plus a short test stretch."""

@@ -1,3 +1,8 @@
+import os
+import pickle
+import signal
+import subprocess
+import sys
 from dataclasses import replace
 from datetime import datetime, timedelta
 
@@ -17,8 +22,8 @@ from crpsmix.data import (
     split_train_test,
     write_demo_load_csv,
 )
-from crpsmix.experts import EM_MAX_ITER, fit_gmm_ems, load_cdf_values
-from crpsmix import roster
+from crpsmix.experts import EM_MAX_ITER, fit_gmm_ems, load_cdf_values, stack_models
+from crpsmix import experts as experts_mod, roster
 from crpsmix.grids import GridCDF, GridDomain, repair_cdf
 from crpsmix.roster import (
     BATCH_ARGUMENT_BYTES,
@@ -312,6 +317,25 @@ class TestRoster:
             assert len(set(window)) == len(window) <= table_rows
         assert stream.evaluations == len(sum(windows.values(), []))
 
+    def test_stream_stacks_the_models_once(self, fitted, monkeypatch):
+        # d=1024: 40 hours span several windows and batches
+        train, test, experts, _ = fitted
+        dom = GridDomain(0.0, 1.05 * max(r.load for r in train), 1024)
+        temps = [r.temperature for r in test[:40]]
+        stacked = []
+
+        def spy(models):
+            stacked.append(len(models))
+            return stack_models(models)
+
+        monkeypatch.setattr(roster, "stack_models", spy)
+        stream = RosterStream(experts, temps, dom)
+        rows = list(stream)
+        assert stacked == [len(experts)] and stream.evaluations > 6
+        models = [e.model for e in experts]
+        for temp, got in zip(temps, rows, strict=True):
+            assert got[0].tobytes() == load_cdf_values(models, temp, dom).tobytes()
+
     def test_insufficient_segment_reports_failure(self, fitted):
         train, _, _, _ = fitted
         experts, failures = build_load_roster(
@@ -375,3 +399,112 @@ class TestRosterFit:
             assert np.array_equal(e.model.means, model.means), e.name
             assert np.array_equal(e.model.covs, model.covs), e.name
             assert np.array_equal(e.model.weights, model.weights), e.name
+
+
+class TestForkedLevel:
+    """build_load_roster fits its season-by-day-period level in a forked
+    child process while the parent fits the other two."""
+
+    @staticmethod
+    def patch_m_step(monkeypatch, act, *, in_child):
+        """Run `act()` before every M-step of the child (in_child) or of the
+        parent process."""
+        parent, real = os.getpid(), experts_mod._m_step
+
+        def m_step(*args):
+            if (os.getpid() != parent) == in_child:
+                act()
+            return real(*args)
+
+        monkeypatch.setattr(experts_mod, "_m_step", m_step)
+
+    @staticmethod
+    def spy_forks(monkeypatch):
+        forked, real = [], os.fork
+
+        def fork():
+            pid = real()
+            if pid:
+                forked.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return forked
+
+    def test_child_models_are_the_in_process_fits(self, demo_year, monkeypatch):
+        forked = self.spy_forks(monkeypatch)
+        experts, _ = build_load_roster(demo_year, components=2, seed=3)
+        assert len(forked) == 1
+        seeds = [int(x) for x in np.random.SeedSequence(3).generate_state(21)]
+        want = fit_gmm_ems([expert_segment(e.name, demo_year) for e in experts[5:]], 2, seeds[5:])
+        monkeypatch.delattr(os, "fork")  # the in-process branch
+        unforked, _ = build_load_roster(demo_year, components=2, seed=3)
+        assert len(forked) == 1
+        for e, same, (model, history) in zip(experts[5:], unforked[5:], want, strict=True):
+            assert e.name == same.name and e.name.count("_") == 2  # season_period
+            for got in (e.model, same.model):
+                for name in ("weights", "means", "covs"):
+                    assert not getattr(got, name).flags.writeable
+                    assert getattr(got, name).tobytes() == getattr(model, name).tobytes()
+            assert e.fit_history.tobytes() == same.fit_history.tobytes() == history.tobytes()
+
+    def test_child_exception_reaches_the_parent(self, demo_year, monkeypatch):
+        def fail():
+            raise ArithmeticError("M-step failed in the child")
+
+        self.patch_m_step(monkeypatch, fail, in_child=True)
+        with pytest.raises(ArithmeticError, match="failed in the child"):
+            build_load_roster(demo_year, components=2, seed=3)
+
+    @pytest.mark.parametrize("act, ended", [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), f"signal {int(signal.SIGKILL)}"),
+        (lambda: os._exit(7), "exit status 7"),
+    ], ids=["killed", "exited"])
+    def test_child_without_a_result_raises(self, demo_year, monkeypatch, act, ended):
+        self.patch_m_step(monkeypatch, act, in_child=True)
+        with pytest.raises(RuntimeError, match=f"ended by {ended} without a result"):
+            build_load_roster(demo_year, components=2, seed=3)
+
+    def test_parent_exception_reaps_the_child(self, demo_year, monkeypatch):
+        # the child's result overfills the pipe (as below): it ends only if
+        # the parent, which stops reading, closes its end
+        def fail():
+            raise ArithmeticError("M-step failed in the parent")
+
+        monkeypatch.setattr(experts_mod, "EM_TOL", -np.inf)
+        forked = self.spy_forks(monkeypatch)
+        self.patch_m_step(monkeypatch, fail, in_child=False)
+        with pytest.raises(ArithmeticError, match="failed in the parent"):
+            build_load_roster(demo_year, components=2, seed=3)
+        [pid] = forked
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+    def test_result_larger_than_the_pipe_buffer(self, demo_year, monkeypatch):
+        # no fit meets a stopping tolerance of -inf: 16 histories of
+        # EM_MAX_ITER rounds overfill a 64 KiB pipe before the child ends,
+        # so the parent must read before it waits
+        monkeypatch.setattr(experts_mod, "EM_TOL", -np.inf)
+        experts, failures = build_load_roster(demo_year, components=2, seed=3)
+        assert failures == [] and len(experts) == 21
+        assert [len(e.fit_history) for e in experts] == [EM_MAX_ITER] * 21
+        sent = [(e.model.weights, e.model.means, e.model.covs, e.fit_history)
+                for e in experts[5:]]
+        assert len(pickle.dumps(sent)) > 1 << 16
+
+    def test_cli_prints_its_line_once(self, tmp_path):
+        # stdout is a pipe, so "pending" sits in the buffer the child
+        # inherits; a child that flushed it at exit would print it twice
+        src = os.path.dirname(os.path.dirname(roster.__file__))
+        code = ("import sys; from crpsmix.cli import main; print('pending', end=' '); "
+                "sys.exit(main(sys.argv[1:]))")
+        data = write_demo_load_csv(tmp_path / "demo.csv", hours=8760 + 48)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "load", "--data", str(data),
+             "--split", (datetime(2006, 1, 1) + timedelta(hours=8760)).isoformat(),
+             "--grid", "16", "--out", str(tmp_path / "out")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("pending load: T=")
+        assert proc.stdout.count("pending") == proc.stdout.count("load:") == 1
