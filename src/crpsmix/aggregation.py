@@ -68,7 +68,7 @@ def _check_probability(q, n: int) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if q.shape != (n,):
         raise ValueError(f"expected {n} expert weights, got shape {q.shape}")
-    if q.min() < 0 or abs(q.sum() - 1.0) > 1e-9:
+    if not (q.min() >= 0 and abs(q.sum() - 1.0) <= 1e-9):  # a NaN fails the test
         raise ValueError("weights must form a probability vector")
     return q
 

@@ -23,7 +23,6 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from datetime import datetime
 
 import numpy as np
@@ -84,39 +83,6 @@ def _phase_clock(enabled: bool):
     return mark
 
 
-@dataclass
-class RunManifest:
-    """Flat record of one run: what was asked for and what came out.
-    Re-running with the same config and inputs reproduces the metrics."""
-
-    experiment: str
-    config: dict
-    seed: int
-    inputs: list[str]
-    out_dir: str
-    metrics: dict = field(default_factory=dict)
-
-    @property
-    def config_hash(self) -> str:
-        blob = "|".join(f"{k}={_fmt(v)}" for k, v in sorted(self.config.items()))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-    def write(self, path) -> None:
-        lines = [
-            f"experiment={self.experiment}",
-            f"config_hash={self.config_hash}",
-            f"seed={self.seed}",
-        ]
-        lines += [f"cfg_{k}={_fmt(v)}" for k, v in sorted(self.config.items())]
-        lines += [f"input_{i}={p}" for i, p in enumerate(self.inputs)]
-        lines.append(f"out_dir={self.out_dir}")
-        lines += [f"metric_{k}={_fmt(v)}" for k, v in self.metrics.items()]
-        tmp = str(path) + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-
-
 def read_manifest(path) -> dict:
     out = {}
     with open(path, encoding="utf-8") as fh:
@@ -128,39 +94,65 @@ def read_manifest(path) -> dict:
     return out
 
 
-def _regret_metrics(log: GameLog, alpha: float) -> dict:
+def _finish_run(out, log: GameLog, experiment, config, seed, inputs, metrics,
+                names=None, leading=None) -> int:
+    """Write the game log, the regret report and the manifest of one
+    finished game into `out`; return 1 when config["alpha"] is 0 and the
+    discounted regret breaks the ln(N)/eta bound, else 0.
+
+    The manifest is a flat record of the run: `experiment`, a hash of
+    `config`, `seed`, `config`, `inputs` and `out`, then the metrics: the
+    regret numbers, the command's own `metrics` in their order, and last
+    the regret headroom, the largest CDF repair and the feedback steps.
+    `names` label the experts of the report, and `leading` are the game
+    log's leading columns (see GameLog.to_csv)."""
+    os.makedirs(out, exist_ok=True)
+    log.to_csv(os.path.join(out, "game_log.csv"), leading)
     learner, experts = log.learner_cumulative()[-1], log.expert_cumulative()[-1]
+    final = learner - experts
+    disc = log.discounted_regret()
+    peak = disc.max(axis=0)
+    _write_csv(
+        os.path.join(out, "regret_report.csv"),
+        ["expert", "final_loss", "final_regret", "final_discounted_regret",
+         "max_discounted_regret", "bound", "bound_satisfied"],
+        ([names[i] if names else f"expert_{i + 1}", float(experts[i]), float(final[i]),
+          float(disc[-1, i]), float(peak[i]), log.bound, bool(peak[i] - log.bound <= BOUND_TOL)]
+         for i in range(log.n)),
+    )
+
+    top = float(disc.max())
+    asserted = config["alpha"] == 0.0
+    satisfied = top - log.bound <= BOUND_TOL
     metrics = {
         "steps": log.steps,
         "final_learner_loss": float(learner),
         "min_expert_loss": float(experts.min()),
-        "final_regret_vs_best": float((learner - experts).max()),
+        "final_regret_vs_best": float(final.max()),
         "regret_bound": log.bound,
+        **{f"expert_{i + 1}_loss": float(loss) for i, loss in enumerate(experts)},
+        "bound_satisfied": satisfied if asserted else "not_asserted_for_alpha>0",
+        **metrics,
+        "min_regret_headroom": log.bound - top,
+        "max_cdf_repair": log.max_cdf_repair,
+        "feedback_steps": log.feedback_steps,
     }
-    for i, loss in enumerate(experts):
-        metrics[f"expert_{i + 1}_loss"] = float(loss)
-    if alpha == 0.0:
-        metrics["bound_satisfied"] = log.bound_excess() <= BOUND_TOL
-    else:
-        metrics["bound_satisfied"] = "not_asserted_for_alpha>0"
-    return metrics
-
-
-def _write_regret_report(path, log: GameLog, names=None) -> None:
-    header = [
-        "expert", "final_loss", "final_regret", "final_discounted_regret",
-        "max_discounted_regret", "bound", "bound_satisfied",
+    cfg = sorted(config.items())
+    blob = "|".join(f"{k}={_fmt(v)}" for k, v in cfg)
+    lines = [
+        f"experiment={experiment}",
+        f"config_hash={hashlib.sha256(blob.encode()).hexdigest()[:16]}",
+        f"seed={seed}",
     ]
-    experts = log.expert_cumulative()[-1]
-    final = log.learner_cumulative()[-1] - experts
-    disc = log.discounted_regret()
-    peak = disc.max(axis=0)
-    rows = (
-        [names[i] if names else f"expert_{i + 1}", float(experts[i]), float(final[i]),
-         float(disc[-1, i]), float(peak[i]), log.bound, bool(peak[i] - log.bound <= BOUND_TOL)]
-        for i in range(log.n)
-    )
-    _write_csv(path, header, rows)
+    lines += [f"cfg_{k}={_fmt(v)}" for k, v in cfg]
+    lines += [f"input_{i}={p}" for i, p in enumerate(inputs)]
+    lines.append(f"out_dir={out}")
+    lines += [f"metric_{k}={_fmt(v)}" for k, v in metrics.items()]
+    path = os.path.join(out, "manifest.txt")
+    with open(path + ".tmp", "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    os.replace(path + ".tmp", path)
+    return int(asserted and not satisfied)
 
 
 # ---------------------------------------------------------------------------
@@ -189,42 +181,32 @@ def cmd_synth(args) -> int:
     mark("replay")
 
     os.makedirs(args.out, exist_ok=True)
-    log.to_csv(os.path.join(args.out, "game_log.csv"))
-    _write_regret_report(os.path.join(args.out, "regret_report.csv"), log)
     _write_csv(
         os.path.join(args.out, "cdf_snapshots.csv"),
         ["t", "a", "b", "d"] + [f"f_{s + 1}" for s in range(domain.d)],
         [[t] + cdf_to_row(kept[t][0]) for t in snap_steps],
     )
-
     final = float(log.learner_cumulative()[-1])
     base = float(baseline.learner_cumulative()[-1])
     config = {
         "method": args.method, "mode": args.mode, "alpha": args.alpha,
         "steps": args.steps, "grid": args.grid, "segments": args.segments,
     }
-    metrics = _regret_metrics(log, args.alpha)
-    metrics["wa_alpha0_baseline_loss"] = base
-    metrics["loss_normalized_vs_wa_alpha0"] = final / base
+    metrics = {"wa_alpha0_baseline_loss": base, "loss_normalized_vs_wa_alpha0": final / base}
     if args.mode == "aa":
         metrics["bound_expression"] = "(b-a)/2*ln(N)"
     else:
         metrics["bound_expression"] = "2*(b-a)*ln(N)"
         metrics["bound_wa_form"] = 2.0 * domain.width * np.log(len(values))
     metrics["asleep_steps"] = log.asleep_steps
-    metrics["min_regret_headroom"] = log.bound - float(log.discounted_regret().max())
-    metrics["max_cdf_repair"] = log.max_cdf_repair
-    metrics["feedback_steps"] = log.feedback_steps
-    manifest = RunManifest("synth", config, args.seed, [], args.out, metrics)
-    manifest.write(os.path.join(args.out, "manifest.txt"))
+    code = _finish_run(args.out, log, "synth", config, args.seed, [], metrics)
     mark("write")
 
     print(f"synth: T={args.steps} mode={args.mode} alpha={args.alpha} "
           f"loss={final:.6g} bound={log.bound:.6g}")
-    if args.alpha == 0.0 and metrics["bound_satisfied"] is not True:
+    if code:
         print("regret bound violated", file=sys.stderr)
-        return 1
-    return 0
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +220,7 @@ def _load_records(args, schema):
     data give no such domain (no positive load, or an end that overflows)."""
     if args.data:
         records, report = load_csv(args.data, schema)
-        if args.split:
-            boundary = datetime.fromisoformat(args.split)
-        else:
-            boundary = default_test_boundary(records)
+        boundary = args.split or default_test_boundary(records)
         train, test = split_train_test(records, boundary)
         inputs = [args.data]
         reports = [("data", report)]
@@ -302,7 +281,6 @@ def cmd_load(args) -> int:
         return 3
     mark("replay")
 
-    os.makedirs(args.out, exist_ok=True)
     expert_dir = os.path.join(args.out, "experts")
     os.makedirs(expert_dir, exist_ok=True)
     for e in experts:
@@ -318,23 +296,12 @@ def cmd_load(args) -> int:
         ["expert", "points", "iterations", "final_log_likelihood", "at_max_iter"],
         em_rows,
     )
-    band_rows = [
-        [t, test[t - 1].timestamp.isoformat()]
-        + [quantile(kept[t][0], tau) for tau in QUANTILE_LEVELS]
-        + [outcomes[t - 1]]
-        for t in band_steps
-    ]
-
-    log.to_csv(os.path.join(args.out, "game_log.csv"), {
-        "timestamp": [rec.timestamp.isoformat() for rec in test],
-        "temperature": [rec.temperature for rec in test],
-    })
-    _write_regret_report(os.path.join(args.out, "regret_report.csv"), log,
-                         [e.name for e in experts])
     _write_csv(
         os.path.join(args.out, "quantile_bands.csv"),
         ["t", "timestamp"] + [f"q{int(100 * tau):02d}" for tau in QUANTILE_LEVELS] + ["actual"],
-        band_rows,
+        ([t, test[t - 1].timestamp.isoformat()]
+         + [quantile(kept[t][0], tau) for tau in QUANTILE_LEVELS] + [outcomes[t - 1]]
+         for t in band_steps),
     )
     with open(os.path.join(args.out, "data_quality.txt"), "w", encoding="utf-8") as fh:
         for label, quality in reports:
@@ -347,29 +314,30 @@ def cmd_load(args) -> int:
         "grid": args.grid, "components": args.components,
         "band_hour": args.band_hour,
     }
-    metrics = _regret_metrics(log, args.alpha)
-    metrics["n_experts"] = len(experts)
-    metrics["n_fit_failures"] = len(failures)
-    metrics["em_fits_at_max_iter"] = sum(row[-1] for row in em_rows)
-    metrics["domain_b"] = domain.b
-    metrics["final_average_loss"] = float(log.learner_cumulative()[-1] / log.steps)
-    metrics["asleep_steps"] = log.asleep_steps
-    metrics["test_outcomes_clipped"] = clipped
-    metrics["roster_evaluations"] = forecasts.evaluations
-    metrics["min_regret_headroom"] = log.bound - float(log.discounted_regret().max())
-    metrics["max_cdf_repair"] = log.max_cdf_repair
-    metrics["feedback_steps"] = log.feedback_steps
-    manifest = RunManifest("load", config, args.seed, inputs, args.out, metrics)
-    manifest.write(os.path.join(args.out, "manifest.txt"))
+    average = float(log.learner_cumulative()[-1] / log.steps)
+    metrics = {
+        "n_experts": len(experts),
+        "n_fit_failures": len(failures),
+        "em_fits_at_max_iter": sum(row[-1] for row in em_rows),
+        "domain_b": domain.b,
+        "final_average_loss": average,
+        "asleep_steps": log.asleep_steps,
+        "test_outcomes_clipped": clipped,
+        "roster_evaluations": forecasts.evaluations,
+    }
+    code = _finish_run(
+        args.out, log, "load", config, args.seed, inputs, metrics,
+        names=[e.name for e in experts],
+        leading={"timestamp": [rec.timestamp.isoformat() for rec in test],
+                 "temperature": [rec.temperature for rec in test]},
+    )
     mark("write")
 
     print(f"load: T={log.steps} experts={len(experts)} mode={args.mode} "
-          f"confidence={args.confidence} "
-          f"avg_loss={metrics['final_average_loss']:.6g}")
-    if args.alpha == 0.0 and metrics["bound_satisfied"] is not True:
+          f"confidence={args.confidence} avg_loss={average:.6g}")
+    if code:
         print("discounted regret bound violated", file=sys.stderr)
-        return 1
-    return 0
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--train", help="training CSV")
     pl.add_argument("--test", help="testing CSV")
     pl.add_argument("--data", help="single CSV to split by --split")
-    pl.add_argument("--split", help="ISO timestamp boundary for --data")
+    pl.add_argument("--split", type=datetime.fromisoformat,
+                    help="ISO timestamp boundary for --data")
     pl.add_argument("--confidence", choices=("smooth", "binary", "off"),
                     default="smooth")
     pl.add_argument("--components", type=int, default=2)
@@ -462,11 +431,6 @@ def _validate(parser, args) -> None:
             parser.error("give either --data [--split] or --train with --test")
         if args.train and not args.test:
             parser.error("--train requires --test")
-        if args.split:
-            try:
-                datetime.fromisoformat(args.split)
-            except ValueError:
-                parser.error(f"--split is not an ISO timestamp: {args.split!r}")
         if len(args.delimiter) != 1:
             parser.error("--delimiter must be one character")
         if args.components not in (1, 2, 3):

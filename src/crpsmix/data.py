@@ -50,7 +50,8 @@ class MixtureSchedule:
         w = np.array(self.weights, dtype=float)
         if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
             raise ValueError("weights must be a (steps, generators) matrix")
-        if w.min() < 0 or np.max(np.abs(w.sum(axis=1) - 1.0)) > 1e-12:
+        # written so that a NaN fails the test
+        if not (w.min() >= 0 and np.max(np.abs(w.sum(axis=1) - 1.0)) <= 1e-12):
             raise ValueError("every row must be a probability vector")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)

@@ -94,6 +94,8 @@ class Gmm2D:
             raise ValueError(f"component count must be 1..3, got {k}")
         if m.shape != (k, 2) or c.shape != (k, 2, 2):
             raise ValueError("means must be (k, 2) and covariances (k, 2, 2)")
+        if not all(np.isfinite(arr).all() for arr in (w, m, c)):
+            raise ValueError("mixture parameters must be finite")
         if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("component weights must be positive and sum to 1")
         dets = c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0]

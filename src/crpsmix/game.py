@@ -191,10 +191,8 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
     y = np.array([_check_outcome(domain, v) for v in outcomes])
     steps, c, d = len(y), len(configs), domain.d
     grid, delta = domain.grid, domain.delta
-    # inside, the "aa" configurations come first, so each rule takes a slice
-    order = sorted(range(c), key=lambda i: configs[i].mode != "aa")
-    place = [order.index(i) for i in range(c)]  # where each configuration sits inside
-    na = sum(cfg.mode == "aa" for cfg in configs)
+    aa = np.array([cfg.mode == "aa" for cfg in configs])  # the substitution configurations
+    na = int(np.count_nonzero(aa))
     repair = np.zeros(c)  # largest repair of an expert matrix or forecast
 
     def checked(vals):  # a new (k, N, d) float array
@@ -225,8 +223,8 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
     awake, feedback = p.any(axis=1).tobytes(), _reads_learner_loss(p).tobytes()
     with np.errstate(divide="ignore"):
         log_p = np.log(p)  # -inf for a sleeper: exp gives it weight 0
-    eta = np.array([[configs[i].eta] for i in order])
-    step = confidence_step(eta, np.array([[configs[i].alpha] for i in order]), n)
+    eta = np.array([[cfg.eta] for cfg in configs])
+    step = confidence_step(eta, np.array([[cfg.alpha] for cfg in configs]), n)
     lw = np.full((c, n), -math.log(n))  # the (C, N) log weights
     h = np.empty((steps, c))
     losses = np.empty((steps, n))
@@ -268,15 +266,15 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
             f = np.empty((k, c, d))
             if na:
                 a, b = tables
-                f[:, :na] = substitute_tables(
-                    (a[j0:j1, None], b[j0:j1, None]), q[:, :na], SQUARE_LOSS_ETA)
+                f[:, aa] = substitute_tables(
+                    (a[j0:j1, None], b[j0:j1, None]), q[:, aa], SQUARE_LOSS_ETA)
             if na < c:
-                f[:, na:] = np.matmul(q[:, na:, None, :], vals[:, None])[..., 0, :]
+                f[:, ~aa] = np.matmul(q[:, ~aa, None, :], vals[:, None])[..., 0, :]
             try:
                 change = repair_cdf(f)
             except ValueError:
                 for ft in f:  # the first substitution at fault, step by step
-                    for i in range(na):
+                    for i in np.flatnonzero(aa):
                         _check_substitution(ft[i])
                 raise
             if not isinstance(change, float):  # 0.0: nothing repaired
@@ -287,16 +285,16 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
                 lw = step(lw, p[last] * losses[last] + (1.0 - p[last]) * h[last, :, None])
             for s in range(t, t + k):
                 if s + 1 in keep:
-                    kept[s + 1] = [GridCDF(domain, f[s - t, j]) for j in place]
+                    kept[s + 1] = [GridCDF(domain, row) for row in f[s - t]]
             t, j0 = t + k, j1
     if t < steps:
         raise ValueError(f"expert stream is shorter than the {steps} outcomes")
     _check_losses(h, losses)
     logs = [
-        GameLog(n, configs[i].eta,
+        GameLog(n, cfg.eta,
                 np.column_stack([y, h[:, j], losses, p, wq[:, 1, j], wq[:, 0, j]]),
                 max_cdf_repair=float(repair[j]))
-        for i, j in enumerate(place)
+        for j, cfg in enumerate(configs)
     ]
     return logs, kept
 

@@ -252,6 +252,15 @@ class TestCombineWa:
         assert np.all(out <= stack.max(axis=0) + 1e-12)
         assert np.all(np.diff(out) >= -1e-15)
 
+    @pytest.mark.parametrize("q", [[math.nan, 0.5], [0.5, math.nan], [math.nan, math.nan]])
+    def test_nan_weights_rejected(self, q):
+        # averaging and vector substitution share one weight check
+        m = np.stack([np.linspace(0.0, 1.0, 8), np.linspace(0.0, 1.0, 8) ** 2])
+        with pytest.raises(ValueError, match="probability vector"):
+            combine_wa(m, q)
+        with pytest.raises(ValueError, match="probability vector"):
+            substitute_vector_aa(m, q, 2.0)
+
 
 class TestSuperprediction:
     def test_equal_losses(self):

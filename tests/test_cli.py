@@ -68,6 +68,17 @@ def assert_regret_headroom(manifest, out):
     assert float(manifest["metric_min_regret_headroom"]) == float(rows[0]["bound"]) - peak
 
 
+def assert_metric_order(manifest, n, own):
+    """The manifest's metric keys, in order: the regret numbers of `n`
+    experts, the command's `own` keys, then headroom, repair and feedback."""
+    regret = (["steps", "final_learner_loss", "min_expert_loss", "final_regret_vs_best",
+               "regret_bound"]
+              + [f"expert_{i}_loss" for i in range(1, n + 1)] + ["bound_satisfied"])
+    last = ["min_regret_headroom", "max_cdf_repair", "feedback_steps"]
+    keys = [k.removeprefix("metric_") for k in manifest if k.startswith("metric_")]
+    assert keys == regret + own + last
+
+
 def assert_game_log_rebuilds_the_summaries(out):
     """H, L_i and D_i, rebuilt from game_log.csv alone by the README's
     recipes, equal regret_report.csv and the manifest's learner loss and
@@ -111,6 +122,17 @@ class TestSynth:
             0.5 * math.log(3)
         )
         assert "metric_loss_normalized_vs_wa_alpha0" in manifest
+
+    @pytest.mark.parametrize("mode, bound_keys", [
+        ("aa", ["bound_expression"]),
+        ("wa", ["bound_expression", "bound_wa_form"]),
+    ])
+    def test_manifest_key_order(self, tmp_path, mode, bound_keys):
+        out = tmp_path / "run"
+        assert run_cli(*SYNTH_FLAGS, "--mode", mode, "--out", str(out)) == 0
+        own = ["wa_alpha0_baseline_loss", "loss_normalized_vs_wa_alpha0", *bound_keys,
+               "asleep_steps"]
+        assert_metric_order(read_manifest(out / "manifest.txt"), 3, own)
 
     def test_deterministic_outputs(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -314,6 +336,13 @@ class TestLoad:
         assert float(manifest["metric_min_regret_headroom"]) > 0.0
         # the roster's rows reach `replay` unchecked: their clamps are counted
         assert 0.0 < float(manifest["metric_max_cdf_repair"]) <= 1e-12
+
+    def test_manifest_key_order(self, load_run):
+        _, out = load_run
+        own = ["n_experts", "n_fit_failures", "em_fits_at_max_iter", "domain_b",
+               "final_average_loss", "asleep_steps", "test_outcomes_clipped",
+               "roster_evaluations"]
+        assert_metric_order(read_manifest(out / "manifest.txt"), 21, own)
 
     def test_whole_degree_run_matches_per_step_roster(self, tmp_path):
         # the replay cmd_load ran before the windowed roster stream: one

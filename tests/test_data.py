@@ -51,6 +51,11 @@ class TestSchedules:
         with pytest.raises(ValueError):
             rotating_leader_schedule(0, 3, 2)
 
+    @pytest.mark.parametrize("bad", [[[np.nan, 0.5]], [[0.5, 0.5], [np.nan, np.nan]]])
+    def test_nan_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="probability vector"):
+            MixtureSchedule(bad)
+
 
 class TestSynthStream:
     def test_single_leader_confines_support(self):

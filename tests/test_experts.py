@@ -404,6 +404,16 @@ class TestConditionalLoadCdf:
         with pytest.raises(ValueError):
             make_gmm([1.0], [[0, 0]], [[[1.0, 2.0], [2.0, 1.0]]])  # not PD
 
+    @pytest.mark.parametrize("line", [
+        "nan nan nan nan nan nan",
+        "1.0 nan 0.0 1.0 0.0 1.0",  # a NaN mean, every other field valid
+        "1.0 0.0 inf 1.0 0.0 1.0",
+        "1.0 0.0 0.0 1.0 0.0 nan",
+    ])
+    def test_gmm_rejects_non_finite_parameters(self, line):
+        with pytest.raises(ValueError, match="finite"):
+            Gmm2D.from_text(f"1\n{line}\n")
+
 
 class TestConfidenceSchedule:
     """The specialists' confidence schedule, `roster.periodic_ramp`."""

@@ -266,13 +266,16 @@ class TestReplay:
         p[rng.random((T, n)) < 0.3] = 0.0
         p[5::11] = 0.0  # all asleep
         y = rng.random(T)
-        configs = [
-            GameConfig(dom, mode=m, alpha=a)
-            for m in ("aa", "wa") for a in (0.0, 0.001, 0.01, 0.2)
-        ]
-        chunks = iter([matrices[:7], matrices[7:]])
-        logs = assert_replay_matches_reference(configs, matrices, y, p, chunks=chunks)
-        assert all(log.asleep_steps == 27 for log in logs)
+        alphas = (0.0, 0.001, 0.01, 0.2)
+        grouped = [GameConfig(dom, mode=m, alpha=a) for m in ("aa", "wa") for a in alphas]
+        # the rules alternate, "wa" first, each alpha once per rule
+        interleaved = [GameConfig(dom, mode=m, alpha=a) for m, a in (
+            ("wa", 0.2), ("aa", 0.0), ("wa", 0.01), ("aa", 0.001),
+            ("wa", 0.001), ("aa", 0.01), ("wa", 0.0), ("aa", 0.2))]
+        for configs in (grouped, interleaved):
+            chunks = iter([matrices[:7], matrices[7:]])
+            logs = assert_replay_matches_reference(configs, matrices, y, p, chunks=chunks)
+            assert all(log.asleep_steps == 27 for log in logs)
 
     def test_synth_matrix_at_full_grid_is_exact(self):
         dom, cdfs, y = synth_setup(T=300, d=1024)
