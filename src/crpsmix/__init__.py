@@ -16,7 +16,6 @@ from .data import (
     CsvSchema,
     LoadRecord,
     MixtureSchedule,
-    calendar_segments,
     default_generators,
     load_csv,
     rotating_leader_schedule,

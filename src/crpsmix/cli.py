@@ -10,8 +10,8 @@ Subcommands:
 
 All outputs are CSV plus a flat key=value manifest; plotting is left to
 downstream tools.  Exit codes: 0 success, 1 property/bound failure,
-2 usage, 3 I/O or data (unreadable input, or a training span too short
-to fit the roster).
+2 usage, 3 I/O or data (unreadable input, a training span too short
+to fit the roster, or an allocation that fails).
 """
 
 from __future__ import annotations
@@ -460,6 +460,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # such as a --grid too large to allocate
+        print(f"cannot allocate: {exc}", file=sys.stderr)
         return 3
 
 

@@ -1,5 +1,5 @@
 """Synthetic outcome streams sampled from time-varying triangular mixtures,
-and ingestion of hourly load/temperature series with calendar labels."""
+and ingestion of hourly load/temperature series."""
 
 from __future__ import annotations
 
@@ -15,19 +15,6 @@ from .experts import TriangularExpert
 from .rng import rng_from_seed
 
 logger = logging.getLogger(__name__)
-
-SEASON_NAMES = ("winter", "spring", "summer", "autumn")
-DAY_PERIOD_NAMES = ("night", "morning", "day", "evening")
-
-#: Meteorological quarters: Dec-Feb, Mar-May, Jun-Aug, Sep-Nov.
-DEFAULT_SEASON_OF_MONTH = {
-    12: 0, 1: 0, 2: 0,
-    3: 1, 4: 1, 5: 1,
-    6: 2, 7: 2, 8: 2,
-    9: 3, 10: 3, 11: 3,
-}
-
-DAY_PERIOD_HOURS = 6  # night 00-05, morning 06-11, day 12-17, evening 18-23
 
 _MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 _CUM_MONTH_HOURS = tuple(int(x) for x in np.concatenate(([0], np.cumsum(_MONTH_DAYS) * 24)))
@@ -127,6 +114,7 @@ def synth_stream(generators, schedule: MixtureSchedule, steps: int, seed: int) -
         raise ValueError("schedule width must match the generator count")
     rng = rng_from_seed(seed)
     cum = np.cumsum(schedule.weights[:steps], axis=1)
+    cum[:, -1] = 1.0  # a row may sum to 1e-12 short of 1, below a draw
     picks = (rng.random(steps)[:, None] > cum).sum(axis=1)
     left = np.array([g.left for g in generators])[picks]
     peak = np.array([g.peak for g in generators])[picks]
@@ -289,45 +277,7 @@ def default_test_boundary(records) -> datetime:
     return records[-HOURS_PER_YEAR].timestamp
 
 
-def season_of_month(month: int) -> int:
-    return DEFAULT_SEASON_OF_MONTH[month]
-
-
-def day_period_of_hour(hour: int) -> int:
-    return hour // DAY_PERIOD_HOURS
-
-
-def calendar_segments(records) -> np.ndarray:
-    """(n, 2) integer labels: season index and day-period index per record."""
-    out = np.empty((len(records), 2), dtype=int)
-    for i, r in enumerate(records):
-        out[i, 0] = season_of_month(r.timestamp.month)
-        out[i, 1] = day_period_of_hour(r.timestamp.hour)
-    return out
-
-
 def hour_of_year(ts: datetime) -> int:
     """Hour index in a fixed 365-day year; Feb 29 counts as Feb 28."""
     day = min(ts.day, _MONTH_DAYS[ts.month - 1])
     return _CUM_MONTH_HOURS[ts.month - 1] + (day - 1) * 24 + ts.hour
-
-
-def season_hour_interval(season: int):
-    """(start_hour, end_hour_inclusive, duration) of a season within the
-    fixed year; the interval may extend past HOURS_PER_YEAR when the
-    season wraps December into the new year."""
-    months = [m for m in range(1, 13) if DEFAULT_SEASON_OF_MONTH[m] == season]
-    if not months:
-        raise ValueError(f"no months mapped to season {season}")
-    member = set(months)
-    # first month whose cyclic predecessor is outside the season
-    start_month = next(m for m in months if ((m - 2) % 12) + 1 not in member)
-    duration = sum(_MONTH_DAYS[m - 1] * 24 for m in months)
-    start = _CUM_MONTH_HOURS[start_month - 1]
-    return start, start + duration - 1, duration
-
-
-def day_period_hour_interval(period: int):
-    """(start_hour, end_hour_inclusive, duration) of a day period."""
-    start = period * DAY_PERIOD_HOURS
-    return start, start + DAY_PERIOD_HOURS - 1, DAY_PERIOD_HOURS

@@ -126,6 +126,8 @@ class Gmm2D:
     @classmethod
     def from_text(cls, text: str) -> "Gmm2D":
         lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+        if not lines:
+            raise ValueError("empty model text")
         k = int(lines[0])
         if len(lines) != k + 1:
             raise ValueError(f"expected {k} component lines, got {len(lines) - 1}")

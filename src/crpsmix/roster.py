@@ -11,17 +11,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (
-    DAY_PERIOD_NAMES,
-    HOURS_PER_YEAR,
-    SEASON_NAMES,
-    calendar_segments,
-    day_period_hour_interval,
-    hour_of_year,
-    season_hour_interval,
-)
+from .data import HOURS_PER_YEAR, hour_of_year
 from .experts import Gmm2D, fit_gmm_ems, load_cdf_values, stack_models
 from .grids import GridDomain
+
+#: The specialists' areas, as inclusive (start, end) hours: the quarters
+#: Dec-Feb, Mar-May, Jun-Aug and Sep-Nov of the fixed year of
+#: `hour_of_year` (winter runs past its end into January), and the six-hour
+#: periods of the day.
+SEASONS = {"winter": (8016, 10175), "spring": (1416, 3623),
+           "summer": (3624, 5831), "autumn": (5832, 8015)}
+DAY_PERIODS = {"night": (0, 5), "morning": (6, 11), "day": (12, 17), "evening": (18, 23)}
 
 DAY_RAMP_HOURS = 2.0  # confidence decrease of a daily expert
 
@@ -68,7 +68,8 @@ def build_load_roster(
     seed: int = 0,
     confidence: str = "smooth",
 ):
-    """Fit the full roster on labeled training records.
+    """Fit the full roster on training records: each expert on the records
+    in its area, where its binary confidence is 1.
 
     confidence "smooth" uses half-season / two-hour ramps, "binary" uses
     no ramps (experts sleep outside their exact training domain), and
@@ -78,31 +79,34 @@ def build_load_roster(
     """
     if confidence not in ("smooth", "binary", "off"):
         raise ValueError(f"confidence must be smooth, binary or off, got {confidence!r}")
-    labels = calendar_segments(train_records)
     points = np.array([(r.temperature, r.load) for r in train_records])
+    hours_of_year, hours = _calendar_hours([r.timestamp for r in train_records])
+    in_season = {s: periodic_ramp(hours_of_year, *SEASONS[s], 0.0, HOURS_PER_YEAR) == 1.0
+                 for s in SEASONS}
+    in_period = {p: periodic_ramp(hours, *DAY_PERIODS[p], 0.0, 24) == 1.0 for p in DAY_PERIODS}
 
     season_ramp = {"smooth": 0.5, "binary": 0.0}.get(confidence)
     day_ramp = {"smooth": DAY_RAMP_HOURS, "binary": 0.0}.get(confidence)
 
     specs = [("expert01_anytime", None, None)]
-    for s, sname in enumerate(SEASON_NAMES):
-        specs.append((f"expert{len(specs) + 1:02d}_{sname}", s, None))
-    for s, sname in enumerate(SEASON_NAMES):
-        for p, pname in enumerate(DAY_PERIOD_NAMES):
-            specs.append((f"expert{len(specs) + 1:02d}_{sname}_{pname}", s, p))
+    for s in SEASONS:
+        specs.append((f"expert{len(specs) + 1:02d}_{s}", s, None))
+    for s in SEASONS:
+        for p in DAY_PERIODS:
+            specs.append((f"expert{len(specs) + 1:02d}_{s}_{p}", s, p))
 
     seeds = [int(x) for x in np.random.SeedSequence(seed).generate_state(len(specs))]
     segments = []
     for _, s, p in specs:
         mask = np.ones(len(points), dtype=bool)
         if s is not None:
-            mask &= labels[:, 0] == s
+            mask &= in_season[s]
         if p is not None:
-            mask &= labels[:, 1] == p
+            mask &= in_period[p]
         segments.append(points[mask])
     # one lockstep fit per level: the season-by-day-period experts in a
     # child process while this one fits the anytime expert and the seasons
-    periods = 1 + len(SEASON_NAMES)
+    periods = 1 + len(SEASONS)
     with _ForkedFit(segments[periods:], components, seeds[periods:]) as child:
         fits = fit_gmm_ems(segments[:1], components, seeds[:1])
         fits += fit_gmm_ems(segments[1:periods], components, seeds[1:periods])
@@ -118,11 +122,10 @@ def build_load_roster(
         sched_s = sched_d = None
         if confidence != "off":
             if s is not None:
-                start, end, duration = season_hour_interval(s)
-                sched_s = (start, end, season_ramp * duration)
+                start, end = SEASONS[s]
+                sched_s = (start, end, season_ramp * (end - start + 1))
             if p is not None:
-                start, end, _ = day_period_hour_interval(p)
-                sched_d = (start, end, day_ramp)
+                sched_d = (*DAY_PERIODS[p], day_ramp)
         experts.append(
             LoadExpert(name=name, model=model, season_schedule=sched_s, day_schedule=sched_d,
                        fit_points=len(segment), fit_history=history)
@@ -207,8 +210,7 @@ def roster_confidences(experts, timestamps) -> np.ndarray:
     """(T, N) confidences at the timestamps: each expert's season schedule
     over the hour-of-year times its day schedule over the hour, 1 where it
     has none."""
-    hours_of_year = np.array([hour_of_year(ts) for ts in timestamps], dtype=float)
-    hours = np.array([ts.hour for ts in timestamps], dtype=float)
+    hours_of_year, hours = _calendar_hours(timestamps)
     out = np.ones((len(hours), len(experts)))
     for i, e in enumerate(experts):
         if e.season_schedule is not None:
@@ -216,6 +218,12 @@ def roster_confidences(experts, timestamps) -> np.ndarray:
         if e.day_schedule is not None:
             out[:, i] *= periodic_ramp(hours, *e.day_schedule, 24)
     return out
+
+
+def _calendar_hours(timestamps):
+    """The hours of the year and of the day at the timestamps, as floats."""
+    return (np.array([hour_of_year(ts) for ts in timestamps], dtype=float),
+            np.array([ts.hour for ts in timestamps], dtype=float))
 
 
 class RosterStream:

@@ -179,6 +179,22 @@ def random_cdf_values(rng: np.random.Generator, d: int) -> np.ndarray:
     return vals
 
 
+#: The month-based calendar the roster's areas must agree with:
+#: meteorological quarters by month, and six-hour periods of the day.
+REFERENCE_SEASON_OF_MONTH = {
+    12: "winter", 1: "winter", 2: "winter",
+    3: "spring", 4: "spring", 5: "spring",
+    6: "summer", 7: "summer", 8: "summer",
+    9: "autumn", 10: "autumn", 11: "autumn",
+}
+REFERENCE_DAY_PERIODS = ("night", "morning", "day", "evening")  # 00-05, ..., 18-23
+
+
+def reference_area(ts) -> tuple[str, str]:
+    """(season, day period) of a timestamp by its month and hour."""
+    return REFERENCE_SEASON_OF_MONTH[ts.month], REFERENCE_DAY_PERIODS[ts.hour // 6]
+
+
 def reference_schedule_at(t: float, start, end, ramp, period) -> float:
     """`roster.periodic_ramp` evaluated one scalar at a time in plain
     Python: the wrap candidates, each one's plateau or ramp, combined by

@@ -238,6 +238,15 @@ class TestSynth:
         assert run_cli("synth", "--method", "1", "--steps", "50", "--grid", "32") == 0
         assert (tmp_path / "env_out" / "manifest.txt").exists()
 
+    def test_allocation_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        def replay(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(cli_mod, "replay", replay)
+        code = main(["synth", "--method", "1", "--steps", "10", "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert capsys.readouterr().err == "cannot allocate: Unable to allocate 7.28 TiB\n"
+
 
 @pytest.fixture(scope="module")
 def load_run(demo_load_csv, tmp_path_factory):

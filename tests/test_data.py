@@ -5,23 +5,22 @@ import pytest
 from scipy import stats
 
 from crpsmix.data import (
+    HOURS_PER_YEAR,
     CsvSchema,
     LoadRecord,
     MixtureSchedule,
-    calendar_segments,
-    day_period_of_hour,
     default_generators,
     default_test_boundary,
     hour_of_year,
     load_csv,
     rotating_leader_schedule,
-    season_hour_interval,
-    season_of_month,
     smooth_crossfade_schedule,
     split_train_test,
     synth_stream,
     write_demo_load_csv,
 )
+from crpsmix import data
+from crpsmix.roster import DAY_PERIODS, SEASONS, periodic_ramp
 
 
 class TestSchedules:
@@ -89,6 +88,21 @@ class TestSynthStream:
         probs = np.diff(cdf_at(edges))
         res = stats.chisquare(counts, probs * y.size)
         assert res.pvalue > 1e-3
+
+    def test_draw_past_a_short_row_picks_its_last_generator(self, monkeypatch):
+        # the row ends 5e-13 short of 1, inside MixtureSchedule's tolerance,
+        # and the draw lies above its last cumulative weight
+        class Draws:
+            def random(self, n):
+                return np.full(n, 1 - 2**-53)
+
+            def triangular(self, left, peak, right):
+                return peak
+
+        monkeypatch.setattr(data, "rng_from_seed", lambda seed: Draws())
+        gens = default_generators()
+        sched = MixtureSchedule([[0.5, 0.25, 0.25 - 5e-13]])
+        assert synth_stream(gens, sched, 1, seed=0).tolist() == [gens[2].peak]
 
     def test_schedule_must_cover_steps(self):
         gens = default_generators()
@@ -234,33 +248,15 @@ class TestSplitAndCalendar:
         assert len(test) == 8760
         assert len(train) == 10_000 - 8760
 
-    def test_day_period_convention(self):
-        assert [day_period_of_hour(h) for h in (0, 5, 6, 11, 12, 17, 18, 23)] == [
-            0, 0, 1, 1, 2, 2, 3, 3,
-        ]
-
-    def test_season_convention(self):
-        assert season_of_month(12) == 0 and season_of_month(2) == 0
-        assert season_of_month(3) == 1 and season_of_month(7) == 2
-        assert season_of_month(10) == 3
-
-    def test_july_noon_label(self):
-        rec = LoadRecord(datetime(2011, 7, 15, 12), 1.0, 1.0)
-        labels = calendar_segments([rec])
-        assert labels[0].tolist() == [2, 2]  # summer, day
-
     def test_full_year_covers_every_cell(self):
-        records = self.make_records(8760, start=datetime(2013, 1, 1))
-        labels = calendar_segments(records)
-        cells = {(s, p) for s, p in labels}
-        assert len(cells) == 16
-
-    def test_labels_partition(self):
-        records = self.make_records(500)
-        labels = calendar_segments(records)
-        assert labels.shape == (500, 2)
-        assert labels[:, 0].min() >= 0 and labels[:, 0].max() <= 3
-        assert labels[:, 1].min() >= 0 and labels[:, 1].max() <= 3
+        # every season-by-day-period area of the roster holds hours of a year
+        stamps = [r.timestamp for r in self.make_records(8760, start=datetime(2013, 1, 1))]
+        hours_of_year = np.array([hour_of_year(ts) for ts in stamps])
+        hours = np.array([ts.hour for ts in stamps])
+        for season in SEASONS.values():
+            in_season = periodic_ramp(hours_of_year, *season, 0.0, HOURS_PER_YEAR) == 1.0
+            for period in DAY_PERIODS.values():
+                assert np.any(in_season & (periodic_ramp(hours, *period, 0.0, 24) == 1.0))
 
 
 class TestHourOfYear:
@@ -275,11 +271,15 @@ class TestHourOfYear:
         )
 
     def test_season_intervals(self):
-        start, end, dur = season_hour_interval(2)  # summer: Jun-Aug
-        assert start == hour_of_year(datetime(2010, 6, 1, 0))
-        assert dur == (30 + 31 + 31) * 24
-        assert end == start + dur - 1
-        w_start, w_end, w_dur = season_hour_interval(0)  # winter wraps
-        assert w_start == hour_of_year(datetime(2010, 12, 1, 0))
-        assert w_dur == (31 + 31 + 28) * 24
-        assert w_end == w_start + w_dur - 1  # extends past the year end
+        # the roster's seasons: the quarters from Dec, Mar, Jun and Sep 1
+        first_months = {"winter": (12, 3), "spring": (3, 6), "summer": (6, 9), "autumn": (9, 12)}
+        for name, (first, after) in first_months.items():
+            start, end = SEASONS[name]
+            assert start == hour_of_year(datetime(2010, first, 1, 0))
+            assert (end + 1) % HOURS_PER_YEAR == hour_of_year(datetime(2010, after, 1, 0))
+        start, end = SEASONS["summer"]
+        assert end + 1 - start == (30 + 31 + 31) * 24
+        start, end = SEASONS["winter"]
+        assert end + 1 - start == (31 + 31 + 28) * 24
+        assert end >= HOURS_PER_YEAR  # extends past the year end
+        assert sum(end + 1 - start for start, end in SEASONS.values()) == HOURS_PER_YEAR

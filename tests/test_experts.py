@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crpsmix.data import calendar_segments, load_csv, write_demo_load_csv
+from crpsmix.data import load_csv, write_demo_load_csv
 from crpsmix import experts
 from crpsmix.experts import (
     EM_MAX_ITER,
@@ -22,7 +22,8 @@ from crpsmix.grids import GridDomain
 from crpsmix.roster import periodic_ramp
 from crpsmix.rng import rng_from_seed
 
-from conftest import conditional_load_cdfs, reference_fit_gmm_em, reference_schedule_at
+from conftest import (conditional_load_cdfs, reference_area, reference_fit_gmm_em,
+                      reference_schedule_at)
 
 
 def tri_density(e: TriangularExpert, u):
@@ -145,9 +146,8 @@ def demo_year_segment(tmp_path_factory):
     runs to EM_MAX_ITER."""
     path = write_demo_load_csv(tmp_path_factory.mktemp("em") / "year.csv", hours=8760)
     records, _ = load_csv(path)
-    labels = calendar_segments(records)
-    pts = np.array([(r.temperature, r.load) for r in records])
-    return pts[(labels[:, 0] == 2) & (labels[:, 1] == 2)]
+    return np.array([(r.temperature, r.load) for r in records
+                     if reference_area(r.timestamp) == ("summer", "day")])
 
 
 def _em_sets(demo_year_segment):
@@ -404,15 +404,19 @@ class TestConditionalLoadCdf:
         with pytest.raises(ValueError):
             make_gmm([1.0], [[0, 0]], [[[1.0, 2.0], [2.0, 1.0]]])  # not PD
 
-    @pytest.mark.parametrize("line", [
-        "nan nan nan nan nan nan",
-        "1.0 nan 0.0 1.0 0.0 1.0",  # a NaN mean, every other field valid
-        "1.0 0.0 inf 1.0 0.0 1.0",
-        "1.0 0.0 0.0 1.0 0.0 nan",
+    @pytest.mark.parametrize("text, match", [
+        *(pytest.param(f"1\n{line}\n", "finite", id=line) for line in (
+            "nan nan nan nan nan nan",
+            "1.0 nan 0.0 1.0 0.0 1.0",  # a NaN mean, every other field valid
+            "1.0 0.0 inf 1.0 0.0 1.0",
+            "1.0 0.0 0.0 1.0 0.0 nan",
+        )),
+        pytest.param("", "empty", id="empty"),
+        pytest.param("  \n", "empty", id="blank"),
     ])
-    def test_gmm_rejects_non_finite_parameters(self, line):
-        with pytest.raises(ValueError, match="finite"):
-            Gmm2D.from_text(f"1\n{line}\n")
+    def test_gmm_rejects_non_finite_parameters(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            Gmm2D.from_text(text)
 
 
 class TestConfidenceSchedule:

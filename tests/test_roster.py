@@ -11,14 +11,10 @@ import pytest
 from scipy.special import logsumexp, ndtr
 
 from crpsmix.data import (
-    DAY_PERIOD_NAMES,
     HOURS_PER_YEAR,
-    SEASON_NAMES,
-    calendar_segments,
-    day_period_hour_interval,
+    LoadRecord,
     hour_of_year,
     load_csv,
-    season_hour_interval,
     split_train_test,
     write_demo_load_csv,
 )
@@ -27,7 +23,9 @@ from crpsmix import experts as experts_mod, roster
 from crpsmix.grids import GridCDF, GridDomain, repair_cdf
 from crpsmix.roster import (
     BATCH_ARGUMENT_BYTES,
+    DAY_PERIODS,
     DAY_RAMP_HOURS,
+    SEASONS,
     WINDOW_TABLE_BYTES,
     RosterStream,
     build_load_roster,
@@ -35,7 +33,8 @@ from crpsmix.roster import (
     roster_confidences,
 )
 
-from conftest import conditional_load_cdfs, reference_fit_gmm_em, reference_schedule_at
+from conftest import (conditional_load_cdfs, reference_area, reference_fit_gmm_em,
+                      reference_schedule_at)
 
 
 def reference_load_cdf(g, temp, domain):
@@ -78,17 +77,14 @@ def demo_year(tmp_path_factory):
 
 
 def expert_segment(name, records):
-    """The (temperature, load) points of an expert's calendar segment,
-    read from its name: expert01_anytime, expert02_winter, ...,
-    expert21_autumn_evening."""
+    """The (temperature, load) points of an expert's calendar segment by
+    the month-based reference, read from its name: expert01_anytime,
+    expert02_winter, ..., expert21_autumn_evening."""
     _, *parts = name.split("_")
-    labels = calendar_segments(records)
-    mask = np.ones(len(records), dtype=bool)
-    if parts != ["anytime"]:
-        mask &= labels[:, 0] == SEASON_NAMES.index(parts[0])
-    if len(parts) == 2:
-        mask &= labels[:, 1] == DAY_PERIOD_NAMES.index(parts[1])
-    return np.array([(r.temperature, r.load) for r in records])[mask]
+    if parts == ["anytime"]:
+        parts = []
+    return np.array([(r.temperature, r.load) for r in records
+                     if list(reference_area(r.timestamp)[:len(parts)]) == parts])
 
 
 class TestSchedules:
@@ -160,13 +156,13 @@ class TestSchedules:
             _, *parts = e.name.split("_")
             if mode == "off" or parts == ["anytime"]:
                 continue
-            start, end, duration = season_hour_interval(SEASON_NAMES.index(parts[0]))
-            season = [reference_schedule_at(float(h), start, end, season_scale * duration,
+            start, end = SEASONS[parts[0]]
+            season = [reference_schedule_at(float(h), start, end,
+                                            season_scale * (end - start + 1),
                                             HOURS_PER_YEAR) for h in range(HOURS_PER_YEAR)]
             want[:, i] *= np.array(season)[hours_of_year]
             if len(parts) == 2:
-                start, end, _ = day_period_hour_interval(DAY_PERIOD_NAMES.index(parts[1]))
-                day = [reference_schedule_at(float(h), start, end, day_ramp, 24)
+                day = [reference_schedule_at(float(h), *DAY_PERIODS[parts[1]], day_ramp, 24)
                        for h in range(24)]
                 want[:, i] *= np.array(day)[hours]
         np.testing.assert_array_equal(got, want)
@@ -369,12 +365,12 @@ class TestRosterFit:
     def test_failed_segments_drop_only_their_experts(self, demo_year):
         # summer made one repeated point fails its season and its four
         # periods; autumn evenings cut to 10 hours fail theirs
-        labels = calendar_segments(demo_year)
         train, evenings = [], 0
-        for r, (s, p) in zip(demo_year, labels):
-            if SEASON_NAMES[s] == "summer":
+        for r in demo_year:
+            season, period = reference_area(r.timestamp)
+            if season == "summer":
                 r = replace(r, temperature=70.0, load=100.0)
-            if (SEASON_NAMES[s], DAY_PERIOD_NAMES[p]) == ("autumn", "evening"):
+            if (season, period) == ("autumn", "evening"):
                 evenings += 1
                 if evenings > 10:
                     continue
@@ -399,6 +395,35 @@ class TestRosterFit:
             assert np.array_equal(e.model.means, model.means), e.name
             assert np.array_equal(e.model.covs, model.covs), e.name
             assert np.array_equal(e.model.weights, model.weights), e.name
+
+
+    def test_each_expert_trains_where_its_binary_confidence_is_1(self, monkeypatch):
+        # every hour of 2011-2013: Feb 29 2012 and two December wraps
+        stamps = [datetime(2011, 1, 1) + timedelta(hours=h) for h in range(1096 * 24)]
+        rng = np.random.default_rng(8)
+        loads, temps = rng.normal(100.0, 10.0, len(stamps)), rng.normal(50.0, 15.0, len(stamps))
+        records = [LoadRecord(*row) for row in zip(stamps, loads, temps)]
+        calls = []
+
+        def spy(point_sets, k, seeds):
+            calls.append(point_sets)
+            return fit_gmm_ems(point_sets, k, seeds)
+
+        monkeypatch.setattr(roster, "fit_gmm_ems", spy)
+        monkeypatch.delattr(os, "fork")  # the in-process branch: the spy sees every level
+        experts, failures = build_load_roster(records, components=1, seed=0, confidence="binary")
+        assert failures == [] and len(experts) == 21
+        periods, [anytime], seasons = calls  # the forked level starts first
+        segments = [anytime, *seasons, *periods]
+        points = np.array([(r.temperature, r.load) for r in records])
+        awake = roster_confidences(experts, stamps)
+        assert set(np.unique(awake)) == {0.0, 1.0}
+        # each hour lies in one season and one season-by-day-period area
+        assert np.all(awake[:, 1:5].sum(axis=1) == 1) and np.all(awake[:, 5:].sum(axis=1) == 1)
+        for e, segment, p in zip(experts, segments, awake.T, strict=True):
+            assert e.fit_points == len(segment)
+            assert segment.tobytes() == points[p == 1.0].tobytes(), e.name
+            assert segment.tobytes() == expert_segment(e.name, records).tobytes(), e.name
 
 
 class TestForkedLevel:

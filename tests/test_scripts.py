@@ -1,8 +1,11 @@
+import json
 import os
 import re
 import subprocess
 import sys
-from datetime import datetime
+from datetime import datetime, timedelta
+
+import pytest
 
 import crpsmix
 from crpsmix.data import write_demo_load_csv
@@ -72,3 +75,25 @@ def test_readme_names_the_artifacts_each_run_writes(small_runs):
                        ("Hourly load forecasting", load)):
         written = {p.name + "/" if p.is_dir() else p.name for p in out.iterdir()}
         assert readme_artifacts(readme, title) == written, title
+
+
+@pytest.mark.parametrize("kind", ["load", "synth"])
+def test_setup_probe_runs_the_public_set_up_calls(tmp_path, kind):
+    # the benchmark's set-up probe calls build_load_roster and the synth
+    # set-up directly; a change to their signatures must fail here
+    if kind == "load":
+        start = datetime(2006, 2, 15)
+        data = write_demo_load_csv(tmp_path / "demo.csv", 1500 + 48, start, 3)
+        args = [str(data), (start + timedelta(hours=1500)).isoformat()]
+    else:
+        args = ["3", "60", "64", "6"]  # seed, steps, grid, segments
+    src = os.path.dirname(os.path.dirname(crpsmix.__file__))
+    proc = subprocess.run(
+        [sys.executable, os.path.join(REPO, "perfbench", "setup_probe.py"), kind, *args],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert {"setup_s", "import_s"} <= result.keys()
+    assert 0 <= result["import_s"] <= result["setup_s"]
