@@ -227,6 +227,13 @@ def _load_records(args, schema):
     else:
         train, rep_train = load_csv(args.train, schema)
         test, rep_test = load_csv(args.test, schema)
+        try:
+            overlap = test[0].timestamp <= train[-1].timestamp
+        except TypeError as exc:  # timezone-aware compared with naive
+            raise ValueError(f"--train and --test timestamps: {exc}") from exc
+        if overlap:
+            raise ValueError(f"test span starts at {test[0].timestamp.isoformat()}, not after "
+                             f"the training span ends ({train[-1].timestamp.isoformat()})")
         inputs = [args.train, args.test]
         reports = [("train", rep_train), ("test", rep_test)]
     top = max(r.load for r in train)

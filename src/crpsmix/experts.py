@@ -8,7 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .aggregation import logsumexp
+from .aggregation import logsumexp, normalized_weights
 from .grids import GridDomain
 from .rng import rng_from_seed
 
@@ -108,6 +108,10 @@ class Gmm2D:
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "covs", c)
+
+    def __reduce__(self):
+        # unpickled through the constructor: validated, and read-only again
+        return Gmm2D, (self.weights, self.means, self.covs)
 
     @property
     def k(self) -> int:
@@ -246,8 +250,10 @@ def fit_gmm_ems(point_sets, k: int, seeds) -> list:
     Each round is one pass over (G, k, w) arrays for the G fits still
     running, each set padded to the largest size w with points of
     responsibility 0; a fit's total log-likelihood sums its own points
-    only.  A fit leaves the stack when it stops or raises, so its result is
-    bit for bit that of fitting its set alone.
+    only.  Every fit in the stack runs the whole round (each batched
+    operation is per fit), then one pass decides each fit's fate, and the
+    fits that stop or raise leave the stack at one cut: each result is bit
+    for bit that of fitting its set alone.
 
     A set whose numbers overflow (points too far apart) raises
     DegenerateFit, and leaves the other fits' numbers as they are.
@@ -255,85 +261,65 @@ def fit_gmm_ems(point_sets, k: int, seeds) -> list:
     Returns, per set in order, (model, log-likelihood history) or the
     ValueError or DegenerateFit its fit raised.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # each fit checks its own
-        return _fit_lockstep(point_sets, k, seeds)
+    with np.errstate(all="ignore"):  # each fit checks its own numbers
+        results = [None] * len(point_sets)
+        starts = []
+        for i, (points, seed) in enumerate(zip(point_sets, seeds, strict=True)):
+            try:
+                starts.append((i, *_em_start(points, k, seed)))
+            except (ValueError, DegenerateFit) as exc:
+                results[i] = exc
+        if not starts:
+            return results
+        ids = np.array([i for i, *_ in starts])
+        n = np.array([len(p) for _, p, _, _ in starts])
+        pts = np.zeros((len(starts), n.max(), 2))
+        resp = np.zeros((len(starts), k, n.max()))
+        for g, (_, p, _, r) in enumerate(starts):
+            pts[g, : n[g]] = p
+            resp[g, :, : n[g]] = r
+        ridge = np.array([c for _, _, c, _ in starts])
+        histories = {i: [] for i in ids}
 
-
-def _fit_lockstep(point_sets, k: int, seeds) -> list:
-    results = [None] * len(point_sets)
-    starts = []
-    for i, (points, seed) in enumerate(zip(point_sets, seeds, strict=True)):
-        try:
-            starts.append((i, *_em_start(points, k, seed)))
-        except (ValueError, DegenerateFit) as exc:
-            results[i] = exc
-    if not starts:
-        return results
-    ids = np.array([i for i, *_ in starts])
-    n = np.array([len(p) for _, p, _, _ in starts])
-    pts = np.zeros((len(starts), n.max(), 2))
-    resp = np.zeros((len(starts), k, n.max()))
-    for g, (_, p, _, r) in enumerate(starts):
-        pts[g, : n[g]] = p
-        resp[g, :, : n[g]] = r
-    ridge = np.array([c for _, _, c, _ in starts])
-    prev_ll = np.full(len(ids), -np.inf)
-    histories = {i: [] for i in ids}
-
-    for rnd in range(EM_MAX_ITER + 1):
-        nk = np.cumsum(resp, axis=-1)[..., -1]  # sequential sums, as the reference's
-        collapsed = nk < 1e-10
-        if collapsed.any():
-            gone = np.flatnonzero(collapsed.any(axis=1))
-            for i in ids[gone]:
-                results[i] = DegenerateFit("a mixture component collapsed to zero mass")
-            ids, n, pts, ridge, prev_ll, resp, nk = (
-                np.delete(a, gone, axis=0) for a in (ids, n, pts, ridge, prev_ll, resp, nk))
-        if not len(ids):
-            break
-        weights, means, covs, dev = _m_step(pts, n, resp, nk, ridge)
-        if rnd == EM_MAX_ITER:
-            break
-
-        det = covs[..., 0, 0] * covs[..., 1, 1] - covs[..., 0, 1] * covs[..., 1, 0]
-        indefinite = det <= 0
-        if indefinite.any():
-            gone = np.flatnonzero(indefinite.any(axis=1))
-            for i in ids[gone]:
-                results[i] = DegenerateFit("covariance lost positive definiteness")
-            ids, n, pts, ridge, prev_ll, weights, means, covs, det, dev = (
-                np.delete(a, gone, axis=0)
-                for a in (ids, n, pts, ridge, prev_ll, weights, means, covs, det, dev))
-        log_joint = _e_step(weights, covs, det, dev)
-        row_ll = logsumexp(log_joint, axis=1)
-        gone = []
-        for g, i in enumerate(ids):
-            ll, prev = float(row_ll[g, : n[g]].sum()), float(prev_ll[g])
-            if not np.isfinite(ll):
-                results[i] = DegenerateFit("log-likelihood overflowed: points too far apart")
-                gone.append(g)
-                continue
-            if ll < prev - 1e-9 * max(1.0, abs(prev)):
-                results[i] = DegenerateFit(
-                    f"log-likelihood decreased ({prev} -> {ll}); fit is unstable"
-                )
-                gone.append(g)
-                continue
-            histories[i].append(ll)
-            if ll - prev < EM_TOL:
-                results[i] = _fitted(weights[g], means[g], covs[g], histories[i])
-                gone.append(g)
-            prev_ll[g] = ll
-        if gone:
-            ids, n, pts, ridge, prev_ll, log_joint, row_ll = (
-                np.delete(a, gone, axis=0)
-                for a in (ids, n, pts, ridge, prev_ll, log_joint, row_ll))
-        resp = np.exp(log_joint - row_ll[:, None])
-        if n.min(initial=pts.shape[1]) < pts.shape[1]:
-            resp *= np.arange(pts.shape[1]) < n[:, None, None]  # padding: exactly 0
-
-    for g, i in enumerate(ids):
-        results[i] = _fitted(weights[g], means[g], covs[g], histories[i])
+        for rnd in range(EM_MAX_ITER + 1):
+            nk = np.cumsum(resp, axis=-1)[..., -1]  # sequential sums, as the reference's
+            weights, means, covs, dev = _m_step(pts, n, resp, nk, ridge)
+            det = covs[..., 0, 0] * covs[..., 1, 1] - covs[..., 0, 1] * covs[..., 1, 0]
+            if rnd < EM_MAX_ITER:
+                log_joint = _e_step(weights, covs, det, dev)
+                row_ll = logsumexp(log_joint, axis=1)
+                resp = np.exp(log_joint - row_ll[:, None])
+                if n.min() < pts.shape[1]:
+                    resp *= np.arange(pts.shape[1]) < n[:, None, None]  # padding: exactly 0
+            collapsed, indefinite = (nk < 1e-10).any(axis=1), (det <= 0).any(axis=1)
+            gone = []
+            for g, i in enumerate(ids):
+                history, fate = histories[i], None
+                if collapsed[g]:
+                    fate = DegenerateFit("a mixture component collapsed to zero mass")
+                elif rnd == EM_MAX_ITER:
+                    fate = _fitted(weights[g], means[g], covs[g], history)
+                elif indefinite[g]:
+                    fate = DegenerateFit("covariance lost positive definiteness")
+                else:
+                    ll, prev = float(row_ll[g, : n[g]].sum()), history[-1] if history else -np.inf
+                    if not np.isfinite(ll):
+                        fate = DegenerateFit("log-likelihood overflowed: points too far apart")
+                    elif ll < prev - 1e-9 * max(1.0, abs(prev)):
+                        fate = DegenerateFit(
+                            f"log-likelihood decreased ({prev} -> {ll}); fit is unstable")
+                    else:
+                        history.append(ll)
+                        if ll - prev < EM_TOL:
+                            fate = _fitted(weights[g], means[g], covs[g], history)
+                if fate is not None:
+                    results[i] = fate
+                    gone.append(g)
+            if gone:
+                ids, n, pts, ridge, resp = (np.delete(a, gone, axis=0)
+                                            for a in (ids, n, pts, ridge, resp))
+            if not len(ids):
+                break
     return results
 
 
@@ -358,18 +344,18 @@ def stack_models(models) -> GmmStack:
     return GmmStack(*(np.stack([getattr(g, f) for g in models]) for f in GmmStack._fields))
 
 
-def _condition_on_temperature(models, temps):
+def _condition_on_temperature(models: GmmStack, temps):
     """Posterior component weights and per-component mean of load given
     each temperature, by exact bivariate-normal conditioning, each a
-    (..., N, k) array over the shape of `temps`, N models (a list of
-    `Gmm2D`, or their `GmmStack`) and k components per model; and the
-    (N, k) conditional variances, which do not depend on the temperature.
+    (..., N, k) array over the shape of `temps`, N stacked models and k
+    components per model; and the (N, k) conditional variances, which do
+    not depend on the temperature.
 
     Raises ConditioningError for a temperature that is not finite, or so
     far from every component of some model that all its densities vanish.
     """
     temps = np.asarray(temps, dtype=float)
-    weights, means, covs = models if isinstance(models, GmmStack) else stack_models(models)
+    weights, means, covs = models
     mu_t, mu_l = means[..., 0], means[..., 1]
     s_tt, s_tl, s_ll = covs[..., 0, 0], covs[..., 0, 1], covs[..., 1, 1]
     dt = temps[..., None, None] - mu_t
@@ -383,16 +369,15 @@ def _condition_on_temperature(models, temps):
             f"temperature {temp!r} is not finite, or too far from the fitted "
             "mixtures to condition the load on"
         )
-    post = np.exp(log_post - logsumexp(log_post, axis=-1)[..., None])
+    post = normalized_weights(log_post)
     cond_mean = mu_l + s_tl / s_tt * dt
     cond_var = s_ll - s_tl**2 / s_tt
     return post, cond_mean, cond_var
 
 
-def load_cdf_values(models, temps, domain: GridDomain) -> np.ndarray:
+def load_cdf_values(models: GmmStack, temps, domain: GridDomain) -> np.ndarray:
     """(..., N, d) load CDF values given each temperature, one row per model
-    (all with one component count; a list of `Gmm2D`, or their `GmmStack`
-    when the caller evaluates them again), from one vectorised normal-CDF
+    of the `GmmStack` (see `stack_models`), from one vectorised normal-CDF
     call; a scalar temperature gives (N, d), and each row has the bits of a
     call at its temperature alone.  Mass outside [a, b] goes to the
     endpoints.  Not checked: a cell before the last may exceed 1 by a

@@ -140,13 +140,11 @@ class _ForkedFit:
     context reaps the child on every path.  Where `os.fork` does not exist,
     the call runs in this process on entry.
 
-    The child pickles plain arrays, `(weights, means, covs, history)` per
-    fitted set, or the `ValueError` / `DegenerateFit` of a set, or the
-    exception the call raised, into a pipe, and ends with `os._exit` (no
-    stdio flush, no atexit handlers).  The parent reads the whole pipe
-    before `waitpid`, since the histories can exceed the pipe's buffer, and
-    rebuilds each `Gmm2D` through its constructor, since unpickled arrays
-    come back writeable.
+    The child pickles the call's results as they are (a `Gmm2D` unpickles
+    through its constructor, validated and read-only), or the exception the
+    call raised, into a pipe, and ends with `os._exit` (no stdio flush, no
+    atexit handlers).  The parent reads the whole pipe before `waitpid`,
+    since the histories can exceed the pipe's buffer.
     """
 
     def __init__(self, point_sets, k, seeds):
@@ -185,8 +183,7 @@ class _ForkedFit:
         fits = pickle.loads(data)
         if isinstance(fits, Exception):
             raise fits
-        return [fit if isinstance(fit, Exception) else (Gmm2D(*fit[:3]), fit[3])
-                for fit in fits]
+        return fits
 
 
 def _serve_fit(write_fd, point_sets, k, seeds):
@@ -194,9 +191,7 @@ def _serve_fit(write_fd, point_sets, k, seeds):
     code = 1
     try:
         try:
-            fits = [fit if isinstance(fit, Exception)
-                    else (fit[0].weights, fit[0].means, fit[0].covs, fit[1])
-                    for fit in fit_gmm_ems(point_sets, k, seeds)]
+            fits = fit_gmm_ems(point_sets, k, seeds)
         except Exception as exc:  # sent to the parent, which raises it
             fits = exc
         with open(write_fd, "wb") as out:

@@ -23,7 +23,7 @@ from crpsmix.aggregation import (
 from crpsmix.cli import main
 from crpsmix.data import write_demo_load_csv
 from crpsmix.experts import (COV_RIDGE, EM_MAX_ITER, EM_TOL, DegenerateFit, _kmeanspp_centers,
-                              load_cdf_values)
+                              load_cdf_values, stack_models)
 from crpsmix.game import GameLog
 from crpsmix.grids import GridCDF, GridDomain, _check_outcome, cdf_values, crps, repair_cdf
 from crpsmix.rng import rng_from_seed
@@ -132,9 +132,10 @@ def cdf_from_row(row) -> GridCDF:
 
 
 def conditional_load_cdfs(models, temps, domain: GridDomain) -> np.ndarray:
-    """`load_cdf_values` after its `repair_cdf` check: the checked load
-    CDFs of each model at each temperature."""
-    vals = load_cdf_values(models, temps, domain)
+    """`load_cdf_values` of the stacked list of `Gmm2D` models after its
+    `repair_cdf` check: the checked load CDFs of each model at each
+    temperature."""
+    vals = load_cdf_values(stack_models(models), temps, domain)
     repair_cdf(vals)
     return vals
 

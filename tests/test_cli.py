@@ -430,6 +430,38 @@ class TestLoad:
         ])
         assert code == 0
 
+    def test_train_test_files_match_the_split_run(self, tmp_path):
+        header, *rows = demo_rows(tmp_path / "demo.csv", 8760 + 48)
+        train = write_rows(tmp_path / "train.csv", [header] + rows[:8760])
+        test = write_rows(tmp_path / "test.csv", [header] + rows[8760:])
+        flags = ["--grid", "16", "--seed", "5"]
+        assert main(["load", "--train", train, "--test", test, *flags,
+                     "--out", str(tmp_path / "files")]) == 0
+        assert main(["load", "--data", str(tmp_path / "demo.csv"), "--split", rows[8760][0],
+                     *flags, "--out", str(tmp_path / "split")]) == 0
+        names = ["game_log.csv", "regret_report.csv", "em_fits.csv", "quantile_bands.csv"]
+        names += [f"experts/{n}" for n in sorted(os.listdir(tmp_path / "split" / "experts"))]
+        assert len(names) == 4 + 21
+        for name in names:
+            got = (tmp_path / "files" / name).read_bytes()
+            assert got == (tmp_path / "split" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("span", ["overlapping", "naive_after_aware"])
+    def test_test_span_not_after_the_training_span_is_data_error(
+            self, demo_load_csv, tmp_path, capsys, span):
+        # an overlap would fit the experts on the hours they forecast
+        with open(demo_load_csv, encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        train, test = rows, rows[:2000]
+        if span == "naive_after_aware":
+            train, test = [[ts + "+00:00", *rest] for ts, *rest in rows[:2000]], rows[2000:2100]
+        code = main(["load", "--train", write_rows(tmp_path / "train.csv", [header] + train),
+                     "--test", write_rows(tmp_path / "test.csv", [header] + test),
+                     "--grid", "16", "--out", str(tmp_path / "o")])
+        assert code == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("cannot ingest data: ")
+
     def test_missing_file_is_io_error(self, tmp_path):
         code = main([
             "load", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o"),

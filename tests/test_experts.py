@@ -15,6 +15,7 @@ from crpsmix.experts import (
     Gmm2D,
     TriangularExpert,
     fit_gmm_ems,
+    stack_models,
     triangular_cdf,
 )
 from crpsmix.experts import _condition_on_temperature
@@ -260,6 +261,34 @@ def test_failed_fits_leave_only_their_own_result(monkeypatch, demo_year_segment)
         assert_same_fit(fit, solo[0].weights, solo[0].means, solo[0].covs, solo[1], i)
 
 
+def test_capped_round_validates_the_model_it_returns(monkeypatch):
+    # the cap outranks the indefiniteness test: a covariance that turns
+    # indefinite in the capped round's M-step reaches Gmm2D's own check
+    monkeypatch.setattr(experts, "EM_MAX_ITER", 6)
+    monkeypatch.setattr(experts, "EM_TOL", -np.inf)
+    sets = [(two_cluster_data(), 1), (two_cluster_data(seed=9)[:480], 7),
+            (np.random.default_rng(2).normal([1.0, -3.0], [2.0, 0.5], size=(300, 2)), 0)]
+    alone = [fit_gmm_ems([pts], 2, [seed])[0] for pts, seed in sets]
+    real_m_step, m_steps = experts._m_step, [0]
+
+    def faulty_m_step(pts, n, resp, nk, ridge):
+        weights, means, covs, dev = real_m_step(pts, n, resp, nk, ridge)
+        m_steps[0] += 1
+        if m_steps[0] == 7:  # round 6, the cap
+            covs[list(n).index(480), 1] = [[1.0, 2.0], [2.0, 1.0]]
+        return weights, means, covs, dev
+
+    monkeypatch.setattr(experts, "_m_step", faulty_m_step)
+    fits = fit_gmm_ems([pts for pts, _ in sets], 2, [seed for _, seed in sets])
+    assert m_steps[0] == 7
+    assert type(fits[1]) is ValueError
+    assert str(fits[1]) == "covariances must be positive definite"
+    for i in (0, 2):
+        model, history = alone[i]
+        assert len(history) == 6
+        assert_same_fit(fits[i], model.weights, model.means, model.covs, history, i)
+
+
 def test_single_set_fit_raises_its_failure():
     with pytest.raises(DegenerateFit, match=r"log-likelihood decreased \("):
         raise fit_gmm_ems([unstable_points()], 3, [60])[0]
@@ -303,7 +332,7 @@ class TestConditionalLoadCdf:
         g = make_gmm([1.0], [[0.0, 0.0]], [cov])
         slope = rho * s_l / s_t
         for temp in (-3.0, 0.0, 2.5):
-            _, mean, var = (x[0] for x in _condition_on_temperature([g], temp))
+            _, mean, var = (x[0] for x in _condition_on_temperature(stack_models([g]), temp))
             assert mean[0] == pytest.approx(slope * temp, abs=1e-12)
             assert var[0] == pytest.approx(s_l**2 * (1 - rho**2), abs=1e-12)
 
@@ -341,7 +370,7 @@ class TestConditionalLoadCdf:
         )
         dom = GridDomain(0.0, 320.0, 256)
         temp = 70.0
-        post, mean, var = (x[0] for x in _condition_on_temperature([g], temp))
+        post, mean, var = (x[0] for x in _condition_on_temperature(stack_models([g]), temp))
         rng = rng_from_seed(99)
         n = 100_000
         comps = rng.choice(g.k, size=n, p=post)

@@ -281,7 +281,7 @@ class TestRoster:
         for temp, got in zip(temps, rows):
             assert got.shape == (1, len(experts), d)
             # unchecked rows: `replay`'s repair_cdf makes them the checked ones
-            assert np.array_equal(got[0], load_cdf_values(models, temp, dom))
+            assert np.array_equal(got[0], load_cdf_values(stack_models(models), temp, dom))
             repair_cdf(got)
             assert np.array_equal(got[0], conditional_load_cdfs(models, temp, dom))
         assert len(set(temps)) <= stream.evaluations <= len(temps)
@@ -328,7 +328,7 @@ class TestRoster:
         stream = RosterStream(experts, temps, dom)
         rows = list(stream)
         assert stacked == [len(experts)] and stream.evaluations > 6
-        models = [e.model for e in experts]
+        models = stack_models([e.model for e in experts])
         for temp, got in zip(temps, rows, strict=True):
             assert got[0].tobytes() == load_cdf_values(models, temp, dom).tobytes()
 
