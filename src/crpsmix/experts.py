@@ -153,6 +153,8 @@ def _kmeanspp_centers(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.n
             [np.sum((pts - c) ** 2, axis=1) for c in centers], axis=0
         )
         total = d2.sum()
+        if not np.isfinite(total):
+            raise DegenerateFit("points too far apart: their seeding distances overflow")
         if total <= 0:
             raise DegenerateFit("all points identical; cannot seed components")
         centers.append(pts[rng.choice(len(pts), p=d2 / total)])

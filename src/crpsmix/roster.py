@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,10 +108,11 @@ def build_load_roster(
     # one lockstep fit per level: the season-by-day-period experts in a
     # child process while this one fits the anytime expert and the seasons
     periods = 1 + len(SEASONS)
-    with _ForkedFit(segments[periods:], components, seeds[periods:]) as child:
+    level = (segments[periods:], components, seeds[periods:])
+    with _Forked("EM fit", lambda _: fit_gmm_ems(*level)) as child:
         fits = fit_gmm_ems(segments[:1], components, seeds[:1])
         fits += fit_gmm_ems(segments[1:periods], components, seeds[1:periods])
-        fits += child.result()
+        fits += child
 
     experts: list[LoadExpert] = []
     failures: list[tuple[str, str]] = []
@@ -133,69 +135,104 @@ def build_load_roster(
     return experts, failures
 
 
-class _ForkedFit:
-    """`fit_gmm_ems(point_sets, k, seeds)` run in a forked child process
-    while the caller works, as a context: `result()` returns the child's
-    results, bit for bit those of the call in this process, and leaving the
-    context reaps the child on every path.  Where `os.fork` does not exist,
-    the call runs in this process on entry.
+class _Forked:
+    """The items of `work(receive)`, an iterable, made in a forked child
+    process while this one works: an iterator and a context.  `send(obj)`
+    passes obj to the child, where `receive()` returns it.  Both cross
+    pipes pickled, so each item is bit for bit the one `work` made (a
+    `Gmm2D` unpickles through its constructor, validated and read-only).
+    An exception that `work` raises is raised here at the same point of the
+    stream, and a child that ends without finishing its stream raises
+    RuntimeError.  The stream's end reaps the child; leaving the context
+    kills and reaps a child not yet reaped, on every path.  Where `os.fork`
+    does not exist, `work(receive)` is called in this process on entry.
 
-    The child pickles the call's results as they are (a `Gmm2D` unpickles
-    through its constructor, validated and read-only), or the exception the
-    call raised, into a pipe, and ends with `os._exit` (no stdio flush, no
-    atexit handlers).  The parent reads the whole pipe before `waitpid`,
-    since the histories can exceed the pipe's buffer.
+    The child ends with `os._exit` (no stdio flush, no atexit handlers) and
+    flushes each item, so the parent plays an item while the child makes
+    the next.
     """
 
-    def __init__(self, point_sets, k, seeds):
-        self._pid = None
+    def __init__(self, name: str, work):
+        self._name, self._pid, self._pending = name, None, None
         if not hasattr(os, "fork"):
-            self._fits = fit_gmm_ems(point_sets, k, seeds)
+            self._pending = []  # the requests not yet received
+            self._items = iter(work(lambda: self._pending.pop(0)))
             return
-        read_fd, write_fd = os.pipe()
+        down, up = os.pipe(), os.pipe()
         self._pid = os.fork()
         if self._pid == 0:
-            os.close(read_fd)  # else a parent that stops reading cannot break the pipe
-            _serve_fit(write_fd, point_sets, k, seeds)
-        os.close(write_fd)
-        self._reader = os.fdopen(read_fd, "rb")
+            os.close(down[1])  # else a child that waits for a request never sees EOF
+            os.close(up[0])  # else a parent that stops reading cannot break the pipe
+            _serve(work, down[0], up[1])
+        os.close(down[0])
+        os.close(up[1])
+        self._requests = os.fdopen(down[1], "wb", buffering=0)
+        self._replies = os.fdopen(up[0], "rb")
+        self._items = self._stream()
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
         if self._pid is not None:
-            self._reader.close()  # a child still writing gets EPIPE and ends
-            os.waitpid(self._pid, 0)
-            self._pid = None
+            os.kill(self._pid, signal.SIGKILL)
+            self._reap()
+        if self._pending is None:
+            self._requests.close()
+            self._replies.close()
 
-    def result(self) -> list:
-        if self._pid is None:
-            return self._fits
-        with self._reader:
-            data = self._reader.read()
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return next(self._items)
+
+    def send(self, request) -> None:
+        """Pass `request` to the child's next `receive()`."""
+        if self._pending is not None:
+            self._pending.append(request)
+            return
+        data = memoryview(pickle.dumps(request))
+        try:
+            while data:
+                data = data[self._requests.write(data):]
+        except BrokenPipeError:  # the child has ended: its stream says how
+            pass
+
+    def _stream(self):
+        try:
+            while type(message := pickle.load(self._replies)) is tuple:
+                yield message[0]
+            finished = True
+        except (EOFError, pickle.UnpicklingError):  # the pipe ended inside the stream
+            finished = False
+        code = self._reap()
+        if code or not finished:
+            how = f"signal {-code}" if code < 0 else f"exit status {code}"
+            raise RuntimeError(f"the {self._name} process ended by {how} without a result")
+        if message is not None:
+            raise message
+
+    def _reap(self) -> int:
         _, status = os.waitpid(self._pid, 0)
         self._pid = None
-        code = os.waitstatus_to_exitcode(status)
-        if code:
-            how = f"signal {-code}" if code < 0 else f"exit status {code}"
-            raise RuntimeError(f"the EM fit process ended by {how} without a result")
-        fits = pickle.loads(data)
-        if isinstance(fits, Exception):
-            raise fits
-        return fits
+        return os.waitstatus_to_exitcode(status)
 
 
-def _serve_fit(write_fd, point_sets, k, seeds):
-    """The forked child of `_ForkedFit`: fit, send and `os._exit`."""
+def _serve(work, down_fd, up_fd):
+    """The forked child of `_Forked`: send each item of `work(receive)` as
+    a 1-tuple, then None, or the exception `work` raised, and `os._exit`."""
     code = 1
     try:
-        try:
-            fits = fit_gmm_ems(point_sets, k, seeds)
-        except Exception as exc:  # sent to the parent, which raises it
-            fits = exc
-        with open(write_fd, "wb") as out:
-            pickle.dump(fits, out)
+        with open(down_fd, "rb") as down, open(up_fd, "wb") as up:
+            try:
+                for item in work(lambda: pickle.load(down)):
+                    pickle.dump((item,), up)
+                    up.flush()
+                end = None
+            except Exception as exc:  # sent to the parent, which raises it
+                end = exc
+            pickle.dump(end, up)
         code = 0
     finally:
         os._exit(code)
@@ -235,11 +272,24 @@ class RosterStream:
     gets a copy of its row, so no yielded matrix changes when a later
     window refills the table.  `evaluations` counts the temperatures
     evaluated so far.
+
+    Without an `evaluator` the windows are evaluated in this process, one
+    when its first step is due.  With one (see `fork_evaluator`) they are
+    evaluated in its process, which sends each window's rows as soon as
+    they are made, so it evaluates the next window while this process plays
+    the steps of the last; an exception raised there is raised here at the
+    same step.
     """
 
-    def __init__(self, experts, temps, domain: GridDomain):
+    def __init__(self, experts, temps, domain: GridDomain, evaluator=None):
         self.evaluations = 0
-        self._rows = self._windows(experts, list(temps), domain)
+        request = (stack_models([e.model for e in experts]), list(temps), domain)
+        if evaluator is None:
+            windows = _windows(*request)
+        else:
+            evaluator.send(request)
+            windows = evaluator
+        self._rows = self._steps(windows)
 
     def __iter__(self):
         return self
@@ -247,23 +297,43 @@ class RosterStream:
     def __next__(self) -> np.ndarray:
         return next(self._rows)
 
-    def _windows(self, experts, temps, domain):
-        models = stack_models([e.model for e in experts])
-        row_bytes = len(experts) * domain.d * 8
-        table = np.empty((max(1, WINDOW_TABLE_BYTES // row_bytes), len(experts), domain.d))
-        batch = max(1, BATCH_ARGUMENT_BYTES // (sum(e.model.k for e in experts) * domain.d * 8))
-        start = 0
-        while start < len(temps):
-            slots = {}  # distinct temperature -> table row
-            end = start
-            while end < len(temps) and (temps[end] in slots or len(slots) < len(table)):
-                slots.setdefault(temps[end], len(slots))
-                end += 1
-            distinct = list(slots)
-            for i in range(0, len(distinct), batch):
-                chunk = distinct[i : i + batch]
-                table[i : i + len(chunk)] = load_cdf_values(models, chunk, domain)
-            self.evaluations += len(distinct)
-            for temp in temps[start:end]:
-                yield table[slots[temp]][None].copy()
-            start = end
+    def _steps(self, windows):
+        for rows, slots in windows:
+            self.evaluations += len(rows)
+            for slot in slots:
+                yield rows[slot][None].copy()
+
+
+def fork_evaluator() -> _Forked:
+    """The process that evaluates the windows of one `RosterStream`,
+    forked now, as a context that reaps it on leaving: it imports
+    scipy.special at once, while this process goes on, then waits for the
+    stream's models, temperatures and domain."""
+    return _Forked("roster evaluation", _evaluate)
+
+
+def _evaluate(receive):
+    import scipy.special  # noqa: F401  (`load_cdf_values`' import, made while the parent works)
+
+    yield from _windows(*receive())
+
+
+def _windows(models, temps, domain):
+    """Per window of `RosterStream`, the rows of its distinct temperatures
+    (a view of the one table) and the row of each of its temperatures."""
+    n = len(models.weights)
+    table = np.empty((max(1, WINDOW_TABLE_BYTES // (n * domain.d * 8)), n, domain.d))
+    batch = max(1, BATCH_ARGUMENT_BYTES // (models.weights.size * domain.d * 8))
+    start = 0
+    while start < len(temps):
+        slots = {}  # distinct temperature -> table row
+        end = start
+        while end < len(temps) and (temps[end] in slots or len(slots) < len(table)):
+            slots.setdefault(temps[end], len(slots))
+            end += 1
+        distinct = list(slots)
+        for i in range(0, len(distinct), batch):
+            chunk = distinct[i : i + batch]
+            table[i : i + len(chunk)] = load_cdf_values(models, chunk, domain)
+        yield table[: len(distinct)], [slots[temp] for temp in temps[start:end]]
+        start = end

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -347,6 +349,36 @@ def probability_vectors(draw, min_n=1, max_n=6):
     )
     q = np.asarray(raw)
     return q / q.sum()
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the block after `seconds`, so that a wait on a
+    child process that never ends fails the test instead of hanging it."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def spy_forks(monkeypatch) -> list:
+    """The pids of the child processes `os.fork` starts from now on."""
+    forked, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
 
 
 @pytest.fixture(autouse=True)

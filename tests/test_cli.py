@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +20,12 @@ from crpsmix.data import default_test_boundary, load_csv, split_train_test, writ
 from crpsmix.experts import EM_MAX_ITER
 from crpsmix.game import GameConfig, replay
 from crpsmix.grids import GridDomain
+from crpsmix import roster as roster_mod
 from crpsmix.roster import build_load_roster, roster_confidences
 from crpsmix import verify as verify_mod
 
-from conftest import cdf_from_row, conditional_load_cdfs, game_log_block, read_game_log
+from conftest import (cdf_from_row, conditional_load_cdfs, deadline, game_log_block,
+                      read_game_log, spy_forks)
 
 
 def run_cli(*args):
@@ -642,6 +645,71 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+class TestEvaluatorProcess:
+    """`crpsmix load` evaluates its roster in a process forked as it starts."""
+
+    @staticmethod
+    def argv(tmp_path, case):
+        rows = demo_rows(tmp_path / "demo.csv", 8760 + 48)
+        split = rows[1 + 8760][0]
+        if case == "bad_ingest":
+            return ["load", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "o")]
+        if case == "roster_too_small":
+            rows, split = rows[:16], rows[11][0]
+        if case == "conditioning":
+            rows[1 + 8760 + 5][2] = "1e160"
+        return ["load", "--data", write_rows(tmp_path / "in.csv", rows), "--split", split,
+                "--grid", "16", "--out", str(tmp_path / "o")]
+
+    @pytest.mark.parametrize("case, code", [
+        ("success", 0), ("bad_ingest", 3), ("roster_too_small", 3), ("conditioning", 3),
+    ])
+    def test_no_child_outlives_the_command(self, tmp_path, monkeypatch, case, code):
+        argv = self.argv(tmp_path, case)
+        forked = spy_forks(monkeypatch)
+        with deadline(120):
+            assert main(argv) == code
+        assert len(forked) == (1 if case == "bad_ingest" else 2)  # the evaluator, the fit
+        for pid in forked:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    @pytest.mark.parametrize("case", ["conditioning", "allocation"])
+    def test_evaluator_errors_exit_as_in_process(self, tmp_path, monkeypatch, capsys, case):
+        # without os.fork the evaluation runs in this process
+        argv = self.argv(tmp_path, case)
+        if case == "allocation":
+            def fail(*args):
+                raise MemoryError("Unable to allocate 7.28 TiB")
+
+            monkeypatch.setattr(roster_mod, "load_cdf_values", fail)
+        errors = []
+        for fork in (True, False):
+            if not fork:
+                monkeypatch.delattr(os, "fork")
+            with deadline(120):
+                assert main(argv) == 3
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert errors[0] == {
+            "conditioning": "cannot forecast the test span: temperature 1e+160 is not finite, "
+                            "or too far from the fitted mixtures to condition the load on\n",
+            "allocation": "cannot allocate: Unable to allocate 7.28 TiB\n",
+        }[case]
+
+    def test_the_command_process_leaves_scipy_unloaded(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(crpsmix.__file__))
+        argv = self.argv(tmp_path, "success")
+        code = ("import sys; from crpsmix.cli import main; main(sys.argv[1:]); "
+                "print('scipy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code, *argv],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        [line, loaded] = proc.stdout.splitlines()
+        assert line.startswith("load: T=48 ") and loaded == "False"
+
+
 class TestVerify:
     def test_default_run_passes(self, capsys):
         assert main(["verify", "--cases", "8", "--seed", "1"]) == 0
@@ -687,8 +755,7 @@ class TestVerify:
 def outputs(out):
     """Every file under `out`, by relative path, as bytes."""
     return {
-        os.path.relpath(os.path.join(root, name), out):
-            open(os.path.join(root, name), "rb").read()
+        os.path.relpath(os.path.join(root, name), out): Path(root, name).read_bytes()
         for root, _, names in os.walk(out) for name in names
     }
 

@@ -126,6 +126,15 @@ class TestFitGmmEm:
         with pytest.raises(DegenerateFit):
             raise fit_gmm_ems([pts], 2, [0])[0]  # the fit returns its error
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_overflowing_seeding_distances_name_their_cause(self, seed):
+        # the variance, 1.4e306, is finite; the squared distances between
+        # the two columns of x overflow
+        pts = np.column_stack([np.where(np.arange(95) % 2, 1.2e153, -1.2e153), np.arange(95.0)])
+        [fit] = fit_gmm_ems([pts], 2, [seed])
+        assert isinstance(fit, DegenerateFit)
+        assert str(fit) == "points too far apart: their seeding distances overflow"
+
     def test_preconditions(self):
         pts = np.random.default_rng(0).normal(size=(15, 2))
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import pickle
 import signal
@@ -29,12 +30,13 @@ from crpsmix.roster import (
     WINDOW_TABLE_BYTES,
     RosterStream,
     build_load_roster,
+    fork_evaluator,
     periodic_ramp,
     roster_confidences,
 )
 
-from conftest import (conditional_load_cdfs, reference_area, reference_fit_gmm_em,
-                      reference_schedule_at)
+from conftest import (conditional_load_cdfs, deadline, reference_area, reference_fit_gmm_em,
+                      reference_schedule_at, spy_forks)
 
 
 def reference_load_cdf(g, temp, domain):
@@ -264,9 +266,12 @@ class TestRoster:
             want = np.stack([reference_load_cdf(e.model, temp, dom) for e in experts])
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("d, hours", [(128, 1200), (1024, 150)])
+    @pytest.mark.parametrize("d, hours, forked", [
+        pytest.param(d, hours, forked, id=f"{d}-{hours}" + ("-forked" if forked else ""))
+        for forked in (False, True) for d, hours in [(128, 1200), (1024, 150)]
+    ])
     @pytest.mark.parametrize("whole", [True, False], ids=["whole_degree", "fine"])
-    def test_stream_matches_per_step_forecasts(self, fitted, d, hours, whole):
+    def test_stream_matches_per_step_forecasts(self, fitted, d, hours, whole, forked):
         # materialized with list(): a row yielded in one window must not
         # change when a later window refills the table
         train, test, experts, _ = fitted
@@ -274,17 +279,22 @@ class TestRoster:
         temps = [r.temperature for r in test[:hours]]
         if whole:
             temps = [float(round(t)) for t in temps]
-        stream = RosterStream(experts, temps, dom)
-        rows = list(stream)
+        with deadline(120), fork_evaluator() if forked else contextlib.nullcontext() as evaluator:
+            stream = RosterStream(experts, temps, dom, evaluator)
+            rows = list(stream)
         assert len(rows) == len(temps)
         models = [e.model for e in experts]
         for temp, got in zip(temps, rows):
             assert got.shape == (1, len(experts), d)
             # unchecked rows: `replay`'s repair_cdf makes them the checked ones
-            assert np.array_equal(got[0], load_cdf_values(stack_models(models), temp, dom))
+            assert got[0].tobytes() == load_cdf_values(stack_models(models), temp, dom).tobytes()
             repair_cdf(got)
             assert np.array_equal(got[0], conditional_load_cdfs(models, temp, dom))
         assert len(set(temps)) <= stream.evaluations <= len(temps)
+        if forked:
+            in_process = RosterStream(experts, temps, dom)
+            assert len(list(in_process)) == len(temps)
+            assert stream.evaluations == in_process.evaluations
 
     @pytest.mark.parametrize("d", [128, 1024])
     def test_stream_windows_keep_their_byte_budgets(self, fitted, monkeypatch, d):
@@ -331,6 +341,46 @@ class TestRoster:
         models = stack_models([e.model for e in experts])
         for temp, got in zip(temps, rows, strict=True):
             assert got[0].tobytes() == load_cdf_values(models, temp, dom).tobytes()
+
+    def test_killed_evaluator_raises_after_the_rows_it_sent(self, fitted, monkeypatch):
+        # d=1024: six temperatures a window, one per batch; the evaluator
+        # dies in its eighth batch, in the second window
+        train, test, experts, _ = fitted
+        dom = GridDomain(0.0, 1.05 * max(r.load for r in train), 1024)
+        temps = [r.temperature for r in test[:40]]
+        parent, batches = os.getpid(), []
+
+        def spy(models, chunk, domain):
+            batches.append(chunk)
+            if os.getpid() != parent and len(batches) == 8:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return load_cdf_values(models, chunk, domain)
+
+        monkeypatch.setattr(roster, "load_cdf_values", spy)
+        rows = []
+        ended = f"the roster evaluation process ended by signal {int(signal.SIGKILL)}"
+        with deadline(120), fork_evaluator() as evaluator:
+            stream = RosterStream(experts, temps, dom, evaluator)
+            with pytest.raises(RuntimeError, match=ended):
+                rows.extend(stream)
+        assert batches == [] and stream.evaluations == 6  # the parent evaluated nothing
+        # the hours of the first window, those before a seventh temperature
+        assert len(rows) == max(i for i in range(len(temps)) if len(set(temps[:i])) <= 6)
+        for got, want in zip(rows, RosterStream(experts, temps, dom)):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("forked", [False, True], ids=["in_process", "forked"])
+    def test_evaluator_without_scipy_raises_its_import_error(self, fitted, monkeypatch, forked):
+        # a year of temperatures pickles past a 64 KiB pipe: the request
+        # meets a child that has failed and closed its end of the pipe
+        train, _, experts, _ = fitted
+        dom = GridDomain(0.0, 1.05 * max(r.load for r in train), 16)
+        temps = [r.temperature for r in train[:8760]]
+        monkeypatch.setitem(sys.modules, "scipy.special", None)  # its import fails
+        with deadline(120), fork_evaluator() if forked else contextlib.nullcontext() as evaluator:
+            stream = RosterStream(experts, temps, dom, evaluator)
+            with pytest.raises(ImportError, match="scipy.special"):
+                next(stream)
 
     def test_insufficient_segment_reports_failure(self, fitted):
         train, _, _, _ = fitted
@@ -443,21 +493,8 @@ class TestForkedLevel:
 
         monkeypatch.setattr(experts_mod, "_m_step", m_step)
 
-    @staticmethod
-    def spy_forks(monkeypatch):
-        forked, real = [], os.fork
-
-        def fork():
-            pid = real()
-            if pid:
-                forked.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", fork)
-        return forked
-
     def test_child_models_are_the_in_process_fits(self, demo_year, monkeypatch):
-        forked = self.spy_forks(monkeypatch)
+        forked = spy_forks(monkeypatch)
         experts, _ = build_load_roster(demo_year, components=2, seed=3)
         assert len(forked) == 1
         seeds = [int(x) for x in np.random.SeedSequence(3).generate_state(21)]
@@ -497,7 +534,7 @@ class TestForkedLevel:
             raise ArithmeticError("M-step failed in the parent")
 
         monkeypatch.setattr(experts_mod, "EM_TOL", -np.inf)
-        forked = self.spy_forks(monkeypatch)
+        forked = spy_forks(monkeypatch)
         self.patch_m_step(monkeypatch, fail, in_child=False)
         with pytest.raises(ArithmeticError, match="failed in the parent"):
             build_load_roster(demo_year, components=2, seed=3)
