@@ -243,8 +243,10 @@ def _load_records(args, schema):
 
 
 def cmd_load(args) -> int:
-    # forked first, so that its scipy import runs beside ingest and fit, and
-    # its expert evaluation beside the game
+    # forked first, so that its load of scipy's normal CDF runs beside ingest
+    # and fit, and its expert evaluation beside the game; it loads `ndtr`
+    # alone and holds scipy's BLAS to one thread, so that it takes little
+    # CPU from the fit (see `roster._evaluate`)
     with fork_evaluator() as evaluator:
         return _run_load(args, evaluator)
 

@@ -385,7 +385,9 @@ def load_cdf_values(models: GmmStack, temps, domain: GridDomain) -> np.ndarray:
     endpoints.  Not checked: a cell before the last may exceed 1 by a
     rounding error (the posterior weights of normal CDFs that are all 1 sum
     above 1)."""
-    from scipy.special import ndtr  # the only scipy use; `import crpsmix` skips scipy
+    # the only scipy use, so `import crpsmix` skips scipy; in `crpsmix load`'s
+    # evaluator process `ndtr` is all of scipy.special (`roster._evaluate`)
+    from scipy.special import ndtr
 
     post, mean, var = _condition_on_temperature(models, temps)
     sd = np.sqrt(np.maximum(var, 1e-300))

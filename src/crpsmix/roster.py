@@ -8,6 +8,8 @@ from __future__ import annotations
 import os
 import pickle
 import signal
+import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,14 +308,38 @@ class RosterStream:
 
 def fork_evaluator() -> _Forked:
     """The process that evaluates the windows of one `RosterStream`,
-    forked now, as a context that reaps it on leaving: it imports
-    scipy.special at once, while this process goes on, then waits for the
+    forked now, as a context that reaps it on leaving: it loads scipy's
+    normal CDF at once, while this process goes on, then waits for the
     stream's models, temperatures and domain."""
-    return _Forked("roster evaluation", _evaluate)
+    caller = os.getpid()
+    return _Forked("roster evaluation", lambda receive: _evaluate(receive, caller))
 
 
-def _evaluate(receive):
-    import scipy.special  # noqa: F401  (`load_cdf_values`' import, made while the parent works)
+def _evaluate(receive, caller):
+    """The evaluator's work.  In the forked child, which ends with
+    `os._exit`, `ndtr` (`load_cdf_values`' only scipy use) is loaded alone:
+    a bare `scipy.special` package in sys.modules holds the `ndtr` of the
+    compiled `scipy.special._ufuncs`, so `scipy/special/__init__.py`, whose
+    array-API layer imports numpy.f2py, numpy.testing and numpy.ma, never
+    runs.  scipy's OpenBLAS, which the load brings in and the evaluator
+    never calls, is held to one thread, so it starts no worker beside the
+    fit processes.  An entry already in sys.modules (a module, or None) is
+    left as it is; a light load that fails leaves none, and the public
+    import runs.  The `caller` of `fork_evaluator`, which runs this where
+    `os.fork` does not exist, keeps the public import."""
+    if os.getpid() != caller and "scipy.special" not in sys.modules:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        import scipy
+
+        special = sys.modules["scipy.special"] = types.ModuleType("scipy.special")
+        special.__path__ = [os.path.join(scipy.__path__[0], "special")]
+        try:  # an ImportError too where the extension lacks `ndtr`
+            from scipy.special._ufuncs import ndtr
+
+            special.ndtr = ndtr
+        except ImportError:
+            del sys.modules["scipy.special"]
+    import scipy.special  # noqa: F401  (made while the parent works)
 
     yield from _windows(*receive())
 

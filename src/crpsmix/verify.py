@@ -96,16 +96,22 @@ def _mixability_case(rng, aggregate, eta_for):
     }
 
 
+def _worse(value, worst) -> bool:
+    """Whether `value` is worse than the `worst` so far: larger, or the first
+    NaN, which fails every tolerance."""
+    return value > worst or math.isnan(value) and not math.isnan(worst)
+
+
 def _worst_case(name, seed, cases, case, tol, detail) -> CheckResult:
     """The largest value of `case(rng)` -> (value, witness) over `cases`
-    generators spawned from `seed`, with the witness of its first case;
-    the check passes when it is at most `tol`.  `detail` formats the
-    worst value and the tolerance."""
+    generators spawned from `seed` (see `_worse`), with the witness of its
+    first case; the check passes when it is at most `tol`.  `detail`
+    formats the worst value and the tolerance."""
     worst = -np.inf
     witness = None
     for rng in spawn_rngs(seed, cases):
         value, info = case(rng)
-        if value > worst:
+        if _worse(value, worst):
             worst, witness = value, info
     passed = worst <= tol
     return CheckResult(name, passed, cases, detail.format(worst, tol),
@@ -143,7 +149,7 @@ def _vector_case(rng):
         lhs = math.exp(-(eta / d) * float(((f - y) ** 2).sum()))
         rhs = float(q @ np.exp(-(eta / d) * ((m - y) ** 2).sum(axis=1)))
         slack = rhs - lhs
-        if slack > worst:
+        if _worse(slack, worst):
             worst = slack
             witness = {"n": n, "d": d, "outcome": list(bits), "weights": q.tolist()}
     return worst, witness
@@ -189,12 +195,12 @@ def check_crps_game_bounds(seed=0) -> CheckResult:
     logs, _ = replay([GameConfig(domain, mode=m, alpha=0.0) for m in modes], values, outcomes)
     problems = []
     for mode, log in zip(modes, logs):
-        if log.bound_excess() > BOUND_TOL:  # vs the best expert, at every prefix
+        if not log.bound_excess() <= BOUND_TOL:  # vs the best expert, at every prefix; NaN fails
             problems.append(f"{mode} regret exceeds ln(N)/eta")
         if mode == "aa":
             gap = telescoping_gap(log)
             budget = 1e-8 * np.arange(1, steps + 1)
-            if np.any(gap > budget):
+            if not np.all(gap <= budget):
                 problems.append("telescoping bound violated")
     passed = not problems
     return CheckResult(

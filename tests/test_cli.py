@@ -18,7 +18,7 @@ import crpsmix.cli as cli_mod
 from crpsmix.cli import _fmt, _write_csv, main, read_manifest
 from crpsmix.data import default_test_boundary, load_csv, split_train_test, write_demo_load_csv
 from crpsmix.experts import EM_MAX_ITER
-from crpsmix.game import GameConfig, replay
+from crpsmix.game import GameConfig, GameLog, replay
 from crpsmix.grids import GridDomain
 from crpsmix import roster as roster_mod
 from crpsmix.roster import build_load_roster, roster_confidences
@@ -733,6 +733,41 @@ class TestVerify:
         assert not res.passed
         assert res.witness is not None
         assert {"n", "d", "eta", "weights", "outcome_index"} <= set(res.witness)
+
+    @pytest.mark.parametrize("values, first_nan", [([np.nan] * 3, 0),
+                                                   ([0.5, np.nan, 2.0, np.nan], 1)],
+                             ids=["all_nan", "among_numbers"])
+    def test_a_nan_case_fails_with_its_witness(self, values, first_nan):
+        # the first NaN is the worst value, whatever comes before or after
+        draws = iter(enumerate(values))
+
+        def case(rng):
+            i, value = next(draws)
+            return value, {"case": i}
+
+        res = verify_mod._worst_case("demo", 0, len(values), case, 1.0, "worst {:.3e}")
+        assert res.line() == f"FAIL  demo ({len(values)} cases): worst nan"
+        assert res.witness == {"case": first_nan}
+
+    def test_a_nan_vector_slack_fails_the_check(self, monkeypatch):
+        monkeypatch.setattr(verify_mod, "substitute_vector_aa",
+                            lambda m, q, eta: np.full(m.shape[1], np.nan))
+        res = verify_mod.check_vector_mixability(seed=0, cases=3)
+        assert res.line() == ("FAIL  vector substitution mixability (3 cases): "
+                              "worst slack nan (tol 1e-10)")
+        assert res.witness["outcome"] == [0.0] * res.witness["d"]  # the first outcome
+
+    @pytest.mark.parametrize("nan_in, detail", [
+        ("bound_excess", "aa regret exceeds ln(N)/eta; wa regret exceeds ln(N)/eta"),
+        ("telescoping_gap", "telescoping bound violated"),
+    ], ids=["bound_excess", "telescoping_gap"])
+    def test_a_nan_bound_fails_the_game_check(self, monkeypatch, nan_in, detail):
+        if nan_in == "bound_excess":
+            monkeypatch.setattr(GameLog, "bound_excess", lambda log: np.nan)
+        else:
+            monkeypatch.setattr(verify_mod, "telescoping_gap", lambda log: np.full(1500, np.nan))
+        res = verify_mod.check_crps_game_bounds(seed=0)
+        assert not res.passed and res.detail == detail
 
     def test_report_file_written_on_failure(self, tmp_path, capsys):
         import crpsmix.verify as v

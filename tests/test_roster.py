@@ -1,4 +1,5 @@
 import contextlib
+import json
 import os
 import pickle
 import signal
@@ -52,6 +53,53 @@ def reference_load_cdf(g, temp, domain):
     vals = post @ ndtr((domain.grid[None, :] - mean[:, None]) / sd[:, None])
     vals[-1] = 1.0
     return GridCDF(domain, vals).values
+
+
+#: Run in a fresh interpreter as `python -c EVALUATOR_PROBE DIR CASE`: the
+#: roster stream of the request pickled in DIR, from `fork_evaluator`, with
+#: the rows written to DIR/rows and what the evaluating process had loaded,
+#: and how many threads it ran, to DIR/report.  CASE "broken" makes the
+#: first import of `scipy.special._ufuncs` fail; "no_fork" deletes os.fork.
+EVALUATOR_PROBE = """
+import json, os, pickle, sys
+from pathlib import Path
+from crpsmix import roster
+
+out, case = Path(sys.argv[1]), sys.argv[2]
+experts, temps, domain = pickle.loads((out / "request").read_bytes())
+windows = roster._windows
+
+def probed(*request):
+    yield from windows(*request)
+    status = Path("/proc/self/status")
+    threads = None
+    if status.exists():
+        threads = int(next(line.split()[1] for line in status.read_text().splitlines()
+                           if line.startswith("Threads:")))
+    (out / "report").write_text(json.dumps({
+        "forked": os.getpid() != parent,
+        "stub": not hasattr(sys.modules["scipy.special"], "__file__"),
+        "package_init": [m for m in ("scipy._lib._array_api", "numpy.f2py") if m in sys.modules],
+        "threads": threads,
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }))
+
+class Broken:  # leaves sys.meta_path, so the public import's own load succeeds
+    def find_spec(self, name, path, target=None):
+        if name == "scipy.special._ufuncs":
+            sys.meta_path.remove(self)
+            raise ImportError("broken")
+
+roster._windows = probed
+if case == "broken":
+    sys.meta_path.insert(0, Broken())
+if case == "no_fork":
+    del os.fork
+parent = os.getpid()
+with roster.fork_evaluator() as evaluator:
+    rows = [row.tobytes() for row in roster.RosterStream(experts, temps, domain, evaluator)]
+(out / "rows").write_bytes(b"".join(rows))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +429,34 @@ class TestRoster:
             stream = RosterStream(experts, temps, dom, evaluator)
             with pytest.raises(ImportError, match="scipy.special"):
                 next(stream)
+
+    @pytest.mark.parametrize("case", ["light", "broken", "no_fork"])
+    def test_evaluator_loads_only_ndtr_on_one_thread(self, fitted, tmp_path, case):
+        # this module imports scipy.special, which every evaluator forked in
+        # the test process inherits: only a fresh interpreter loads it cold
+        train, test, experts, _ = fitted
+        dom = GridDomain(0.0, 1.05 * max(r.load for r in train), 128)
+        temps = [r.temperature for r in test[:300]]
+        (tmp_path / "request").write_bytes(pickle.dumps((experts, temps, dom)))
+        src = os.path.dirname(os.path.dirname(roster.__file__))
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        proc = subprocess.run([sys.executable, "-c", EVALUATOR_PROBE, str(tmp_path), case],
+                              env={**env, "PYTHONPATH": src}, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        want = b"".join(row.tobytes() for row in RosterStream(experts, temps, dom))
+        assert (tmp_path / "rows").read_bytes() == want
+        report = json.loads((tmp_path / "report").read_text())
+        forked = case != "no_fork"
+        assert report["forked"] == forked
+        assert report["stub"] == (case == "light")
+        # the public import runs scipy.special's package init
+        assert report["package_init"] == ([] if case == "light"
+                                          else ["scipy._lib._array_api", "numpy.f2py"])
+        assert report["openblas_num_threads"] == ("1" if forked else None)
+        if forked and report["threads"] is not None:
+            assert report["threads"] == 1
 
     def test_insufficient_segment_reports_failure(self, fitted):
         train, _, _, _ = fitted
