@@ -41,7 +41,7 @@ from .data import (
 from .experts import ConditioningError, em_hit_max_iter, triangular_cdf
 from .game import BOUND_TOL, GameConfig, GameLog, replay
 from .grids import GridDomain, cdf_to_row, quantile
-from .roster import RosterStream, build_load_roster, fork_evaluator, roster_confidences
+from .roster import RosterStream, build_load_roster, roster_confidences
 
 logger = logging.getLogger(__name__)
 
@@ -243,15 +243,6 @@ def _load_records(args, schema):
 
 
 def cmd_load(args) -> int:
-    # forked first, so that its load of scipy's normal CDF runs beside ingest
-    # and fit, and its expert evaluation beside the game; it loads `ndtr`
-    # alone and holds scipy's BLAS to one thread, so that it takes little
-    # CPU from the fit (see `roster._evaluate`)
-    with fork_evaluator() as evaluator:
-        return _run_load(args, evaluator)
-
-
-def _run_load(args, evaluator) -> int:
     mark = _phase_clock(args.timings)
     schema = CsvSchema(
         timestamp_col=args.timestamp_col,
@@ -278,23 +269,23 @@ def _run_load(args, evaluator) -> int:
 
     # each hour is forecast from the temperature of the hour before
     temps = [train[-1].temperature] + [rec.temperature for rec in test[:-1]]
-    forecasts = RosterStream(experts, temps, domain, evaluator)
-    outcomes = [min(max(rec.load, domain.a), domain.b) for rec in test]
-    clipped = sum(y != rec.load for y, rec in zip(outcomes, test))
-    if clipped:
-        logger.warning("%d test outcomes clipped into [%g, %g]",
-                       clipped, domain.a, domain.b)
-    confidences = roster_confidences(experts, [rec.timestamp for rec in test])
-    band_steps = [t for t, rec in enumerate(test, start=1)
-                  if rec.timestamp.hour == args.band_hour]
-    try:
-        (log,), kept = replay(
-            [GameConfig(domain, mode=args.mode, alpha=args.alpha)],
-            forecasts, outcomes, confidences, keep=band_steps,
-        )
-    except ConditioningError as exc:
-        print(f"cannot forecast the test span: {exc}", file=sys.stderr)
-        return 3
+    with RosterStream(experts, temps, domain) as forecasts:
+        outcomes = [min(max(rec.load, domain.a), domain.b) for rec in test]
+        clipped = sum(y != rec.load for y, rec in zip(outcomes, test))
+        if clipped:
+            logger.warning("%d test outcomes clipped into [%g, %g]",
+                           clipped, domain.a, domain.b)
+        confidences = roster_confidences(experts, [rec.timestamp for rec in test])
+        band_steps = [t for t, rec in enumerate(test, start=1)
+                      if rec.timestamp.hour == args.band_hour]
+        try:
+            (log,), kept = replay(
+                [GameConfig(domain, mode=args.mode, alpha=args.alpha)],
+                forecasts, outcomes, confidences, keep=band_steps,
+            )
+        except ConditioningError as exc:
+            print(f"cannot forecast the test span: {exc}", file=sys.stderr)
+            return 3
     mark("replay")
 
     expert_dir = os.path.join(args.out, "experts")

@@ -111,7 +111,7 @@ def build_load_roster(
     # child process while this one fits the anytime expert and the seasons
     periods = 1 + len(SEASONS)
     level = (segments[periods:], components, seeds[periods:])
-    with _Forked("EM fit", lambda _: fit_gmm_ems(*level)) as child:
+    with _Forked("EM fit", lambda: fit_gmm_ems(*level)) as child:
         fits = fit_gmm_ems(segments[:1], components, seeds[:1])
         fits += fit_gmm_ems(segments[1:periods], components, seeds[1:periods])
         fits += child
@@ -138,16 +138,16 @@ def build_load_roster(
 
 
 class _Forked:
-    """The items of `work(receive)`, an iterable, made in a forked child
-    process while this one works: an iterator and a context.  `send(obj)`
-    passes obj to the child, where `receive()` returns it.  Both cross
-    pipes pickled, so each item is bit for bit the one `work` made (a
-    `Gmm2D` unpickles through its constructor, validated and read-only).
-    An exception that `work` raises is raised here at the same point of the
-    stream, and a child that ends without finishing its stream raises
-    RuntimeError.  The stream's end reaps the child; leaving the context
-    kills and reaps a child not yet reaped, on every path.  Where `os.fork`
-    does not exist, `work(receive)` is called in this process on entry.
+    """The items of `work()`, an iterable, made in a forked child process
+    while this one works: an iterator and a context.  The child inherits
+    what `work` reads through the fork; each item crosses one pipe
+    pickled, so it is bit for bit the one `work` made (a `Gmm2D` unpickles
+    through its constructor, validated and read-only).  An exception that
+    `work` raises is raised here at the same point of the stream, and a
+    child that ends without finishing its stream raises RuntimeError.  The
+    stream's end reaps the child; leaving the context kills and reaps a
+    child not yet reaped, on every path.  Where `os.fork` does not exist,
+    `work()` is called in this process when this is made.
 
     The child ends with `os._exit` (no stdio flush, no atexit handlers) and
     flushes each item, so the parent plays an item while the child makes
@@ -155,21 +155,22 @@ class _Forked:
     """
 
     def __init__(self, name: str, work):
-        self._name, self._pid, self._pending = name, None, None
+        self._name, self._pid, self._replies = name, None, None
         if not hasattr(os, "fork"):
-            self._pending = []  # the requests not yet received
-            self._items = iter(work(lambda: self._pending.pop(0)))
+            self._items = iter(work())
             return
-        down, up = os.pipe(), os.pipe()
-        self._pid = os.fork()
+        read, write = os.pipe()
+        try:
+            self._pid = os.fork()
+        except OSError:  # such as EAGAIN at a process limit
+            os.close(read)
+            os.close(write)
+            raise
         if self._pid == 0:
-            os.close(down[1])  # else a child that waits for a request never sees EOF
-            os.close(up[0])  # else a parent that stops reading cannot break the pipe
-            _serve(work, down[0], up[1])
-        os.close(down[0])
-        os.close(up[1])
-        self._requests = os.fdopen(down[1], "wb", buffering=0)
-        self._replies = os.fdopen(up[0], "rb")
+            os.close(read)  # else a parent that stops reading cannot break the pipe
+            _serve(work, write)
+        os.close(write)
+        self._replies = os.fdopen(read, "rb")
         self._items = self._stream()
 
     def __enter__(self):
@@ -179,8 +180,7 @@ class _Forked:
         if self._pid is not None:
             os.kill(self._pid, signal.SIGKILL)
             self._reap()
-        if self._pending is None:
-            self._requests.close()
+        if self._replies is not None:
             self._replies.close()
 
     def __iter__(self):
@@ -188,18 +188,6 @@ class _Forked:
 
     def __next__(self):
         return next(self._items)
-
-    def send(self, request) -> None:
-        """Pass `request` to the child's next `receive()`."""
-        if self._pending is not None:
-            self._pending.append(request)
-            return
-        data = memoryview(pickle.dumps(request))
-        try:
-            while data:
-                data = data[self._requests.write(data):]
-        except BrokenPipeError:  # the child has ended: its stream says how
-            pass
 
     def _stream(self):
         try:
@@ -221,14 +209,15 @@ class _Forked:
         return os.waitstatus_to_exitcode(status)
 
 
-def _serve(work, down_fd, up_fd):
-    """The forked child of `_Forked`: send each item of `work(receive)` as
-    a 1-tuple, then None, or the exception `work` raised, and `os._exit`."""
+def _serve(work, fd):
+    """The forked child of `_Forked`: write each item of `work()` to the
+    pipe `fd` as a 1-tuple, then None, or the exception `work` raised, and
+    `os._exit`."""
     code = 1
     try:
-        with open(down_fd, "rb") as down, open(up_fd, "wb") as up:
+        with open(fd, "wb") as up:
             try:
-                for item in work(lambda: pickle.load(down)):
+                for item in work():
                     pickle.dump((item,), up)
                     up.flush()
                 end = None
@@ -260,7 +249,7 @@ def _calendar_hours(timestamps):
             np.array([ts.hour for ts in timestamps], dtype=float))
 
 
-class RosterStream:
+class RosterStream(_Forked):
     """Iterator of the (1, N, d) roster matrix of each temperature in turn,
     the per-step chunks `replay` takes: the `load_cdf_values` of the
     experts' models at that temperature, bit for bit.  The rows are not yet
@@ -275,26 +264,23 @@ class RosterStream:
     window refills the table.  `evaluations` counts the temperatures
     evaluated so far.
 
-    Without an `evaluator` the windows are evaluated in this process, one
-    when its first step is due.  With one (see `fork_evaluator`) they are
-    evaluated in its process, which sends each window's rows as soon as
-    they are made, so it evaluates the next window while this process plays
-    the steps of the last; an exception raised there is raised here at the
-    same step.
+    The windows are evaluated in an evaluator process that the stream, a
+    `_Forked` of windows, forks when it is made.  The evaluator inherits
+    the stacked models, the temperatures and the domain and sends each
+    window's rows as soon as they are made, so it evaluates the next window
+    while this process plays the steps of the last; an exception raised
+    there is raised here at the same step.  The stream is a context that
+    kills and reaps the evaluator on leaving.  Where `os.fork` does not
+    exist, the windows are evaluated in this process, one when its first
+    step is due.
     """
 
-    def __init__(self, experts, temps, domain: GridDomain, evaluator=None):
+    def __init__(self, experts, temps, domain: GridDomain):
         self.evaluations = 0
-        request = (stack_models([e.model for e in experts]), list(temps), domain)
-        if evaluator is None:
-            windows = _windows(*request)
-        else:
-            evaluator.send(request)
-            windows = evaluator
-        self._rows = self._steps(windows)
-
-    def __iter__(self):
-        return self
+        inputs = (stack_models([e.model for e in experts]), list(temps), domain)
+        caller = os.getpid()
+        super().__init__("roster evaluation", lambda: _evaluate(inputs, caller))
+        self._rows = self._steps(self._items)
 
     def __next__(self) -> np.ndarray:
         return next(self._rows)
@@ -306,27 +292,20 @@ class RosterStream:
                 yield rows[slot][None].copy()
 
 
-def fork_evaluator() -> _Forked:
-    """The process that evaluates the windows of one `RosterStream`,
-    forked now, as a context that reaps it on leaving: it loads scipy's
-    normal CDF at once, while this process goes on, then waits for the
-    stream's models, temperatures and domain."""
-    caller = os.getpid()
-    return _Forked("roster evaluation", lambda receive: _evaluate(receive, caller))
-
-
-def _evaluate(receive, caller):
-    """The evaluator's work.  In the forked child, which ends with
-    `os._exit`, `ndtr` (`load_cdf_values`' only scipy use) is loaded alone:
-    a bare `scipy.special` package in sys.modules holds the `ndtr` of the
-    compiled `scipy.special._ufuncs`, so `scipy/special/__init__.py`, whose
-    array-API layer imports numpy.f2py, numpy.testing and numpy.ma, never
-    runs.  scipy's OpenBLAS, which the load brings in and the evaluator
-    never calls, is held to one thread, so it starts no worker beside the
-    fit processes.  An entry already in sys.modules (a module, or None) is
-    left as it is; a light load that fails leaves none, and the public
-    import runs.  The `caller` of `fork_evaluator`, which runs this where
-    `os.fork` does not exist, keeps the public import."""
+def _evaluate(inputs, caller):
+    """The windows of `RosterStream`, evaluated from its `inputs` (stacked
+    models, temperatures, domain).  In the forked evaluator, which ends
+    with `os._exit`, `ndtr` (`load_cdf_values`' only scipy use) is loaded
+    alone: a bare `scipy.special` package in sys.modules holds the `ndtr`
+    of the compiled `scipy.special._ufuncs`, so `scipy/special/__init__.py`,
+    whose array-API layer imports numpy.f2py, numpy.testing and numpy.ma,
+    never runs.  scipy's OpenBLAS, which the load brings in and the
+    evaluator never calls, is held to one thread, so it starts no worker
+    beside the process that plays the game.  An entry already in
+    sys.modules (a module, or None) is left as it is; a light load that
+    fails leaves none, and the public import runs.  The `caller` that made
+    the stream, which runs this where `os.fork` does not exist, keeps the
+    public import."""
     if os.getpid() != caller and "scipy.special" not in sys.modules:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
         import scipy
@@ -339,9 +318,9 @@ def _evaluate(receive, caller):
             special.ndtr = ndtr
         except ImportError:
             del sys.modules["scipy.special"]
-    import scipy.special  # noqa: F401  (made while the parent works)
+    import scipy.special  # noqa: F401
 
-    yield from _windows(*receive())
+    yield from _windows(*inputs)
 
 
 def _windows(models, temps, domain):

@@ -646,7 +646,7 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 class TestEvaluatorProcess:
-    """`crpsmix load` evaluates its roster in a process forked as it starts."""
+    """`crpsmix load` evaluates its roster in a process forked after the fit."""
 
     @staticmethod
     def argv(tmp_path, case):
@@ -667,9 +667,23 @@ class TestEvaluatorProcess:
     def test_no_child_outlives_the_command(self, tmp_path, monkeypatch, case, code):
         argv = self.argv(tmp_path, case)
         forked = spy_forks(monkeypatch)
+        spied, unreaped = os.fork, []
+
+        def fork():  # records the earlier children not yet reaped, without reaping them
+            for pid in forked:
+                try:
+                    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+                    unreaped.append(pid)
+                except ChildProcessError:
+                    pass
+            return spied()
+
+        monkeypatch.setattr(os, "fork", fork)
         with deadline(120):
             assert main(argv) == code
-        assert len(forked) == (1 if case == "bad_ingest" else 2)  # the evaluator, the fit
+        # the fit, then the evaluator
+        assert len(forked) == {"bad_ingest": 0, "roster_too_small": 1}.get(case, 2)
+        assert unreaped == []  # the fit child is reaped before the evaluator is forked
         for pid in forked:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)

@@ -1,4 +1,4 @@
-import contextlib
+import errno
 import json
 import os
 import pickle
@@ -31,7 +31,6 @@ from crpsmix.roster import (
     WINDOW_TABLE_BYTES,
     RosterStream,
     build_load_roster,
-    fork_evaluator,
     periodic_ramp,
     roster_confidences,
 )
@@ -56,21 +55,22 @@ def reference_load_cdf(g, temp, domain):
 
 
 #: Run in a fresh interpreter as `python -c EVALUATOR_PROBE DIR CASE`: the
-#: roster stream of the request pickled in DIR, from `fork_evaluator`, with
-#: the rows written to DIR/rows and what the evaluating process had loaded,
-#: and how many threads it ran, to DIR/report.  CASE "broken" makes the
-#: first import of `scipy.special._ufuncs` fail; "no_fork" deletes os.fork.
+#: roster stream of the experts, temperatures and domain pickled in
+#: DIR/inputs, with the rows written to DIR/rows and what the evaluating
+#: process had loaded, and how many threads it ran, to DIR/report.  CASE
+#: "broken" makes the first import of `scipy.special._ufuncs` fail;
+#: "no_fork" deletes os.fork.
 EVALUATOR_PROBE = """
 import json, os, pickle, sys
 from pathlib import Path
 from crpsmix import roster
 
 out, case = Path(sys.argv[1]), sys.argv[2]
-experts, temps, domain = pickle.loads((out / "request").read_bytes())
+experts, temps, domain = pickle.loads((out / "inputs").read_bytes())
 windows = roster._windows
 
-def probed(*request):
-    yield from windows(*request)
+def probed(*inputs):
+    yield from windows(*inputs)
     status = Path("/proc/self/status")
     threads = None
     if status.exists():
@@ -96,8 +96,8 @@ if case == "broken":
 if case == "no_fork":
     del os.fork
 parent = os.getpid()
-with roster.fork_evaluator() as evaluator:
-    rows = [row.tobytes() for row in roster.RosterStream(experts, temps, domain, evaluator)]
+with roster.RosterStream(experts, temps, domain) as stream:
+    rows = [row.tobytes() for row in stream]
 (out / "rows").write_bytes(b"".join(rows))
 """
 
@@ -319,7 +319,8 @@ class TestRoster:
         for forked in (False, True) for d, hours in [(128, 1200), (1024, 150)]
     ])
     @pytest.mark.parametrize("whole", [True, False], ids=["whole_degree", "fine"])
-    def test_stream_matches_per_step_forecasts(self, fitted, d, hours, whole, forked):
+    def test_stream_matches_per_step_forecasts(self, fitted, monkeypatch, d, hours, whole,
+                                               forked):
         # materialized with list(): a row yielded in one window must not
         # change when a later window refills the table
         train, test, experts, _ = fitted
@@ -327,8 +328,9 @@ class TestRoster:
         temps = [r.temperature for r in test[:hours]]
         if whole:
             temps = [float(round(t)) for t in temps]
-        with deadline(120), fork_evaluator() if forked else contextlib.nullcontext() as evaluator:
-            stream = RosterStream(experts, temps, dom, evaluator)
+        if not forked:
+            monkeypatch.delattr(os, "fork")  # the in-process branch
+        with deadline(120), RosterStream(experts, temps, dom) as stream:
             rows = list(stream)
         assert len(rows) == len(temps)
         models = [e.model for e in experts]
@@ -340,6 +342,7 @@ class TestRoster:
             assert np.array_equal(got[0], conditional_load_cdfs(models, temp, dom))
         assert len(set(temps)) <= stream.evaluations <= len(temps)
         if forked:
+            monkeypatch.delattr(os, "fork")
             in_process = RosterStream(experts, temps, dom)
             assert len(list(in_process)) == len(temps)
             assert stream.evaluations == in_process.evaluations
@@ -356,6 +359,7 @@ class TestRoster:
             return load_cdf_values(models, temps, domain)
 
         monkeypatch.setattr(roster, "load_cdf_values", spy)
+        monkeypatch.delattr(os, "fork")  # the in-process branch: the spy sees every batch
         stream = RosterStream(experts, temps, dom)
         for _ in stream:
             served[0] += 1
@@ -383,8 +387,8 @@ class TestRoster:
             return stack_models(models)
 
         monkeypatch.setattr(roster, "stack_models", spy)
-        stream = RosterStream(experts, temps, dom)
-        rows = list(stream)
+        with deadline(120), RosterStream(experts, temps, dom) as stream:
+            rows = list(stream)
         assert stacked == [len(experts)] and stream.evaluations > 6
         models = stack_models([e.model for e in experts])
         for temp, got in zip(temps, rows, strict=True):
@@ -407,37 +411,77 @@ class TestRoster:
         monkeypatch.setattr(roster, "load_cdf_values", spy)
         rows = []
         ended = f"the roster evaluation process ended by signal {int(signal.SIGKILL)}"
-        with deadline(120), fork_evaluator() as evaluator:
-            stream = RosterStream(experts, temps, dom, evaluator)
+        with deadline(120), RosterStream(experts, temps, dom) as stream:
             with pytest.raises(RuntimeError, match=ended):
                 rows.extend(stream)
         assert batches == [] and stream.evaluations == 6  # the parent evaluated nothing
         # the hours of the first window, those before a seventh temperature
         assert len(rows) == max(i for i in range(len(temps)) if len(set(temps[:i])) <= 6)
+        monkeypatch.delattr(os, "fork")
         for got, want in zip(rows, RosterStream(experts, temps, dom)):
             assert got.tobytes() == want.tobytes()
 
+    def test_consumer_exception_reaps_the_evaluator(self, fitted, monkeypatch):
+        # d=1024: a window's rows overfill the pipe, so the evaluator is
+        # still at work on the second window when the consumer fails
+        train, test, experts, _ = fitted
+        dom = GridDomain(0.0, 1.05 * max(r.load for r in train), 1024)
+        temps = [r.temperature for r in test[:40]]
+        forked = spy_forks(monkeypatch)
+        with deadline(120), pytest.raises(ArithmeticError, match="consumer"):
+            with RosterStream(experts, temps, dom) as stream:
+                for _ in stream:
+                    raise ArithmeticError("the consumer failed")
+        assert stream.evaluations == 6  # after the first window
+        [pid] = forked
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+    @pytest.mark.parametrize("site", ["fit", "evaluator"])
+    def test_failed_fork_closes_its_pipe(self, fitted, demo_year, monkeypatch, site):
+        train, test, experts, _ = fitted
+        dom = GridDomain(0.0, 1.05 * max(r.load for r in train), 16)
+        pipes, real = [], os.pipe
+
+        def pipe():
+            pipes.append(real())
+            return pipes[-1]
+
+        def fork():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        monkeypatch.setattr(os, "fork", fork)
+        with pytest.raises(BlockingIOError):
+            if site == "fit":
+                build_load_roster(demo_year, components=2, seed=3)
+            else:
+                RosterStream(experts, [r.temperature for r in test[:48]], dom)
+        assert pipes
+        for fd in sum(pipes, ()):
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
     @pytest.mark.parametrize("forked", [False, True], ids=["in_process", "forked"])
     def test_evaluator_without_scipy_raises_its_import_error(self, fitted, monkeypatch, forked):
-        # a year of temperatures pickles past a 64 KiB pipe: the request
-        # meets a child that has failed and closed its end of the pipe
-        train, _, experts, _ = fitted
+        train, test, experts, _ = fitted
         dom = GridDomain(0.0, 1.05 * max(r.load for r in train), 16)
-        temps = [r.temperature for r in train[:8760]]
+        temps = [r.temperature for r in test[:48]]
         monkeypatch.setitem(sys.modules, "scipy.special", None)  # its import fails
-        with deadline(120), fork_evaluator() if forked else contextlib.nullcontext() as evaluator:
-            stream = RosterStream(experts, temps, dom, evaluator)
+        if not forked:
+            monkeypatch.delattr(os, "fork")
+        with deadline(120), RosterStream(experts, temps, dom) as stream:
             with pytest.raises(ImportError, match="scipy.special"):
                 next(stream)
 
     @pytest.mark.parametrize("case", ["light", "broken", "no_fork"])
-    def test_evaluator_loads_only_ndtr_on_one_thread(self, fitted, tmp_path, case):
+    def test_evaluator_loads_only_ndtr_on_one_thread(self, fitted, monkeypatch, tmp_path, case):
         # this module imports scipy.special, which every evaluator forked in
         # the test process inherits: only a fresh interpreter loads it cold
         train, test, experts, _ = fitted
         dom = GridDomain(0.0, 1.05 * max(r.load for r in train), 128)
         temps = [r.temperature for r in test[:300]]
-        (tmp_path / "request").write_bytes(pickle.dumps((experts, temps, dom)))
+        (tmp_path / "inputs").write_bytes(pickle.dumps((experts, temps, dom)))
         src = os.path.dirname(os.path.dirname(roster.__file__))
         env = {k: v for k, v in os.environ.items()
                if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
@@ -445,6 +489,7 @@ class TestRoster:
                               env={**env, "PYTHONPATH": src}, capture_output=True, text=True,
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
+        monkeypatch.delattr(os, "fork")
         want = b"".join(row.tobytes() for row in RosterStream(experts, temps, dom))
         assert (tmp_path / "rows").read_bytes() == want
         report = json.loads((tmp_path / "report").read_text())
