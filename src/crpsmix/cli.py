@@ -41,7 +41,7 @@ from .data import (
 from .experts import ConditioningError, em_hit_max_iter, triangular_cdf
 from .game import BOUND_TOL, GameConfig, GameLog, replay
 from .grids import GridDomain, cdf_to_row, quantile
-from .roster import RosterStream, build_load_roster, roster_confidences
+from .roster import RosterStream, build_load_roster, child_usage, roster_confidences
 
 logger = logging.getLogger(__name__)
 
@@ -244,6 +244,7 @@ def _load_records(args, schema):
 
 def cmd_load(args) -> int:
     mark = _phase_clock(args.timings)
+    children = len(child_usage)
     schema = CsvSchema(
         timestamp_col=args.timestamp_col,
         load_col=args.load_col,
@@ -267,8 +268,10 @@ def cmd_load(args) -> int:
         return 3
     mark("fit")
 
-    # each hour is forecast from the temperature of the hour before
+    # each hour is forecast from the temperature of the hour before; the
+    # game reads no other training record, so none is kept through it
     temps = [train[-1].temperature] + [rec.temperature for rec in test[:-1]]
+    del train
     with RosterStream(experts, temps, domain) as forecasts:
         outcomes = [min(max(rec.load, domain.a), domain.b) for rec in test]
         clipped = sum(y != rec.load for y, rec in zip(outcomes, test))
@@ -339,6 +342,13 @@ def cmd_load(args) -> int:
                  "temperature": [rec.temperature for rec in test]},
     )
     mark("write")
+    if args.timings:
+        import resource
+
+        own = resource.getrusage(resource.RUSAGE_SELF)
+        for name, cpu, peak in [*child_usage[children:],
+                                ("load", own.ru_utime + own.ru_stime, own.ru_maxrss / 1024)]:
+            print(f"process {name}: cpu {cpu:.6f} s, peak {peak:.1f} MB", file=sys.stderr)
 
     print(f"load: T={log.steps} experts={len(experts)} mode={args.mode} "
           f"confidence={args.confidence} avg_loss={average:.6g}")

@@ -10,6 +10,7 @@ import pickle
 import signal
 import sys
 import types
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +80,13 @@ def build_load_roster(
     "off" attaches no schedules at all.  Returns (experts, failures) where
     failures is a list of (name, reason) for segments that could not be
     fitted; those experts are dropped from the roster.
+
+    The fits run as three lockstep calls of `fit_gmm_ems`, one per level,
+    in two forked fit children (`_Forked`): the anytime call then the
+    season call in the first, the season-by-day-period call in the second.
+    Each child draws the roster's seeds itself, so this process fits
+    nothing and never imports numpy.random; it reads the fits in that
+    order.  Where `os.fork` does not exist, the three calls run here.
     """
     if confidence not in ("smooth", "binary", "off"):
         raise ValueError(f"confidence must be smooth, binary or off, got {confidence!r}")
@@ -98,7 +106,6 @@ def build_load_roster(
         for p in DAY_PERIODS:
             specs.append((f"expert{len(specs) + 1:02d}_{s}_{p}", s, p))
 
-    seeds = [int(x) for x in np.random.SeedSequence(seed).generate_state(len(specs))]
     segments = []
     for _, s, p in specs:
         mask = np.ones(len(points), dtype=bool)
@@ -107,14 +114,16 @@ def build_load_roster(
         if p is not None:
             mask &= in_period[p]
         segments.append(points[mask])
-    # one lockstep fit per level: the season-by-day-period experts in a
-    # child process while this one fits the anytime expert and the seasons
-    periods = 1 + len(SEASONS)
-    level = (segments[periods:], components, seeds[periods:])
-    with _Forked("EM fit", lambda: fit_gmm_ems(*level)) as child:
-        fits = fit_gmm_ems(segments[:1], components, seeds[:1])
-        fits += fit_gmm_ems(segments[1:periods], components, seeds[1:periods])
-        fits += child
+
+    def fit_levels(*levels):  # one lockstep fit per level, in order
+        seeds = [int(x) for x in np.random.SeedSequence(seed).generate_state(len(specs))]
+        for level in levels:
+            yield from fit_gmm_ems(segments[level], components, seeds[level])
+
+    anytime, seasons, periods = slice(1), slice(1, 1 + len(SEASONS)), slice(1 + len(SEASONS), None)
+    with (_Forked("anytime and season fit", lambda: fit_levels(anytime, seasons)) as first,
+          _Forked("season-by-day-period fit", lambda: fit_levels(periods)) as second):
+        fits = [*first, *second]
 
     experts: list[LoadExpert] = []
     failures: list[tuple[str, str]] = []
@@ -137,6 +146,12 @@ def build_load_roster(
     return experts, failures
 
 
+#: (name, CPU seconds, peak RSS in MB) of each `_Forked` child reaped in
+#: this process, in the order they were reaped (`wait4`'s rusage; ru_maxrss
+#: is in KiB on Linux)
+child_usage: list[tuple[str, float, float]] = []
+
+
 class _Forked:
     """The items of `work()`, an iterable, made in a forked child process
     while this one works: an iterator and a context.  The child inherits
@@ -151,8 +166,13 @@ class _Forked:
 
     The child ends with `os._exit` (no stdio flush, no atexit handlers) and
     flushes each item, so the parent plays an item while the child makes
-    the next.
+    the next.  It holds no pipe but its own write end: it closes the read
+    ends of the streams open here when it is forked.  Each child reaped
+    here appends its name, CPU seconds and peak RSS to `child_usage`.
     """
+
+    #: the read ends of the streams open in this process
+    _open = weakref.WeakSet()
 
     def __init__(self, name: str, work):
         self._name, self._pid, self._replies = name, None, None
@@ -167,10 +187,15 @@ class _Forked:
             os.close(write)
             raise
         if self._pid == 0:
-            os.close(read)  # else a parent that stops reading cannot break the pipe
+            # else a parent that stops reading this stream, or another one
+            # open here, cannot break its pipe
+            os.close(read)
+            for replies in _Forked._open:
+                replies.close()
             _serve(work, write)
         os.close(write)
         self._replies = os.fdopen(read, "rb")
+        _Forked._open.add(self._replies)
         self._items = self._stream()
 
     def __enter__(self):
@@ -204,8 +229,9 @@ class _Forked:
             raise message
 
     def _reap(self) -> int:
-        _, status = os.waitpid(self._pid, 0)
+        _, status, usage = os.wait4(self._pid, 0)
         self._pid = None
+        child_usage.append((self._name, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024))
         return os.waitstatus_to_exitcode(status)
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -633,20 +634,22 @@ def test_negative_seed_is_usage_error(command, demo_load_csv, tmp_path):
 
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is imported where it is used, by the load experiment's expert
-    # evaluation, so synth and verify start without it
+    # evaluation, and numpy.random by the draws and fits that use it, so
+    # synth and verify start without them
     src = os.path.dirname(os.path.dirname(crpsmix.__file__))
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, crpsmix, crpsmix.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", "import sys, crpsmix, crpsmix.cli; "
+         "print('scipy' in sys.modules, 'numpy.random' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False False"
 
 
 class TestEvaluatorProcess:
-    """`crpsmix load` evaluates its roster in a process forked after the fit."""
+    """`crpsmix load` fits its roster in two forked processes and evaluates
+    it in a third, forked after the fit."""
 
     @staticmethod
     def argv(tmp_path, case):
@@ -670,10 +673,11 @@ class TestEvaluatorProcess:
         spied, unreaped = os.fork, []
 
         def fork():  # records the earlier children not yet reaped, without reaping them
+            unreaped.append([])
             for pid in forked:
                 try:
                     os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
-                    unreaped.append(pid)
+                    unreaped[-1].append(pid)
                 except ChildProcessError:
                     pass
             return spied()
@@ -681,9 +685,10 @@ class TestEvaluatorProcess:
         monkeypatch.setattr(os, "fork", fork)
         with deadline(120):
             assert main(argv) == code
-        # the fit, then the evaluator
-        assert len(forked) == {"bad_ingest": 0, "roster_too_small": 1}.get(case, 2)
-        assert unreaped == []  # the fit child is reaped before the evaluator is forked
+        # the two fit children, then the evaluator
+        assert len(forked) == {"bad_ingest": 0, "roster_too_small": 2}.get(case, 3)
+        # both fit children run at once, and are reaped before the evaluator is forked
+        assert unreaped == [[], forked[:1], []][:len(forked)]
         for pid in forked:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
@@ -715,13 +720,13 @@ class TestEvaluatorProcess:
         src = os.path.dirname(os.path.dirname(crpsmix.__file__))
         argv = self.argv(tmp_path, "success")
         code = ("import sys; from crpsmix.cli import main; main(sys.argv[1:]); "
-                "print('scipy' in sys.modules)")
+                "print('scipy' in sys.modules, 'numpy.random' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code, *argv],
                               env={**os.environ, "PYTHONPATH": src}, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         [line, loaded] = proc.stdout.splitlines()
-        assert line.startswith("load: T=48 ") and loaded == "False"
+        assert line.startswith("load: T=48 ") and loaded == "False False"
 
 
 class TestVerify:
@@ -841,6 +846,25 @@ class TestTimings:
             phases = [line.split("  ", 1)[1].split(" (")[0] for line in out0.splitlines()]
         assert [line[len("timing "):].split(":")[0] for line in timed] == phases
         assert all(line.endswith(" s") and float(line.split()[-2]) >= 0 for line in timed)
+
+    def test_load_reports_each_process(self, tmp_path, capsys, monkeypatch):
+        rows = demo_rows(tmp_path / "demo.csv", 8760 + 48)
+        args = ["load", "--data", write_rows(tmp_path / "in.csv", rows),
+                "--split", rows[1 + 8760][0], "--grid", "16", "--out", str(tmp_path / "o")]
+        pattern = re.compile(r"process (.+): cpu (\d+\.\d{6}) s, peak (\d+\.\d) MB")
+        children = ["anytime and season fit", "season-by-day-period fit", "roster evaluation"]
+        for forked in (True, False):
+            if not forked:  # the fits and the evaluation run in the command process
+                monkeypatch.delattr(os, "fork")
+            assert main(args) == 0
+            assert "process " not in capsys.readouterr().err
+            assert main(args + ["--timings"]) == 0
+            err = capsys.readouterr().err.splitlines()
+            reported = [pattern.fullmatch(e).groups() for e in err if e.startswith("process ")]
+            assert [name for name, _, _ in reported] == (children if forked else []) + ["load"]
+            assert err[-len(reported):] == [e for e in err if e.startswith("process ")]
+            for _, cpu, peak in reported:
+                assert float(cpu) > 0 and float(peak) > 0
 
 
 def test_csv_writer_matches_csv_module(tmp_path):

@@ -439,28 +439,40 @@ class TestRoster:
 
     @pytest.mark.parametrize("site", ["fit", "evaluator"])
     def test_failed_fork_closes_its_pipe(self, fitted, demo_year, monkeypatch, site):
+        # the fit forks twice: its first fork fails, then its second, whose
+        # failure must kill and reap the first fit child
         train, test, experts, _ = fitted
         dom = GridDomain(0.0, 1.05 * max(r.load for r in train), 16)
-        pipes, real = [], os.pipe
+        pipes, forked, real_pipe, real_fork = [], [], os.pipe, os.fork
 
         def pipe():
-            pipes.append(real())
+            pipes.append(real_pipe())
             return pipes[-1]
 
-        def fork():
-            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        def fork():  # each fork follows its pipe
+            if len(pipes) == failing:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            pid = real_fork()
+            forked.extend([pid] if pid else [])
+            return pid
 
         monkeypatch.setattr(os, "pipe", pipe)
         monkeypatch.setattr(os, "fork", fork)
-        with pytest.raises(BlockingIOError):
-            if site == "fit":
-                build_load_roster(demo_year, components=2, seed=3)
-            else:
-                RosterStream(experts, [r.temperature for r in test[:48]], dom)
-        assert pipes
-        for fd in sum(pipes, ()):
-            with pytest.raises(OSError):
-                os.fstat(fd)
+        for failing in (1, 2) if site == "fit" else (1,):
+            pipes.clear()
+            forked.clear()
+            with deadline(120), pytest.raises(BlockingIOError):
+                if site == "fit":
+                    build_load_roster(demo_year, components=2, seed=3)
+                else:
+                    RosterStream(experts, [r.temperature for r in test[:48]], dom)
+            assert len(pipes) == failing and len(forked) == failing - 1
+            for pid in forked:
+                with pytest.raises(ChildProcessError):
+                    os.waitpid(pid, os.WNOHANG)
+            for fd in sum(pipes, ()):
+                with pytest.raises(OSError):
+                    os.fstat(fd)
 
     @pytest.mark.parametrize("forked", [False, True], ids=["in_process", "forked"])
     def test_evaluator_without_scipy_raises_its_import_error(self, fitted, monkeypatch, forked):
@@ -584,7 +596,7 @@ class TestRosterFit:
         monkeypatch.delattr(os, "fork")  # the in-process branch: the spy sees every level
         experts, failures = build_load_roster(records, components=1, seed=0, confidence="binary")
         assert failures == [] and len(experts) == 21
-        periods, [anytime], seasons = calls  # the forked level starts first
+        [anytime], seasons, periods = calls
         segments = [anytime, *seasons, *periods]
         points = np.array([(r.temperature, r.load) for r in records])
         awake = roster_confidences(experts, stamps)
@@ -598,8 +610,9 @@ class TestRosterFit:
 
 
 class TestForkedLevel:
-    """build_load_roster fits its season-by-day-period level in a forked
-    child process while the parent fits the other two."""
+    """build_load_roster fits its anytime and season levels in one forked
+    child process and its season-by-day-period level in another, while the
+    calling process only reads the fits."""
 
     @staticmethod
     def patch_m_step(monkeypatch, act, *, in_child):
@@ -617,14 +630,16 @@ class TestForkedLevel:
     def test_child_models_are_the_in_process_fits(self, demo_year, monkeypatch):
         forked = spy_forks(monkeypatch)
         experts, _ = build_load_roster(demo_year, components=2, seed=3)
-        assert len(forked) == 1
+        assert len(forked) == 2
         seeds = [int(x) for x in np.random.SeedSequence(3).generate_state(21)]
-        want = fit_gmm_ems([expert_segment(e.name, demo_year) for e in experts[5:]], 2, seeds[5:])
+        segments = [expert_segment(e.name, demo_year) for e in experts]
+        want = [fit for level in (slice(1), slice(1, 5), slice(5, None))  # one call per level
+                for fit in fit_gmm_ems(segments[level], 2, seeds[level])]
         monkeypatch.delattr(os, "fork")  # the in-process branch
         unforked, _ = build_load_roster(demo_year, components=2, seed=3)
-        assert len(forked) == 1
-        for e, same, (model, history) in zip(experts[5:], unforked[5:], want, strict=True):
-            assert e.name == same.name and e.name.count("_") == 2  # season_period
+        assert len(forked) == 2
+        for e, same, (model, history) in zip(experts, unforked, want, strict=True):
+            assert e.name == same.name
             for got in (e.model, same.model):
                 for name in ("weights", "means", "covs"):
                     assert not getattr(got, name).flags.writeable
@@ -648,20 +663,51 @@ class TestForkedLevel:
         with pytest.raises(RuntimeError, match=f"ended by {ended} without a result"):
             build_load_roster(demo_year, components=2, seed=3)
 
-    def test_parent_exception_reaps_the_child(self, demo_year, monkeypatch):
-        # the child's result overfills the pipe (as below): it ends only if
-        # the parent, which stops reading, closes its end
+    def test_exception_in_a_fit_child_reaps_the_other(self, demo_year, monkeypatch):
+        # the second child's result overfills its pipe (as below): it ends
+        # only if killed, or if the parent, which stops reading, closes its
+        # end and no other process holds that end open
+        forked = spy_forks(monkeypatch)
+
         def fail():
-            raise ArithmeticError("M-step failed in the parent")
+            if not forked:  # in the first child, forked before any pid was recorded
+                raise ArithmeticError("M-step failed in the first fit child")
 
         monkeypatch.setattr(experts_mod, "EM_TOL", -np.inf)
-        forked = spy_forks(monkeypatch)
-        self.patch_m_step(monkeypatch, fail, in_child=False)
-        with pytest.raises(ArithmeticError, match="failed in the parent"):
+        self.patch_m_step(monkeypatch, fail, in_child=True)
+        with deadline(120), pytest.raises(ArithmeticError, match="failed in the first fit child"):
             build_load_roster(demo_year, components=2, seed=3)
-        [pid] = forked
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
+        assert len(forked) == 2
+        for pid in forked:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_the_calling_process_fits_nothing(self, demo_year, monkeypatch):
+        calls = []
+        self.patch_m_step(monkeypatch, lambda: calls.append(os.getpid()), in_child=False)
+        experts, failures = build_load_roster(demo_year, components=2, seed=3)
+        assert failures == [] and len(experts) == 21
+        assert calls == []
+        monkeypatch.delattr(os, "fork")  # the in-process branch: the spy sees its M-steps
+        build_load_roster(demo_year, components=2, seed=3)
+        assert calls and set(calls) == {os.getpid()}
+
+    def test_a_child_holds_only_its_own_pipe(self):
+        # the second child is forked while the first stream is open: it
+        # closes that stream's read end, so only this process holds it
+        with deadline(60), roster._Forked("first", lambda: ["first"]) as first:
+            fd = first._replies.fileno()
+            pipe = os.fstat(fd).st_ino
+
+            def held():
+                try:
+                    yield os.fstat(fd).st_ino == pipe
+                except OSError:
+                    yield False
+
+            with roster._Forked("second", held) as second:
+                assert list(second) == [False]
+            assert list(first) == ["first"]
 
     def test_result_larger_than_the_pipe_buffer(self, demo_year, monkeypatch):
         # no fit meets a stopping tolerance of -inf: 16 histories of
