@@ -6,9 +6,11 @@ mixture of losses, for the unit-interval square loss and for grid CDFs
 under CRPS, together with weighted-average aggregation and the weight
 step: the confidence-discounted update and the fixed-share mix.
 
-The weight state is one (N,) array of log weights, unnormalized: the
-update rescales it so the largest weight is 1, which leaves every
-normalized quantity unchanged.
+The weight state is one (N,) array of log weights, unnormalized, or a
+(C, N) array inside `replay`, one configuration per row: the update
+rescales it so the largest weight is 1, which leaves every normalized
+quantity unchanged.  The learning rate and the mixing rate are passed in;
+they live in `GameConfig` alone.
 """
 
 from __future__ import annotations
@@ -42,7 +44,10 @@ def logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
 
     Safe for entries that are -inf or very negative (zero or denormal
     weights, which arise after long runs); at least one entry along each
-    reduced axis must be finite.
+    reduced axis must be finite.  The package's one log-sum-exp: the
+    weights, EM, the experts' posterior component weights (through
+    `normalized_weights`) and `telescoping_gap` use it; the substitution
+    rule needs none (`substitute_tables`).
     """
     m = a.max(axis=axis, keepdims=axis is not None)
     out = np.log(np.exp(a - m).sum(axis=axis))
@@ -75,7 +80,10 @@ def _check_probability(q, n: int) -> np.ndarray:
 
 def square_tables(values: np.ndarray, eta: float) -> tuple:
     """The tables A = e^{-eta F^2} and B = e^{-eta (1-F)^2} of the
-    substitution rule, for any (..., N, d) stack of values F in [0, 1]."""
+    substitution rule, for any (..., N, d) stack of values F in [0, 1].
+    `replay` builds them once per fixed matrix or chunk,
+    `run_square_loss_game` once per run as (T, N, 1) tables, and
+    `substitute_crps_aa` and `substitute_vector_aa` once per call."""
     # in place, one temporary per table: the bits of exp(-eta * F**2)
     a = np.square(values)
     b = np.square(1.0 - values)
@@ -182,7 +190,8 @@ def confidence_step(eta, alpha, n: int):
     weights and the charge p*l + (1-p)*h of each expert (just l at full
     confidence), with a (C, 1) eta and alpha for (C, n) log weights: the
     update rescaled so the largest log weight is exactly 0 (so the
-    normalizing logsumexp needs no max shift), then the fixed-share mix."""
+    normalizing logsumexp needs no max shift), then the fixed-share mix.
+    `replay` builds it once per call."""
     share = _share(alpha, n)
 
     def step(lw, charge):

@@ -49,6 +49,9 @@ QUANTILE_LEVELS = (0.05, 0.25, 0.75, 0.95)
 
 
 def _fmt(x) -> str:
+    """A CSV cell or manifest value: `repr(float(x))` for every float,
+    numpy floats included, so it reads back exactly; true/false for a
+    bool."""
     if type(x) is float:
         return repr(x)
     if isinstance(x, bool):
@@ -98,14 +101,18 @@ def _finish_run(out, log: GameLog, experiment, config, seed, inputs, metrics,
                 names=None, leading=None) -> int:
     """Write the game log, the regret report and the manifest of one
     finished game into `out`; return 1 when config["alpha"] is 0 and the
-    discounted regret breaks the ln(N)/eta bound, else 0.
+    largest discounted regret exceeds the ln(N)/eta bound by more than
+    BOUND_TOL (`GameLog.bound_excess`), else 0.
 
     The manifest is a flat record of the run: `experiment`, a hash of
     `config`, `seed`, `config`, `inputs` and `out`, then the metrics: the
     regret numbers, the command's own `metrics` in their order, and last
     the regret headroom, the largest CDF repair and the feedback steps.
-    `names` label the experts of the report, and `leading` are the game
-    log's leading columns (see GameLog.to_csv)."""
+    It is written last, under a temporary name renamed into place, so a
+    `manifest.txt` marks a finished run; the command writes its other
+    files before calling this.  `names` label the experts of the report,
+    and `leading` are the game log's leading columns (see
+    GameLog.to_csv)."""
     os.makedirs(out, exist_ok=True)
     log.to_csv(os.path.join(out, "game_log.csv"), leading)
     learner, experts = log.learner_cumulative()[-1], log.expert_cumulative()[-1]
@@ -243,118 +250,133 @@ def _load_records(args, schema):
 
 
 def cmd_load(args) -> int:
+    """Ingest, fit the roster, play the test span and write the artifacts.
+
+    The run spans four processes, at most three at a time: this one, which
+    ingests, reads the fitted models, plays the game and writes, and which
+    fits nothing and imports neither scipy nor numpy.random; the two fit
+    children of `build_load_roster`; and the evaluator of `RosterStream`,
+    forked once both fit children are reaped.  An exit before the stream
+    (bad ingest, a roster too small) forks no evaluator, and bad ingest
+    forks nothing.  An error in a child is raised here where it would have
+    been raised in this process (`roster._Forked`), so exit codes and
+    stderr lines do not depend on the fork.
+    """
     mark = _phase_clock(args.timings)
     children = len(child_usage)
-    schema = CsvSchema(
-        timestamp_col=args.timestamp_col,
-        load_col=args.load_col,
-        temperature_col=args.temperature_col,
-        delimiter=args.delimiter,
-    )
     try:
-        train, test, inputs, reports, domain = _load_records(args, schema)
-    except (OSError, ValueError) as exc:
-        print(f"cannot ingest data: {exc}", file=sys.stderr)
-        return 3
-    mark("ingest")
-
-    experts, failures = build_load_roster(
-        train, components=args.components, seed=args.seed, confidence=args.confidence
-    )
-    for name, reason in failures:
-        print(f"roster fit failed for {name}: {reason}", file=sys.stderr)
-    if len(experts) < 2 or (failures and failures[0][0] == "expert01_anytime"):
-        print("roster too small to aggregate", file=sys.stderr)
-        return 3
-    mark("fit")
-
-    # each hour is forecast from the temperature of the hour before; the
-    # game reads no other training record, so none is kept through it
-    temps = [train[-1].temperature] + [rec.temperature for rec in test[:-1]]
-    del train
-    with RosterStream(experts, temps, domain) as forecasts:
-        outcomes = [min(max(rec.load, domain.a), domain.b) for rec in test]
-        clipped = sum(y != rec.load for y, rec in zip(outcomes, test))
-        if clipped:
-            logger.warning("%d test outcomes clipped into [%g, %g]",
-                           clipped, domain.a, domain.b)
-        confidences = roster_confidences(experts, [rec.timestamp for rec in test])
-        band_steps = [t for t, rec in enumerate(test, start=1)
-                      if rec.timestamp.hour == args.band_hour]
+        schema = CsvSchema(
+            timestamp_col=args.timestamp_col,
+            load_col=args.load_col,
+            temperature_col=args.temperature_col,
+            delimiter=args.delimiter,
+        )
         try:
-            (log,), kept = replay(
-                [GameConfig(domain, mode=args.mode, alpha=args.alpha)],
-                forecasts, outcomes, confidences, keep=band_steps,
-            )
-        except ConditioningError as exc:
-            print(f"cannot forecast the test span: {exc}", file=sys.stderr)
+            train, test, inputs, reports, domain = _load_records(args, schema)
+        except (OSError, ValueError) as exc:
+            print(f"cannot ingest data: {exc}", file=sys.stderr)
             return 3
-    mark("replay")
+        mark("ingest")
 
-    expert_dir = os.path.join(args.out, "experts")
-    os.makedirs(expert_dir, exist_ok=True)
-    for e in experts:
-        with open(os.path.join(expert_dir, f"{e.name}.txt"), "w", encoding="utf-8") as fh:
-            fh.write(e.model.to_text())
-    em_rows = [
-        [e.name, e.fit_points, len(e.fit_history), float(e.fit_history[-1]),
-         em_hit_max_iter(e.fit_history)]
-        for e in experts
-    ]
-    _write_csv(
-        os.path.join(args.out, "em_fits.csv"),
-        ["expert", "points", "iterations", "final_log_likelihood", "at_max_iter"],
-        em_rows,
-    )
-    _write_csv(
-        os.path.join(args.out, "quantile_bands.csv"),
-        ["t", "timestamp"] + [f"q{int(100 * tau):02d}" for tau in QUANTILE_LEVELS] + ["actual"],
-        ([t, test[t - 1].timestamp.isoformat()]
-         + [quantile(kept[t][0], tau) for tau in QUANTILE_LEVELS] + [outcomes[t - 1]]
-         for t in band_steps),
-    )
-    with open(os.path.join(args.out, "data_quality.txt"), "w", encoding="utf-8") as fh:
-        for label, quality in reports:
-            for k, v in quality.as_dict().items():
-                fh.write(f"{label}_{k}={v}\n")
-        fh.write(f"test_outcomes_clipped={clipped}\n")
+        experts, failures = build_load_roster(
+            train, components=args.components, seed=args.seed, confidence=args.confidence
+        )
+        for name, reason in failures:
+            print(f"roster fit failed for {name}: {reason}", file=sys.stderr)
+        if len(experts) < 2 or (failures and failures[0][0] == "expert01_anytime"):
+            print("roster too small to aggregate", file=sys.stderr)
+            return 3
+        mark("fit")
 
-    config = {
-        "mode": args.mode, "confidence": args.confidence, "alpha": args.alpha,
-        "grid": args.grid, "components": args.components,
-        "band_hour": args.band_hour,
-    }
-    average = float(log.learner_cumulative()[-1] / log.steps)
-    metrics = {
-        "n_experts": len(experts),
-        "n_fit_failures": len(failures),
-        "em_fits_at_max_iter": sum(row[-1] for row in em_rows),
-        "domain_b": domain.b,
-        "final_average_loss": average,
-        "asleep_steps": log.asleep_steps,
-        "test_outcomes_clipped": clipped,
-        "roster_evaluations": forecasts.evaluations,
-    }
-    code = _finish_run(
-        args.out, log, "load", config, args.seed, inputs, metrics,
-        names=[e.name for e in experts],
-        leading={"timestamp": [rec.timestamp.isoformat() for rec in test],
-                 "temperature": [rec.temperature for rec in test]},
-    )
-    mark("write")
-    if args.timings:
-        import resource
+        # each hour is forecast from the temperature of the hour before; the
+        # game reads no other training record, so none is kept through it
+        temps = [train[-1].temperature] + [rec.temperature for rec in test[:-1]]
+        del train
+        with RosterStream(experts, temps, domain) as forecasts:
+            outcomes = [min(max(rec.load, domain.a), domain.b) for rec in test]
+            clipped = sum(y != rec.load for y, rec in zip(outcomes, test))
+            if clipped:
+                logger.warning("%d test outcomes clipped into [%g, %g]",
+                               clipped, domain.a, domain.b)
+            confidences = roster_confidences(experts, [rec.timestamp for rec in test])
+            band_steps = [t for t, rec in enumerate(test, start=1)
+                          if rec.timestamp.hour == args.band_hour]
+            try:
+                (log,), kept = replay(
+                    [GameConfig(domain, mode=args.mode, alpha=args.alpha)],
+                    forecasts, outcomes, confidences, keep=band_steps,
+                )
+            except ConditioningError as exc:
+                print(f"cannot forecast the test span: {exc}", file=sys.stderr)
+                return 3
+        mark("replay")
 
-        own = resource.getrusage(resource.RUSAGE_SELF)
-        for name, cpu, peak in [*child_usage[children:],
-                                ("load", own.ru_utime + own.ru_stime, own.ru_maxrss / 1024)]:
-            print(f"process {name}: cpu {cpu:.6f} s, peak {peak:.1f} MB", file=sys.stderr)
+        expert_dir = os.path.join(args.out, "experts")
+        os.makedirs(expert_dir, exist_ok=True)
+        for e in experts:
+            with open(os.path.join(expert_dir, f"{e.name}.txt"), "w", encoding="utf-8") as fh:
+                fh.write(e.model.to_text())
+        em_rows = [
+            [e.name, e.fit_points, len(e.fit_history), float(e.fit_history[-1]),
+             em_hit_max_iter(e.fit_history)]
+            for e in experts
+        ]
+        _write_csv(
+            os.path.join(args.out, "em_fits.csv"),
+            ["expert", "points", "iterations", "final_log_likelihood", "at_max_iter"],
+            em_rows,
+        )
+        _write_csv(
+            os.path.join(args.out, "quantile_bands.csv"),
+            ["t", "timestamp"] + [f"q{int(100 * tau):02d}" for tau in QUANTILE_LEVELS]
+            + ["actual"],
+            ([t, test[t - 1].timestamp.isoformat()]
+             + [quantile(kept[t][0], tau) for tau in QUANTILE_LEVELS] + [outcomes[t - 1]]
+             for t in band_steps),
+        )
+        with open(os.path.join(args.out, "data_quality.txt"), "w", encoding="utf-8") as fh:
+            for label, quality in reports:
+                for k, v in quality.as_dict().items():
+                    fh.write(f"{label}_{k}={v}\n")
+            fh.write(f"test_outcomes_clipped={clipped}\n")
 
-    print(f"load: T={log.steps} experts={len(experts)} mode={args.mode} "
-          f"confidence={args.confidence} avg_loss={average:.6g}")
-    if code:
-        print("discounted regret bound violated", file=sys.stderr)
-    return code
+        config = {
+            "mode": args.mode, "confidence": args.confidence, "alpha": args.alpha,
+            "grid": args.grid, "components": args.components,
+            "band_hour": args.band_hour,
+        }
+        average = float(log.learner_cumulative()[-1] / log.steps)
+        metrics = {
+            "n_experts": len(experts),
+            "n_fit_failures": len(failures),
+            "em_fits_at_max_iter": sum(row[-1] for row in em_rows),
+            "domain_b": domain.b,
+            "final_average_loss": average,
+            "asleep_steps": log.asleep_steps,
+            "test_outcomes_clipped": clipped,
+            "roster_evaluations": forecasts.evaluations,
+        }
+        code = _finish_run(
+            args.out, log, "load", config, args.seed, inputs, metrics,
+            names=[e.name for e in experts],
+            leading={"timestamp": [rec.timestamp.isoformat() for rec in test],
+                     "temperature": [rec.temperature for rec in test]},
+        )
+        mark("write")
+
+        print(f"load: T={log.steps} experts={len(experts)} mode={args.mode} "
+              f"confidence={args.confidence} avg_loss={average:.6g}")
+        if code:
+            print("discounted regret bound violated", file=sys.stderr)
+        return code
+    finally:
+        if args.timings:  # on every exit: the children reaped so far, then this process
+            import resource
+
+            own = resource.getrusage(resource.RUSAGE_SELF)
+            for name, cpu, peak in [*child_usage[children:],
+                                    ("load", own.ru_utime + own.ru_stime, own.ru_maxrss / 1024)]:
+                print(f"process {name}: cpu {cpu:.6f} s, peak {peak:.1f} MB", file=sys.stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +470,10 @@ def _validate(parser, args) -> None:
             parser.error("give either --data [--split] or --train with --test")
         if args.train and not args.test:
             parser.error("--train requires --test")
+        if args.data and args.test:
+            parser.error("--test goes with --train, not with --data")
+        if args.train and args.split is not None:
+            parser.error("--split goes with --data, not with --train")
         if len(args.delimiter) != 1:
             parser.error("--delimiter must be one character")
         if args.components not in (1, 2, 3):

@@ -244,18 +244,23 @@ def fit_gmm_ems(point_sets, k: int, seeds) -> list:
 
     Seeding is k-means++ style from each set's seed, so every fit is
     deterministic.  A fit iterates until its log-likelihood improves by
-    less than EM_TOL or for EM_MAX_ITER rounds; the log-likelihood must
-    not decrease between rounds (a decrease beyond float noise raises
-    DegenerateFit).  Covariances carry a ridge of COV_RIDGE times the
-    per-dimension variance of the set.
+    less than EM_TOL (an absolute amount, on the roster's totals of order
+    1e4) or for EM_MAX_ITER rounds; the log-likelihood must not decrease
+    between rounds (a decrease beyond float noise raises DegenerateFit).
+    Covariances carry a ridge of COV_RIDGE times the per-dimension
+    variance of the set.
 
     Each round is one pass over (G, k, w) arrays for the G fits still
     running, each set padded to the largest size w with points of
     responsibility 0; a fit's total log-likelihood sums its own points
-    only.  Every fit in the stack runs the whole round (each batched
-    operation is per fit), then one pass decides each fit's fate, and the
-    fits that stop or raise leave the stack at one cut: each result is bit
-    for bit that of fitting its set alone.
+    only.  Every fit in the stack runs the whole round (the M-step, the
+    determinants and, below the cap, the E-step; each batched operation is
+    per fit), then one pass decides each fit's fate, in this order: a
+    collapsed component, the cap (the model of that round's M-step, which
+    `Gmm2D` validates), an indefinite covariance, a non-finite or
+    decreasing log-likelihood, the tolerance.  The fits that stop or raise
+    leave the stack at one cut, and each result is bit for bit that of
+    fitting its set alone.
 
     A set whose numbers overflow (points too far apart) raises
     DegenerateFit, and leaves the other fits' numbers as they are.
@@ -382,9 +387,13 @@ def load_cdf_values(models: GmmStack, temps, domain: GridDomain) -> np.ndarray:
     of the `GmmStack` (see `stack_models`), from one vectorised normal-CDF
     call; a scalar temperature gives (N, d), and each row has the bits of a
     call at its temperature alone.  Mass outside [a, b] goes to the
-    endpoints.  Not checked: a cell before the last may exceed 1 by a
-    rounding error (the posterior weights of normal CDFs that are all 1 sum
-    above 1)."""
+    endpoints.  The posterior component weights come from
+    `normalized_weights`.  A temperature that is not finite, or so far from
+    some model that every component's density vanishes, raises
+    ConditioningError naming it.  Not checked: a cell before the last may
+    exceed 1 by a rounding error (the posterior weights of normal CDFs
+    that are all 1 sum above 1; 7.1e-15 on perfbench's load-fine input at
+    seed 3)."""
     # the only scipy use, so `import crpsmix` skips scipy; in `crpsmix load`'s
     # evaluator process `ndtr` is all of scipy.special (`roster._evaluate`)
     from scipy.special import ndtr

@@ -34,7 +34,9 @@ BLOCK_BYTES = 64 * 1024
 @dataclass(frozen=True)
 class GameConfig:
     """Parameters of one aggregation run; eta defaults from the mode and
-    the outcome interval (2/(b-a) for "aa", 1/(2(b-a)) for "wa")."""
+    the outcome interval (2/(b-a) for "aa", 1/(2(b-a)) for "wa").  The
+    rates live here alone: the weights are plain arrays, and `GameLog.eta`
+    only records the rate for the bound."""
 
     domain: GridDomain
     mode: str = "aa"
@@ -58,9 +60,12 @@ class GameLog:
     the learner loss h, the expert losses l_1..l_n, the confidences
     p_1..p_n, the weights q_1..q_n that formed the forecast (after
     confidence reweighting), and the normalized pool weights w_1..w_n
-    before it.  The fields are views of the `(steps, 2 + 4n)` rows.
-    `max_cdf_repair` is the largest change `repair_cdf` made to a cell of
-    an expert matrix or a forecast of the run."""
+    before it.  The fields are views of the `(steps, 2 + 4n)` rows, so row
+    t of `weights` and `pool_weights` holds the weights before step t.  A
+    log is built from finished arrays; an empty one has
+    `np.empty((0, 2 + 4 * n))` rows.  `max_cdf_repair` is the largest
+    change `repair_cdf` made to a cell of an expert matrix or a forecast
+    of the run."""
 
     def __init__(self, n: int, eta: float, rows: np.ndarray, max_cdf_repair: float = 0.0):
         self.n = n
@@ -153,7 +158,8 @@ def _reads_learner_loss(p: np.ndarray) -> np.ndarray:
 
 
 def replay(configs, experts, outcomes, confidences=None, keep=()):
-    """Play C configurations over one stream in one pass.
+    """Play C configurations over one stream in one pass: the one way to
+    play a game.
 
     `configs` are GameConfigs on one domain.  `experts` is either the fixed
     (N, d) matrix of expert CDF values (anything `cdf_values` stacks),
@@ -163,11 +169,11 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
 
     Each step, for every configuration at once: reweight the experts by
     confidence, aggregate (substitution for "aa", from the `square_tables`
-    built once per fixed matrix or chunk; averaging for "wa"), check the
-    forecasts, score everyone against the outcome, charge the
-    virtual-expert update, then mix toward the uniform start vector.  When
-    every expert sleeps the learners forecast from uniform weights and skip
-    that step's weight update.
+    built once per fixed matrix or chunk; averaging for "wa"), check and
+    repair the forecasts with `repair_cdf`, score everyone against the
+    outcome, charge the virtual-expert update, then mix toward the uniform
+    start vector.  When every expert sleeps the learners forecast from
+    uniform weights and skip that step's weight update.
 
     Only the weight recursion is sequential.  An update reads the
     learner's loss h only on a step where some expert is awake with a
@@ -177,9 +183,17 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
     as many steps as keep each temporary within BLOCK_BYTES (one step, if
     larger): the block's expert losses, then its weights step by step, then
     its forecasts, check and learner losses at once, then the update of a
-    last step that reads h.  Every row has the bits of its step played
-    alone, and a configuration's numbers do not depend on the others
-    replayed with it.
+    last step that reads h.  So the synthetic games (full confidence) run
+    in long blocks, and a load run with smooth confidences, where every
+    awake hour reads h, in one-step blocks of the same loop.  log p is
+    taken once per run, and 1 - p at the one step of a block that reads
+    it.
+
+    Every row has the bits of its step played alone, and a configuration's
+    numbers do not depend on the others replayed with it: the substitution
+    sums over the experts in one order, an averaged forecast is
+    `q @ values` and a learner loss `r @ r` per row, bits that `np.vecdot`
+    and a broadcast `matmul` give (the tests check it).
 
     Returns one GameLog per configuration, and {t: [the forecast of each
     configuration as a GridCDF]} for the 1-based steps t in `keep`.

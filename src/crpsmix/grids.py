@@ -8,6 +8,12 @@ an outcome y is
     crps(F, y) = delta * sum_s (f_s - 1{z_s >= y})^2,
 
 which is the step-function CRPS of the discretized game.
+
+Inside the library a CDF is a (d,) array of its values and a pool of
+forecasts an (N, d) matrix.  `GridCDF` (values plus their `GridDomain`)
+appears only at the edges: `cdf_values` accepts N of them, `replay`
+returns the forecasts of the steps it keeps as GridCDFs, `heaviside_cdf`
+returns one, `crps` and `quantile` take one, and `cdf_to_row` writes one.
 """
 
 from __future__ import annotations
@@ -91,7 +97,10 @@ class GridCDF:
 def check_cdf(vals: np.ndarray) -> None:
     """Raise ValueError unless every row of the (..., d) float array is,
     up to REPAIR_TOL, a CDF: finite, monotone non-decreasing in [0, 1]
-    and ending at 1."""
+    and ending at 1.  The one statement of the CDF invariants, shared by
+    `repair_cdf` (so by `cdf_values`, `GridCDF` construction and `replay`)
+    and by the check of the substitution rule's output (SubstitutionError,
+    also for a NaN)."""
     if not np.isfinite(vals).all():
         raise ValueError("CDF values must be finite")
     if vals.min() < -REPAIR_TOL or vals.max() > 1.0 + REPAIR_TOL:
@@ -111,13 +120,15 @@ def repair_cdf(vals: np.ndarray):
     """Check the (..., d) float array of CDF rows and repair it in place,
     bit for bit as the full clamp of `cdf_values` does.
 
-    One pass of reductions passes rows that lie in [0, 1], are monotone
-    and end within REPAIR_TOL of 1: only their last value is set to 1 (and
-    a -0.0 made 0.0).  Rows that only exceed 1, by at most REPAIR_TOL, are
-    clipped into [0, 1]; when that leaves them monotone, the monotone clamp
-    would change nothing, so it is skipped.  Anything else must pass
-    `check_cdf` and is clamped into [0, 1], then to monotone, then its last
-    value set to 1.  Returns the largest change made to a cell of each row
+    One pass of reductions (the minimum, the least step between cells, the
+    largest cell before the last, the last column) passes rows that lie in
+    [0, 1], are monotone and end within REPAIR_TOL of 1: only their last
+    value is set to 1 (and a -0.0 made 0.0).  Rows that only exceed 1, by
+    at most REPAIR_TOL, are clipped into [0, 1]; when that leaves them
+    monotone, the monotone clamp would change nothing, so it is skipped
+    (the load roster's rows are like this: `load_cdf_values`).  Anything
+    else must pass `check_cdf` and is clamped into [0, 1], then to
+    monotone, then its last value set to 1.  Returns the largest change made to a cell of each row
     other than the last, which is 1 by definition (0.0 when nothing was
     out of place).
     """

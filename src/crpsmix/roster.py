@@ -82,11 +82,13 @@ def build_load_roster(
     fitted; those experts are dropped from the roster.
 
     The fits run as three lockstep calls of `fit_gmm_ems`, one per level,
-    in two forked fit children (`_Forked`): the anytime call then the
-    season call in the first, the season-by-day-period call in the second.
-    Each child draws the roster's seeds itself, so this process fits
-    nothing and never imports numpy.random; it reads the fits in that
-    order.  Where `os.fork` does not exist, the three calls run here.
+    in two `_Forked` fit children that run at once: the anytime call then
+    the season call in the first, the season-by-day-period call in the
+    second.  Each child draws the roster's seeds itself, so this process
+    fits nothing and never imports numpy.random; it reads the fits in that
+    order, and both children are reaped before this returns (an error in
+    one kills and reaps the other).  Where `os.fork` does not exist, the
+    three calls run here, in the same order.
     """
     if confidence not in ("smooth", "binary", "off"):
         raise ValueError(f"confidence must be smooth, binary or off, got {confidence!r}")
@@ -154,21 +156,25 @@ child_usage: list[tuple[str, float, float]] = []
 
 class _Forked:
     """The items of `work()`, an iterable, made in a forked child process
-    while this one works: an iterator and a context.  The child inherits
-    what `work` reads through the fork; each item crosses one pipe
-    pickled, so it is bit for bit the one `work` made (a `Gmm2D` unpickles
-    through its constructor, validated and read-only).  An exception that
-    `work` raises is raised here at the same point of the stream, and a
-    child that ends without finishing its stream raises RuntimeError.  The
-    stream's end reaps the child; leaving the context kills and reaps a
-    child not yet reaped, on every path.  Where `os.fork` does not exist,
+    while this one works: an iterator and a context.  The one fork helper,
+    under the fit children of `build_load_roster` and the evaluator of
+    `RosterStream`.
+
+    The child inherits what `work` reads through the fork and runs
+    `_serve`; each item crosses one pipe pickled, so it is bit for bit the
+    one `work` made (a `Gmm2D` unpickles through its constructor,
+    validated and read-only).  An exception that `work` raises is raised
+    here at the same point of the stream, and a child that ends without
+    finishing its stream raises RuntimeError naming its exit status or
+    signal.  The stream's end reaps the child; leaving the context kills
+    and reaps a child not yet reaped, on every path.  A fork that fails
+    closes the pipe before it raises.  Where `os.fork` does not exist,
     `work()` is called in this process when this is made.
 
-    The child ends with `os._exit` (no stdio flush, no atexit handlers) and
-    flushes each item, so the parent plays an item while the child makes
-    the next.  It holds no pipe but its own write end: it closes the read
-    ends of the streams open here when it is forked.  Each child reaped
-    here appends its name, CPU seconds and peak RSS to `child_usage`.
+    A child holds no pipe but its own write end: it closes the read ends
+    of the streams open here when it is forked.  Each child reaped here
+    (`os.wait4`) appends its name, CPU seconds and peak RSS to
+    `child_usage`, which `crpsmix load --timings` prints.
     """
 
     #: the read ends of the streams open in this process
@@ -237,8 +243,10 @@ class _Forked:
 
 def _serve(work, fd):
     """The forked child of `_Forked`: write each item of `work()` to the
-    pipe `fd` as a 1-tuple, then None, or the exception `work` raised, and
-    `os._exit`."""
+    pipe `fd` as a 1-tuple, flushed, so the parent plays an item while the
+    child makes the next; then None, or the exception `work` raised; and
+    end with `os._exit`, which flushes no stdio buffer inherited from the
+    parent and runs no atexit handler."""
     code = 1
     try:
         with open(fd, "wb") as up:
@@ -278,27 +286,25 @@ def _calendar_hours(timestamps):
 class RosterStream(_Forked):
     """Iterator of the (1, N, d) roster matrix of each temperature in turn,
     the per-step chunks `replay` takes: the `load_cdf_values` of the
-    experts' models at that temperature, bit for bit.  The rows are not yet
-    checked: `replay`'s `repair_cdf` check is their only one.
+    experts' models at that temperature alone, bit for bit.  The rows are
+    not yet checked: `replay`'s `repair_cdf` check is their only one.
 
     The temperatures are split into consecutive windows whose distinct
-    values fill at most one table of WINDOW_TABLE_BYTES, allocated once.
-    A window's distinct temperatures are evaluated once each, from the
-    models' parameters stacked once per stream, in batches of at most
-    BATCH_ARGUMENT_BYTES of normal-CDF arguments, and each step
-    gets a copy of its row, so no yielded matrix changes when a later
-    window refills the table.  `evaluations` counts the temperatures
-    evaluated so far.
+    values fill at most one table of WINDOW_TABLE_BYTES, allocated once
+    per stream.  A window's distinct temperatures are evaluated once each,
+    from the models' parameters stacked once per stream, in batches of at
+    most BATCH_ARGUMENT_BYTES of normal-CDF arguments, and each step gets
+    a copy of its row, so no yielded matrix changes when a later window
+    refills the table and `list(stream)` is safe.  `evaluations` counts
+    the temperatures evaluated so far: 40 for the 1000 whole-degree test
+    hours of perfbench's load-int input at seed 3.
 
-    The windows are evaluated in an evaluator process that the stream, a
-    `_Forked` of windows, forks when it is made.  The evaluator inherits
-    the stacked models, the temperatures and the domain and sends each
-    window's rows as soon as they are made, so it evaluates the next window
-    while this process plays the steps of the last; an exception raised
-    there is raised here at the same step.  The stream is a context that
-    kills and reaps the evaluator on leaving.  Where `os.fork` does not
-    exist, the windows are evaluated in this process, one when its first
-    step is due.
+    A `_Forked` stream of windows: its child, the evaluator, is forked when
+    the stream is made, inherits the stacked models, the temperatures and
+    the domain, and evaluates the next window while this process plays the
+    steps of the last.  Where `os.fork` does not exist a window is
+    evaluated here when its first step is due, with the same rows and
+    `evaluations`.
     """
 
     def __init__(self, experts, temps, domain: GridDomain):
@@ -320,17 +326,19 @@ class RosterStream(_Forked):
 
 def _evaluate(inputs, caller):
     """The windows of `RosterStream`, evaluated from its `inputs` (stacked
-    models, temperatures, domain).  In the forked evaluator, which ends
-    with `os._exit`, `ndtr` (`load_cdf_values`' only scipy use) is loaded
-    alone: a bare `scipy.special` package in sys.modules holds the `ndtr`
-    of the compiled `scipy.special._ufuncs`, so `scipy/special/__init__.py`,
-    whose array-API layer imports numpy.f2py, numpy.testing and numpy.ma,
-    never runs.  scipy's OpenBLAS, which the load brings in and the
-    evaluator never calls, is held to one thread, so it starts no worker
-    beside the process that plays the game.  An entry already in
-    sys.modules (a module, or None) is left as it is; a light load that
-    fails leaves none, and the public import runs.  The `caller` that made
-    the stream, which runs this where `os.fork` does not exist, keeps the
+    models, temperatures, domain).  In the forked evaluator, `ndtr`
+    (`load_cdf_values`' only scipy use) is loaded alone: a bare
+    `scipy.special` package in sys.modules, with scipy's `special`
+    directory as its __path__, holds the `ndtr` of the compiled
+    `scipy.special._ufuncs`, so `from scipy.special import ndtr` gets that
+    very ufunc, and `scipy/special/__init__.py`, whose array-API layer
+    imports numpy.f2py, numpy.testing and numpy.ma, never runs.  scipy's
+    OpenBLAS, which the load brings in and the evaluator never calls, is
+    held to one thread, so it starts no worker beside the process that
+    plays the game.  An entry already in sys.modules (a module, or None)
+    is left as it is; a light load that fails leaves none, and the public
+    import runs.  The `caller` that made the stream, which runs this where
+    `os.fork` does not exist, never gets the bare package: it keeps the
     public import."""
     if os.getpid() != caller and "scipy.special" not in sys.modules:
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -351,7 +359,8 @@ def _evaluate(inputs, caller):
 
 def _windows(models, temps, domain):
     """Per window of `RosterStream`, the rows of its distinct temperatures
-    (a view of the one table) and the row of each of its temperatures."""
+    (a view of the one table) and the table row of each of its
+    temperatures, yielded as soon as the window is evaluated."""
     n = len(models.weights)
     table = np.empty((max(1, WINDOW_TABLE_BYTES // (n * domain.d * 8)), n, domain.d))
     batch = max(1, BATCH_ARGUMENT_BYTES // (models.weights.size * domain.d * 8))

@@ -573,7 +573,7 @@ class TestLoad:
         usage_error("load", "--data", demo_load_csv, "--split", "yesterday",
                     "--out", str(tmp_path))
 
-    def test_usage_errors(self, demo_load_csv, tmp_path):
+    def test_usage_errors(self, demo_load_csv, tmp_path, capsys):
         usage_error("load", "--out", str(tmp_path))  # no data source
         usage_error("load", "--data", demo_load_csv, "--train", demo_load_csv,
                     "--out", str(tmp_path))
@@ -584,6 +584,16 @@ class TestLoad:
                     "--out", str(tmp_path))
         usage_error("load", "--data", demo_load_csv, "--grid", "1",
                     "--out", str(tmp_path))
+        # a flag of the other input mode is rejected before any file is read
+        absent = str(tmp_path / "absent.csv")
+        for mixed, flag in ((["--data", absent, "--test", absent], "--test"),
+                            (["--train", absent, "--test", absent,
+                              "--split", "2010-01-01T00:00:00"], "--split")):
+            capsys.readouterr()
+            usage_error("load", *mixed, "--out", str(tmp_path))
+            err = capsys.readouterr().err
+            assert err.count("error: ") == 1
+            assert err.splitlines()[-1].startswith(f"crpsmix: error: {flag} goes with")
 
 
 @pytest.fixture(scope="module")
@@ -865,6 +875,23 @@ class TestTimings:
             assert err[-len(reported):] == [e for e in err if e.startswith("process ")]
             for _, cpu, peak in reported:
                 assert float(cpu) > 0 and float(peak) > 0
+
+    @pytest.mark.parametrize("case, children", [
+        ("conditioning", ["anytime and season fit", "season-by-day-period fit",
+                          "roster evaluation"]),
+        ("roster_too_small", ["anytime and season fit", "season-by-day-period fit"]),
+    ])
+    def test_a_data_error_reports_each_process(self, tmp_path, capsys, case, children):
+        argv = TestEvaluatorProcess.argv(tmp_path, case)
+        assert main(argv) == 3
+        plain = capsys.readouterr().err
+        assert main(argv + ["--timings"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        processes = [e for e in err if e.startswith("process ")]
+        assert [e[len("process "):].split(":")[0] for e in processes] == children + ["load"]
+        assert err[-len(processes):] == processes
+        assert [e for e in err if not e.startswith(("process ", "timing "))] \
+            == plain.splitlines()
 
 
 def test_csv_writer_matches_csv_module(tmp_path):

@@ -1,3 +1,5 @@
+import argparse
+import functools
 import json
 import os
 import re
@@ -8,9 +10,23 @@ from datetime import datetime, timedelta
 import pytest
 
 import crpsmix
+from crpsmix.cli import build_parser, main
 from crpsmix.data import write_demo_load_csv
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COMMAND_SECTIONS = {"synth": "Synthetic mixture experiment", "load": "Hourly load forecasting",
+                    "verify": "Property suites"}
+
+
+def read_readme():
+    with open(os.path.join(REPO, "README.md"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def readme_section(readme, title):
+    """The README section `title`, code blocks included, up to the next
+    heading."""
+    return re.split(r"\n##+ ", readme.split(f"\n### {title}\n", 1)[1], 1)[0]
 
 
 def test_alpha_sweep_prints_both_rules():
@@ -97,3 +113,63 @@ def test_setup_probe_runs_the_public_set_up_calls(tmp_path, kind):
     result = json.loads(proc.stdout)
     assert {"setup_s", "import_s"} <= result.keys()
     assert 0 <= result["import_s"] <= result["setup_s"]
+
+
+def readme_manifest_keys(readme, title):
+    """The keys of the manifest table in the README section `title`, in
+    order, each with whether the table marks it `--mode wa` only."""
+    rows = re.findall(r"^\| `([^`]+)` \|(.*)$", readme_section(readme, title), flags=re.M)
+    return [(key, "`--mode wa` only" in rest) for key, rest in rows]
+
+
+def test_readme_lists_the_manifest_keys_each_run_writes(small_runs, tmp_path):
+    readme = read_readme()
+    synth, load = small_runs
+    wa = tmp_path / "wa"
+    assert main(["synth", "--method", "1", "--mode", "wa", "--steps", "50", "--grid", "16",
+                 "--out", str(wa)]) == 0
+    for title, out, mode in (("Synthetic mixture experiment", synth, "aa"),
+                             ("Synthetic mixture experiment", wa, "wa"),
+                             ("Hourly load forecasting", load, "aa")):
+        listed = [key for key, wa_only in readme_manifest_keys(readme, title)
+                  if mode == "wa" or not wa_only]
+        patterns = [re.compile(re.sub(r"<\w+>", r"\\w+", key)) for key in listed]
+        written = [line.split("=", 1)[0]
+                   for line in (out / "manifest.txt").read_text(encoding="utf-8").splitlines()]
+        rows = []  # the table row of each written key
+        for key in written:
+            matches = [i for i, pattern in enumerate(patterns) if pattern.fullmatch(key)]
+            assert matches, (title, mode, key)
+            rows.append(matches[0])
+        assert rows == sorted(rows), (title, mode)  # in the order written
+        assert set(rows) == set(range(len(listed))), (title, mode)  # no row without its key
+
+
+def test_readme_dotted_names_resolve():
+    # `grids.repair_cdf` is read as `crpsmix.grids.repair_cdf`
+    modules = "|".join(name for name in vars(crpsmix)
+                       if type(getattr(crpsmix, name)) is type(crpsmix))
+    text = re.sub(r"```.*?```", "", read_readme(), flags=re.S)
+    names = {name for span in re.findall(r"`([^`\n]+)`", text)
+             for name in re.findall(rf"\b(?:crpsmix|{modules})(?:\.\w+)+", span)}
+    assert len(names) >= 10
+    for name in sorted(names):
+        path = name.split(".")
+        path = path[1:] if path[0] == "crpsmix" else path
+        try:
+            functools.reduce(getattr, path, crpsmix)
+        except AttributeError:
+            pytest.fail(f"README cites `{name}`, which does not exist")
+
+
+def test_readme_names_every_option_in_its_command_section():
+    readme = read_readme()
+    [commands] = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(COMMAND_SECTIONS)
+    for command, parser in commands.choices.items():
+        section = readme_section(readme, COMMAND_SECTIONS[command])
+        for action in parser._actions:
+            for flag in action.option_strings:
+                if flag.startswith("--") and flag != "--help":
+                    assert re.search(rf"(?<![\w-]){flag}(?![\w-])", section), (command, flag)
