@@ -17,7 +17,6 @@ to fit the roster, or an allocation that fails).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
@@ -42,6 +41,14 @@ from .experts import ConditioningError, em_hit_max_iter, triangular_cdf
 from .game import BOUND_TOL, GameConfig, GameLog, replay
 from .grids import GridDomain, cdf_to_row, quantile
 from .roster import RosterStream, build_load_roster, child_usage, roster_confidences
+
+try:  # CPython's own SHA-256, so that no OpenSSL libcrypto is loaded
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 logger = logging.getLogger(__name__)
 
@@ -84,6 +91,15 @@ def _phase_clock(enabled: bool):
         last = now
 
     return mark
+
+
+def config_hash(blob: bytes) -> str:
+    """The manifest's `config_hash`: the first 16 hex digits of the
+    SHA-256 of `blob`.  It is taken from CPython's builtin module
+    (`_sha2`, or `_sha256` before 3.12), not from `hashlib`, whose import
+    loads OpenSSL's libcrypto (~3.5 MB) into the command process; `hashlib`
+    only where neither exists."""
+    return sha256(blob).hexdigest()[:16]
 
 
 def read_manifest(path) -> dict:
@@ -148,7 +164,7 @@ def _finish_run(out, log: GameLog, experiment, config, seed, inputs, metrics,
     blob = "|".join(f"{k}={_fmt(v)}" for k, v in cfg)
     lines = [
         f"experiment={experiment}",
-        f"config_hash={hashlib.sha256(blob.encode()).hexdigest()[:16]}",
+        f"config_hash={config_hash(blob.encode())}",
         f"seed={seed}",
     ]
     lines += [f"cfg_{k}={_fmt(v)}" for k, v in cfg]
@@ -252,15 +268,21 @@ def _load_records(args, schema):
 def cmd_load(args) -> int:
     """Ingest, fit the roster, play the test span and write the artifacts.
 
-    The run spans four processes, at most three at a time: this one, which
-    ingests, reads the fitted models, plays the game and writes, and which
-    fits nothing and imports neither scipy nor numpy.random; the two fit
-    children of `build_load_roster`; and the evaluator of `RosterStream`,
-    forked once both fit children are reaped.  An exit before the stream
-    (bad ingest, a roster too small) forks no evaluator, and bad ingest
-    forks nothing.  An error in a child is raised here where it would have
-    been raised in this process (`roster._Forked`), so exit codes and
-    stderr lines do not depend on the fork.
+    The run spans four processes, at most three at a time:
+    - this one, which ingests, reads the fitted models, plays the game and
+      writes; it fits nothing and loads neither scipy, numpy.random nor
+      OpenSSL (`config_hash`);
+    - the two fit children of `build_load_roster`, which load numpy.random
+      without OpenSSL and send each fit back pickled;
+    - the evaluator of `RosterStream`, forked once both fit children are
+      reaped, which loads scipy's `ndtr` alone and sends each window as a
+      pickled header and the rows' raw bytes.
+
+    `--timings` prints each process's CPU time and peak RSS.  An exit
+    before the stream (bad ingest, a roster too small) forks no evaluator,
+    and bad ingest forks nothing.  An error in a child is raised here where
+    it would have been raised in this process (`roster._Forked`), so exit
+    codes and stderr lines do not depend on the fork.
     """
     mark = _phase_clock(args.timings)
     children = len(child_usage)

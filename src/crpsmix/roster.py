@@ -86,9 +86,15 @@ def build_load_roster(
     the season call in the first, the season-by-day-period call in the
     second.  Each child draws the roster's seeds itself, so this process
     fits nothing and never imports numpy.random; it reads the fits in that
-    order, and both children are reaped before this returns (an error in
-    one kills and reaps the other).  Where `os.fork` does not exist, the
-    three calls run here, in the same order.
+    order, each a pickled (model, history) or the exception that failed
+    the fit, and both children are reaped before this returns (an error in
+    one kills and reaps the other).  A fit child puts None at
+    `sys.modules["_hashlib"]`, unless an entry is there, before it imports
+    numpy.random, whose `secrets` and `hmac` imports then take CPython's
+    builtin hashes: forked from a process without OpenSSL's libcrypto
+    (~3.5 MB), such as `crpsmix load`'s, it never loads it.  Where
+    `os.fork` does not exist, the three calls run here, in the same order,
+    and sys.modules is left as it is.
     """
     if confidence not in ("smooth", "binary", "off"):
         raise ValueError(f"confidence must be smooth, binary or off, got {confidence!r}")
@@ -117,7 +123,11 @@ def build_load_roster(
             mask &= in_period[p]
         segments.append(points[mask])
 
+    caller = os.getpid()
+
     def fit_levels(*levels):  # one lockstep fit per level, in order
+        if os.getpid() != caller:  # in a fit child, before numpy.random is imported
+            sys.modules.setdefault("_hashlib", None)
         seeds = [int(x) for x in np.random.SeedSequence(seed).generate_state(len(specs))]
         for level in levels:
             yield from fit_gmm_ems(segments[level], components, seeds[level])
@@ -160,16 +170,18 @@ class _Forked:
     under the fit children of `build_load_roster` and the evaluator of
     `RosterStream`.
 
-    The child inherits what `work` reads through the fork and runs
-    `_serve`; each item crosses one pipe pickled, so it is bit for bit the
-    one `work` made (a `Gmm2D` unpickles through its constructor,
-    validated and read-only).  An exception that `work` raises is raised
-    here at the same point of the stream, and a child that ends without
-    finishing its stream raises RuntimeError naming its exit status or
-    signal.  The stream's end reaps the child; leaving the context kills
-    and reaps a child not yet reaped, on every path.  A fork that fails
-    closes the pipe before it raises.  Where `os.fork` does not exist,
-    `work()` is called in this process when this is made.
+    The child inherits what `work` reads through the fork, and every module
+    loaded here, and runs `_serve`; each item crosses one pipe as `_send`
+    writes it and `_receive` reads it, pickled unless a subclass says
+    otherwise, so it is bit for bit the one `work` made (a `Gmm2D`
+    unpickles through its constructor, validated and read-only).  An
+    exception that `work` raises is raised here at the same point of the
+    stream, and a child that ends without finishing its stream raises
+    RuntimeError naming its exit status or signal, also inside an item
+    that `_receive` reads.  The stream's end reaps the child; leaving the
+    context kills and reaps a child not yet reaped, on every path.  A fork
+    that fails closes the pipe before it raises.  Where `os.fork` does not
+    exist, `work()` is called in this process when this is made.
 
     A child holds no pipe but its own write end: it closes the read ends
     of the streams open here when it is forked.  Each child reaped here
@@ -198,7 +210,7 @@ class _Forked:
             os.close(read)
             for replies in _Forked._open:
                 replies.close()
-            _serve(work, write)
+            _serve(work, write, self._send)
         os.close(write)
         self._replies = os.fdopen(read, "rb")
         _Forked._open.add(self._replies)
@@ -220,10 +232,21 @@ class _Forked:
     def __next__(self):
         return next(self._items)
 
+    @staticmethod
+    def _send(item, up):
+        """Write one item of the stream to the child's end `up` of the pipe:
+        pickled, as a 1-tuple."""
+        pickle.dump((item,), up)
+
+    def _receive(self, item):
+        """The item that `_send` wrote as the 1-tuple `(item,)`, read on:
+        `item` itself.  An EOFError tells that the pipe ended inside it."""
+        return item
+
     def _stream(self):
         try:
             while type(message := pickle.load(self._replies)) is tuple:
-                yield message[0]
+                yield self._receive(message[0])
             finished = True
         except (EOFError, pickle.UnpicklingError):  # the pipe ended inside the stream
             finished = False
@@ -241,9 +264,9 @@ class _Forked:
         return os.waitstatus_to_exitcode(status)
 
 
-def _serve(work, fd):
+def _serve(work, fd, send):
     """The forked child of `_Forked`: write each item of `work()` to the
-    pipe `fd` as a 1-tuple, flushed, so the parent plays an item while the
+    pipe `fd` with `send`, flushed, so the parent plays an item while the
     child makes the next; then None, or the exception `work` raised; and
     end with `os._exit`, which flushes no stdio buffer inherited from the
     parent and runs no atexit handler."""
@@ -252,7 +275,7 @@ def _serve(work, fd):
         with open(fd, "wb") as up:
             try:
                 for item in work():
-                    pickle.dump((item,), up)
+                    send(item, up)
                     up.flush()
                 end = None
             except Exception as exc:  # sent to the parent, which raises it
@@ -302,9 +325,14 @@ class RosterStream(_Forked):
     A `_Forked` stream of windows: its child, the evaluator, is forked when
     the stream is made, inherits the stacked models, the temperatures and
     the domain, and evaluates the next window while this process plays the
-    steps of the last.  Where `os.fork` does not exist a window is
-    evaluated here when its first step is due, with the same rows and
-    `evaluations`.
+    steps of the last.  A window crosses the pipe as a pickled header (its
+    row count and the table row of each step), then its rows' raw float64
+    bytes, which this process reads with `readinto` into one window table
+    of its own, allocated when the stream is made and freed once the last
+    window is played: no pickle copy of the rows is made on either side.  A
+    pipe that ends inside the rows ends the stream as `_Forked` says.
+    Where `os.fork` does not exist a window is evaluated here when its
+    first step is due, with the same rows and `evaluations`.
     """
 
     def __init__(self, experts, temps, domain: GridDomain):
@@ -312,16 +340,31 @@ class RosterStream(_Forked):
         inputs = (stack_models([e.model for e in experts]), list(temps), domain)
         caller = os.getpid()
         super().__init__("roster evaluation", lambda: _evaluate(inputs, caller))
+        self._table = _window_table(len(experts), domain.d)  # the forked stream's windows
         self._rows = self._steps(self._items)
 
     def __next__(self) -> np.ndarray:
         return next(self._rows)
+
+    @staticmethod
+    def _send(window, up):
+        rows, slots = window
+        pickle.dump(((len(rows), slots),), up)
+        up.write(rows)  # a leading slice of the table: C-contiguous
+
+    def _receive(self, header):
+        count, slots = header
+        rows = self._table[:count]
+        if self._replies.readinto(rows) < rows.nbytes:
+            raise EOFError("the pipe ended inside a window's rows")
+        return rows, slots
 
     def _steps(self, windows):
         for rows, slots in windows:
             self.evaluations += len(rows)
             for slot in slots:
                 yield rows[slot][None].copy()
+        self._table = None  # freed before the game that reads this stream ends
 
 
 def _evaluate(inputs, caller):
@@ -357,12 +400,17 @@ def _evaluate(inputs, caller):
     yield from _windows(*inputs)
 
 
+def _window_table(n, d):
+    """An empty table of (n, d) roster matrices: as many as fill
+    WINDOW_TABLE_BYTES, and at least one."""
+    return np.empty((max(1, WINDOW_TABLE_BYTES // (n * d * 8)), n, d))
+
+
 def _windows(models, temps, domain):
     """Per window of `RosterStream`, the rows of its distinct temperatures
     (a view of the one table) and the table row of each of its
     temperatures, yielded as soon as the window is evaluated."""
-    n = len(models.weights)
-    table = np.empty((max(1, WINDOW_TABLE_BYTES // (n * domain.d * 8)), n, domain.d))
+    table = _window_table(len(models.weights), domain.d)
     batch = max(1, BATCH_ARGUMENT_BYTES // (models.weights.size * domain.d * 8))
     start = 0
     while start < len(temps):

@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import io
 import math
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 from datetime import datetime, timedelta, timezone
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 import crpsmix
 import crpsmix.cli as cli_mod
-from crpsmix.cli import _fmt, _write_csv, main, read_manifest
+from crpsmix.cli import _fmt, _write_csv, config_hash, main, read_manifest
 from crpsmix.data import default_test_boundary, load_csv, split_train_test, write_demo_load_csv
 from crpsmix.experts import EM_MAX_ITER
 from crpsmix.game import GameConfig, GameLog, replay
@@ -645,16 +647,31 @@ def test_negative_seed_is_usage_error(command, demo_load_csv, tmp_path):
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is imported where it is used, by the load experiment's expert
     # evaluation, and numpy.random by the draws and fits that use it, so
-    # synth and verify start without them
+    # synth and verify start without them; OpenSSL (_hashlib) is never
+    # imported for the manifest's config_hash
     src = os.path.dirname(os.path.dirname(crpsmix.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, crpsmix, crpsmix.cli; "
-         "print('scipy' in sys.modules, 'numpy.random' in sys.modules)"],
+         "print('scipy' in sys.modules, 'numpy.random' in sys.modules, "
+         "'_hashlib' in sys.modules)"],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False False"
+    assert proc.stdout.strip() == "False False False"
+
+
+@pytest.mark.parametrize("blob", [b"", b"grid=16|mode=aa", "alpha=0.001|\u00e9".encode()])
+def test_config_hash_is_the_sha256_prefix(blob):
+    assert config_hash(blob) == hashlib.sha256(blob).hexdigest()[:16]
+
+
+def test_manifest_config_hash_covers_the_config(load_run):
+    _, out = load_run
+    manifest = read_manifest(os.path.join(out, "manifest.txt"))
+    config = {k[len("cfg_"):]: v for k, v in manifest.items() if k.startswith("cfg_")}
+    blob = "|".join(f"{k}={v}" for k, v in sorted(config.items()))
+    assert manifest["config_hash"] == hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 class TestEvaluatorProcess:
@@ -730,13 +747,14 @@ class TestEvaluatorProcess:
         src = os.path.dirname(os.path.dirname(crpsmix.__file__))
         argv = self.argv(tmp_path, "success")
         code = ("import sys; from crpsmix.cli import main; main(sys.argv[1:]); "
-                "print('scipy' in sys.modules, 'numpy.random' in sys.modules)")
+                "print('scipy' in sys.modules, 'numpy.random' in sys.modules, "
+                "'_hashlib' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code, *argv],
                               env={**os.environ, "PYTHONPATH": src}, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         [line, loaded] = proc.stdout.splitlines()
-        assert line.startswith("load: T=48 ") and loaded == "False False"
+        assert line.startswith("load: T=48 ") and loaded == "False False False"
 
 
 class TestVerify:
@@ -892,6 +910,32 @@ class TestTimings:
         assert err[-len(processes):] == processes
         assert [e for e in err if not e.startswith(("process ", "timing "))] \
             == plain.splitlines()
+
+
+    def test_a_killed_evaluator_reports_each_process(self, tmp_path, capsys, monkeypatch):
+        # the evaluator dies in its first batch: the stream's RuntimeError
+        # leaves `main` as it does without --timings, after every process line
+        argv = TestEvaluatorProcess.argv(tmp_path, "success")
+        parent = os.getpid()
+
+        def kill(*args):
+            assert os.getpid() != parent
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(roster_mod, "load_cdf_values", kill)
+        ended = (f"the roster evaluation process ended by signal {int(signal.SIGKILL)} "
+                 "without a result")
+        errors = []
+        for flags in ([], ["--timings"]):
+            with deadline(120), pytest.raises(RuntimeError, match=ended):
+                main(argv + flags)
+            errors.append(capsys.readouterr().err.splitlines())
+        plain, timed = errors
+        processes = [e for e in timed if e.startswith("process ")]
+        assert [e[len("process "):].split(":")[0] for e in processes] == [
+            "anytime and season fit", "season-by-day-period fit", "roster evaluation", "load"]
+        assert timed[-len(processes):] == processes
+        assert [e for e in timed if not e.startswith(("process ", "timing "))] == plain
 
 
 def test_csv_writer_matches_csv_module(tmp_path):

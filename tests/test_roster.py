@@ -5,6 +5,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from datetime import datetime, timedelta
 
@@ -421,6 +422,57 @@ class TestRoster:
         for got, want in zip(rows, RosterStream(experts, temps, dom)):
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("d", [16, 128])
+    def test_forked_windows_are_the_in_process_rows(self, fitted, monkeypatch, d):
+        # 16 experts: a window of 512 (d=16) or 64 (d=128) distinct
+        # temperatures fills WINDOW_TABLE_BYTES exactly; two full windows,
+        # then a shorter last one
+        train, _, experts, _ = fitted
+        experts = experts[:16]
+        dom = GridDomain(0.0, 1.05 * max(r.load for r in train), d)
+        full = WINDOW_TABLE_BYTES // (16 * d * 8)
+        assert full * 16 * d * 8 == WINDOW_TABLE_BYTES
+        distinct = [float(t) for t in np.linspace(-5.0, 35.0, 2 * full + full // 3)]
+        # every fifth temperature recurs at once, in its own window
+        temps = [t for i, t in enumerate(distinct) for _ in range(1 + (i % 5 == 0))]
+        with deadline(120), RosterStream(experts, temps, dom) as stream:
+            forked = b"".join(row.tobytes() for row in stream)
+        windows, real = [], roster._windows
+
+        def spy(*inputs):
+            for rows, slots in real(*inputs):
+                windows.append(len(rows))
+                yield rows, slots
+
+        monkeypatch.setattr(roster, "_windows", spy)
+        monkeypatch.delattr(os, "fork")
+        in_process = RosterStream(experts, temps, dom)
+        assert forked == b"".join(row.tobytes() for row in in_process)
+        assert windows == [full, full, full // 3]
+        assert stream.evaluations == in_process.evaluations == len(distinct)
+
+    def test_evaluator_killed_inside_a_window_raises(self, fitted):
+        # d=1024: a window's rows, 6 x 21 x 1024 x 8 bytes, overfill the
+        # pipe, so the evaluator is still inside the second window's rows
+        # while this process plays the first; it is killed there, once more
+        # bytes wait in the pipe than any window's header holds
+        fcntl, termios = pytest.importorskip("fcntl"), pytest.importorskip("termios")
+        train, test, experts, _ = fitted
+        dom = GridDomain(0.0, 1.05 * max(r.load for r in train), 1024)
+        temps = [r.temperature for r in test[:40]]
+        ended = f"the roster evaluation process ended by signal {int(signal.SIGKILL)}"
+        with deadline(120), RosterStream(experts, temps, dom) as stream:
+            rows = [next(stream)]
+            fd = stream._replies.fileno()
+            while int.from_bytes(fcntl.ioctl(fd, termios.FIONREAD, bytes(4)),
+                                 sys.byteorder) <= 4096:
+                time.sleep(0.01)
+            os.kill(stream._pid, signal.SIGKILL)
+            with pytest.raises(RuntimeError, match=ended):
+                rows.extend(stream)
+        assert stream.evaluations == 6
+        assert len(rows) == max(i for i in range(len(temps)) if len(set(temps[:i])) <= 6)
+
     def test_consumer_exception_reaps_the_evaluator(self, fitted, monkeypatch):
         # d=1024: a window's rows overfill the pipe, so the evaluator is
         # still at work on the second window when the consumer fails
@@ -691,6 +743,23 @@ class TestForkedLevel:
         monkeypatch.delattr(os, "fork")  # the in-process branch: the spy sees its M-steps
         build_load_roster(demo_year, components=2, seed=3)
         assert calls and set(calls) == {os.getpid()}
+
+    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in_process"])
+    def test_a_fit_child_runs_without_openssl(self, demo_year, monkeypatch, forked):
+        # each fit reports, as its failure reason, the `_hashlib` entry of
+        # the process that runs it
+        def report(segments, components, seed):
+            for _ in segments:
+                yield ValueError(repr(sys.modules.get("_hashlib", "absent")))
+
+        monkeypatch.setattr(roster, "fit_gmm_ems", report)
+        monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
+        if not forked:
+            monkeypatch.delattr(os, "fork")
+        experts, failures = build_load_roster(demo_year, components=2, seed=3)
+        assert experts == [] and len(failures) == 21
+        assert {reason for _, reason in failures} == {"None" if forked else "'absent'"}
+        assert "_hashlib" not in sys.modules
 
     def test_a_child_holds_only_its_own_pipe(self):
         # the second child is forked while the first stream is open: it
