@@ -216,11 +216,7 @@ def cmd_synth(args) -> int:
         "steps": args.steps, "grid": args.grid, "segments": args.segments,
     }
     metrics = {"wa_alpha0_baseline_loss": base, "loss_normalized_vs_wa_alpha0": final / base}
-    if args.mode == "aa":
-        metrics["bound_expression"] = "(b-a)/2*ln(N)"
-    else:
-        metrics["bound_expression"] = "2*(b-a)*ln(N)"
-        metrics["bound_wa_form"] = 2.0 * domain.width * np.log(len(values))
+    metrics["bound_expression"] = "(b-a)/2*ln(N)" if args.mode == "aa" else "2*(b-a)*ln(N)"
     metrics["asleep_steps"] = log.asleep_steps
     code = _finish_run(args.out, log, "synth", config, args.seed, [], metrics)
     mark("write")
@@ -270,14 +266,14 @@ def cmd_load(args) -> int:
 
     The run spans four processes, at most three at a time:
     - this one, which ingests, reads the fitted models, plays the game and
-      writes; it fits nothing and loads neither scipy, numpy.random nor
-      OpenSSL (`config_hash`);
+      writes; it fits nothing and loads neither scipy nor numpy.random;
     - the two fit children of `build_load_roster`, which load numpy.random
-      without OpenSSL and send each fit back pickled;
+      and send each fit back pickled;
     - the evaluator of `RosterStream`, forked once both fit children are
       reaped, which loads scipy's `ndtr` alone and sends each window as a
       pickled header and the rows' raw bytes.
 
+    None of them loads OpenSSL (the process rule of `main`).
     `--timings` prints each process's CPU time and peak RSS.  An exit
     before the stream (bad ingest, a roster too small) forks no evaluator,
     and bad ingest forks nothing.  An error in a child is raised here where
@@ -332,6 +328,9 @@ def cmd_load(args) -> int:
                 print(f"cannot forecast the test span: {exc}", file=sys.stderr)
                 return 3
         mark("replay")
+        if args.timings:  # within the replay phase: the game's wait on the roster
+            print(f"timing replay_wait_first: {forecasts.first_wait:.6f} s", file=sys.stderr)
+            print(f"timing replay_wait: {forecasts.wait:.6f} s", file=sys.stderr)
 
         expert_dir = os.path.join(args.out, "experts")
         os.makedirs(expert_dir, exist_ok=True)
@@ -514,6 +513,18 @@ def _validate(parser, args) -> None:
 
 
 def main(argv=None) -> int:
+    """Run one `crpsmix` command; return its exit code.
+
+    The process rule: before anything else, `main` puts None at
+    `sys.modules["_hashlib"]` unless an entry is there, so a process that
+    already loaded OpenSSL's hashlib keeps it.  The `secrets` -> `hmac` ->
+    `hashlib` imports that `numpy.random` makes then take CPython's builtin
+    hashes, and no command maps OpenSSL's libcrypto (~3.4 MB): not `synth`
+    or `verify`, whose draws import numpy.random here, nor any process a
+    command forks, which inherits the entry.  `config_hash` takes its
+    SHA-256 from the builtin module either way.
+    """
+    sys.modules.setdefault("_hashlib", None)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -9,6 +9,7 @@ import os
 import pickle
 import signal
 import sys
+import time
 import types
 import weakref
 from dataclasses import dataclass
@@ -88,11 +89,9 @@ def build_load_roster(
     fits nothing and never imports numpy.random; it reads the fits in that
     order, each a pickled (model, history) or the exception that failed
     the fit, and both children are reaped before this returns (an error in
-    one kills and reaps the other).  A fit child puts None at
-    `sys.modules["_hashlib"]`, unless an entry is there, before it imports
-    numpy.random, whose `secrets` and `hmac` imports then take CPython's
-    builtin hashes: forked from a process without OpenSSL's libcrypto
-    (~3.5 MB), such as `crpsmix load`'s, it never loads it.  Where
+    one kills and reaps the other).  A fit child applies the OpenSSL rule
+    of `cli.main` itself before it imports numpy.random, for callers that
+    do not run through `main`, such as perfbench's set-up probe.  Where
     `os.fork` does not exist, the three calls run here, in the same order,
     and sys.modules is left as it is.
     """
@@ -320,7 +319,11 @@ class RosterStream(_Forked):
     a copy of its row, so no yielded matrix changes when a later window
     refills the table and `list(stream)` is safe.  `evaluations` counts
     the temperatures evaluated so far: 40 for the 1000 whole-degree test
-    hours of perfbench's load-int input at seed 3.
+    hours of perfbench's load-int input at seed 3.  `wait` adds up the
+    seconds (`time.perf_counter`) that the stream's reader waited for its
+    windows, the end of the stream included, and `first_wait` is the part
+    spent on the first window: each blocked read of a window from the
+    evaluator, or each window's evaluation where it runs in this process.
 
     A `_Forked` stream of windows: its child, the evaluator, is forked when
     the stream is made, inherits the stacked models, the temperatures and
@@ -337,6 +340,7 @@ class RosterStream(_Forked):
 
     def __init__(self, experts, temps, domain: GridDomain):
         self.evaluations = 0
+        self.wait = self.first_wait = 0.0
         inputs = (stack_models([e.model for e in experts]), list(temps), domain)
         caller = os.getpid()
         super().__init__("roster evaluation", lambda: _evaluate(inputs, caller))
@@ -360,7 +364,15 @@ class RosterStream(_Forked):
         return rows, slots
 
     def _steps(self, windows):
-        for rows, slots in windows:
+        while True:
+            start = time.perf_counter()
+            window = next(windows, None)
+            self.wait += time.perf_counter() - start
+            if window is None:
+                break
+            rows, slots = window
+            if not self.evaluations:
+                self.first_wait = self.wait
             self.evaluations += len(rows)
             for slot in slots:
                 yield rows[slot][None].copy()

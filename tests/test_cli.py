@@ -129,14 +129,11 @@ class TestSynth:
         )
         assert "metric_loss_normalized_vs_wa_alpha0" in manifest
 
-    @pytest.mark.parametrize("mode, bound_keys", [
-        ("aa", ["bound_expression"]),
-        ("wa", ["bound_expression", "bound_wa_form"]),
-    ])
-    def test_manifest_key_order(self, tmp_path, mode, bound_keys):
+    @pytest.mark.parametrize("mode", ["aa", "wa"])
+    def test_manifest_key_order(self, tmp_path, mode):
         out = tmp_path / "run"
         assert run_cli(*SYNTH_FLAGS, "--mode", mode, "--out", str(out)) == 0
-        own = ["wa_alpha0_baseline_loss", "loss_normalized_vs_wa_alpha0", *bound_keys,
+        own = ["wa_alpha0_baseline_loss", "loss_normalized_vs_wa_alpha0", "bound_expression",
                "asleep_steps"]
         assert_metric_order(read_manifest(out / "manifest.txt"), 3, own)
 
@@ -169,7 +166,7 @@ class TestSynth:
         for row in rows:
             [float(x) for x in row]
         manifest = read_manifest(out / "manifest.txt")
-        assert float(manifest["metric_bound_wa_form"]) == pytest.approx(
+        assert float(manifest["metric_regret_bound"]) == pytest.approx(
             2.0 * math.log(3)
         )
 
@@ -661,6 +658,34 @@ def test_cli_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False False False"
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc/self/maps")
+@pytest.mark.parametrize("command", ["synth", "verify", "load"])
+def test_no_command_maps_openssl(tmp_path, command):
+    # main's first statement keeps `_hashlib`, and with it OpenSSL's
+    # libcrypto, out of the command process, numpy.random's draws included
+    src = os.path.dirname(os.path.dirname(crpsmix.__file__))
+    argv = {
+        "synth": [*SYNTH_FLAGS, "--out", str(tmp_path / "o")],
+        "verify": ["verify", "--cases", "2", "--seed", "3"],
+        "load": TestEvaluatorProcess.argv(tmp_path, "success"),
+    }[command]
+    code = ("import sys; from crpsmix.cli import main; code = main(sys.argv[1:]); "
+            "print(code, 'numpy.random' in sys.modules, "
+            "any('libcrypto' in line for line in open('/proc/self/maps')))")
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {command != 'load'} False"
+
+
+def test_main_keeps_a_loaded_openssl_hashlib(tmp_path, monkeypatch):
+    monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
+    openssl = pytest.importorskip("_hashlib")
+    assert main([*SYNTH_FLAGS, "--steps", "20", "--grid", "16", "--out", str(tmp_path)]) == 0
+    assert sys.modules["_hashlib"] is openssl
+
+
 @pytest.mark.parametrize("blob", [b"", b"grid=16|mode=aa", "alpha=0.001|\u00e9".encode()])
 def test_config_hash_is_the_sha256_prefix(blob):
     assert config_hash(blob) == hashlib.sha256(blob).hexdigest()[:16]
@@ -748,13 +773,14 @@ class TestEvaluatorProcess:
         argv = self.argv(tmp_path, "success")
         code = ("import sys; from crpsmix.cli import main; main(sys.argv[1:]); "
                 "print('scipy' in sys.modules, 'numpy.random' in sys.modules, "
-                "'_hashlib' in sys.modules)")
+                "sys.modules.get('_hashlib') is None)")
         proc = subprocess.run([sys.executable, "-c", code, *argv],
                               env={**os.environ, "PYTHONPATH": src}, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         [line, loaded] = proc.stdout.splitlines()
-        assert line.startswith("load: T=48 ") and loaded == "False False False"
+        # OpenSSL stays unloaded: main leaves None at sys.modules["_hashlib"]
+        assert line.startswith("load: T=48 ") and loaded == "False False True"
 
 
 class TestVerify:
@@ -845,7 +871,7 @@ def outputs(out):
 class TestTimings:
     @pytest.mark.parametrize("command, phases", [
         ("synth", ["setup", "replay", "write"]),
-        ("load", ["ingest", "fit", "replay", "write"]),
+        ("load", ["ingest", "fit", "replay", "replay_wait_first", "replay_wait", "write"]),
         ("verify", None),
     ])
     def test_outputs_are_unchanged(self, tmp_path, capsys, command, phases):
@@ -893,6 +919,32 @@ class TestTimings:
             assert err[-len(reported):] == [e for e in err if e.startswith("process ")]
             for _, cpu, peak in reported:
                 assert float(cpu) > 0 and float(peak) > 0
+
+    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in_process"])
+    def test_load_reports_the_wait_on_the_roster(self, tmp_path, capsys, monkeypatch, forked):
+        rows = demo_rows(tmp_path / "demo.csv", 8760 + 48)
+        out = tmp_path / "o"
+        args = ["load", "--data", write_rows(tmp_path / "in.csv", rows),
+                "--split", rows[1 + 8760][0], "--grid", "16", "--out", str(out)]
+        if not forked:  # the roster is evaluated in the command process
+            monkeypatch.delattr(os, "fork")
+        runs = []
+        for flags in ([], ["--timings"]):
+            shutil.rmtree(out, ignore_errors=True)
+            assert main(args + flags) == 0
+            captured = capsys.readouterr()
+            runs.append((captured.out, outputs(out), captured.err.splitlines()))
+        (out0, files0, err0), (out1, files1, err1) = runs
+        assert (out1, files1) == (out0, files0)
+        assert not [e for e in err0 if e.startswith(("timing ", "process "))]
+        assert [e for e in err1 if not e.startswith(("timing ", "process "))] == err0
+        timed = dict(e[len("timing "):].removesuffix(" s").split(": ")
+                     for e in err1 if e.startswith("timing "))
+        assert list(timed) == ["ingest", "fit", "replay", "replay_wait_first", "replay_wait",
+                               "write"]
+        first, total, replay = (float(timed[k])
+                                for k in ("replay_wait_first", "replay_wait", "replay"))
+        assert 0 < first <= total <= replay
 
     @pytest.mark.parametrize("case, children", [
         ("conditioning", ["anytime and season fit", "season-by-day-period fit",

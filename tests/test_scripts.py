@@ -117,9 +117,8 @@ def test_setup_probe_runs_the_public_set_up_calls(tmp_path, kind):
 
 def readme_manifest_keys(readme, title):
     """The keys of the manifest table in the README section `title`, in
-    order, each with whether the table marks it `--mode wa` only."""
-    rows = re.findall(r"^\| `([^`]+)` \|(.*)$", readme_section(readme, title), flags=re.M)
-    return [(key, "`--mode wa` only" in rest) for key, rest in rows]
+    order."""
+    return re.findall(r"^\| `([^`]+)` \|", readme_section(readme, title), flags=re.M)
 
 
 def test_readme_lists_the_manifest_keys_each_run_writes(small_runs, tmp_path):
@@ -131,8 +130,7 @@ def test_readme_lists_the_manifest_keys_each_run_writes(small_runs, tmp_path):
     for title, out, mode in (("Synthetic mixture experiment", synth, "aa"),
                              ("Synthetic mixture experiment", wa, "wa"),
                              ("Hourly load forecasting", load, "aa")):
-        listed = [key for key, wa_only in readme_manifest_keys(readme, title)
-                  if mode == "wa" or not wa_only]
+        listed = readme_manifest_keys(readme, title)
         patterns = [re.compile(re.sub(r"<\w+>", r"\\w+", key)) for key in listed]
         written = [line.split("=", 1)[0]
                    for line in (out / "manifest.txt").read_text(encoding="utf-8").splitlines()]
