@@ -234,7 +234,7 @@ def cmd_synth(args) -> int:
 
 
 def _load_records(args, schema):
-    """The training and test records, the inputs, their quality reports and
+    """The training and test records, the inputs, their ingest counts and
     the outcome domain [0, 1.05 * max training load]; a ValueError when the
     data give no such domain (no positive load, or an end that overflows)."""
     if args.data:
@@ -242,7 +242,7 @@ def _load_records(args, schema):
         boundary = args.split or default_test_boundary(records)
         train, test = split_train_test(records, boundary)
         inputs = [args.data]
-        reports = [("data", report)]
+        reports = [("data", report.as_dict())]
     else:
         train, rep_train = load_csv(args.train, schema)
         test, rep_test = load_csv(args.test, schema)
@@ -254,7 +254,7 @@ def _load_records(args, schema):
             raise ValueError(f"test span starts at {test[0].timestamp.isoformat()}, not after "
                              f"the training span ends ({train[-1].timestamp.isoformat()})")
         inputs = [args.train, args.test]
-        reports = [("train", rep_train), ("test", rep_test)]
+        reports = [("train", rep_train.as_dict()), ("test", rep_test.as_dict())]
     top = max(r.load for r in train)
     if not top > 0:
         raise ValueError("no positive load in the training span")
@@ -263,6 +263,9 @@ def _load_records(args, schema):
 
 def cmd_load(args) -> int:
     """Ingest, fit the roster, play the test span and write the artifacts.
+
+    The manifest is the run's one summary: after the game's numbers it
+    holds each input's ingest counts and each expert's EM fit numbers.
 
     The run spans four processes, at most three at a time:
     - this one, which ingests, reads the fitted models, plays the game and
@@ -337,16 +340,6 @@ def cmd_load(args) -> int:
         for e in experts:
             with open(os.path.join(expert_dir, f"{e.name}.txt"), "w", encoding="utf-8") as fh:
                 fh.write(e.model.to_text())
-        em_rows = [
-            [e.name, e.fit_points, len(e.fit_history), float(e.fit_history[-1]),
-             em_hit_max_iter(e.fit_history)]
-            for e in experts
-        ]
-        _write_csv(
-            os.path.join(args.out, "em_fits.csv"),
-            ["expert", "points", "iterations", "final_log_likelihood", "at_max_iter"],
-            em_rows,
-        )
         _write_csv(
             os.path.join(args.out, "quantile_bands.csv"),
             ["t", "timestamp"] + [f"q{int(100 * tau):02d}" for tau in QUANTILE_LEVELS]
@@ -355,11 +348,6 @@ def cmd_load(args) -> int:
              + [quantile(kept[t][0], tau) for tau in QUANTILE_LEVELS] + [outcomes[t - 1]]
              for t in band_steps),
         )
-        with open(os.path.join(args.out, "data_quality.txt"), "w", encoding="utf-8") as fh:
-            for label, quality in reports:
-                for k, v in quality.as_dict().items():
-                    fh.write(f"{label}_{k}={v}\n")
-            fh.write(f"test_outcomes_clipped={clipped}\n")
 
         config = {
             "mode": args.mode, "confidence": args.confidence, "alpha": args.alpha,
@@ -367,6 +355,8 @@ def cmd_load(args) -> int:
             "band_hour": args.band_hour,
         }
         average = float(log.learner_cumulative()[-1] / log.steps)
+        em_rows = [(e.fit_points, len(e.fit_history), e.fit_history[-1],
+                    em_hit_max_iter(e.fit_history)) for e in experts]
         metrics = {
             "n_experts": len(experts),
             "n_fit_failures": len(failures),
@@ -377,6 +367,11 @@ def cmd_load(args) -> int:
             "test_outcomes_clipped": clipped,
             "roster_evaluations": forecasts.evaluations,
         }
+        for key in reports[0][1]:
+            metrics.update((f"{label}_{key}", counts[key]) for label, counts in reports)
+        em_keys = ("fit_points", "em_rounds", "em_log_likelihood", "em_at_max_iter")
+        for key, values in zip(em_keys, zip(*em_rows)):
+            metrics.update((f"expert_{i}_{key}", v) for i, v in enumerate(values, start=1))
         code = _finish_run(
             args.out, log, "load", config, args.seed, inputs, metrics,
             names=[e.name for e in experts],
@@ -510,6 +505,9 @@ def _validate(parser, args) -> None:
             parser.error("--alpha must lie in [0, 1]")
         if args.out is None:
             parser.error("need --out or the CRPSMIX_OUT environment variable")
+        for flag in ("out", "data", "train", "test"):  # a manifest line holds one path
+            if any(c in (getattr(args, flag, None) or "") for c in "\r\n"):
+                parser.error(f"--{flag} must not contain a line break")
 
 
 def main(argv=None) -> int:

@@ -20,7 +20,7 @@ import crpsmix
 import crpsmix.cli as cli_mod
 from crpsmix.cli import _fmt, _write_csv, config_hash, main, read_manifest
 from crpsmix.data import default_test_boundary, load_csv, split_train_test, write_demo_load_csv
-from crpsmix.experts import EM_MAX_ITER
+from crpsmix.experts import EM_MAX_ITER, em_hit_max_iter
 from crpsmix.game import GameConfig, GameLog, replay
 from crpsmix.grids import GridDomain
 from crpsmix import roster as roster_mod
@@ -107,8 +107,10 @@ def assert_game_log_rebuilds_the_summaries(out):
 
 
 SYNTH_FILES = {"game_log.csv", "cdf_snapshots.csv", "regret_report.csv", "manifest.txt"}
-LOAD_FILES = {"game_log.csv", "regret_report.csv", "quantile_bands.csv", "em_fits.csv",
-              "experts", "data_quality.txt", "manifest.txt"}
+LOAD_FILES = {"game_log.csv", "regret_report.csv", "quantile_bands.csv", "experts",
+              "manifest.txt"}
+INGEST_COUNTS = ["rows_parsed", "rows_failed", "gaps", "hours_missing"]
+EXPERT_FITS = ["fit_points", "em_rounds", "em_log_likelihood", "em_at_max_iter"]
 
 
 SYNTH_FLAGS = ["synth", "--method", "1", "--steps", "400", "--grid", "128",
@@ -279,22 +281,29 @@ class TestLoad:
         text = (out / "experts" / files[0]).read_text()
         assert text.splitlines()[0] == "2"  # component count
 
-    def test_em_fits_report(self, load_run):
+    def test_manifest_holds_each_expert_fit(self, load_run, demo_load_csv):
+        # every number of the former em_fits.csv, by the expert's manifest index
         _, out = load_run
-        with open(out / "em_fits.csv") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [r["expert"] + ".txt" for r in rows] == sorted(os.listdir(out / "experts"))
-        for r in rows:
-            assert int(r["points"]) >= 20
-            assert 1 <= int(r["iterations"]) <= EM_MAX_ITER
-            assert math.isfinite(float(r["final_log_likelihood"]))
-            assert r["at_max_iter"] in ("true", "false")
-            if r["at_max_iter"] == "true":
-                assert int(r["iterations"]) == EM_MAX_ITER
         manifest = read_manifest(out / "manifest.txt")
-        assert int(manifest["metric_em_fits_at_max_iter"]) == sum(
-            r["at_max_iter"] == "true" for r in rows
-        )
+        with open(out / "regret_report.csv") as fh:
+            names = [row["expert"] for row in csv.DictReader(fh)]
+        assert [n + ".txt" for n in names] == sorted(os.listdir(out / "experts"))
+        records = load_csv(demo_load_csv)[0]
+        train, _ = split_train_test(records, default_test_boundary(records))
+        experts, _ = build_load_roster(train, components=2, seed=5)
+        assert [e.name for e in experts] == names
+        at_cap = []
+        for i, e in enumerate(experts, start=1):
+            fit = {k: manifest[f"metric_expert_{i}_{k}"] for k in EXPERT_FITS}
+            assert int(fit["fit_points"]) == e.fit_points >= 20
+            assert int(fit["em_rounds"]) == len(e.fit_history) <= EM_MAX_ITER
+            assert float(fit["em_log_likelihood"]) == e.fit_history[-1]
+            assert math.isfinite(e.fit_history[-1])
+            assert fit["em_at_max_iter"] == _fmt(em_hit_max_iter(e.fit_history))
+            if fit["em_at_max_iter"] == "true":
+                assert len(e.fit_history) == EM_MAX_ITER
+            at_cap.append(fit["em_at_max_iter"] == "true")
+        assert int(manifest["metric_em_fits_at_max_iter"]) == sum(at_cap)
 
     def test_quantile_bands_at_noon(self, load_run):
         _, out = load_run
@@ -340,9 +349,8 @@ class TestLoad:
         j = rows[0].index("y")
         clipped = sum(float(row[j]) != r.load for row, r in zip(rows[1:], test, strict=True))
         assert manifest["metric_test_outcomes_clipped"] == str(clipped)
-        quality = read_manifest(out / "data_quality.txt")
-        assert quality["test_outcomes_clipped"] == str(clipped)
-        assert list(manifest)[-4] == "metric_roster_evaluations"
+        keys = list(manifest)
+        assert keys[keys.index("metric_roster_evaluations") + 1] == "metric_data_rows_parsed"
         assert 0 < int(manifest["metric_roster_evaluations"]) <= int(manifest["metric_steps"])
         assert_regret_headroom(manifest, out)
         assert float(manifest["metric_min_regret_headroom"]) > 0.0
@@ -354,6 +362,8 @@ class TestLoad:
         own = ["n_experts", "n_fit_failures", "em_fits_at_max_iter", "domain_b",
                "final_average_loss", "asleep_steps", "test_outcomes_clipped",
                "roster_evaluations"]
+        own += [f"data_{k}" for k in INGEST_COUNTS]
+        own += [f"expert_{i}_{k}" for k in EXPERT_FITS for i in range(1, 22)]
         assert_metric_order(read_manifest(out / "manifest.txt"), 21, own)
 
     def test_whole_degree_run_matches_per_step_roster(self, tmp_path):
@@ -442,12 +452,47 @@ class TestLoad:
                      "--out", str(tmp_path / "files")]) == 0
         assert main(["load", "--data", str(tmp_path / "demo.csv"), "--split", rows[8760][0],
                      *flags, "--out", str(tmp_path / "split")]) == 0
-        names = ["game_log.csv", "regret_report.csv", "em_fits.csv", "quantile_bands.csv"]
+        names = ["game_log.csv", "regret_report.csv", "quantile_bands.csv"]
         names += [f"experts/{n}" for n in sorted(os.listdir(tmp_path / "split" / "experts"))]
-        assert len(names) == 4 + 21
+        assert len(names) == 3 + 21
         for name in names:
             got = (tmp_path / "files" / name).read_bytes()
             assert got == (tmp_path / "split" / name).read_bytes(), name
+        # the manifests' metric lines agree but for the per-input ingest counts
+        ingest = re.compile(rf"metric_(data|train|test)_({'|'.join(INGEST_COUNTS)})=")
+        metrics = {}
+        for run in ("files", "split"):
+            lines = (tmp_path / run / "manifest.txt").read_text(encoding="utf-8").splitlines()
+            metrics[run] = [line for line in lines
+                            if line.startswith("metric_") and not ingest.match(line)]
+        assert metrics["files"] == metrics["split"]
+        assert len(metrics["split"]) == 5 + 21 + 1 + 8 + 4 * 21 + 3
+
+    @pytest.mark.parametrize("mode", ["data", "train_test"])
+    def test_manifest_counts_a_bad_row_and_a_gap(self, tmp_path, mode):
+        header, *rows = demo_rows(tmp_path / "demo.csv", 8760 + 48)
+        del rows[200:203]  # a 3-hour gap
+        rows.insert(100, ["not a timestamp", "1", "1"])  # one bad row of 8806: under 1%
+        first_test = 8760 - 3 + 1
+        if mode == "data":
+            inputs = {"data": write_rows(tmp_path / "data.csv", [header, *rows])}
+            argv = ["--data", inputs["data"], "--split", rows[first_test][0]]
+        else:
+            inputs = {"train": write_rows(tmp_path / "train.csv", [header, *rows[:first_test]]),
+                      "test": write_rows(tmp_path / "test.csv", [header, *rows[first_test:]])}
+            argv = ["--train", inputs["train"], "--test", inputs["test"]]
+        out = tmp_path / "out"
+        assert main(["load", *argv, "--grid", "16", "--components", "1",
+                     "--out", str(out)]) == 0
+        manifest = read_manifest(out / "manifest.txt")
+        reports = {label: load_csv(path)[1].as_dict() for label, path in inputs.items()}
+        for label, report in reports.items():
+            assert {k: int(manifest[f"metric_{label}_{k}"]) for k in INGEST_COUNTS} == report
+        defects = reports["data" if mode == "data" else "train"]
+        assert (defects["rows_failed"], defects["gaps"], defects["hours_missing"]) == (1, 1, 3)
+        # each count over the inputs in turn
+        ingest = [f"metric_{label}_{k}" for k in INGEST_COUNTS for label in inputs]
+        assert [k for k in manifest if k in ingest] == ingest
 
     @pytest.mark.parametrize("span", ["overlapping", "naive_after_aware"])
     def test_test_span_not_after_the_training_span_is_data_error(
@@ -639,6 +684,38 @@ def test_negative_seed_is_usage_error(command, demo_load_csv, tmp_path):
     assert proc.returncode == 2
     assert "--seed" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
+@pytest.mark.parametrize("flag", ["--out", "CRPSMIX_OUT", "--data", "--train", "--test"])
+def test_a_line_break_in_a_path_is_usage_error(tmp_path, monkeypatch, capsys, flag, brk):
+    # the manifest holds one key=value per line; such a path would add a line
+    header, *rows = demo_rows(tmp_path / "demo.csv", 300)
+    forged = brk + "metric_steps=999"
+
+    def csv_file(name, part):
+        name += forged if flag == f"--{name}" else ""
+        return write_rows(tmp_path / name, [header, *part])
+
+    if flag in ("--out", "CRPSMIX_OUT"):
+        argv = ["synth", "--method", "1", "--steps", "20", "--grid", "16"]
+        out = str(tmp_path / ("out" + forged))
+    elif flag == "--data":
+        argv = ["load", "--data", csv_file("data", rows), "--split", rows[250][0], "--grid", "16"]
+        out = str(tmp_path / "out")
+    else:
+        argv = ["load", "--train", csv_file("train", rows[:250]),
+                "--test", csv_file("test", rows[250:]), "--grid", "16"]
+        out = str(tmp_path / "out")
+    if flag == "CRPSMIX_OUT":
+        monkeypatch.setenv("CRPSMIX_OUT", out)
+    else:
+        argv += ["--out", out]
+    before = sorted(os.listdir(tmp_path))
+    usage_error(*argv)
+    assert sorted(os.listdir(tmp_path)) == before  # nothing written
+    named = "--out" if flag == "CRPSMIX_OUT" else flag
+    assert f"{named} must not contain a line break" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_unloaded():
@@ -1016,7 +1093,7 @@ def test_every_written_csv_has_the_csv_module_bytes(small_runs):
     # no cell needing quoting; timestamps with a UTC offset included
     synth, load = small_runs
     paths = sorted(synth.glob("*.csv")) + sorted(load.glob("*.csv"))
-    assert len(paths) == 3 + 4
+    assert len(paths) == 3 + 3
     for path in paths:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))

@@ -127,9 +127,19 @@ def test_readme_lists_the_manifest_keys_each_run_writes(small_runs, tmp_path):
     wa = tmp_path / "wa"
     assert main(["synth", "--method", "1", "--mode", "wa", "--steps", "50", "--grid", "16",
                  "--out", str(wa)]) == 0
+    # a load from two files, whose inputs are `train` then `test`
+    with open(write_demo_load_csv(tmp_path / "demo.csv", hours=8760 + 48), encoding="utf-8") as fh:
+        header, *rows = fh.read().splitlines()
+    for name, part in (("train.csv", rows[:8760]), ("test.csv", rows[8760:])):
+        (tmp_path / name).write_text("\n".join([header, *part]) + "\n", encoding="utf-8")
+    files = tmp_path / "files"
+    assert main(["load", "--train", str(tmp_path / "train.csv"), "--test",
+                 str(tmp_path / "test.csv"), "--grid", "16", "--components", "1",
+                 "--out", str(files)]) == 0
     for title, out, mode in (("Synthetic mixture experiment", synth, "aa"),
                              ("Synthetic mixture experiment", wa, "wa"),
-                             ("Hourly load forecasting", load, "aa")):
+                             ("Hourly load forecasting", load, "aa"),
+                             ("Hourly load forecasting", files, "train/test")):
         listed = readme_manifest_keys(readme, title)
         patterns = [re.compile(re.sub(r"<\w+>", r"\\w+", key)) for key in listed]
         written = [line.split("=", 1)[0]
