@@ -46,6 +46,6 @@ from .grids import (
     heaviside_cdf,
     quantile,
 )
-from .roster import LoadExpert, build_load_roster
+from .roster import LoadExpert, build_load_roster, roster_confidences
 
 __version__ = "0.1.0"

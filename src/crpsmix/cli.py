@@ -294,14 +294,13 @@ def cmd_load(args) -> int:
         )
         try:
             train, test, inputs, reports, domain = _load_records(args, schema)
-        except (OSError, ValueError) as exc:
+            game = GameConfig(domain, mode=args.mode, alpha=args.alpha)
+        except (OSError, ValueError) as exc:  # such as a domain too narrow for a finite eta
             print(f"cannot ingest data: {exc}", file=sys.stderr)
             return 3
         mark("ingest")
 
-        experts, failures = build_load_roster(
-            train, components=args.components, seed=args.seed, confidence=args.confidence
-        )
+        experts, failures = build_load_roster(train, components=args.components, seed=args.seed)
         for name, reason in failures:
             print(f"roster fit failed for {name}: {reason}", file=sys.stderr)
         if len(experts) < 2 or (failures and failures[0][0] == "expert01_anytime"):
@@ -319,14 +318,13 @@ def cmd_load(args) -> int:
             if clipped:
                 logger.warning("%d test outcomes clipped into [%g, %g]",
                                clipped, domain.a, domain.b)
-            confidences = roster_confidences(experts, [rec.timestamp for rec in test])
+            confidences = roster_confidences(experts, [rec.timestamp for rec in test],
+                                             args.confidence)
             band_steps = [t for t, rec in enumerate(test, start=1)
                           if rec.timestamp.hour == args.band_hour]
             try:
-                (log,), kept = replay(
-                    [GameConfig(domain, mode=args.mode, alpha=args.alpha)],
-                    forecasts, outcomes, confidences, keep=band_steps,
-                )
+                (log,), kept = replay([game], forecasts, outcomes, confidences,
+                                      keep=band_steps)
             except ConditioningError as exc:
                 print(f"cannot forecast the test span: {exc}", file=sys.stderr)
                 return 3

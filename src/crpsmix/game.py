@@ -34,9 +34,11 @@ BLOCK_BYTES = 64 * 1024
 @dataclass(frozen=True)
 class GameConfig:
     """Parameters of one aggregation run; eta defaults from the mode and
-    the outcome interval (2/(b-a) for "aa", 1/(2(b-a)) for "wa").  The
-    rates live here alone: the weights are plain arrays, and `GameLog.eta`
-    only records the rate for the bound."""
+    the outcome interval (2/(b-a) for "aa", 1/(2(b-a)) for "wa"), and must
+    be positive and finite, given or derived (an interval narrower than
+    about 1e-308 derives an infinite one).  The rates live here alone: the
+    weights are plain arrays, and `GameLog.eta` only records the rate for
+    the bound."""
 
     domain: GridDomain
     mode: str = "aa"
@@ -51,8 +53,8 @@ class GameConfig:
         if self.eta is None:
             rate = aa_learning_rate if self.mode == "aa" else wa_learning_rate
             object.__setattr__(self, "eta", rate(self.domain.width))
-        elif not self.eta > 0:
-            raise ValueError(f"eta must be positive, got {self.eta}")
+        if not 0 < self.eta < math.inf:
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
 
 
 class GameLog:

@@ -1,7 +1,7 @@
 """The 21-expert roster for hourly load forecasting: one anytime expert,
 four seasonal experts, and sixteen season-by-day-period experts, each a
-temperature-conditioned Gaussian mixture with a calendar confidence
-schedule."""
+temperature-conditioned Gaussian mixture fitted on its calendar area,
+whose confidence under each mode `roster_confidences` gives."""
 
 from __future__ import annotations
 
@@ -30,6 +30,10 @@ DAY_PERIODS = {"night": (0, 5), "morning": (6, 11), "day": (12, 17), "evening": 
 
 DAY_RAMP_HOURS = 2.0  # confidence decrease of a daily expert
 
+#: Each mode's `area_confidence` ramps: half a season and DAY_RAMP_HOURS
+#: for "smooth", none for "binary"; under "off" (None) every expert is awake.
+CONFIDENCE_RAMPS = {"smooth": (0.5, DAY_RAMP_HOURS), "binary": (0.0, 0.0), "off": None}
+
 #: Bytes of the table that holds one window's roster matrices, one per
 #: distinct temperature: 48 temperatures at N=21, d=128, and 6 at d=1024.
 WINDOW_TABLE_BYTES = 1 << 20
@@ -40,13 +44,14 @@ BATCH_ARGUMENT_BYTES = 1 << 18
 
 @dataclass(frozen=True, eq=False)
 class LoadExpert:
-    """A fitted temperature-to-load model plus its area of competence, and
-    its training-segment size and EM log-likelihood history."""
+    """A fitted temperature-to-load model plus its area of competence
+    (`season`, a key of SEASONS, and `period`, one of DAY_PERIODS; None for
+    all), and its training-segment size and EM log-likelihood history."""
 
     name: str
     model: Gmm2D
-    season_schedule: tuple | None = None  # (start, end, ramp) over hour-of-year
-    day_schedule: tuple | None = None  # (start, end, ramp) over hour-of-day
+    season: str | None = None
+    period: str | None = None
     fit_points: int = 0
     fit_history: np.ndarray | None = None  # log-likelihood per EM round
 
@@ -66,6 +71,29 @@ def periodic_ramp(x, start, end, ramp, period):
     return best
 
 
+def area_confidence(season, period, calendar, ramps=(0.0, 0.0)) -> np.ndarray:
+    """The confidence of the area (`season`, `period`) at the `calendar`
+    hours (`_calendar_hours`): the season's `periodic_ramp` times the
+    period's, 1 where either is None.  `ramps` is (the season ramp as a
+    fraction of the season, the day ramp in hours); (0, 0) gives 1 inside
+    the area and 0 outside it."""
+    season_ramp, day_ramp = ramps
+    hours_of_year, hours = calendar
+    out = np.ones(len(hours))
+    if season is not None:
+        start, end = SEASONS[season]
+        out *= periodic_ramp(hours_of_year, start, end, season_ramp * (end - start + 1),
+                             HOURS_PER_YEAR)
+    if period is not None:
+        out *= periodic_ramp(hours, *DAY_PERIODS[period], day_ramp, 24)
+    return out
+
+
+def _check_confidence(confidence: str) -> None:
+    if confidence not in CONFIDENCE_RAMPS:
+        raise ValueError(f"confidence must be smooth, binary or off, got {confidence!r}")
+
+
 def build_load_roster(
     train_records,
     *,
@@ -74,13 +102,14 @@ def build_load_roster(
     confidence: str = "smooth",
 ):
     """Fit the full roster on training records: each expert on the records
-    in its area, where its binary confidence is 1.
+    in its area, where its `area_confidence` at zero ramps is 1.  Returns
+    (experts, failures) where failures is a list of (name, reason) for
+    segments that could not be fitted; those experts are dropped from the
+    roster.
 
-    confidence "smooth" uses half-season / two-hour ramps, "binary" uses
-    no ramps (experts sleep outside their exact training domain), and
-    "off" attaches no schedules at all.  Returns (experts, failures) where
-    failures is a list of (name, reason) for segments that could not be
-    fitted; those experts are dropped from the roster.
+    The fit reads no confidence mode: one roster serves every mode through
+    `roster_confidences`.  `confidence` stays for the callers that pass it;
+    it is only checked, as `roster_confidences` checks it.
 
     The fits run as three lockstep calls of `fit_gmm_ems`, one per level,
     in two `_Forked` fit children that run at once: the anytime call then
@@ -89,22 +118,12 @@ def build_load_roster(
     fits nothing and never imports numpy.random; it reads the fits in that
     order, each a pickled (model, history) or the exception that failed
     the fit, and both children are reaped before this returns (an error in
-    one kills and reaps the other).  A fit child applies the OpenSSL rule
-    of `cli.main` itself before it imports numpy.random, for callers that
-    do not run through `main`, such as perfbench's set-up probe.  Where
-    `os.fork` does not exist, the three calls run here, in the same order,
-    and sys.modules is left as it is.
+    one kills and reaps the other).  Where `os.fork` does not exist, the
+    three calls run here, in the same order.
     """
-    if confidence not in ("smooth", "binary", "off"):
-        raise ValueError(f"confidence must be smooth, binary or off, got {confidence!r}")
+    _check_confidence(confidence)
     points = np.array([(r.temperature, r.load) for r in train_records])
-    hours_of_year, hours = _calendar_hours([r.timestamp for r in train_records])
-    in_season = {s: periodic_ramp(hours_of_year, *SEASONS[s], 0.0, HOURS_PER_YEAR) == 1.0
-                 for s in SEASONS}
-    in_period = {p: periodic_ramp(hours, *DAY_PERIODS[p], 0.0, 24) == 1.0 for p in DAY_PERIODS}
-
-    season_ramp = {"smooth": 0.5, "binary": 0.0}.get(confidence)
-    day_ramp = {"smooth": DAY_RAMP_HOURS, "binary": 0.0}.get(confidence)
+    calendar = _calendar_hours([r.timestamp for r in train_records])
 
     specs = [("expert01_anytime", None, None)]
     for s in SEASONS:
@@ -112,21 +131,9 @@ def build_load_roster(
     for s in SEASONS:
         for p in DAY_PERIODS:
             specs.append((f"expert{len(specs) + 1:02d}_{s}_{p}", s, p))
-
-    segments = []
-    for _, s, p in specs:
-        mask = np.ones(len(points), dtype=bool)
-        if s is not None:
-            mask &= in_season[s]
-        if p is not None:
-            mask &= in_period[p]
-        segments.append(points[mask])
-
-    caller = os.getpid()
+    segments = [points[area_confidence(s, p, calendar) == 1.0] for _, s, p in specs]
 
     def fit_levels(*levels):  # one lockstep fit per level, in order
-        if os.getpid() != caller:  # in a fit child, before numpy.random is imported
-            sys.modules.setdefault("_hashlib", None)
         seeds = [int(x) for x in np.random.SeedSequence(seed).generate_state(len(specs))]
         for level in levels:
             yield from fit_gmm_ems(segments[level], components, seeds[level])
@@ -143,17 +150,8 @@ def build_load_roster(
             failures.append((name, str(fit)))
             continue
         model, history = fit
-        sched_s = sched_d = None
-        if confidence != "off":
-            if s is not None:
-                start, end = SEASONS[s]
-                sched_s = (start, end, season_ramp * (end - start + 1))
-            if p is not None:
-                sched_d = (*DAY_PERIODS[p], day_ramp)
-        experts.append(
-            LoadExpert(name=name, model=model, season_schedule=sched_s, day_schedule=sched_d,
-                       fit_points=len(segment), fit_history=history)
-        )
+        experts.append(LoadExpert(name=name, model=model, season=s, period=p,
+                                  fit_points=len(segment), fit_history=history))
     return experts, failures
 
 
@@ -264,13 +262,16 @@ class _Forked:
 
 
 def _serve(work, fd, send):
-    """The forked child of `_Forked`: write each item of `work()` to the
-    pipe `fd` with `send`, flushed, so the parent plays an item while the
-    child makes the next; then None, or the exception `work` raised; and
-    end with `os._exit`, which flushes no stdio buffer inherited from the
-    parent and runs no atexit handler."""
+    """The forked child of `_Forked`: apply the OpenSSL rule of `cli.main`
+    (for callers that do not run through `main`, such as perfbench's
+    set-up probe), so `work` imports numpy.random without OpenSSL; write
+    each item of `work()` to the pipe `fd` with `send`, flushed, so the
+    parent plays an item while the child makes the next; then None, or the
+    exception `work` raised; and end with `os._exit`, which flushes no
+    stdio buffer inherited from the parent and runs no atexit handler."""
     code = 1
     try:
+        sys.modules.setdefault("_hashlib", None)
         with open(fd, "wb") as up:
             try:
                 for item in work():
@@ -285,17 +286,17 @@ def _serve(work, fd, send):
         os._exit(code)
 
 
-def roster_confidences(experts, timestamps) -> np.ndarray:
-    """(T, N) confidences at the timestamps: each expert's season schedule
-    over the hour-of-year times its day schedule over the hour, 1 where it
-    has none."""
-    hours_of_year, hours = _calendar_hours(timestamps)
-    out = np.ones((len(hours), len(experts)))
-    for i, e in enumerate(experts):
-        if e.season_schedule is not None:
-            out[:, i] *= periodic_ramp(hours_of_year, *e.season_schedule, HOURS_PER_YEAR)
-        if e.day_schedule is not None:
-            out[:, i] *= periodic_ramp(hours, *e.day_schedule, 24)
+def roster_confidences(experts, timestamps, confidence: str) -> np.ndarray:
+    """(T, N) confidences at the timestamps under the `confidence` mode:
+    each expert's `area_confidence` at the mode's CONFIDENCE_RAMPS, or all
+    ones for "off"; a ValueError for any other mode."""
+    _check_confidence(confidence)
+    ramps = CONFIDENCE_RAMPS[confidence]
+    out = np.ones((len(timestamps), len(experts)))
+    if ramps is not None:
+        calendar = _calendar_hours(timestamps)
+        for i, e in enumerate(experts):
+            out[:, i] = area_confidence(e.season, e.period, calendar, ramps)
     return out
 
 

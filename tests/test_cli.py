@@ -329,7 +329,7 @@ class TestLoad:
         assert g["temperature"].tolist() == [r.temperature for r in test]
         assert g["y"].tolist() == [min(max(r.load, 0.0), top) for r in test]
         experts, _ = build_load_roster(train, components=2, seed=5)
-        confidences = roster_confidences(experts, [r.timestamp for r in test])
+        confidences = roster_confidences(experts, [r.timestamp for r in test], "smooth")
         assert np.array_equal(game_log_block(g, "p"), confidences)
 
     def test_manifest_counters(self, load_run, demo_load_csv):
@@ -388,7 +388,7 @@ class TestLoad:
             [GameConfig(domain, mode="aa", alpha=0.001)],
             (conditional_load_cdfs(models, temp, domain)[None] for temp in temps),
             [min(max(r.load, domain.a), domain.b) for r in test],
-            roster_confidences(experts, [r.timestamp for r in test]),
+            roster_confidences(experts, [r.timestamp for r in test], "smooth"),
         )
         log.to_csv(tmp_path / "per_step_log.csv", {
             "timestamp": [r.timestamp.isoformat() for r in test],
@@ -397,6 +397,27 @@ class TestLoad:
         assert (out / "game_log.csv").read_bytes() == (tmp_path / "per_step_log.csv").read_bytes()
         manifest = read_manifest(out / "manifest.txt")
         assert manifest["metric_roster_evaluations"] == str(len(set(temps)))
+
+    def test_the_fits_do_not_depend_on_the_confidence_mode(self, tmp_path):
+        # one fit, and each mode's confidences, give each mode's run
+        rows = demo_rows(tmp_path / "demo.csv", 8760 + 48)
+        data, split = write_rows(tmp_path / "in.csv", rows), rows[1 + 8760][0]
+        train, test = split_train_test(load_csv(data)[0], datetime.fromisoformat(split))
+        experts, _ = build_load_roster(train, components=2, seed=5)
+        files = {f"{e.name}.txt": e.model.to_text().encode() for e in experts}
+        fit_key = re.compile(r"metric_expert_\d+_(fit_points|em_rounds|em_log_likelihood)")
+        fits = []
+        for mode in ("smooth", "binary", "off"):
+            out = tmp_path / mode
+            assert main(["load", "--data", data, "--split", split, "--grid", "16",
+                         "--seed", "5", "--confidence", mode, "--out", str(out)]) == 0
+            assert {f.name: f.read_bytes() for f in (out / "experts").iterdir()} == files
+            manifest = read_manifest(out / "manifest.txt")
+            fits.append([(k, v) for k, v in manifest.items() if fit_key.fullmatch(k)])
+            p = game_log_block(read_game_log(out / "game_log.csv"), "p")
+            want = roster_confidences(experts, [r.timestamp for r in test], mode)
+            assert p.dtype == want.dtype and p.tobytes() == want.tobytes(), mode
+        assert len(fits[0]) == 3 * 21 and fits[0] == fits[1] == fits[2]
 
     @pytest.mark.parametrize("temp", ["1e160", "-1e200"])
     def test_unreachable_test_temperature_is_data_error(self, tmp_path, temp):
@@ -580,6 +601,21 @@ class TestLoad:
                        "--out", str(tmp_path / "o"))
         assert code == 3
         assert "cannot ingest data: interval endpoints must be finite" in capsys.readouterr().err
+
+    def test_training_loads_too_small_for_a_finite_rate_are_data_error(self, tmp_path,
+                                                                        capsys, monkeypatch):
+        # 2 / (1.05 * max train load) overflows: the aa learning rate is inf
+        rows = demo_rows(tmp_path / "demo.csv", 8760 + 48)
+        for row in rows[1:]:
+            row[1] = repr(float(row[1]) * 1e-322)
+        data = write_rows(tmp_path / "tiny.csv", rows)
+        forked, out = spy_forks(monkeypatch), tmp_path / "o"
+        code = run_cli("load", "--data", data, "--split", rows[1 + 8760][0], "--grid", "64",
+                       "--out", str(out))
+        assert code == 3
+        assert ("cannot ingest data: eta must be positive and finite, got inf"
+                in capsys.readouterr().err)
+        assert forked == [] and not out.exists()
 
     @pytest.mark.parametrize("constant", [False, True], ids=["too_short", "constant"])
     def test_unfittable_training_span_is_data_error(self, tmp_path, constant):

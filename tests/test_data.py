@@ -20,7 +20,7 @@ from crpsmix.data import (
     write_demo_load_csv,
 )
 from crpsmix import data
-from crpsmix.roster import DAY_PERIODS, SEASONS, periodic_ramp
+from crpsmix.roster import DAY_PERIODS, SEASONS, area_confidence
 
 
 class TestSchedules:
@@ -251,12 +251,11 @@ class TestSplitAndCalendar:
     def test_full_year_covers_every_cell(self):
         # every season-by-day-period area of the roster holds hours of a year
         stamps = [r.timestamp for r in self.make_records(8760, start=datetime(2013, 1, 1))]
-        hours_of_year = np.array([hour_of_year(ts) for ts in stamps])
-        hours = np.array([ts.hour for ts in stamps])
-        for season in SEASONS.values():
-            in_season = periodic_ramp(hours_of_year, *season, 0.0, HOURS_PER_YEAR) == 1.0
-            for period in DAY_PERIODS.values():
-                assert np.any(in_season & (periodic_ramp(hours, *period, 0.0, 24) == 1.0))
+        calendar = (np.array([hour_of_year(ts) for ts in stamps]),
+                    np.array([ts.hour for ts in stamps]))
+        for season in SEASONS:
+            for period in DAY_PERIODS:
+                assert np.any(area_confidence(season, period, calendar) == 1.0)
 
 
 class TestHourOfYear:

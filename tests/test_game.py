@@ -61,6 +61,16 @@ class TestGameConfig:
         with pytest.raises(ValueError):
             GameConfig(dom, eta=0.0)
 
+    @pytest.mark.parametrize("mode, eta, width", [
+        ("aa", math.inf, 1.0), ("wa", math.nan, 1.0),
+        ("aa", None, 1e-322),  # 2 / width overflows
+        ("wa", None, 1e-322),  # so does 1 / (2 width)
+    ])
+    def test_non_finite_eta_rejected(self, mode, eta, width):
+        dom = GridDomain(0.0, width, 8)
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            GameConfig(dom, mode=mode, eta=eta)
+
 
 class TestStepBasics:
     def test_single_expert_zero_regret(self):

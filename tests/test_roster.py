@@ -26,13 +26,14 @@ from crpsmix import experts as experts_mod, roster
 from crpsmix.grids import GridCDF, GridDomain, repair_cdf
 from crpsmix.roster import (
     BATCH_ARGUMENT_BYTES,
+    CONFIDENCE_RAMPS,
     DAY_PERIODS,
     DAY_RAMP_HOURS,
     SEASONS,
     WINDOW_TABLE_BYTES,
     RosterStream,
+    area_confidence,
     build_load_roster,
-    periodic_ramp,
     roster_confidences,
 )
 
@@ -107,18 +108,17 @@ with roster.RosterStream(experts, temps, domain) as stream:
 def fitted(demo_load_csv):
     records, _ = load_csv(demo_load_csv)
     train, test = split_train_test(records, records[-1200].timestamp)
-    experts, failures = build_load_roster(
-        train, components=2, seed=5, confidence="smooth"
-    )
+    experts, failures = build_load_roster(train, components=2, seed=5)
     return train, test, experts, failures
 
 
 @pytest.fixture(scope="module")
-def rosters(fitted):
-    """{confidence mode: roster} fitted on 380 days at one component."""
-    train = fitted[0][: 380 * 24]
-    return {mode: build_load_roster(train, components=1, seed=2, confidence=mode)[0]
-            for mode in ("smooth", "binary", "off")}
+def small_roster(fitted):
+    """The roster fitted on 380 days at one component: one fit, which
+    serves every confidence mode."""
+    experts, failures = build_load_roster(fitted[0][: 380 * 24], components=1, seed=2)
+    assert not failures
+    return experts
 
 
 @pytest.fixture(scope="module")
@@ -138,16 +138,29 @@ def expert_segment(name, records):
                      if list(reference_area(r.timestamp)[:len(parts)]) == parts])
 
 
-class TestSchedules:
-    """The (start, end, ramp) triples build_load_roster attaches, read
-    through periodic_ramp."""
+def confidence_at(expert, mode, hour_of_year, hour=0.0):
+    """`area_confidence` of the expert's area under the mode's ramps at one
+    hour of the year and of the day."""
+    calendar = (np.array([float(hour_of_year)]), np.array([float(hour)]))
+    return area_confidence(expert.season, expert.period, calendar, CONFIDENCE_RAMPS[mode])[0]
 
-    def test_season_schedule_plateau_and_ramp(self, rosters):
-        summer = rosters["smooth"][3]  # Jun-Aug
+
+class TestSchedules:
+    """Each expert's area, and the confidence that `area_confidence` and
+    `roster_confidences` give it under each mode's ramps."""
+
+    def test_ramps_per_mode(self):
+        assert CONFIDENCE_RAMPS == {"smooth": (0.5, DAY_RAMP_HOURS), "binary": (0.0, 0.0),
+                                    "off": None}
+        assert DAY_RAMP_HOURS == 2.0
+
+    def test_season_schedule_plateau_and_ramp(self, small_roster):
+        summer = small_roster[3]  # Jun-Aug
         assert summer.name == "expert04_summer"
+        assert (summer.season, summer.period) == ("summer", None)
 
         def at(t):
-            return periodic_ramp(t, *summer.season_schedule, HOURS_PER_YEAR)
+            return confidence_at(summer, "smooth", t)
 
         jun1 = 3624  # cumulative hours to Jun 1
         assert at(float(jun1)) == 1.0
@@ -157,24 +170,26 @@ class TestSchedules:
         assert at(float(jun1 - dur / 4)) == pytest.approx(0.5)
         assert at(float(jun1 - dur)) == 0.0
 
-    def test_winter_schedule_wraps_year_end(self, rosters):
-        winter = rosters["smooth"][1]
+    def test_winter_schedule_wraps_year_end(self, small_roster):
+        winter = small_roster[1]
         assert winter.name == "expert02_winter"
+        assert (winter.season, winter.period) == ("winter", None)
 
         def at(t):
-            return periodic_ramp(t, *winter.season_schedule, HOURS_PER_YEAR)
+            return confidence_at(winter, "smooth", t)
 
         assert at(100.0) == 1.0  # early January
         assert at(8500.0) == 1.0  # December
         assert at(4380.0) == 0.0  # mid-summer
 
-    def test_day_schedule(self, rosters):
-        morning = rosters["smooth"][6]  # 06-11
+    def test_day_schedule(self, small_roster):
+        morning = small_roster[6]  # 06-11
         assert morning.name == "expert07_winter_morning"
-        assert morning.day_schedule == (6, 11, DAY_RAMP_HOURS)
+        assert (morning.season, morning.period) == ("winter", "morning")
+        assert DAY_PERIODS["morning"] == (6, 11)
 
-        def at(t):
-            return periodic_ramp(t, *morning.day_schedule, 24)
+        def at(t):  # early January: inside the season's plateau
+            return confidence_at(morning, "smooth", 100.0, t)
 
         assert at(8.0) == 1.0
         assert at(5.0) == pytest.approx(0.5)
@@ -182,22 +197,29 @@ class TestSchedules:
         assert at(13.0) == 0.0
         assert at(0.0) == 0.0
 
-    def test_binary_ramps(self, rosters):
-        morning = rosters["binary"][6]
-        assert morning.day_schedule == (6, 11, 0.0)
-        assert morning.season_schedule[2] == 0.0
+    def test_binary_ramps(self, small_roster):
+        morning = small_roster[6]
 
         def at(t):
-            return periodic_ramp(t, *morning.day_schedule, 24)
+            return confidence_at(morning, "binary", 100.0, t)
 
         assert at(5.0) == 0.0 and at(6.0) == 1.0 and at(12.0) == 0.0
+        # the season's edge is a step too: Mar 1 is hour 1416
+        assert confidence_at(morning, "binary", 1415.0, 8.0) == 1.0
+        assert confidence_at(morning, "binary", 1416.0, 8.0) == 0.0
+        # binary's ramps are the default pair
+        hours = np.arange(HOURS_PER_YEAR, dtype=float)
+        calendar = (hours, hours % 24)
+        for e in small_roster:
+            assert np.array_equal(area_confidence(e.season, e.period, calendar),
+                                  area_confidence(e.season, e.period, calendar, (0.0, 0.0)))
 
     @pytest.mark.parametrize("mode", ["smooth", "binary", "off"])
-    def test_every_hour_of_two_years_matches_the_scalar_reference(self, rosters, mode):
+    def test_every_hour_of_two_years_matches_the_scalar_reference(self, small_roster, mode):
         # 2012 is a leap year: hour_of_year counts Feb 29 as Feb 28
         stamps = [datetime(2011, 1, 1) + timedelta(hours=h) for h in range((365 + 366) * 24)]
-        experts = rosters[mode]
-        got = roster_confidences(experts, stamps)
+        experts = small_roster
+        got = roster_confidences(experts, stamps, mode)
         hours_of_year = np.array([hour_of_year(ts) for ts in stamps])
         hours = np.array([ts.hour for ts in stamps])
         season_scale = {"smooth": 0.5, "binary": 0.0}.get(mode)
@@ -233,13 +255,15 @@ class TestRoster:
 
     def test_anytime_expert_always_confident(self, fitted):
         _, _, experts, _ = fitted
-        p = roster_confidences(experts, [datetime(2010, 1, 1, 3), datetime(2010, 7, 15, 14)])
-        np.testing.assert_array_equal(p[:, 0], [1.0, 1.0])
+        for mode in CONFIDENCE_RAMPS:
+            p = roster_confidences(experts, [datetime(2010, 1, 1, 3), datetime(2010, 7, 15, 14)],
+                                   mode)
+            np.testing.assert_array_equal(p[:, 0], [1.0, 1.0])
 
     def test_seasonal_confidences_at_midsummer_noon(self, fitted):
         _, _, experts, _ = fitted
         ts = datetime(2010, 7, 15, 13)
-        p = roster_confidences(experts, [ts])[0]
+        p = roster_confidences(experts, [ts], "smooth")[0]
         by_name = dict(zip([e.name for e in experts], p))
         assert by_name["expert04_summer"] == 1.0
         assert by_name["expert02_winter"] == 0.0
@@ -249,43 +273,37 @@ class TestRoster:
     def test_ramp_overlap_after_season_end(self, fitted):
         _, _, experts, _ = fitted
         ts = datetime(2010, 9, 20, 13)  # 20 days into autumn
-        p = roster_confidences(experts, [ts])[0]
+        p = roster_confidences(experts, [ts], "smooth")[0]
         by_name = dict(zip([e.name for e in experts], p))
         assert by_name["expert05_autumn"] == 1.0
         assert 0.0 < by_name["expert04_summer"] < 1.0  # still fading out
 
-    def test_binary_mode_yields_zero_one(self, fitted):
-        train, _, _, _ = fitted
-        experts, failures = build_load_roster(
-            train[: 380 * 24], components=1, seed=2, confidence="binary"
-        )
-        assert not failures
-        p = roster_confidences(experts, [datetime(2010, 2, 10, 7), datetime(2010, 8, 3, 22)])
+    def test_binary_mode_yields_zero_one(self, small_roster):
+        p = roster_confidences(small_roster, [datetime(2010, 2, 10, 7), datetime(2010, 8, 3, 22)],
+                               "binary")
         assert set(np.unique(p)) <= {0.0, 1.0}
 
-    def test_off_mode_attaches_no_schedules(self, fitted):
-        train, _, _, _ = fitted
-        experts, _ = build_load_roster(
-            train[: 380 * 24], components=1, seed=2, confidence="off"
-        )
-        p = roster_confidences(experts, [datetime(2010, 2, 10, 7)])
-        np.testing.assert_array_equal(p, np.ones((1, len(experts))))
+    def test_off_mode_attaches_no_schedules(self, small_roster):
+        p = roster_confidences(small_roster, [datetime(2010, 2, 10, 7)], "off")
+        np.testing.assert_array_equal(p, np.ones((1, len(small_roster))))
 
     def test_span_confidences_match_per_step_products(self, fitted):
         # the per-step scalar path the whole-span array replaced: season
         # confidence at the hour of year times day confidence at the hour
         _, test, experts, _ = fitted
         stamps = [r.timestamp for r in test] + [datetime(2012, 2, 29, 23)]
-        got = roster_confidences(experts, stamps)
+        got = roster_confidences(experts, stamps, "smooth")
         assert got.shape == (len(stamps), len(experts))
         for t, ts in enumerate(stamps):
             for i, e in enumerate(experts):
                 c = 1.0
-                if e.season_schedule is not None:
-                    c *= reference_schedule_at(hour_of_year(ts), *e.season_schedule,
-                                               HOURS_PER_YEAR)
-                if e.day_schedule is not None:
-                    c *= reference_schedule_at(ts.hour, *e.day_schedule, 24)
+                if e.season is not None:
+                    start, end = SEASONS[e.season]
+                    c *= reference_schedule_at(hour_of_year(ts), start, end,
+                                               0.5 * (end - start + 1), HOURS_PER_YEAR)
+                if e.period is not None:
+                    c *= reference_schedule_at(ts.hour, *DAY_PERIODS[e.period],
+                                               DAY_RAMP_HOURS, 24)
                 assert got[t, i] == c
 
     def test_em_fit_records(self, fitted):
@@ -569,16 +587,17 @@ class TestRoster:
 
     def test_insufficient_segment_reports_failure(self, fitted):
         train, _, _, _ = fitted
-        experts, failures = build_load_roster(
-            train[:200], components=2, seed=0, confidence="smooth"
-        )
+        experts, failures = build_load_roster(train[:200], components=2, seed=0)
         assert failures  # many calendar cells lack data in 200 hours
         assert all(isinstance(name, str) and reason for name, reason in failures)
 
     def test_bad_confidence_mode_rejected(self, fitted):
-        train, _, _, _ = fitted
-        with pytest.raises(ValueError):
+        train, test, experts, _ = fitted
+        bad = "confidence must be smooth, binary or off, got 'fuzzy'"
+        with pytest.raises(ValueError, match=bad):
             build_load_roster(train, confidence="fuzzy")
+        with pytest.raises(ValueError, match=bad):
+            roster_confidences(experts, [r.timestamp for r in test[:24]], "fuzzy")
 
 
 class TestRosterFit:
@@ -646,12 +665,12 @@ class TestRosterFit:
 
         monkeypatch.setattr(roster, "fit_gmm_ems", spy)
         monkeypatch.delattr(os, "fork")  # the in-process branch: the spy sees every level
-        experts, failures = build_load_roster(records, components=1, seed=0, confidence="binary")
+        experts, failures = build_load_roster(records, components=1, seed=0)
         assert failures == [] and len(experts) == 21
         [anytime], seasons, periods = calls
         segments = [anytime, *seasons, *periods]
         points = np.array([(r.temperature, r.load) for r in records])
-        awake = roster_confidences(experts, stamps)
+        awake = roster_confidences(experts, stamps, "binary")
         assert set(np.unique(awake)) == {0.0, 1.0}
         # each hour lies in one season and one season-by-day-period area
         assert np.all(awake[:, 1:5].sum(axis=1) == 1) and np.all(awake[:, 5:].sum(axis=1) == 1)
