@@ -183,6 +183,18 @@ def _finish_run(out, log: GameLog, experiment, config, seed, inputs, metrics,
 # ---------------------------------------------------------------------------
 
 
+def _print_processes(command: str, children: int) -> None:
+    """The `--timings` line of each `_Forked` child reaped since
+    `child_usage` held `children` entries, then of this process, named
+    `command`: CPU seconds and peak RSS."""
+    import resource
+
+    own = resource.getrusage(resource.RUSAGE_SELF)
+    for name, cpu, peak in [*child_usage[children:],
+                            (command, own.ru_utime + own.ru_stime, own.ru_maxrss / 1024)]:
+        print(f"process {name}: cpu {cpu:.6f} s, peak {peak:.1f} MB", file=sys.stderr)
+
+
 def cmd_synth(args) -> int:
     mark = _phase_clock(args.timings)
     domain = GridDomain(0.0, 1.0, args.grid)
@@ -384,13 +396,8 @@ def cmd_load(args) -> int:
             print("discounted regret bound violated", file=sys.stderr)
         return code
     finally:
-        if args.timings:  # on every exit: the children reaped so far, then this process
-            import resource
-
-            own = resource.getrusage(resource.RUSAGE_SELF)
-            for name, cpu, peak in [*child_usage[children:],
-                                    ("load", own.ru_utime + own.ru_stime, own.ru_maxrss / 1024)]:
-                print(f"process {name}: cpu {cpu:.6f} s, peak {peak:.1f} MB", file=sys.stderr)
+        if args.timings:
+            _print_processes("load", children)
 
 
 # ---------------------------------------------------------------------------
@@ -399,24 +406,39 @@ def cmd_load(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify_mod.run_all(args.seed, args.cases)
-    failures = []
-    for res in results:
-        print(res.line())
-        if args.timings:
-            print(f"timing {res.name}: {res.seconds:.6f} s", file=sys.stderr)
-        if not res.passed:
-            failures.append({"name": res.name, "detail": res.detail,
-                             "witness": res.witness})
-    if failures:
-        blob = json.dumps({"failures": failures}, indent=2)
-        if args.report:
-            with open(args.report, "w", encoding="utf-8") as fh:
-                fh.write(blob + "\n")
-        else:
-            print(blob, file=sys.stderr)
-        return 1
-    return 0
+    """Run the property suites; print one line per check in `run_all`'s
+    order, and exit 1 with the failures' JSON report if any check failed.
+
+    The suite spans two processes: this one runs five checks while a
+    `_Forked` child runs the discounted-regret check, the longest, on the
+    other core (`verify.run_all`).  Its result and any exception it raises
+    come back here, so stdout, the report and exit codes do not depend on
+    the fork.  `--timings` prints each check's wall time and, on every
+    exit, the child's CPU time and peak RSS, then this process's.
+    """
+    children = len(child_usage)
+    try:
+        results = verify_mod.run_all(args.seed, args.cases)
+        failures = []
+        for res in results:
+            print(res.line())
+            if args.timings:
+                print(f"timing {res.name}: {res.seconds:.6f} s", file=sys.stderr)
+            if not res.passed:
+                failures.append({"name": res.name, "detail": res.detail,
+                                 "witness": res.witness})
+        if failures:
+            blob = json.dumps({"failures": failures}, indent=2)
+            if args.report:
+                with open(args.report, "w", encoding="utf-8") as fh:
+                    fh.write(blob + "\n")
+            else:
+                print(blob, file=sys.stderr)
+            return 1
+        return 0
+    finally:
+        if args.timings:  # on every exit: the child reaped, then this process
+            _print_processes("verify", children)
 
 
 # ---------------------------------------------------------------------------

@@ -164,8 +164,8 @@ child_usage: list[tuple[str, float, float]] = []
 class _Forked:
     """The items of `work()`, an iterable, made in a forked child process
     while this one works: an iterator and a context.  The one fork helper,
-    under the fit children of `build_load_roster` and the evaluator of
-    `RosterStream`.
+    under the fit children of `build_load_roster`, the evaluator of
+    `RosterStream` and the discounted-regret check of `verify.run_all`.
 
     The child inherits what `work` reads through the fork, and every module
     loaded here, and runs `_serve`; each item crosses one pipe as `_send`
@@ -183,7 +183,8 @@ class _Forked:
     A child holds no pipe but its own write end: it closes the read ends
     of the streams open here when it is forked.  Each child reaped here
     (`os.wait4`) appends its name, CPU seconds and peak RSS to
-    `child_usage`, which `crpsmix load --timings` prints.
+    `child_usage`, which `--timings` of `crpsmix load` and `crpsmix verify`
+    prints.
     """
 
     #: the read ends of the streams open in this process

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import product
+from itertools import starmap
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .experts import triangular_cdf
 from .game import BOUND_TOL, GameConfig, replay, run_square_loss_game, telescoping_gap
 from .grids import GridDomain, cdf_values, crps_grid_profile
 from .rng import spawn_rngs
+from .roster import _Forked
 
 MIX_TOL = 1e-9  # the mixability checks; the regret checks use game.BOUND_TOL
 ENUM_TOL = 1e-10
@@ -135,24 +136,31 @@ def check_wa_exp_concavity(seed=0, cases=100) -> CheckResult:
 
 def _vector_case(rng):
     """Worst slack of the mixability inequality over every binary outcome
-    vector, for one random pool of vector forecasts and weights."""
+    vector, for one random pool of vector forecasts and weights: all 2^d
+    outcomes scored at once, each outcome's mixture as `float(q @ e)` and
+    the learner's side through `math.exp`, as one outcome at a time would
+    score them."""
     n = int(rng.integers(2, 5))
     d = int(rng.integers(1, 11))
     eta = 2.0
     m = rng.random((n, d))
     q = random_weights(rng, n)
     f = substitute_vector_aa(m, q, eta)
-    worst = -np.inf
-    witness = None
-    for bits in product((0.0, 1.0), repeat=d):
-        y = np.array(bits)
-        lhs = math.exp(-(eta / d) * float(((f - y) ** 2).sum()))
-        rhs = float(q @ np.exp(-(eta / d) * ((m - y) ** 2).sum(axis=1)))
-        slack = rhs - lhs
-        if _worse(slack, worst):
-            worst = slack
-            witness = {"n": n, "d": d, "outcome": list(bits), "weights": q.tolist()}
-    return worst, witness
+    # (2^d, d): row k holds the last d binary digits of k, most significant
+    # first, from k's two big-endian bytes (int64 digit arithmetic raised
+    # the process's peak RSS by ~0.1 MB)
+    bits = np.unpackbits(np.arange(2**d, dtype=">u2")[:, None].view(np.uint8), axis=1)
+    outcomes = bits[:, 16 - d :].astype(float)
+    # ((x - y) ** 2).sum() for every outcome y, for x the learner's f then
+    # each expert's row: one x at a time, as a (2^d, n, d) array would add
+    # ~1 MB to the process's peak RSS at d=10
+    losses = np.stack([((x - outcomes) ** 2).sum(axis=1) for x in (f, *m)], axis=1)
+    experts = np.exp(-(eta / d) * losses[:, 1:])
+    slack = np.array([float(q @ e) - math.exp(-(eta / d) * float(loss))
+                      for e, loss in zip(experts, losses[:, 0])])
+    worst = int(np.argmax(slack))  # the first largest, or the first NaN (`_worse`)
+    return float(slack[worst]), {"n": n, "d": d, "outcome": outcomes[worst].tolist(),
+                                 "weights": q.tolist()}
 
 
 def check_vector_mixability(seed=0, cases=20) -> CheckResult:
@@ -243,11 +251,28 @@ def check_discounted_regret(seed=0, cases=40) -> CheckResult:
                        BOUND_TOL, "worst excess {:.3e}")
 
 
+def _timed(check, *args) -> CheckResult:
+    start = time.perf_counter()
+    res = check(*args)
+    res.seconds = time.perf_counter() - start
+    return res
+
+
 def run_all(seed: int = 0, cases: int = 100) -> list[CheckResult]:
+    """The six checks, each from its own seed, in this order.
+
+    The last, the discounted-regret check, takes about half the suite's
+    time at the default 100 cases, so it runs in a `roster._Forked` child
+    while this process runs the other five: the suite uses a second core.
+    Its result crosses back pickled, with the child's `seconds`; an
+    exception it raises is raised here after the other five have run, as
+    the one-process suite raised it.  numpy.random is loaded before the
+    fork, so the child does not import it again.  Where `os.fork` does not
+    exist the check runs here, last, as the others do."""
     if cases < 1:
         raise ValueError("case count must be positive")
     small, half = max(1, cases // 5), max(1, cases // 2)
-    suite = [
+    *here, forked = [
         (check_crps_mixability, seed, cases),
         (check_wa_exp_concavity, seed + 1, cases),
         (check_vector_mixability, seed + 2, small),
@@ -255,10 +280,7 @@ def run_all(seed: int = 0, cases: int = 100) -> list[CheckResult]:
         (check_crps_game_bounds, seed + 4),
         (check_discounted_regret, seed + 5, half),
     ]
-    results = []
-    for check, *args in suite:
-        start = time.perf_counter()
-        res = check(*args)
-        res.seconds = time.perf_counter() - start
-        results.append(res)
-    return results
+    import numpy.random  # noqa: F401
+
+    with _Forked("discounted regret check", lambda: starmap(_timed, [forked])) as child:
+        return [*starmap(_timed, here), *child]

@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import hashlib
 import io
+import itertools
 import math
 import os
 import re
@@ -23,6 +25,7 @@ from crpsmix.data import default_test_boundary, load_csv, split_train_test, writ
 from crpsmix.experts import EM_MAX_ITER, em_hit_max_iter
 from crpsmix.game import GameConfig, GameLog, replay
 from crpsmix.grids import GridDomain
+from crpsmix.rng import spawn_rngs
 from crpsmix import roster as roster_mod
 from crpsmix.roster import build_load_roster, roster_confidences
 from crpsmix import verify as verify_mod
@@ -897,6 +900,33 @@ class TestEvaluatorProcess:
 
 
 class TestVerify:
+    #: the stdout of `crpsmix verify --cases 100` at seeds 3 and 8, as the
+    #: sequential suite printed it: the checks and their order, seeds, case
+    #: counts and formatting must keep these exact lines
+    PINNED = {
+        3: (
+            "pass  crps substitution mixability (100 cases): worst slack -7.896e-09 (tol 1e-09)\n"
+            "pass  weighted-average exp-concavity (100 cases): worst slack -1.162e-06 (tol 1e-09)\n"
+            "pass  vector substitution mixability (20 cases): worst slack -2.434e-03 (tol 1e-10)\n"
+            "pass  square-loss regret bound (50 cases): worst excess -5.647e-02\n"
+            "pass  synthetic-stream regret bounds (2 cases): T=1500\n"
+            "pass  discounted regret bound (50 cases): worst excess -2.712e-01\n"
+        ),
+        8: (
+            "pass  crps substitution mixability (100 cases): worst slack -1.963e-05 (tol 1e-09)\n"
+            "pass  weighted-average exp-concavity (100 cases): worst slack -3.229e-06 (tol 1e-09)\n"
+            "pass  vector substitution mixability (20 cases): worst slack -2.470e-04 (tol 1e-10)\n"
+            "pass  square-loss regret bound (50 cases): worst excess -4.572e-02\n"
+            "pass  synthetic-stream regret bounds (2 cases): T=1500\n"
+            "pass  discounted regret bound (50 cases): worst excess -1.878e-01\n"
+        ),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_stdout_is_pinned(self, capsys, seed):
+        assert main(["verify", "--seed", str(seed), "--cases", "100"]) == 0
+        assert capsys.readouterr().out == self.PINNED[seed]
+
     def test_default_run_passes(self, capsys):
         assert main(["verify", "--cases", "8", "--seed", "1"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -935,6 +965,29 @@ class TestVerify:
         assert res.line() == f"FAIL  demo ({len(values)} cases): worst nan"
         assert res.witness == {"case": first_nan}
 
+    def test_vector_case_matches_the_outcome_loop(self):
+        # the reference: one binary outcome at a time, the worst by `_worse`
+        def one_at_a_time(rng):
+            n, d, eta = int(rng.integers(2, 5)), int(rng.integers(1, 11)), 2.0
+            m = rng.random((n, d))
+            q = verify_mod.random_weights(rng, n)
+            f = verify_mod.substitute_vector_aa(m, q, eta)
+            worst, witness = -np.inf, None
+            for bits in itertools.product((0.0, 1.0), repeat=d):
+                y = np.array(bits)
+                lhs = math.exp(-(eta / d) * float(((f - y) ** 2).sum()))
+                rhs = float(q @ np.exp(-(eta / d) * ((m - y) ** 2).sum(axis=1)))
+                if verify_mod._worse(rhs - lhs, worst):
+                    worst = rhs - lhs
+                    witness = {"n": n, "d": d, "outcome": list(bits), "weights": q.tolist()}
+            return worst, witness
+
+        for rng, ref in zip(spawn_rngs(5, 200), spawn_rngs(5, 200)):
+            slack, witness = verify_mod._vector_case(rng)
+            want, want_witness = one_at_a_time(ref)
+            assert np.float64(slack).tobytes() == np.float64(want).tobytes()
+            assert witness == want_witness
+
     def test_a_nan_vector_slack_fails_the_check(self, monkeypatch):
         monkeypatch.setattr(verify_mod, "substitute_vector_aa",
                             lambda m, q, eta: np.full(m.shape[1], np.nan))
@@ -971,6 +1024,111 @@ class TestVerify:
             cli_mod.verify_mod.run_all = orig
         assert code == 1
         assert "boom" in report.read_text()
+
+
+class TestVerifyFork:
+    """`run_all` runs the discounted-regret check in a forked child beside
+    the other five; without `os.fork`, in this process, last."""
+
+    #: `crpsmix verify --cases 4 --seed 3 --report ...` with every regret
+    #: check failing (BOUND_TOL = -1), as the one-process suite wrote it
+    REPORT = """{
+  "failures": [
+    {
+      "name": "square-loss regret bound",
+      "detail": "worst excess -5.135e-01",
+      "witness": {
+        "n": 2,
+        "steps": 40,
+        "eta": 0.7059704789820873
+      }
+    },
+    {
+      "name": "synthetic-stream regret bounds",
+      "detail": "aa regret exceeds ln(N)/eta",
+      "witness": {
+        "seed": 7,
+        "steps": 1500
+      }
+    },
+    {
+      "name": "discounted regret bound",
+      "detail": "worst excess -3.179e-01",
+      "witness": {
+        "n": 2,
+        "steps": 42,
+        "mode": "aa"
+      }
+    }
+  ]
+}
+"""
+
+    def test_forked_and_in_process_results_are_equal(self, monkeypatch):
+        forked = spy_forks(monkeypatch)
+        results = {}
+        for mode in ("forked", "in_process"):
+            if mode == "in_process":
+                monkeypatch.delattr(os, "fork")
+            results[mode] = [dataclasses.replace(r, seconds=0.0)
+                             for r in verify_mod.run_all(seed=3, cases=10)]
+        assert len(forked) == 1  # the discounted check's child, reaped
+        assert results["forked"] == results["in_process"]
+        assert [r.name for r in results["forked"]][-1] == "discounted regret bound"
+        assert all(r.passed for r in results["forked"])
+
+    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in_process"])
+    def test_an_error_in_the_discounted_check_is_raised_here(self, monkeypatch, forked):
+        spied = spy_forks(monkeypatch)
+        if not forked:
+            monkeypatch.delattr(os, "fork")
+        ran = []
+        for name in ("check_crps_mixability", "check_crps_game_bounds"):  # run here
+            check = getattr(verify_mod, name)
+            monkeypatch.setattr(verify_mod, name,
+                                lambda *args, check=check: ran.append(check) or check(*args))
+
+        def broken(rng):
+            raise ArithmeticError("no case for you")
+
+        monkeypatch.setattr(verify_mod, "_discounted_case", broken)
+        usage = len(roster_mod.child_usage)
+        with pytest.raises(ArithmeticError, match="^no case for you$"):
+            verify_mod.run_all(seed=0, cases=2)
+        assert len(ran) == 2  # the first and the fifth check ran before it raised
+        assert len(spied) == forked
+        for pid in spied:  # reaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+        assert [name for name, *_ in roster_mod.child_usage[usage:]] == (
+            ["discounted regret check"] if forked else [])
+
+    def test_an_error_here_kills_and_reaps_the_child(self, monkeypatch):
+        spied = spy_forks(monkeypatch)
+
+        def broken(*args):
+            raise ArithmeticError("the square-loss check broke")
+
+        monkeypatch.setattr(verify_mod, "check_square_loss_regret", broken)
+        with pytest.raises(ArithmeticError, match="square-loss"):
+            verify_mod.run_all(seed=0, cases=100)
+        assert len(spied) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(spied[0], os.WNOHANG)
+
+    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in_process"])
+    def test_report_on_a_forced_failure_is_unchanged(self, tmp_path, capsys, monkeypatch,
+                                                     forked):
+        spied = spy_forks(monkeypatch)
+        if not forked:
+            monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(verify_mod, "BOUND_TOL", -1.0)  # inherited by the child
+        report = tmp_path / "report.json"
+        assert main(["verify", "--cases", "4", "--seed", "3", "--report", str(report)]) == 1
+        assert report.read_bytes() == self.REPORT.encode()
+        out = capsys.readouterr().out.splitlines()
+        assert [line.split("  ")[0] for line in out] == ["pass"] * 3 + ["FAIL"] * 3
+        assert len(spied) == forked
 
 
 def outputs(out):
@@ -1032,6 +1190,28 @@ class TestTimings:
             assert err[-len(reported):] == [e for e in err if e.startswith("process ")]
             for _, cpu, peak in reported:
                 assert float(cpu) > 0 and float(peak) > 0
+
+    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in_process"])
+    @pytest.mark.parametrize("tol, code", [(1e-9, 0), (-1.0, 1)], ids=["pass", "fail"])
+    def test_verify_reports_each_process(self, capsys, monkeypatch, forked, tol, code):
+        monkeypatch.setattr(verify_mod, "BOUND_TOL", tol)  # -1 fails the regret checks
+        if not forked:  # the discounted check runs in the command process
+            monkeypatch.delattr(os, "fork")
+        args = ["verify", "--cases", "4", "--seed", "2"]
+        pattern = re.compile(r"process (.+): cpu (\d+\.\d{6}) s, peak (\d+\.\d) MB")
+        assert main(args) == code
+        plain = capsys.readouterr()
+        assert "process " not in plain.err
+        assert main(args + ["--timings"]) == code
+        timed = capsys.readouterr()
+        assert timed.out == plain.out
+        err = timed.err.splitlines()
+        reported = [pattern.fullmatch(e).groups() for e in err if e.startswith("process ")]
+        assert [name for name, _, _ in reported] == (
+            ["discounted regret check"] if forked else []) + ["verify"]
+        assert err[-len(reported):] == [e for e in err if e.startswith("process ")]
+        for _, cpu, peak in reported:
+            assert float(cpu) > 0 and float(peak) > 0
 
     @pytest.mark.parametrize("forked", [True, False], ids=["forked", "in_process"])
     def test_load_reports_the_wait_on_the_roster(self, tmp_path, capsys, monkeypatch, forked):
