@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -40,15 +41,8 @@ from .data import (
 from .experts import ConditioningError, em_hit_max_iter, triangular_cdf
 from .game import BOUND_TOL, GameConfig, GameLog, replay
 from .grids import GridDomain, cdf_to_row, quantile
-from .roster import RosterStream, build_load_roster, child_usage, roster_confidences
-
-try:  # CPython's own SHA-256, so that no OpenSSL libcrypto is loaded
-    from _sha2 import sha256  # Python 3.12+
-except ImportError:
-    try:
-        from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
+from .roster import (CONFIDENCE_RAMPS, RosterStream, build_load_roster, child_usage,
+                     roster_confidences)
 
 logger = logging.getLogger(__name__)
 
@@ -95,11 +89,13 @@ def _phase_clock(enabled: bool):
 
 def config_hash(blob: bytes) -> str:
     """The manifest's `config_hash`: the first 16 hex digits of the
-    SHA-256 of `blob`.  It is taken from CPython's builtin module
-    (`_sha2`, or `_sha256` before 3.12), not from `hashlib`, whose import
-    loads OpenSSL's libcrypto (~3.5 MB) into the command process; `hashlib`
-    only where neither exists."""
-    return sha256(blob).hexdigest()[:16]
+    SHA-256 of `blob`.  `hashlib` is imported here, not with this module:
+    every command reaches this line after `main` has put None at
+    `sys.modules["_hashlib"]`, so `hashlib.sha256` is CPython's builtin
+    one and OpenSSL's libcrypto (~3.5 MB) stays out of the process."""
+    import hashlib
+
+    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def read_manifest(path) -> dict:
@@ -116,9 +112,10 @@ def read_manifest(path) -> dict:
 def _finish_run(out, log: GameLog, experiment, config, seed, inputs, metrics,
                 names=None, leading=None) -> int:
     """Write the game log, the regret report and the manifest of one
-    finished game into `out`; return 1 when config["alpha"] is 0 and the
-    largest discounted regret exceeds the ln(N)/eta bound by more than
-    BOUND_TOL (`GameLog.bound_excess`), else 0.
+    finished game into `out`; return 1, after the stderr line `discounted
+    regret bound violated`, when config["alpha"] is 0 and the largest
+    discounted regret exceeds the ln(N)/eta bound by more than BOUND_TOL
+    (`GameLog.bound_excess`), else 0.
 
     The manifest is a flat record of the run: `experiment`, a hash of
     `config`, `seed`, `config`, `inputs` and `out`, then the metrics: the
@@ -175,24 +172,15 @@ def _finish_run(out, log: GameLog, experiment, config, seed, inputs, metrics,
     with open(path + ".tmp", "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     os.replace(path + ".tmp", path)
-    return int(asserted and not satisfied)
+    if asserted and not satisfied:
+        print("discounted regret bound violated", file=sys.stderr)
+        return 1
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # synth
 # ---------------------------------------------------------------------------
-
-
-def _print_processes(command: str, children: int) -> None:
-    """The `--timings` line of each `_Forked` child reaped since
-    `child_usage` held `children` entries, then of this process, named
-    `command`: CPU seconds and peak RSS."""
-    import resource
-
-    own = resource.getrusage(resource.RUSAGE_SELF)
-    for name, cpu, peak in [*child_usage[children:],
-                            (command, own.ru_utime + own.ru_stime, own.ru_maxrss / 1024)]:
-        print(f"process {name}: cpu {cpu:.6f} s, peak {peak:.1f} MB", file=sys.stderr)
 
 
 def cmd_synth(args) -> int:
@@ -235,8 +223,6 @@ def cmd_synth(args) -> int:
 
     print(f"synth: T={args.steps} mode={args.mode} alpha={args.alpha} "
           f"loss={final:.6g} bound={log.bound:.6g}")
-    if code:
-        print("regret bound violated", file=sys.stderr)
     return code
 
 
@@ -288,116 +274,109 @@ def cmd_load(args) -> int:
       reaped, which loads scipy's `ndtr` alone and sends each window as a
       pickled header and the rows' raw bytes.
 
-    None of them loads OpenSSL (the process rule of `main`).
-    `--timings` prints each process's CPU time and peak RSS.  An exit
+    None of them loads OpenSSL (the process rule of `main`), and under
+    `--timings` `main` prints each one's CPU time and peak RSS.  An exit
     before the stream (bad ingest, a roster too small) forks no evaluator,
     and bad ingest forks nothing.  An error in a child is raised here where
     it would have been raised in this process (`roster._Forked`), so exit
     codes and stderr lines do not depend on the fork.
     """
     mark = _phase_clock(args.timings)
-    children = len(child_usage)
+    schema = CsvSchema(
+        timestamp_col=args.timestamp_col,
+        load_col=args.load_col,
+        temperature_col=args.temperature_col,
+        delimiter=args.delimiter,
+    )
     try:
-        schema = CsvSchema(
-            timestamp_col=args.timestamp_col,
-            load_col=args.load_col,
-            temperature_col=args.temperature_col,
-            delimiter=args.delimiter,
-        )
+        train, test, inputs, reports, domain = _load_records(args, schema)
+        game = GameConfig(domain, mode=args.mode, alpha=args.alpha)
+    except (OSError, ValueError) as exc:  # such as a domain too narrow for a finite eta
+        print(f"cannot ingest data: {exc}", file=sys.stderr)
+        return 3
+    mark("ingest")
+
+    experts, failures = build_load_roster(train, components=args.components, seed=args.seed)
+    for name, reason in failures:
+        print(f"roster fit failed for {name}: {reason}", file=sys.stderr)
+    if len(experts) < 2 or (failures and failures[0][0] == "expert01_anytime"):
+        print("roster too small to aggregate", file=sys.stderr)
+        return 3
+    mark("fit")
+
+    # each hour is forecast from the temperature of the hour before; the
+    # game reads no other training record, so none is kept through it
+    temps = [train[-1].temperature] + [rec.temperature for rec in test[:-1]]
+    del train
+    with RosterStream(experts, temps, domain) as forecasts:
+        outcomes = [min(max(rec.load, domain.a), domain.b) for rec in test]
+        clipped = sum(y != rec.load for y, rec in zip(outcomes, test))
+        if clipped:
+            logger.warning("%d test outcomes clipped into [%g, %g]",
+                           clipped, domain.a, domain.b)
+        confidences = roster_confidences(experts, [rec.timestamp for rec in test],
+                                         args.confidence)
+        band_steps = [t for t, rec in enumerate(test, start=1)
+                      if rec.timestamp.hour == args.band_hour]
         try:
-            train, test, inputs, reports, domain = _load_records(args, schema)
-            game = GameConfig(domain, mode=args.mode, alpha=args.alpha)
-        except (OSError, ValueError) as exc:  # such as a domain too narrow for a finite eta
-            print(f"cannot ingest data: {exc}", file=sys.stderr)
+            (log,), kept = replay([game], forecasts, outcomes, confidences,
+                                  keep=band_steps)
+        except ConditioningError as exc:
+            print(f"cannot forecast the test span: {exc}", file=sys.stderr)
             return 3
-        mark("ingest")
+    mark("replay")
+    if args.timings:  # within the replay phase: the game's wait on the roster
+        print(f"timing replay_wait_first: {forecasts.first_wait:.6f} s", file=sys.stderr)
+        print(f"timing replay_wait: {forecasts.wait:.6f} s", file=sys.stderr)
 
-        experts, failures = build_load_roster(train, components=args.components, seed=args.seed)
-        for name, reason in failures:
-            print(f"roster fit failed for {name}: {reason}", file=sys.stderr)
-        if len(experts) < 2 or (failures and failures[0][0] == "expert01_anytime"):
-            print("roster too small to aggregate", file=sys.stderr)
-            return 3
-        mark("fit")
+    expert_dir = os.path.join(args.out, "experts")
+    os.makedirs(expert_dir, exist_ok=True)
+    for e in experts:
+        with open(os.path.join(expert_dir, f"{e.name}.txt"), "w", encoding="utf-8") as fh:
+            fh.write(e.model.to_text())
+    _write_csv(
+        os.path.join(args.out, "quantile_bands.csv"),
+        ["t", "timestamp"] + [f"q{int(100 * tau):02d}" for tau in QUANTILE_LEVELS]
+        + ["actual"],
+        ([t, test[t - 1].timestamp.isoformat()]
+         + [quantile(kept[t][0], tau) for tau in QUANTILE_LEVELS] + [outcomes[t - 1]]
+         for t in band_steps),
+    )
 
-        # each hour is forecast from the temperature of the hour before; the
-        # game reads no other training record, so none is kept through it
-        temps = [train[-1].temperature] + [rec.temperature for rec in test[:-1]]
-        del train
-        with RosterStream(experts, temps, domain) as forecasts:
-            outcomes = [min(max(rec.load, domain.a), domain.b) for rec in test]
-            clipped = sum(y != rec.load for y, rec in zip(outcomes, test))
-            if clipped:
-                logger.warning("%d test outcomes clipped into [%g, %g]",
-                               clipped, domain.a, domain.b)
-            confidences = roster_confidences(experts, [rec.timestamp for rec in test],
-                                             args.confidence)
-            band_steps = [t for t, rec in enumerate(test, start=1)
-                          if rec.timestamp.hour == args.band_hour]
-            try:
-                (log,), kept = replay([game], forecasts, outcomes, confidences,
-                                      keep=band_steps)
-            except ConditioningError as exc:
-                print(f"cannot forecast the test span: {exc}", file=sys.stderr)
-                return 3
-        mark("replay")
-        if args.timings:  # within the replay phase: the game's wait on the roster
-            print(f"timing replay_wait_first: {forecasts.first_wait:.6f} s", file=sys.stderr)
-            print(f"timing replay_wait: {forecasts.wait:.6f} s", file=sys.stderr)
+    config = {
+        "mode": args.mode, "confidence": args.confidence, "alpha": args.alpha,
+        "grid": args.grid, "components": args.components,
+        "band_hour": args.band_hour,
+    }
+    average = float(log.learner_cumulative()[-1] / log.steps)
+    em_rows = [(e.fit_points, len(e.fit_history), e.fit_history[-1],
+                em_hit_max_iter(e.fit_history)) for e in experts]
+    metrics = {
+        "n_experts": len(experts),
+        "n_fit_failures": len(failures),
+        "em_fits_at_max_iter": sum(row[-1] for row in em_rows),
+        "domain_b": domain.b,
+        "final_average_loss": average,
+        "asleep_steps": log.asleep_steps,
+        "test_outcomes_clipped": clipped,
+        "roster_evaluations": forecasts.evaluations,
+    }
+    for key in reports[0][1]:
+        metrics.update((f"{label}_{key}", counts[key]) for label, counts in reports)
+    em_keys = ("fit_points", "em_rounds", "em_log_likelihood", "em_at_max_iter")
+    for key, values in zip(em_keys, zip(*em_rows)):
+        metrics.update((f"expert_{i}_{key}", v) for i, v in enumerate(values, start=1))
+    code = _finish_run(
+        args.out, log, "load", config, args.seed, inputs, metrics,
+        names=[e.name for e in experts],
+        leading={"timestamp": [rec.timestamp.isoformat() for rec in test],
+                 "temperature": [rec.temperature for rec in test]},
+    )
+    mark("write")
 
-        expert_dir = os.path.join(args.out, "experts")
-        os.makedirs(expert_dir, exist_ok=True)
-        for e in experts:
-            with open(os.path.join(expert_dir, f"{e.name}.txt"), "w", encoding="utf-8") as fh:
-                fh.write(e.model.to_text())
-        _write_csv(
-            os.path.join(args.out, "quantile_bands.csv"),
-            ["t", "timestamp"] + [f"q{int(100 * tau):02d}" for tau in QUANTILE_LEVELS]
-            + ["actual"],
-            ([t, test[t - 1].timestamp.isoformat()]
-             + [quantile(kept[t][0], tau) for tau in QUANTILE_LEVELS] + [outcomes[t - 1]]
-             for t in band_steps),
-        )
-
-        config = {
-            "mode": args.mode, "confidence": args.confidence, "alpha": args.alpha,
-            "grid": args.grid, "components": args.components,
-            "band_hour": args.band_hour,
-        }
-        average = float(log.learner_cumulative()[-1] / log.steps)
-        em_rows = [(e.fit_points, len(e.fit_history), e.fit_history[-1],
-                    em_hit_max_iter(e.fit_history)) for e in experts]
-        metrics = {
-            "n_experts": len(experts),
-            "n_fit_failures": len(failures),
-            "em_fits_at_max_iter": sum(row[-1] for row in em_rows),
-            "domain_b": domain.b,
-            "final_average_loss": average,
-            "asleep_steps": log.asleep_steps,
-            "test_outcomes_clipped": clipped,
-            "roster_evaluations": forecasts.evaluations,
-        }
-        for key in reports[0][1]:
-            metrics.update((f"{label}_{key}", counts[key]) for label, counts in reports)
-        em_keys = ("fit_points", "em_rounds", "em_log_likelihood", "em_at_max_iter")
-        for key, values in zip(em_keys, zip(*em_rows)):
-            metrics.update((f"expert_{i}_{key}", v) for i, v in enumerate(values, start=1))
-        code = _finish_run(
-            args.out, log, "load", config, args.seed, inputs, metrics,
-            names=[e.name for e in experts],
-            leading={"timestamp": [rec.timestamp.isoformat() for rec in test],
-                     "temperature": [rec.temperature for rec in test]},
-        )
-        mark("write")
-
-        print(f"load: T={log.steps} experts={len(experts)} mode={args.mode} "
-              f"confidence={args.confidence} avg_loss={average:.6g}")
-        if code:
-            print("discounted regret bound violated", file=sys.stderr)
-        return code
-    finally:
-        if args.timings:
-            _print_processes("load", children)
+    print(f"load: T={log.steps} experts={len(experts)} mode={args.mode} "
+          f"confidence={args.confidence} avg_loss={average:.6g}")
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -413,32 +392,25 @@ def cmd_verify(args) -> int:
     `_Forked` child runs the discounted-regret check, the longest, on the
     other core (`verify.run_all`).  Its result and any exception it raises
     come back here, so stdout, the report and exit codes do not depend on
-    the fork.  `--timings` prints each check's wall time and, on every
-    exit, the child's CPU time and peak RSS, then this process's.
+    the fork.  `--timings` prints each check's wall time, and `main` the
+    child's CPU time and peak RSS, then this process's.
     """
-    children = len(child_usage)
-    try:
-        results = verify_mod.run_all(args.seed, args.cases)
-        failures = []
-        for res in results:
-            print(res.line())
-            if args.timings:
-                print(f"timing {res.name}: {res.seconds:.6f} s", file=sys.stderr)
-            if not res.passed:
-                failures.append({"name": res.name, "detail": res.detail,
-                                 "witness": res.witness})
-        if failures:
-            blob = json.dumps({"failures": failures}, indent=2)
-            if args.report:
-                with open(args.report, "w", encoding="utf-8") as fh:
-                    fh.write(blob + "\n")
-            else:
-                print(blob, file=sys.stderr)
-            return 1
+    failures = []
+    for res in verify_mod.run_all(args.seed, args.cases):
+        print(res.line())
+        if args.timings:
+            print(f"timing {res.name}: {res.seconds:.6f} s", file=sys.stderr)
+        if not res.passed:
+            failures.append({"name": res.name, "detail": res.detail, "witness": res.witness})
+    if not failures:
         return 0
-    finally:
-        if args.timings:  # on every exit: the child reaped, then this process
-            _print_processes("verify", children)
+    blob = json.dumps({"failures": failures}, indent=2)
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(blob + "\n")
+    else:
+        print(blob, file=sys.stderr)
+    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -446,26 +418,53 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _within(kind, low, high=math.inf):
+    """An argparse `type`: `kind(text)`, a usage error unless it lies in
+    [low, high] (NaN does not)."""
+    def parse(text):
+        value = kind(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low:g}" if high == math.inf
+                else f"must lie in [{low:g}, {high:g}]")
+        return value
+
+    parse.__name__ = kind.__name__  # a bad literal: "invalid int value: 'x'"
+    return parse
+
+
+def _one_character(text):
+    """An argparse `type`: `text`, a usage error unless one character."""
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError("must be one character")
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The `crpsmix` parser: each flag's own rule is its `type=` or
+    `choices=`; `_validate` checks the rules that join flags or read the
+    environment."""
     parser = argparse.ArgumentParser(
         prog="crpsmix",
         description="Online aggregation of probabilistic forecasts under CRPS.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    timings_help = "print the wall time of each phase to stderr"
-    game = argparse.ArgumentParser(add_help=False)  # the flags synth and load share
+    common = argparse.ArgumentParser(add_help=False)  # the flags of every command
+    common.add_argument("--seed", type=_within(int, 0), default=0)
+    common.add_argument("--timings", action="store_true",
+                        help="print each phase's wall time, then each process's CPU "
+                             "time and peak RSS, to stderr")
+    game = argparse.ArgumentParser(add_help=False, parents=[common])  # synth and load
     game.add_argument("--mode", choices=("aa", "wa"), default="aa")
-    game.add_argument("--alpha", type=float, default=0.001)
-    game.add_argument("--seed", type=int, default=0)
-    game.add_argument("--grid", type=int, default=1024)
+    game.add_argument("--alpha", type=_within(float, 0.0, 1.0), default=0.001)
+    game.add_argument("--grid", type=_within(int, 2), default=1024)
     game.add_argument("--out", default=os.environ.get("CRPSMIX_OUT"))
-    game.add_argument("--timings", action="store_true", help=timings_help)
 
     ps = sub.add_parser("synth", parents=[game], help="synthetic triangular-mixture experiment")
     ps.add_argument("--method", type=int, choices=(1, 2), required=True,
                     help="1: rotating leader, 2: smooth crossfade")
-    ps.add_argument("--steps", type=int, default=3000)
-    ps.add_argument("--segments", type=int, default=6)
+    ps.add_argument("--steps", type=_within(int, 1), default=3000)
+    ps.add_argument("--segments", type=_within(int, 1), default=6)
     ps.set_defaults(func=cmd_synth)
 
     pl = sub.add_parser("load", parents=[game], help="hourly load forecasting experiment")
@@ -474,34 +473,25 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("--data", help="single CSV to split by --split")
     pl.add_argument("--split", type=datetime.fromisoformat,
                     help="ISO timestamp boundary for --data")
-    pl.add_argument("--confidence", choices=("smooth", "binary", "off"),
-                    default="smooth")
-    pl.add_argument("--components", type=int, default=2)
-    pl.add_argument("--band-hour", type=int, default=12)
+    pl.add_argument("--confidence", choices=tuple(CONFIDENCE_RAMPS), default="smooth")
+    pl.add_argument("--components", type=_within(int, 1, 3), default=2)
+    pl.add_argument("--band-hour", type=_within(int, 0, 23), default=12)
     pl.add_argument("--timestamp-col", default="timestamp")
     pl.add_argument("--load-col", default="load")
     pl.add_argument("--temperature-col", default="temperature")
-    pl.add_argument("--delimiter", default=",")
+    pl.add_argument("--delimiter", type=_one_character, default=",")
     pl.set_defaults(func=cmd_load)
 
-    pv = sub.add_parser("verify", help="run the property suites")
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--cases", type=int, default=100)
+    pv = sub.add_parser("verify", parents=[common], help="run the property suites")
+    pv.add_argument("--cases", type=_within(int, 1), default=100)
     pv.add_argument("--report", help="write the JSON failure report here")
-    pv.add_argument("--timings", action="store_true", help=timings_help)
     pv.set_defaults(func=cmd_verify)
     return parser
 
 
 def _validate(parser, args) -> None:
-    if args.seed < 0:
-        parser.error("--seed must be non-negative")
-    if args.command == "synth":
-        if args.steps < 1:
-            parser.error("--steps must be positive (empty run)")
-        if args.segments < 1:
-            parser.error("--segments must be positive")
-    elif args.command == "load":
+    """The usage rules that join flags or read the environment."""
+    if args.command == "load":
         if bool(args.data) == bool(args.train):
             parser.error("give either --data [--split] or --train with --test")
         if args.train and not args.test:
@@ -510,19 +500,7 @@ def _validate(parser, args) -> None:
             parser.error("--test goes with --train, not with --data")
         if args.train and args.split is not None:
             parser.error("--split goes with --data, not with --train")
-        if len(args.delimiter) != 1:
-            parser.error("--delimiter must be one character")
-        if args.components not in (1, 2, 3):
-            parser.error("--components must be 1, 2 or 3")
-        if not 0 <= args.band_hour <= 23:
-            parser.error("--band-hour must be an hour 0..23")
-    elif args.command == "verify" and args.cases < 1:
-        parser.error("--cases must be positive")
     if args.command != "verify":
-        if args.grid < 2:
-            parser.error("--grid must be at least 2")
-        if not 0.0 <= args.alpha <= 1.0:
-            parser.error("--alpha must lie in [0, 1]")
         if args.out is None:
             parser.error("need --out or the CRPSMIX_OUT environment variable")
         for flag in ("out", "data", "train", "test"):  # a manifest line holds one path
@@ -539,14 +517,21 @@ def main(argv=None) -> int:
     `hashlib` imports that `numpy.random` makes then take CPython's builtin
     hashes, and no command maps OpenSSL's libcrypto (~3.4 MB): not `synth`
     or `verify`, whose draws import numpy.random here, nor any process a
-    command forks, which inherits the entry.  `config_hash` takes its
-    SHA-256 from the builtin module either way.
+    command forks, which inherits the entry, nor `config_hash`, which
+    imports `hashlib` after it.
+
+    `main` ends every run: with `--timings`, on every exit (an error line
+    of its own, an exception it lets pass), it prints one line `process
+    <name>: cpu <s> s, peak <MB> MB` for each `_Forked` child the command
+    reaped (`roster.child_usage`), then for this process, named after the
+    command.
     """
     sys.modules.setdefault("_hashlib", None)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     _validate(parser, args)
+    children = len(child_usage)
     try:
         return args.func(args)
     except FileNotFoundError as exc:
@@ -558,6 +543,15 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # such as a --grid too large to allocate
         print(f"cannot allocate: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if args.timings:
+            import resource
+
+            own = resource.getrusage(resource.RUSAGE_SELF)
+            rows = [*child_usage[children:],
+                    (args.command, own.ru_utime + own.ru_stime, own.ru_maxrss / 1024)]
+            for name, cpu, peak in rows:
+                print(f"process {name}: cpu {cpu:.6f} s, peak {peak:.1f} MB", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -185,9 +185,13 @@ def replay(configs, experts, outcomes, confidences=None, keep=()):
     as many steps as keep each temporary within BLOCK_BYTES (one step, if
     larger): the block's expert losses, then its weights step by step, then
     its forecasts, check and learner losses at once, then the update of a
-    last step that reads h.  So the synthetic games (full confidence) run
-    in long blocks, and a load run with smooth confidences, where every
-    awake hour reads h, in one-step blocks of the same loop.  log p is
+    last step that reads h.  With C configurations, C_aa of them "aa", a
+    block holds at most BLOCK_BYTES // (8 d max(N C_aa, N, C)) steps: 2 for
+    `crpsmix synth` at d=1024 (N=3, one "aa" and one "wa"), 10 for
+    verify's synthetic-stream check at d=256, 3 for `crpsmix load
+    --confidence off` at d=128 (N=21), and 1 for `scripts/alpha_sweep.py`
+    (eight "aa" configurations).  A load run with smooth confidences,
+    where every awake hour reads h, plays one-step blocks.  log p is
     taken once per run, and 1 - p at the one step of a block that reads
     it.
 

@@ -540,6 +540,28 @@ class TestLoad:
         ])
         assert code == 3
 
+    @pytest.mark.parametrize("case", ["empty", "header_only", "half_hour", "no_split"])
+    def test_ingest_errors_fork_nothing(self, tmp_path, capsys, case):
+        # each stops the run at ingest: one stderr line, nothing written, no child
+        data = tmp_path / "in.csv"
+        header = "timestamp,load,temperature\n"
+        text, want = {
+            "empty": ("", f"{data}: empty file"),
+            "header_only": (header, f"{data}: no data rows"),
+            "half_hour": (header + "2010-01-01T00:00:00,1,1\n2010-01-01T00:30:00,2,2\n",
+                          f"{data}:3: spacing of 0.5 hours is not hourly"),
+            "no_split": (None, "need more than 8760 records to reserve them for testing"),
+        }[case]
+        if text is None:
+            write_demo_load_csv(data, hours=300)
+        else:
+            data.write_text(text, encoding="utf-8")
+        usage, out = len(roster_mod.child_usage), tmp_path / "o"
+        assert main(["load", "--data", str(data), "--grid", "16", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [f"cannot ingest data: {want}"]
+        assert not out.exists()
+        assert len(roster_mod.child_usage) == usage
+
     def test_corrupt_csv_is_io_error(self, tmp_path):
         bad = tmp_path / "corrupt.csv"
         bad.write_text(
@@ -723,6 +745,48 @@ def test_negative_seed_is_usage_error(command, demo_load_csv, tmp_path):
     assert proc.returncode == 2
     assert "--seed" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+REJECTED = object()
+#: (command, flag, value, the value parsed or REJECTED): the edges of each
+#: flag's own rule
+FLAG_EDGES = [
+    *[(command, "--seed", value, parsed) for command in ("synth", "load", "verify")
+      for value, parsed in (("0", 0), ("-1", REJECTED))],
+    ("synth", "--grid", "2", 2), ("synth", "--grid", "1", REJECTED),
+    ("synth", "--alpha", "0", 0.0), ("synth", "--alpha", "1", 1.0),
+    *[("synth", "--alpha", value, REJECTED) for value in ("-0.01", "1.01", "nan")],
+    *[(command, flag, value, parsed)
+      for command, flag in (("synth", "--steps"), ("synth", "--segments"), ("verify", "--cases"))
+      for value, parsed in (("1", 1), ("0", REJECTED))],
+    ("load", "--components", "1", 1), ("load", "--components", "3", 3),
+    ("load", "--components", "0", REJECTED), ("load", "--components", "4", REJECTED),
+    ("load", "--band-hour", "0", 0), ("load", "--band-hour", "23", 23),
+    ("load", "--band-hour", "-1", REJECTED), ("load", "--band-hour", "24", REJECTED),
+    ("load", "--delimiter", ";", ";"),
+    ("load", "--delimiter", "", REJECTED), ("load", "--delimiter", ";;", REJECTED),
+    ("load", "--confidence", "off", "off"), ("load", "--confidence", "soft", REJECTED),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, parsed", FLAG_EDGES,
+                         ids=[f"{c}{f}={v!r}" for c, f, v, _ in FLAG_EDGES])
+def test_each_flag_accepts_exactly_its_range(capsys, command, flag, value, parsed):
+    argv = {"synth": ["synth", "--method", "1", "--out", "o"],
+            "load": ["load", "--data", "in.csv", "--out", "o"],
+            "verify": ["verify"]}[command] + [flag, value]
+    parser = cli_mod.build_parser()
+    if parsed is REJECTED:
+        with pytest.raises(SystemExit) as exc:
+            cli_mod._validate(parser, parser.parse_args(argv))
+        assert exc.value.code == 2
+        [line] = [e for e in capsys.readouterr().err.splitlines() if "error:" in e]
+        assert f"argument {flag}: " in line
+    else:
+        args = parser.parse_args(argv)
+        cli_mod._validate(parser, args)
+        assert getattr(args, flag[2:].replace("-", "_")) == parsed
+        assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("brk", ["\n", "\r"], ids=["lf", "cr"])
@@ -1171,6 +1235,14 @@ class TestTimings:
             phases = [line.split("  ", 1)[1].split(" (")[0] for line in out0.splitlines()]
         assert [line[len("timing "):].split(":")[0] for line in timed] == phases
         assert all(line.endswith(" s") and float(line.split()[-2]) >= 0 for line in timed)
+        # last, one line per process: the children as reaped, then the command
+        processes = {"synth": ["synth"],
+                     "load": ["anytime and season fit", "season-by-day-period fit",
+                              "roster evaluation", "load"],
+                     "verify": ["discounted regret check", "verify"]}[command]
+        reported = [line for line in err1.splitlines() if line.startswith("process ")]
+        assert [line[len("process "):].split(":")[0] for line in reported] == processes
+        assert err1.splitlines()[-len(processes):] == reported
 
     def test_load_reports_each_process(self, tmp_path, capsys, monkeypatch):
         rows = demo_rows(tmp_path / "demo.csv", 8760 + 48)
@@ -1281,6 +1353,21 @@ class TestTimings:
             "anytime and season fit", "season-by-day-period fit", "roster evaluation", "load"]
         assert timed[-len(processes):] == processes
         assert [e for e in timed if not e.startswith(("process ", "timing "))] == plain
+
+
+@pytest.mark.parametrize("command", ["synth", "load"])
+def test_a_broken_bound_prints_one_line(tmp_path, monkeypatch, capsys, command):
+    # with alpha 0 the bound is asserted; a tolerance of -inf breaks it
+    argv = ([*SYNTH_FLAGS, "--out", str(tmp_path / "o")] if command == "synth"
+            else TestEvaluatorProcess.argv(tmp_path, "success"))
+    assert main(argv + ["--alpha", "0"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli_mod, "BOUND_TOL", -math.inf)
+    assert main(argv + ["--alpha", "0"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [e for e in err if "violated" in e] == err[-1:] == ["discounted regret bound violated"]
+    manifest = read_manifest(tmp_path / "o" / "manifest.txt")
+    assert manifest["metric_bound_satisfied"] == "false"
 
 
 def test_csv_writer_matches_csv_module(tmp_path):

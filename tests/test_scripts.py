@@ -1,5 +1,6 @@
 import argparse
 import functools
+import importlib.util
 import json
 import os
 import re
@@ -61,6 +62,49 @@ def test_make_demo_load_csv_matches_library_writer(tmp_path):
         tmp_path / "library.csv", 300, datetime(2009, 3, 1, 5), 4
     )
     assert out.read_bytes() == want.read_bytes()
+
+
+SRC_LOC_SAMPLE = '''"""Module docstring,
+two lines."""
+# a comment
+
+import os  # code with a comment
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function docstring."""
+        return """not a docstring,
+spanning two lines"""
+'''
+
+
+def test_src_loc_counts_code_lines():
+    spec = importlib.util.spec_from_file_location(
+        "src_loc", os.path.join(REPO, "scripts", "src_loc.py"))
+    src_loc = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(src_loc)
+    # import, class, def and the two lines of the returned string
+    assert src_loc.count(SRC_LOC_SAMPLE) == (14, 5)
+
+
+@pytest.mark.parametrize("rev", [[], ["HEAD"]], ids=["tree", "rev"])
+def test_src_loc_totals_are_the_sums_of_its_rows(rev):
+    if rev and subprocess.run(["git", "-C", REPO, "rev-parse", "HEAD"],
+                              capture_output=True).returncode:
+        pytest.skip("not a git checkout")
+    proc = subprocess.run([sys.executable, os.path.join(REPO, "scripts", "src_loc.py"), *rev],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows, total = [line.split() for line in proc.stdout.splitlines()]
+    assert header == ["module", "lines", "code"]
+    assert {row[0] for row in rows} >= {"__init__.py", "cli.py", "game.py"}
+    assert total[0] == "total"
+    for column in (1, 2):
+        assert int(total[column]) == sum(int(row[column]) for row in rows)
+    assert all(int(row[2]) <= int(row[1]) for row in rows)
 
 
 def test_readme_library_sketch_runs():
